@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys as _sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -39,14 +38,7 @@ from .matching import (
     evaluate_residuals,
 )
 from .stability import EXPONENTIAL, NOT_STABILIZABLE, linearize, classify, minimum_check
-from .system import (
-    MechSystem,
-    ShapedDesign,
-    SystemError,
-    load_system,
-    resolve_system,
-    system_to_dict,
-)
+from .system import MechSystem, SystemError, load_system, system_to_dict
 from .tensor import TensorError, selfcheck
 
 EXIT_OK = 0
@@ -58,8 +50,8 @@ OPEN_LOOP_ENERGY_TOL = 1e-6
 ENERGY_INCREASE_TOL = 1e-8
 
 
-class CliError(ValueError):
-    pass
+class CliError(ValueError, argparse.ArgumentTypeError):
+    """Usage or input error; argparse reports its message for a bad flag value."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -67,36 +59,6 @@ class _Parser(argparse.ArgumentParser):
     # failed checks here, so route usage problems through CliError instead
     def error(self, message):
         raise CliError(message)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation: subcommand plus every flag it may consume."""
-
-    command: str
-    system: str = ""
-    grid: tuple[tuple[str, tuple[float, float, int]], ...] | None = None
-    tol: float | None = None
-    eps: float | None = None
-    K: float | None = None
-    Kv: float | None = None
-    x0: tuple[float, ...] | None = None
-    t_end: float = 10.0
-    dt: float = 1e-3
-    seed: int = 0
-    dims_max: int = 5
-    open_loop: bool = False
-    out: Path | None = None
-
-    def __post_init__(self):
-        if self.tol is not None and not self.tol > 0.0:
-            raise CliError("tolerance must be positive")
-        if self.grid is not None:
-            for name, (lo, hi, count) in self.grid:
-                if count < 1:
-                    raise CliError(f"grid count for {name} must be >= 1")
-                if not lo <= hi:
-                    raise CliError(f"grid range for {name} is empty")
 
 
 def parse_grid(text: str) -> tuple[tuple[str, tuple[float, float, int]], ...]:
@@ -114,7 +76,12 @@ def parse_grid(text: str) -> tuple[tuple[str, tuple[float, float, int]], ...]:
             count = int(pieces[2])
         except ValueError as exc:
             raise CliError(f"grid axis {part!r}: {exc}") from exc
-        axes.append((name.strip(), (lo, hi, count)))
+        name = name.strip()
+        if count < 1:
+            raise CliError(f"grid count for {name} must be >= 1")
+        if not lo <= hi:
+            raise CliError(f"grid range for {name} is empty")
+        axes.append((name, (lo, hi, count)))
     return tuple(axes)
 
 
@@ -126,34 +93,13 @@ def parse_x0(text: str) -> tuple[float, ...]:
 
 
 def _grid_axes(
-    cfg: RunConfig, sys: MechSystem
+    args: argparse.Namespace, sys: MechSystem
 ) -> list[tuple[str, np.ndarray]]:
-    if cfg.grid is None:
+    if args.grid is None:
         return [(v, np.linspace(-1.0, 1.0, 21)) for v in sys.vars]
     return [
-        (name, np.linspace(lo, hi, count)) for name, (lo, hi, count) in cfg.grid
+        (name, np.linspace(lo, hi, count)) for name, (lo, hi, count) in args.grid
     ]
-
-
-def _load_target(
-    cfg: RunConfig,
-) -> tuple[MechSystem, ShapedDesign | None, np.ndarray | None]:
-    """Resolve builtin:<name>, a system JSON, or a controller bundle.
-
-    The third item is the bundle's damping matrix when one was stored.
-    """
-    ref = cfg.system
-    if ref.startswith("builtin:"):
-        loaded = resolve_system(ref, eps=cfg.eps, K=cfg.K)
-        return loaded[0], loaded[1], None
-    with open(ref) as fh:
-        data = json.load(fh)
-    if isinstance(data, dict) and "system" in data:
-        sys, design = load_system(data["system"], eps=cfg.eps, K=cfg.K)
-        kv = data.get("Kv")
-        return sys, design, None if kv is None else np.asarray(kv, dtype=float)
-    sys, design = load_system(data, eps=cfg.eps, K=cfg.K)
-    return sys, design, None
 
 
 def _emit(payload: dict, out: Path | None, filename: str) -> None:
@@ -164,33 +110,33 @@ def _emit(payload: dict, out: Path | None, filename: str) -> None:
         (out / filename).write_text(text + "\n")
 
 
-def cmd_check(cfg: RunConfig) -> int:
-    sys, _, _ = _load_target(cfg)
+def cmd_check(args: argparse.Namespace) -> int:
+    sys, _ = load_system(args.system, eps=args.eps, K=args.K)
     lin = linearize(sys)
     report = classify(lin)
     payload = {
-        "system": sys.name or cfg.system,
+        "system": sys.name or args.system,
         "n": sys.n,
         "m": sys.m,
         **report.to_dict(),
         "alin": lin.alin.tolist(),
         "blin": lin.blin.tolist(),
     }
-    _emit(payload, cfg.out, "check.json")
+    _emit(payload, args.out, "check.json")
     return EXIT_OK if report.verdict != NOT_STABILIZABLE else EXIT_FAIL
 
 
-def _verify_payload(cfg: RunConfig):
-    sys, design, _ = _load_target(cfg)
+def _verify_payload(args: argparse.Namespace):
+    sys, design = load_system(args.system, eps=args.eps, K=args.K)
     if design is None:
-        raise CliError(f"{cfg.system} has no shaped design to verify")
-    axes = _grid_axes(cfg, sys)
-    tol = cfg.tol if cfg.tol is not None else RESIDUAL_TOL
+        raise CliError(f"{args.system} has no shaped design to verify")
+    axes = _grid_axes(args, sys)
+    tol = args.tol if args.tol is not None else RESIDUAL_TOL
     report = evaluate_residuals(sys, design, axes, tol)
     minimum = minimum_check(design)
     passed = bool(report.passed and minimum.passed)
     payload = {
-        "system": sys.name or cfg.system,
+        "system": sys.name or args.system,
         "residuals": report.to_summary_dict(),
         "minimum": minimum.to_dict(),
         "passed": passed,
@@ -198,17 +144,17 @@ def _verify_payload(cfg: RunConfig):
     return sys, design, report, payload
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    _, _, report, payload = _verify_payload(cfg)
-    if cfg.out is not None:
-        cfg.out.mkdir(parents=True, exist_ok=True)
-        report.write_csv(cfg.out / "residuals.csv")
-    _emit(payload, cfg.out, "verify.json")
+def cmd_verify(args: argparse.Namespace) -> int:
+    _, _, report, payload = _verify_payload(args)
+    if args.out is not None:
+        args.out.mkdir(parents=True, exist_ok=True)
+        report.write_csv(args.out / "residuals.csv")
+    _emit(payload, args.out, "verify.json")
     return EXIT_OK if payload["passed"] else EXIT_FAIL
 
 
-def cmd_synthesize(cfg: RunConfig) -> int:
-    sys, design, report, verify_payload = _verify_payload(cfg)
+def cmd_synthesize(args: argparse.Namespace) -> int:
+    sys, design, report, verify_payload = _verify_payload(args)
     if not verify_payload["passed"]:
         reason = "design failed verification"
         diagnostic = ""
@@ -229,7 +175,7 @@ def cmd_synthesize(cfg: RunConfig) -> int:
             "diagnostic": diagnostic,
             "verify": verify_payload,
         }
-        _emit(payload, cfg.out, "synthesize.json")
+        _emit(payload, args.out, "synthesize.json")
         return EXIT_FAIL
     field = derive_gyro(sys, design)
     points = report.points[report.in_box_mask]
@@ -249,14 +195,14 @@ def cmd_synthesize(cfg: RunConfig) -> int:
             "values": values.tolist(),
         },
         "metadata": {
-            "source": cfg.system,
+            "source": args.system,
             "grid": verify_payload["residuals"]["grid"],
             "tolerance": verify_payload["residuals"]["tolerance"],
             "max_abs_pd_domain": verify_payload["residuals"]["max_abs_pd_domain"],
             "pd_box": verify_payload["residuals"]["pd_box"],
         },
     }
-    out = cfg.out if cfg.out is not None else Path(".")
+    out = args.out if args.out is not None else Path(".")
     out.mkdir(parents=True, exist_ok=True)
     path = out / "controller.json"
     path.write_text(json.dumps(bundle, indent=2, default=float) + "\n")
@@ -275,38 +221,37 @@ def cmd_synthesize(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
-    sys, design, bundle_kv = _load_target(cfg)
+def cmd_simulate(args: argparse.Namespace) -> int:
+    sys, design = load_system(args.system, eps=args.eps, K=args.K)
     x0 = np.asarray(
-        cfg.x0 if cfg.x0 is not None else [0.3] + [0.0] * (2 * sys.n - 1),
+        args.x0 if args.x0 is not None else [0.3] + [0.0] * (2 * sys.n - 1),
         dtype=float,
     )
     if x0.size != 2 * sys.n:
         raise CliError(f"x0 must have {2 * sys.n} entries (q then p)")
-    sim_cfg = SimConfig(t_end=cfg.t_end, dt=cfg.dt, x0=x0)
-    out = cfg.out if cfg.out is not None else Path(".")
+    sim_cfg = SimConfig(t_end=args.t_end, dt=args.dt, x0=x0)
+    out = args.out if args.out is not None else Path(".")
     out.mkdir(parents=True, exist_ok=True)
     metrics: dict = {
-        "system": sys.name or cfg.system,
-        "open_loop": cfg.open_loop,
+        "system": sys.name or args.system,
+        "open_loop": args.open_loop,
         "t_end": sim_cfg.steps * sim_cfg.dt,
-        "dt": cfg.dt,
+        "dt": args.dt,
         "x0": x0.tolist(),
     }
-    if cfg.open_loop:
+    if args.open_loop:
         u0 = np.zeros(sys.m)
         field = lambda q, p: sys.open_loop_field(q, p, u0)
         energy = sys.hamiltonian
-        tol = cfg.tol if cfg.tol is not None else OPEN_LOOP_ENERGY_TOL
+        tol = args.tol if args.tol is not None else OPEN_LOOP_ENERGY_TOL
     else:
         if design is None:
-            raise CliError(f"{cfg.system} has no shaped design to close the loop with")
-        kv = cfg.Kv if cfg.Kv is not None else bundle_kv
-        ctrl = Controller(sys, design, kv=kv)
+            raise CliError(f"{args.system} has no shaped design to close the loop with")
+        ctrl = Controller(sys, design, kv=args.Kv)
         metrics["Kv"] = ctrl.Kv.tolist()
         field = lambda q, p: closed_loop_field(ctrl, q, p)
         energy = design.shaped_hamiltonian
-        tol = cfg.tol if cfg.tol is not None else ENERGY_INCREASE_TOL
+        tol = args.tol if args.tol is not None else ENERGY_INCREASE_TOL
     try:
         traj = simulate(field, sim_cfg, energy=energy)
     except DivergenceError as exc:
@@ -327,7 +272,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
             "trajectory": str(out / "trajectory.csv"),
         }
     )
-    if cfg.open_loop:
+    if args.open_loop:
         drift = float(np.max(np.abs(traj.energies - traj.energies[0])))
         scale = 1.0 + abs(float(traj.energies[0]))
         metrics["energy_drift"] = drift
@@ -347,8 +292,8 @@ def _write_metrics(metrics: dict, out: Path) -> None:
     (out / "metrics.json").write_text(text + "\n")
 
 
-def cmd_selftest(cfg: RunConfig) -> int:
-    results = selfcheck(seed=cfg.seed, dims_max=cfg.dims_max)
+def cmd_selftest(args: argparse.Namespace) -> int:
+    results = selfcheck(seed=args.seed, dims_max=args.dims_max)
     failed = 0
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -417,23 +362,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = RunConfig(
-            command=args.command,
-            system=getattr(args, "system", ""),
-            grid=getattr(args, "grid", None),
-            tol=getattr(args, "tol", None),
-            eps=getattr(args, "eps", None),
-            K=getattr(args, "K", None),
-            Kv=getattr(args, "Kv", None),
-            x0=getattr(args, "x0", None),
-            t_end=getattr(args, "t_end", 10.0),
-            dt=getattr(args, "dt", 1e-3),
-            seed=getattr(args, "seed", 0),
-            dims_max=getattr(args, "dims_max", 5),
-            open_loop=getattr(args, "open_loop", False),
-            out=getattr(args, "out", None),
-        )
-        return _COMMANDS[cfg.command](cfg)
+        tol = getattr(args, "tol", None)
+        if tol is not None and not tol > 0.0:
+            raise CliError("tolerance must be positive")
+        return _COMMANDS[args.command](args)
     except (
         CliError,
         SystemError,

@@ -28,6 +28,7 @@ from .system import (
     ShapedDesign,
     StateTrajectory,
     SystemError,
+    check_kv,
     hessian_at,
 )
 from .tensor import Tensor3
@@ -83,11 +84,7 @@ class Controller:
             kv = float(kv) * np.eye(sys.m)
         if kv.shape != (sys.m, sys.m):
             raise SystemError(f"Kv must be {sys.m}x{sys.m}")
-        if np.max(np.abs(kv - kv.T)) > 1e-12 * max(1.0, float(np.max(np.abs(kv)))):
-            raise SystemError("Kv must be symmetric")
-        if np.linalg.eigvalsh((kv + kv.T) / 2.0)[0] <= 0.0:
-            raise SystemError("Kv must be positive definite")
-        self.Kv = kv
+        self.Kv = check_kv(kv)
         self._gyro = gyro
         if gyro is None and design.C is None:
             self._field = derive_gyro(sys, design)

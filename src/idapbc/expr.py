@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
+import numpy as np
+
 
 class ExprError(ValueError):
     """Problem while parsing or evaluating an expression."""
@@ -28,14 +30,11 @@ class Expr:
     __slots__ = ()
 
     def eval(self, point: Sequence[float]) -> float:
+        """Tree-walk evaluation: the reference :func:`compile_expr` is tested against."""
         raise NotImplementedError
 
     def diff(self, index: int) -> "Expr":
         """Exact partial derivative with respect to variable number ``index``."""
-        raise NotImplementedError
-
-    def _code(self) -> str:
-        """Python source fragment used by :func:`compile_expr`."""
         raise NotImplementedError
 
     def variables(self) -> set[int]:
@@ -61,9 +60,6 @@ class Const(Expr):
     def diff(self, index: int) -> Expr:
         return Const(0.0)
 
-    def _code(self) -> str:
-        return repr(self.value)
-
 
 @dataclass(frozen=True, slots=True)
 class Var(Expr):
@@ -75,9 +71,6 @@ class Var(Expr):
 
     def diff(self, index: int) -> Expr:
         return Const(1.0 if index == self.index else 0.0)
-
-    def _code(self) -> str:
-        return f"_q[{self.index}]"
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,9 +84,6 @@ class Add(Expr):
     def diff(self, index: int) -> Expr:
         return add(self.left.diff(index), self.right.diff(index))
 
-    def _code(self) -> str:
-        return f"({self.left._code()} + {self.right._code()})"
-
 
 @dataclass(frozen=True, slots=True)
 class Sub(Expr):
@@ -105,9 +95,6 @@ class Sub(Expr):
 
     def diff(self, index: int) -> Expr:
         return sub(self.left.diff(index), self.right.diff(index))
-
-    def _code(self) -> str:
-        return f"({self.left._code()} - {self.right._code()})"
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,9 +110,6 @@ class Mul(Expr):
             mul(self.left.diff(index), self.right),
             mul(self.left, self.right.diff(index)),
         )
-
-    def _code(self) -> str:
-        return f"({self.left._code()} * {self.right._code()})"
 
 
 @dataclass(frozen=True, slots=True)
@@ -146,9 +130,6 @@ class Div(Expr):
             div(mul(self.left, self.right.diff(index)), mul(self.right, self.right)),
         )
 
-    def _code(self) -> str:
-        return f"({self.left._code()} / {self.right._code()})"
-
 
 @dataclass(frozen=True, slots=True)
 class Pow(Expr):
@@ -168,9 +149,6 @@ class Pow(Expr):
             self.base.diff(index),
         )
 
-    def _code(self) -> str:
-        return f"({self.base._code()} ** {self.exponent})"
-
 
 @dataclass(frozen=True, slots=True)
 class Sin(Expr):
@@ -181,9 +159,6 @@ class Sin(Expr):
 
     def diff(self, index: int) -> Expr:
         return mul(cos(self.arg), self.arg.diff(index))
-
-    def _code(self) -> str:
-        return f"_sin({self.arg._code()})"
 
 
 @dataclass(frozen=True, slots=True)
@@ -196,9 +171,6 @@ class Cos(Expr):
     def diff(self, index: int) -> Expr:
         return neg(mul(sin(self.arg), self.arg.diff(index)))
 
-    def _code(self) -> str:
-        return f"_cos({self.arg._code()})"
-
 
 @dataclass(frozen=True, slots=True)
 class Neg(Expr):
@@ -209,9 +181,6 @@ class Neg(Expr):
 
     def diff(self, index: int) -> Expr:
         return neg(self.arg.diff(index))
-
-    def _code(self) -> str:
-        return f"(-{self.arg._code()})"
 
 
 def _collect_vars(e: Expr, out: set[int]) -> None:
@@ -492,11 +461,101 @@ def to_string(e: Expr) -> str:
     return _print(e, 0)
 
 
-def compile_expr(e: Expr) -> Callable[[Sequence[float]], float]:
-    """Compile to a fast point evaluator.
+# Code generation: one Python function per expression or nested table of
+# expressions, with one temporary per unique non-leaf subtree.
 
-    The returned callable raises the same ZeroDivisionError float semantics
-    as Python itself; use :meth:`Expr.eval` for the checked error message.
+_BINARY_OPS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
+
+
+def _emit(e: Expr, temps: dict[Expr, str], body: list[tuple[str, Expr]]) -> str:
+    """Operand naming ``e`` in generated code.
+
+    Constants and variables are written inline; any other node is assigned
+    to a temporary on first sight, appended to ``body`` as (code, node).
     """
-    src = f"lambda _q: {e._code()}"
-    return eval(compile(src, "<expr>", "eval"), {"_sin": math.sin, "_cos": math.cos})
+    if isinstance(e, Const):
+        s = repr(e.value)
+        return f"({s})" if s.startswith("-") else s
+    if isinstance(e, Var):
+        return f"_x{e.index}"
+    name = temps.get(e)
+    if name is not None:
+        return name
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        left = _emit(e.left, temps, body)
+        code = f"{left} {_BINARY_OPS[type(e)]} {_emit(e.right, temps, body)}"
+    elif isinstance(e, Pow):
+        code = f"{_emit(e.base, temps, body)} ** {e.exponent}"
+    elif isinstance(e, Sin):
+        code = f"_sin({_emit(e.arg, temps, body)})"
+    elif isinstance(e, Cos):
+        code = f"_cos({_emit(e.arg, temps, body)})"
+    elif isinstance(e, Neg):
+        code = f"-{_emit(e.arg, temps, body)}"
+    else:
+        raise TypeError(f"unknown node {type(e).__name__}")
+    name = f"_t{len(body)}"
+    temps[e] = name
+    body.append((f"{name} = {code}", e))
+    return name
+
+
+def _flatten(tree, leaves: list[Expr]) -> tuple[int, ...]:
+    """Append the expressions of a nested sequence to ``leaves``; return its shape."""
+    if isinstance(tree, Expr):
+        leaves.append(tree)
+        return ()
+    shapes = {_flatten(t, leaves) for t in tree}
+    if len(shapes) > 1:
+        raise ExprError("nested expressions must form a rectangular array")
+    return (len(tree),) + (shapes.pop() if shapes else ())
+
+
+def _division_error(exc: ZeroDivisionError, nodes: list[Expr | None]) -> ExprError:
+    # the generated function holds one statement per line, so the line that
+    # raised names the dividing node
+    node = nodes[exc.__traceback__.tb_lineno - 1]
+    return ExprError(f"division by zero in {to_string(node)}")
+
+
+def compile_expr(tree) -> Callable[[Sequence[float]], float | np.ndarray]:
+    """Compile an expression, or a nested sequence of them, to one evaluator.
+
+    The generated function converts the coordinates it reads to float,
+    evaluates every unique subtree once, and returns a float for a single
+    expression or an ndarray of the nesting's shape.  Division by zero
+    raises :class:`ExprError` naming the dividing subexpression, as
+    :meth:`Expr.eval` does.
+    """
+    leaves: list[Expr] = []
+    shape = _flatten(tree, leaves)
+    temps: dict[Expr, str] = {}
+    body: list[tuple[str, Expr]] = []
+    outs = [_emit(e, temps, body) for e in leaves]
+    used: set[int] = set()
+    for e in leaves:
+        _collect_vars(e, used)
+    if shape:
+        result = f"_array([{', '.join(outs)}])"
+        if len(shape) > 1:
+            result += f".reshape({shape})"
+    else:
+        result = outs[0]
+    head = ["def _f(_q):", "    try:"]
+    head += [f"        _x{i} = float(_q[{i}])" for i in sorted(used)]
+    lines = head + [f"        {code}" for code, _ in body] + [
+        f"        return {result}",
+        "    except ZeroDivisionError as exc:",
+        "        raise _division_error(exc, _nodes) from None",
+    ]
+    namespace = {
+        "_sin": math.sin,
+        "_cos": math.cos,
+        "_array": np.array,
+        "inf": math.inf,
+        "nan": math.nan,
+        "_division_error": _division_error,
+        "_nodes": [None] * len(head) + [node for _, node in body],
+    }
+    exec(compile("\n".join(lines), "<expr>", "exec"), namespace)
+    return namespace["_f"]

@@ -16,7 +16,6 @@ from itertools import combinations_with_replacement
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import null_space, orth
 
 from .expr import Expr, ExprError, compile_expr, parse
@@ -316,6 +315,10 @@ def solve_kinetic_characteristics(
     problem must be one-dimensional: the mass matrix and the ansatz may
     depend on the first coordinate only.
     """
+    # scipy.integrate takes most of the package's import time; only this
+    # solver needs it
+    from scipy.integrate import solve_ivp
+
     n = sys.n
     if len(ansatz) != n - 1:
         raise MatchingError(f"ansatz must fix {n - 1} first-row entries")
@@ -344,7 +347,7 @@ def solve_kinetic_characteristics(
                 "unknown only"
             )
         exprs.append(e)
-    fns = [compile_expr(e) for e in exprs]
+    ansatz_fn = compile_expr(exprs)
 
     def pieces(q1: float, u: float):
         qvec = np.zeros(n)
@@ -352,7 +355,7 @@ def solve_kinetic_characteristics(
         x = np.append(qvec, u)
         minv = np.linalg.inv(sys.mass_matrix(qvec))
         dminv1 = -minv @ sys.mass_derivatives(qvec)[0] @ minv
-        row = np.array([u] + [f(x) for f in fns])
+        row = np.concatenate(([u], ansatz_fn(x)))
         c = row @ minv
         s = float(row @ dminv1 @ row)
         return c, s

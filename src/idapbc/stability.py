@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .expr import ExprError
-from .system import MechSystem, ShapedDesign, SystemError, gradient, hessian_at
+from .system import MechSystem, ShapedDesign, SystemError, hessian_at
 
 RANK_RTOL = 1e-9
 REAL_PART_TOL = 1e-9
@@ -204,7 +204,7 @@ def minimum_check(design: ShapedDesign) -> MinimumCheckReport:
     mhat_min = None
 
     try:
-        g = np.array([e.eval(origin) for e in gradient(design.Vhat, n)])
+        g = design.shaped_potential_gradient(origin)
         grad_norm = float(np.linalg.norm(g))
         if grad_norm > GRAD_TOL:
             failures.append(f"shaped potential gradient at 0 has norm {grad_norm:.3e}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg import null_space
@@ -46,7 +46,7 @@ class ExprMatrix:
         self.entries: tuple[tuple[Expr, ...], ...] = tuple(tuple(row) for row in entries)
         self.rows = len(entries)
         self.cols = cols
-        self._fns = [[compile_expr(e) for e in row] for row in self.entries]
+        self._fn = compile_expr(self.entries)
 
     @classmethod
     def from_strings(
@@ -66,11 +66,7 @@ class ExprMatrix:
         )
 
     def __call__(self, q: Sequence[float]) -> np.ndarray:
-        out = np.empty((self.rows, self.cols))
-        for i, row in enumerate(self._fns):
-            for j, fn in enumerate(row):
-                out[i, j] = fn(q)
-        return out
+        return self._fn(q)
 
     def diff(self, index: int) -> "ExprMatrix":
         return ExprMatrix([[e.diff(index) for e in row] for row in self.entries])
@@ -83,18 +79,22 @@ def gradient(e: Expr, n: int) -> list[Expr]:
     return [e.diff(i) for i in range(n)]
 
 
-def compile_gradient(e: Expr, n: int) -> Callable[[Sequence[float]], np.ndarray]:
-    fns = [compile_expr(d) for d in gradient(e, n)]
-    return lambda q: np.array([f(q) for f in fns])
-
-
 def hessian_at(e: Expr, n: int, q: Sequence[float]) -> np.ndarray:
-    out = np.empty((n, n))
-    for i in range(n):
-        di = e.diff(i)
-        for j in range(n):
-            out[i, j] = di.diff(j).eval(q)
-    return out
+    return compile_expr([gradient(d, n) for d in gradient(e, n)])(q)
+
+
+def derivative_stack(m: ExprMatrix, n: int) -> list[list[list[Expr]]]:
+    """dm/dq^k for k < n, nested [k][i][j]."""
+    return [[[e.diff(k) for e in row] for row in m.entries] for k in range(n)]
+
+
+def check_kv(kv: np.ndarray) -> np.ndarray:
+    """Reject a damping matrix that is not symmetric positive definite."""
+    if np.max(np.abs(kv - kv.T)) > 1e-12 * max(1.0, float(np.max(np.abs(kv)))):
+        raise SystemError("Kv must be symmetric")
+    if np.linalg.eigvalsh((kv + kv.T) / 2.0)[0] <= 0.0:
+        raise SystemError("Kv must be positive definite")
+    return kv
 
 
 EQUILIBRIUM_TOL = 1e-10
@@ -133,8 +133,8 @@ class MechSystem:
         self.name = name
 
         self._v_fn = compile_expr(V)
-        self._dv_fn = compile_gradient(V, n)
-        self._dM = [M.diff(k) for k in range(n)]
+        self._dv_fn = compile_expr(gradient(V, n))
+        self._dm_fn = compile_expr(derivative_stack(M, n))
         origin = np.zeros(n)
         grad0 = self._dv_fn(origin)
         if np.max(np.abs(grad0)) > EQUILIBRIUM_TOL:
@@ -154,7 +154,7 @@ class MechSystem:
 
     def mass_derivatives(self, q: Sequence[float]) -> np.ndarray:
         """Stack dM/dq^k, shape (n, n, n) indexed [k, i, j]."""
-        return np.array([d(q) for d in self._dM])
+        return self._dm_fn(q)
 
     def potential(self, q: Sequence[float]) -> float:
         return self._v_fn(q)
@@ -236,10 +236,7 @@ class ShapedDesign:
         kv = np.asarray(Kv, dtype=float)
         if kv.ndim != 2 or kv.shape[0] != kv.shape[1]:
             raise SystemError("Kv must be a square matrix")
-        if np.max(np.abs(kv - kv.T)) > 1e-12 * max(1.0, np.max(np.abs(kv))):
-            raise SystemError("Kv must be symmetric")
-        if np.linalg.eigvalsh((kv + kv.T) / 2.0)[0] <= 0.0:
-            raise SystemError("Kv must be positive definite")
+        check_kv(kv)
         self.vars = tuple(vars)
         self.n = n
         self.Mhat = Mhat
@@ -249,21 +246,21 @@ class ShapedDesign:
         self.params = dict(params or {})
 
         self._vhat_fn = compile_expr(Vhat)
-        self._dvhat_fn = compile_gradient(Vhat, n)
-        self._dMhat = [Mhat.diff(k) for k in range(n)]
-        self._c_fns = None
+        self._dvhat_fn = compile_expr(gradient(Vhat, n))
+        self._dmhat_fn = compile_expr(derivative_stack(Mhat, n))
+        self._c_fn = None
         if C is not None:
             if len(C) != n or any(len(r) != n for r in C) or any(
                 len(e) != n for r in C for e in r
             ):
                 raise SystemError(f"C table must be {n}x{n}x{n}")
-            self._c_fns = [[[compile_expr(e) for e in row] for row in plane] for plane in C]
+            self._c_fn = compile_expr(C)
 
     def shaped_mass(self, q: Sequence[float]) -> np.ndarray:
         return self.Mhat(q)
 
     def shaped_mass_derivatives(self, q: Sequence[float]) -> np.ndarray:
-        return np.array([d(q) for d in self._dMhat])
+        return self._dmhat_fn(q)
 
     def shaped_potential(self, q: Sequence[float]) -> float:
         return self._vhat_fn(q)
@@ -277,15 +274,9 @@ class ShapedDesign:
         return 0.5 * float(p @ np.linalg.solve(mhat, p)) + self.shaped_potential(q)
 
     def c_table_at(self, q: Sequence[float]) -> np.ndarray | None:
-        if self._c_fns is None:
+        if self._c_fn is None:
             return None
-        n = self.n
-        out = np.empty((n, n, n))
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    out[i, j, k] = self._c_fns[i][j][k](q)
-        return out
+        return self._c_fn(q)
 
 
 @dataclass
@@ -412,15 +403,27 @@ def load_system(
     eps: float | None = None,
     K: float | None = None,
 ) -> tuple[MechSystem, ShapedDesign | None]:
-    """Load a system from a JSON file or dict (see the README schema).
+    """Load ``builtin:<name>``, a JSON file or dict (see the README schema),
+    or a controller bundle.
 
-    eps and K override the file's shaped parameter values.
+    eps and K override the shaped parameter values; a builtin defaults
+    them to 1.  A bundle's stored damping matrix becomes the design's Kv.
     """
+    if isinstance(source, str) and source.startswith("builtin:"):
+        return builtin(
+            source.split(":", 1)[1],
+            eps=1.0 if eps is None else eps,
+            K=1.0 if K is None else K,
+        )
     if isinstance(source, (str, Path)):
         with open(source) as fh:
             data = json.load(fh)
     else:
         data = source
+    bundle_kv = None
+    if isinstance(data, dict) and "system" in data:
+        bundle_kv = data.get("Kv")
+        data = data["system"]
     try:
         vars = list(data["vars"])
         n = int(data["n"])
@@ -447,7 +450,7 @@ def load_system(
             params["K"] = float(K)
         mhat = ExprMatrix.from_strings(shaped["Mhat"], vars, params)
         vhat = parse(shaped["Vhat"], vars, params)
-        kv = np.asarray(shaped.get("Kv", np.eye(sys.m).tolist()), dtype=float)
+        kv = shaped.get("Kv", np.eye(sys.m)) if bundle_kv is None else bundle_kv
         c_table = None
         if "C" in shaped:
             c_table = [
@@ -493,13 +496,3 @@ def save_system(
     with open(path, "w") as fh:
         json.dump(system_to_dict(sys, design), fh, indent=2)
         fh.write("\n")
-
-
-def resolve_system(
-    ref: str, eps: float | None = None, K: float | None = None
-) -> tuple[MechSystem, ShapedDesign | None]:
-    """Resolve ``builtin:<name>`` or a JSON file path."""
-    if ref.startswith("builtin:"):
-        return builtin(ref.split(":", 1)[1], eps=eps if eps is not None else 1.0,
-                       K=K if K is not None else 1.0)
-    return load_system(ref, eps=eps, K=K)

@@ -266,10 +266,6 @@ def extend_to_gyro(t: Tensor3, n_unactuated: int) -> GyroTensor:
     return GyroTensor(c)
 
 
-def gyro_from_c_table(c: np.ndarray) -> GyroTensor:
-    return GyroTensor(np.asarray(c, dtype=float))
-
-
 def b_from_gyro(c: GyroTensor) -> SkewPairTensor:
     """A preimage of C under psi (the explicit surjectivity recipe)."""
     e = c.entries

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from idapbc.cli import CliError, RunConfig, main, parse_grid, parse_x0
+from idapbc.cli import CliError, main, parse_grid, parse_x0
 from idapbc.system import builtin, load_system, system_to_dict
 
 
@@ -74,13 +74,25 @@ class TestParsing:
         with pytest.raises(CliError):
             parse_x0("0.3,zero")
 
-    def test_config_rejects_bad_tol(self):
-        with pytest.raises(CliError, match="positive"):
-            RunConfig(command="verify", tol=0.0)
+    def test_config_rejects_bad_tol(self, capsys):
+        code, _, err = run(
+            capsys, "simulate", "--system", "builtin:pendulum_cart", "--tol", "-1"
+        )
+        assert code == 1
+        assert "positive" in err
 
     def test_config_rejects_empty_grid_axis(self):
         with pytest.raises(CliError, match="count"):
-            RunConfig(command="verify", grid=(("q1", (-1.0, 1.0, 0)),))
+            parse_grid("q1=-1:1:0")
+        with pytest.raises(CliError, match="empty"):
+            parse_grid("q1=1:-1:5")
+
+    def test_grid_message_reaches_user(self, capsys):
+        code, _, err = run(
+            capsys, "verify", "--system", "builtin:pendulum_cart", "--grid", "q1=-1:1"
+        )
+        assert code == 1
+        assert "must look like name=lo:hi:count" in err
 
 
 class TestCheck:

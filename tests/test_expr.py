@@ -12,6 +12,7 @@ from idapbc.expr import (
     parse,
     to_string,
 )
+from idapbc.system import builtin, derivative_stack
 
 VARS2 = ["q1", "q2"]
 
@@ -185,7 +186,30 @@ class TestProperties:
             f = compile_expr(e)
             for _ in range(5):
                 pt = rng.uniform(-2, 2, size=2)
-                assert f(pt) == pytest.approx(e.eval(pt), rel=1e-14, abs=1e-14)
+                assert f(pt) == e.eval(pt)
+        # nested trees: one generated function per table, equal to the tree walk
+        pend, shaped = builtin("pendulum_cart", eps=0.55, K=0.25)
+        three, _ = builtin("three_dof")
+        tables = [
+            (shaped.C, 2),
+            (derivative_stack(pend.M, 2), 2),
+            (derivative_stack(shaped.Mhat, 2), 2),
+            (derivative_stack(three.M, 3), 3),
+        ]
+        for table, n in tables:
+            f = compile_expr(table)
+            exprs = np.array(table, dtype=object)
+            for _ in range(20):
+                pt = rng.uniform(-1, 1, size=n)
+                expect = np.vectorize(lambda e: e.eval(pt), otypes=[float])(exprs)
+                assert np.array_equal(f(pt), expect)
+
+    def test_non_finite_constant_compiles(self):
+        for text in ("1e400*q1", "1e200*1e200*q1"):
+            e = parse(text, VARS2)
+            f = compile_expr(e)
+            assert f([2.0, 0.0]) == e.eval([2.0, 0.0]) == math.inf
+            assert math.isnan(f([0.0, 0.0])) and math.isnan(e.eval([0.0, 0.0]))
 
     def test_variables_reported(self):
         assert parse("sin(q2)*q1", VARS2).variables() == {0, 1}

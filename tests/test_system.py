@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from idapbc.expr import parse
+from idapbc.expr import ExprError, parse
 from idapbc.system import (
     ExprMatrix,
     MechSystem,
@@ -13,8 +13,8 @@ from idapbc.system import (
     builtin,
     hessian_at,
     load_system,
-    resolve_system,
     save_system,
+    system_to_dict,
 )
 
 VARS2 = ["q1", "q2"]
@@ -43,6 +43,12 @@ class TestExprMatrix:
     def test_ragged_rejected(self):
         with pytest.raises(SystemError):
             ExprMatrix.from_strings([["1", "2"], ["3"]], VARS2)
+
+    def test_division_by_zero(self):
+        m = ExprMatrix.from_strings([["1", "1/q1"]], VARS2)
+        for q in ([0.0, 0.0], np.zeros(2)):
+            with pytest.raises(ExprError, match="division by zero in 1/q1"):
+                m(q)
 
     def test_diff(self):
         m = ExprMatrix.from_strings([["cos(q1)"]], VARS2)
@@ -286,6 +292,25 @@ class TestJsonIO:
         _, design = load_system(path, eps=0.5)
         assert design.shaped_mass([0, 0])[0, 0] == pytest.approx(1.5)
 
+    def test_bundle_unwrapped(self):
+        sys, design = builtin("pendulum_cart")
+        bundle = {"system": system_to_dict(sys, design), "Kv": [[2.0]]}
+        loaded, loaded_design = load_system(bundle)
+        assert loaded.name == "pendulum_cart"
+        assert np.array_equal(loaded_design.Kv, [[2.0]])
+
+    def test_undefined_gradient_rejected(self):
+        data = {
+            "n": 2,
+            "m": 1,
+            "vars": ["q1", "q2"],
+            "M": [["1", "0"], ["0", "1"]],
+            "V": "q1^2 + q2^2 + q1^3/(q1 - q1)",
+            "G": [["0"], ["1"]],
+        }
+        with pytest.raises((ExprError, SystemError)):
+            load_system(data)
+
     def test_missing_key(self):
         with pytest.raises(SystemError, match="invalid system"):
             load_system({"n": 2, "m": 1, "vars": ["q1", "q2"]})
@@ -304,6 +329,6 @@ class TestJsonIO:
             )
 
     def test_resolve_builtin(self):
-        sys, design = resolve_system("builtin:pendulum_cart", eps=0.5)
+        sys, design = load_system("builtin:pendulum_cart", eps=0.5)
         assert sys.name == "pendulum_cart"
         assert design.shaped_mass([0, 0])[0, 0] == pytest.approx(1.5)
