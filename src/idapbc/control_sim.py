@@ -19,9 +19,13 @@ import numpy as np
 from .matching import (
     RESIDUAL_TOL,
     MatchingError,
-    derive_gyro,
+    cyclic_sums,
+    gyro_extension,
     kinetic_residual,
+    metric_pair,
     potential_residual,
+    rotate,
+    t_tensor,
 )
 from .system import (
     MechSystem,
@@ -30,6 +34,7 @@ from .system import (
     SystemError,
     check_kv,
     hessian_at,
+    q_gradient,
 )
 from .tensor import Tensor3
 
@@ -86,20 +91,23 @@ class Controller:
             raise SystemError(f"Kv must be {sys.m}x{sys.m}")
         self.Kv = check_kv(kv)
         self._gyro = gyro
-        if gyro is None and design.C is None:
-            self._field = derive_gyro(sys, design)
-        else:
-            self._field = None
+        self._derives = gyro is None and design.C is None
 
     def gyro_at(self, q: Sequence[float]) -> np.ndarray:
         """Tensor values at q; zero with a warning where no extension exists."""
+        return self._gyro_from(q)
+
+    def _gyro_from(self, q, frame=None, t=None) -> np.ndarray:
+        # feedback and closed_loop_field pass the InputFrame and T they hold at q
         if self._gyro is not None:
             c = self._gyro(q)
             return c.entries if isinstance(c, Tensor3) else np.asarray(c, dtype=float)
-        if self._field is None:
+        if not self._derives:
             return self.design.c_table_at(q)
+        if frame is None:
+            frame, t = self.sys.frame(q), t_tensor(self.sys, self.design, q)
         try:
-            return self._field.at(q).entries
+            return gyro_extension(t, frame, q).entries
         except MatchingError as exc:
             warnings.warn(
                 f"no gyroscopic extension at q={list(np.asarray(q, dtype=float))}; "
@@ -111,13 +119,7 @@ class Controller:
         """Largest matching-condition violation of the design at q."""
         pot = potential_residual(self.sys, self.design, q)
         kin = kinetic_residual(self.sys, self.design, q)
-        return float(max(np.max(np.abs(pot)), np.max(np.abs(kin))))
-
-
-def _q_gradient(dv: np.ndarray, dm: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # gradient of p' Minv(q) p / 2 + V(q) with w = Minv p, using
-    # d(Minv)/dq_k = -Minv dM/dq_k Minv
-    return dv - 0.5 * np.einsum("i,kij,j->k", w, dm, w)
+        return float(np.max(np.abs(np.concatenate([pot, kin])), initial=0.0))
 
 
 def feedback(ctrl: Controller, q: Sequence[float], p: Sequence[float]) -> np.ndarray:
@@ -126,28 +128,27 @@ def feedback(ctrl: Controller, q: Sequence[float], p: Sequence[float]) -> np.nda
     Computable everywhere the matrices invert; where the design's matching
     residual exceeds the verification tolerance a warning carrying the
     local residual is attached, since the law realizes the shaped dynamics
-    only up to that residual.
+    only up to that residual.  G, M and Mhat are evaluated once: the
+    residual check and a derived gyroscopic tensor share one T.
     """
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
     sys, design = ctrl.sys, ctrl.design
-    g = sys.input_matrix(q)
-    if np.linalg.matrix_rank(g) < sys.m:
-        raise SystemError(f"input matrix rank-deficient at q={q.tolist()}")
-    res = ctrl.matching_residual(q)
+    frame, pair = sys.frame(q), metric_pair(sys, design, q)
+    (g, _, w), (minv, dm, mhat, dmhat) = frame, pair
+    dv, dvhat = sys.potential_gradient(q), design.shaped_potential_gradient(q)
+    t = pair.t_tensor()
+    defects = [pair.potential_defect(w, dv, dvhat), cyclic_sums(rotate(t, w))]
+    res = float(np.max(np.abs(np.concatenate(defects)), initial=0.0))
     if res > RESIDUAL_TOL:
         warnings.warn(
             f"matching residual {res:.3e} exceeds {RESIDUAL_TOL:.1e} at "
             f"q={q.tolist()}; the feedback does not realize the shaped dynamics here"
         )
-    minv = np.linalg.inv(sys.mass_matrix(q))
-    mhat = design.shaped_mass(q)
     uhat = np.linalg.solve(mhat, p)
-    dqh = _q_gradient(sys.potential_gradient(q), sys.mass_derivatives(q), minv @ p)
-    dqhhat = _q_gradient(
-        design.shaped_potential_gradient(q), design.shaped_mass_derivatives(q), uhat
-    )
-    force = ctrl.gyro_at(q).T @ uhat @ uhat
+    dqh = q_gradient(dv, dm, minv @ p)
+    dqhhat = q_gradient(dvhat, dmhat, uhat)
+    force = ctrl._gyro_from(q, frame, t).T @ uhat @ uhat
     rhs = dqh - mhat @ (minv @ dqhhat) - g @ (ctrl.Kv @ (g.T @ uhat)) + force
     return np.linalg.solve(g.T @ g, g.T @ rhs)
 
@@ -160,20 +161,18 @@ def closed_loop_field(
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
     sys, design = ctrl.sys, ctrl.design
-    mhat = design.shaped_mass(q)
+    frame, pair = sys.frame(q), metric_pair(sys, design, q)
+    g, minv, mhat = frame.g, pair.minv, pair.mhat
     eigs = np.linalg.eigvalsh((mhat + mhat.T) / 2.0)
     if eigs[0] <= 0.0:
         raise SystemError(
             f"shaped mass not positive definite at q={q.tolist()} "
             f"(min eigenvalue {eigs[0]:.3e})"
         )
-    minv = np.linalg.inv(sys.mass_matrix(q))
     uhat = np.linalg.solve(mhat, p)
-    dqhhat = _q_gradient(
-        design.shaped_potential_gradient(q), design.shaped_mass_derivatives(q), uhat
-    )
-    g = sys.input_matrix(q)
-    force = ctrl.gyro_at(q).T @ uhat @ uhat
+    dqhhat = q_gradient(design.shaped_potential_gradient(q), pair.dmhat, uhat)
+    t = pair.t_tensor() if ctrl._derives else None
+    force = ctrl._gyro_from(q, frame, t).T @ uhat @ uhat
     qdot = minv @ (mhat @ uhat)
     pdot = -mhat @ (minv @ dqhhat) - g @ (ctrl.Kv @ (g.T @ uhat)) + force
     return qdot, pdot
@@ -184,8 +183,7 @@ def closed_loop_linearization(ctrl: Controller) -> np.ndarray:
     sys, design = ctrl.sys, ctrl.design
     n = sys.n
     origin = np.zeros(n)
-    m0inv = np.linalg.inv(sys.mass_matrix(origin))
-    mhat0 = design.shaped_mass(origin)
+    m0inv, _, mhat0, _ = metric_pair(sys, design, origin)
     hess = hessian_at(design.Vhat, n, origin)
     g0 = sys.input_matrix(origin)
     damping = g0 @ ctrl.Kv @ g0.T @ np.linalg.inv(mhat0)

@@ -13,14 +13,13 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
-from scipy.linalg import null_space, orth
 
 from .expr import Expr, ExprError, compile_expr, parse
 from .stability import NOT_STABILIZABLE, Linearization, classify
-from .system import MechSystem, ShapedDesign, SystemError
+from .system import InputFrame, MechSystem, ShapedDesign, SystemError, input_frame
 from .tensor import GyroTensor, Tensor3, TensorError, extend_to_gyro, random_spd
 
 RESIDUAL_TOL = 1e-8
@@ -73,21 +72,42 @@ def _inverse_derivatives(minv: np.ndarray, dm: np.ndarray) -> np.ndarray:
     return (out + out.transpose(0, 2, 1)) / 2.0
 
 
-def _shaped_inverse(design: ShapedDesign, q: Sequence[float]) -> np.ndarray:
-    mhat = design.shaped_mass(q)
-    try:
-        return _symmetrized_inverse(mhat)
-    except np.linalg.LinAlgError as exc:
-        raise MatchingError(f"shaped mass singular at q={list(q)}: {exc}") from exc
+class MetricPair(NamedTuple):
+    """M^-1 (the one, symmetrized, inverse of M), dM, Mhat and dMhat at a q."""
+
+    minv: np.ndarray
+    dm: np.ndarray
+    mhat: np.ndarray
+    dmhat: np.ndarray
+
+    def t_tensor(self) -> Tensor3:
+        dminv = _inverse_derivatives(self.minv, self.dm)
+        first = -0.5 * np.einsum("kl,lt,tij->ijk", self.mhat, self.minv, self.dmhat)
+        second = -0.5 * np.einsum("krs,ri,sj->ijk", dminv, self.mhat, self.mhat)
+        return Tensor3(first + second)
+
+    def potential_defect(self, w, dv, dvhat) -> np.ndarray:
+        """W (dV - Mhat M^-1 dVhat), the defect seen by the annihilator rows W."""
+        return w @ (dv - self.mhat @ self.minv @ dvhat)
+
+
+def metric_pair(sys: MechSystem, design: ShapedDesign, q: Sequence[float]) -> MetricPair:
+    """Evaluates M, dM, Mhat and dMhat once each at q."""
+    return MetricPair(
+        _symmetrized_inverse(sys.mass_matrix(q)),
+        sys.mass_derivatives(q),
+        design.shaped_mass(q),
+        design.shaped_mass_derivatives(q),
+    )
 
 
 def a_tensor(sys: MechSystem, design: ShapedDesign, q: Sequence[float]) -> np.ndarray:
     """A^{ij}_k built from the metric pair and their inverse derivatives."""
-    minv = _symmetrized_inverse(sys.mass_matrix(q))
-    dm = sys.mass_derivatives(q)
-    mhat = design.shaped_mass(q)
-    mhat_inv = _shaped_inverse(design, q)
-    dmhat = design.shaped_mass_derivatives(q)
+    minv, dm, mhat, dmhat = metric_pair(sys, design, q)
+    try:
+        mhat_inv = _symmetrized_inverse(mhat)
+    except np.linalg.LinAlgError as exc:
+        raise MatchingError(f"shaped mass singular at q={list(q)}: {exc}") from exc
     dminv = _inverse_derivatives(minv, dm)
     dmhat_inv = _inverse_derivatives(mhat_inv, dmhat)
     first = 0.5 * np.einsum("kl,lr,rij->ijk", mhat, minv, dmhat_inv)
@@ -96,14 +116,7 @@ def a_tensor(sys: MechSystem, design: ShapedDesign, q: Sequence[float]) -> np.nd
 
 def t_tensor(sys: MechSystem, design: ShapedDesign, q: Sequence[float]) -> Tensor3:
     """T_ijk; requires no inversion of the shaped mass."""
-    minv = _symmetrized_inverse(sys.mass_matrix(q))
-    dm = sys.mass_derivatives(q)
-    mhat = design.shaped_mass(q)
-    dmhat = design.shaped_mass_derivatives(q)
-    dminv = _inverse_derivatives(minv, dm)
-    first = -0.5 * np.einsum("kl,lt,tij->ijk", mhat, minv, dmhat)
-    second = -0.5 * np.einsum("krs,ri,sj->ijk", dminv, mhat, mhat)
-    return Tensor3(first + second)
+    return metric_pair(sys, design, q).t_tensor()
 
 
 def match_tensors(sys: MechSystem, design: ShapedDesign, q: Sequence[float]) -> MatchTensors:
@@ -115,11 +128,20 @@ def potential_residual(
 ) -> np.ndarray:
     """Annihilator projection of the potential matching defect."""
     w = sys.annihilator(q)
-    minv = np.linalg.inv(sys.mass_matrix(q))
-    dv = sys.potential_gradient(q)
-    dvhat = design.shaped_potential_gradient(q)
-    mhat = design.shaped_mass(q)
-    return w @ (dv - mhat @ minv @ dvhat)
+    return metric_pair(sys, design, q).potential_defect(
+        w, sys.potential_gradient(q), design.shaped_potential_gradient(q)
+    )
+
+
+def rotate(t: Tensor3, rows: np.ndarray) -> np.ndarray:
+    """tp[a, b, c] = T(rows[a], rows[b], rows[c])."""
+    return np.einsum("ijk,ai,bj,ck->abc", t.entries, rows, rows, rows)
+
+
+def cyclic_sums(tp: np.ndarray) -> np.ndarray:
+    """Cyclic sums tp_abc + tp_bca + tp_cab over unordered triples a <= b <= c."""
+    cyc = tp + tp.transpose(1, 2, 0) + tp.transpose(2, 0, 1)
+    return np.array([cyc[i] for i in combinations_with_replacement(range(len(tp)), 3)])
 
 
 def kinetic_residual(
@@ -135,11 +157,7 @@ def kinetic_residual(
     """
     if w is None:
         w = sys.annihilator(q)
-    t = t_tensor(sys, design, q).entries
-    tp = np.einsum("ijk,ai,bj,ck->abc", t, w, w, w)
-    cyc = tp + tp.transpose(1, 2, 0) + tp.transpose(2, 0, 1)
-    u = w.shape[0]
-    return np.array([cyc[a, b, c] for a, b, c in combinations_with_replacement(range(u), 3)])
+    return cyclic_sums(rotate(t_tensor(sys, design, q), w))
 
 
 def pde_counts(n: int, m: int) -> tuple[int, int]:
@@ -151,38 +169,29 @@ def pde_counts(n: int, m: int) -> tuple[int, int]:
 
 
 class GyroField:
-    """Per-point gyroscopic tensor derived from a verified design.
-
-    At each query point the T tensor is rotated into an orthonormal basis
-    adapted to the annihilator, extended to a gyroscopic tensor there, and
-    rotated back.  The result is independent of the basis choice within
-    each subspace.
-    """
+    """Per-point gyroscopic tensor derived from a verified design."""
 
     def __init__(self, sys: MechSystem, design: ShapedDesign):
         self.sys = sys
         self.design = design
 
     def at(self, q: Sequence[float]) -> GyroTensor:
-        sys = self.sys
-        w = sys.annihilator(q)
-        g = sys.input_matrix(q)
-        u_cols = orth(g)
-        if u_cols.shape[1] != sys.m:
-            raise MatchingError(f"input matrix rank-deficient at q={list(q)}")
-        qmat = np.vstack([w, u_cols.T])
-        if np.max(np.abs(qmat @ qmat.T - np.eye(sys.n))) > 1e-10:
-            raise MatchingError(f"adapted basis not orthogonal at q={list(q)}")
-        t = t_tensor(sys, self.design, q).entries
-        tp = np.einsum("ijk,ri,sj,tk->rst", t, qmat, qmat, qmat)
-        try:
-            cp = extend_to_gyro(Tensor3(tp), w.shape[0]).entries
-        except TensorError as exc:
-            raise MatchingError(
-                f"cannot extend to a gyroscopic tensor at q={list(q)}: {exc}"
-            ) from exc
-        c = np.einsum("rst,ri,sj,tk->ijk", cp, qmat, qmat, qmat)
-        return GyroTensor(c)
+        frame = self.sys.frame(q)
+        return gyro_extension(t_tensor(self.sys, self.design, q), frame, q)
+
+
+def gyro_extension(t: Tensor3, frame: InputFrame, q: Sequence[float]) -> GyroTensor:
+    """T rotated into the adapted basis [W; U'], extended to a gyroscopic
+    tensor there, and rotated back; independent of the basis choice within
+    each subspace."""
+    basis = np.vstack([frame.annihilator, frame.range_basis.T])
+    try:
+        cp = extend_to_gyro(Tensor3(rotate(t, basis)), len(frame.annihilator)).entries
+    except TensorError as exc:
+        raise MatchingError(
+            f"cannot extend to a gyroscopic tensor at q={list(q)}: {exc}"
+        ) from exc
+    return GyroTensor(np.einsum("rst,ri,sj,tk->ijk", cp, basis, basis, basis))
 
 
 def derive_gyro(sys: MechSystem, design: ShapedDesign) -> GyroField:
@@ -212,7 +221,7 @@ class LinearMatch:
 
 def linear_match_residual(lm: LinearMatch, lin: Linearization) -> float:
     """Max entry of the annihilator-projected linear matching defect."""
-    w = null_space(lin.g0.T).T
+    w = input_frame(lin.g0, np.zeros(lin.n)).annihilator
     res = w @ (lm.mbar @ np.linalg.inv(lin.mlin) @ lm.sbar - lin.hess)
     return float(np.max(np.abs(res))) if res.size else 0.0
 
@@ -248,8 +257,7 @@ def solve_linear_matching(lin: Linearization, seed: int = 0) -> LinearMatch:
             "no linear matching certificate exists: verdict "
             f"{report.verdict} (uncontrollable eigenvalues: {eigs})"
         )
-    w = null_space(lin.g0.T).T[0]
-    w = w / np.linalg.norm(w)
+    w = input_frame(lin.g0, np.zeros(n)).annihilator[0]
     d = w @ lin.hess
     h = lin.mlin @ w
     minv0 = np.linalg.inv(lin.mlin)
@@ -354,11 +362,9 @@ def solve_kinetic_characteristics(
         qvec[0] = q1
         x = np.append(qvec, u)
         minv = np.linalg.inv(sys.mass_matrix(qvec))
-        dminv1 = -minv @ sys.mass_derivatives(qvec)[0] @ minv
-        row = np.concatenate(([u], ansatz_fn(x)))
-        c = row @ minv
-        s = float(row @ dminv1 @ row)
-        return c, s
+        c = np.concatenate(([u], ansatz_fn(x))) @ minv
+        # row' dM^-1/dq1 row with dM^-1 = -M^-1 dM M^-1, as in q_gradient
+        return c, -float(c @ sys.mass_derivatives(qvec)[0] @ c)
 
     def rhs(t, y):
         c, s = pieces(t, y[0])
@@ -580,11 +586,8 @@ def evaluate_residuals(
     values = [np.asarray(v, dtype=float) for _, v in axes]
     mesh = np.meshgrid(*values, indexing="ij")
     points = np.stack([m.ravel() for m in mesh], axis=1)
-    n_pot = sys.n - sys.m
-    d = sys.n - sys.m
-    n_kin = (d + 2) * (d + 1) * d // 6
-    pot = np.full((len(points), n_pot), np.nan)
-    kin = np.full((len(points), n_kin), np.nan)
+    pot = np.full((len(points), sys.n - sys.m), np.nan)
+    kin = np.full((len(points), pde_counts(sys.n, sys.m)[1]), np.nan)
     pd_mask = np.zeros(len(points), dtype=bool)
     for i, q in enumerate(points):
         try:
@@ -593,14 +596,12 @@ def evaluate_residuals(
         except (SystemError, MatchingError, TensorError, ExprError, ArithmeticError,
                 np.linalg.LinAlgError):
             continue
-        try:
-            mhat = design.shaped_mass(q)
-            pd_mask[i] = (
-                np.max(np.abs(mhat - mhat.T)) <= _sym_tol(mhat)
-                and np.linalg.eigvalsh(mhat)[0] > 0.0
-            )
-        except (ExprError, ArithmeticError):
-            pd_mask[i] = False
+        # Mhat evaluated above, so it evaluates here too
+        mhat = design.shaped_mass(q)
+        pd_mask[i] = (
+            np.max(np.abs(mhat - mhat.T)) <= _sym_tol(mhat)
+            and np.linalg.eigvalsh(mhat)[0] > 0.0
+        )
     axes_t = tuple((name, vals) for name, vals in zip(names, values))
     box = _pd_box(axes_t, pd_mask.reshape([len(v) for v in values]))
     return ResidualReport(

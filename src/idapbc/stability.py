@@ -104,57 +104,52 @@ def linearize(sys: MechSystem) -> Linearization:
     return Linearization(alin, blin, m0, hess)
 
 
-def kalman_matrix(lin: Linearization) -> np.ndarray:
+def _staircase(lin: Linearization, rtol: float) -> tuple[int, list[complex], bool]:
+    """Controllable-subspace dimension, uncontrollable modes, oscillatory flag.
+
+    Orthogonal staircase (Paige, IEEE TAC 26(1), 1981): each step keeps the
+    singular directions of the newest block (B, then A times the directions
+    added last) projected onto the rest of Q, above rtol times |B| or |A|;
+    the modes are those of A on the complement of the first r columns.
+    """
     a, b = lin.alin, lin.blin
-    blocks = [b]
-    for _ in range(a.shape[0] - 1):
-        blocks.append(a @ blocks[-1])
-    return np.hstack(blocks)
+    q, r = np.eye(a.shape[0]), 0
+    block, scale = b, np.linalg.norm(b, 2)
+    while r < a.shape[0]:
+        u, sv, _ = np.linalg.svd(q[:, r:].T @ block)
+        k = int(np.count_nonzero(sv > rtol * scale))
+        if k == 0:
+            break
+        q[:, r:] = q[:, r:] @ u
+        block, scale, r = a @ q[:, r : r + k], np.linalg.norm(a, 2), r + k
+    if r == a.shape[0]:
+        return r, [], True
+    eigvals, eigvecs = np.linalg.eig(q[:, r:].T @ a @ q[:, r:])
+    oscillatory = (
+        np.linalg.cond(eigvecs) <= EIGVEC_COND_MAX
+        and bool(np.all(np.abs(eigvals.real) <= REAL_PART_TOL))
+        and bool(np.all(np.abs(eigvals.imag) >= IMAG_PART_TOL))
+    )
+    return r, list(eigvals), oscillatory
 
 
 def controllability(lin: Linearization, rtol: float = RANK_RTOL) -> tuple[int, bool]:
-    """Numerical rank of the controllability matrix; controllable iff full."""
-    k = kalman_matrix(lin)
-    sv = np.linalg.svd(k, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0, False
-    rank = int(np.sum(sv > rtol * sv[0]))
-    return rank, rank == 2 * lin.n
+    """Controllable-subspace dimension; controllable iff it is 2n."""
+    r = _staircase(lin, rtol)[0]
+    return r, r == 2 * lin.n
 
 
 def uncontrollable_modes(
     lin: Linearization, rtol: float = RANK_RTOL
 ) -> tuple[list[complex], bool]:
-    """Eigenvalues of the uncontrollable block and whether they are oscillatory.
-
-    The decomposition uses an orthonormal basis of the controllability-matrix
-    column space; the trailing diagonal block of the rotated dynamics carries
-    the uncontrollable modes.
-    """
-    k = kalman_matrix(lin)
-    u, sv, _ = np.linalg.svd(k)
-    if sv.size == 0 or sv[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(sv > rtol * sv[0]))
-    dim = lin.alin.shape[0]
-    if rank == dim:
-        return [], True
-    atil = u.T @ lin.alin @ u
-    block = atil[rank:, rank:]
-    eigvals, eigvecs = np.linalg.eig(block)
-    cond = np.linalg.cond(eigvecs)
-    oscillatory = (
-        cond <= EIGVEC_COND_MAX
-        and bool(np.all(np.abs(eigvals.real) <= REAL_PART_TOL))
-        and bool(np.all(np.abs(eigvals.imag) >= IMAG_PART_TOL))
-    )
-    return list(eigvals), oscillatory
+    """Eigenvalues of the uncontrollable block (the dynamics on the orthogonal
+    complement of the controllable subspace) and whether they are oscillatory."""
+    return _staircase(lin, rtol)[1:]
 
 
 def classify(lin: Linearization) -> StabilizabilityReport:
-    rank, controllable = controllability(lin)
-    eigs, oscillatory = uncontrollable_modes(lin)
+    rank, eigs, oscillatory = _staircase(lin, RANK_RTOL)
+    controllable = rank == 2 * lin.n
     if controllable:
         v = EXPONENTIAL
     elif oscillatory:

@@ -10,10 +10,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .expr import (
     Const,
@@ -97,6 +96,34 @@ def check_kv(kv: np.ndarray) -> np.ndarray:
     return kv
 
 
+class InputFrame(NamedTuple):
+    """G (n x m) and the orthonormal split of R^n it induces: ``range_basis``
+    columns span its range, ``annihilator`` rows W satisfy W G = 0, each row
+    signed so that its largest-magnitude entry is positive."""
+
+    g: np.ndarray
+    range_basis: np.ndarray
+    annihilator: np.ndarray
+
+
+def input_frame(g: np.ndarray, q: Sequence[float]) -> InputFrame:
+    """One SVD of G; raises unless its rank is m (matrix_rank's tolerance)."""
+    n, m = g.shape
+    u, s, _ = np.linalg.svd(g)
+    if m > n or not s[-1] > s[0] * n * np.finfo(float).eps:
+        raise SystemError(f"input matrix rank-deficient at q={list(q)}")
+    w = u[:, m:].T
+    for row in w:
+        if max(row.tolist(), key=abs) < 0.0:
+            row *= -1.0
+    return InputFrame(g, u[:, :m], w)
+
+
+def q_gradient(dv: np.ndarray, dm: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """dH/dq for H = p' M^-1 p / 2 + V, w = M^-1 p, as dM^-1 = -M^-1 dM M^-1."""
+    return dv - 0.5 * np.einsum("i,kij,j->k", w, dm, w)
+
+
 EQUILIBRIUM_TOL = 1e-10
 
 
@@ -162,11 +189,12 @@ class MechSystem:
     def potential_gradient(self, q: Sequence[float]) -> np.ndarray:
         return self._dv_fn(q)
 
+    def frame(self, q: Sequence[float]) -> InputFrame:
+        """G(q) with its range basis and annihilator; raises if rank < m."""
+        return input_frame(self.G(q), q)
+
     def input_matrix(self, q: Sequence[float]) -> np.ndarray:
-        g = self.G(q)
-        if np.linalg.matrix_rank(g) < self.m:
-            raise SystemError(f"input matrix rank-deficient at q={list(q)}")
-        return g
+        return self.frame(q).g
 
     def hamiltonian(self, q: Sequence[float], p: Sequence[float]) -> float:
         m = self.mass_matrix(q)
@@ -174,21 +202,9 @@ class MechSystem:
         return 0.5 * float(p @ np.linalg.solve(m, p)) + self.potential(q)
 
     def annihilator(self, q: Sequence[float]) -> np.ndarray:
-        """Orthonormal rows spanning the left annihilator of G(q).
-
-        The sign of each row is canonicalized (largest-magnitude entry
-        positive) so repeated queries are reproducible; the row span is
-        basis-independent.
-        """
-        g = self.input_matrix(q)
-        w = null_space(g.T).T
-        if w.shape[0] != self.n - self.m:
-            raise SystemError(f"annihilator dimension mismatch at q={list(q)}")
-        for i in range(w.shape[0]):
-            lead = np.argmax(np.abs(w[i]))
-            if w[i, lead] < 0:
-                w[i] = -w[i]
-        return w
+        """Orthonormal rows spanning the left annihilator of G(q), each signed
+        so that its largest-magnitude entry is positive (reproducible)."""
+        return self.frame(q).annihilator
 
     def open_loop_field(
         self, q: Sequence[float], p: Sequence[float], u: Sequence[float]
@@ -196,18 +212,9 @@ class MechSystem:
         q = np.asarray(q, dtype=float)
         p = np.asarray(p, dtype=float)
         u = np.asarray(u, dtype=float)
-        m = self.mass_matrix(q)
-        minv = np.linalg.inv(m)
-        dm = self.mass_derivatives(q)
-        # dH/dq_k = p' dMinv/dq_k p / 2 + dV/dq_k with dMinv = -Minv dM Minv
-        dqh = np.empty(self.n)
-        for k in range(self.n):
-            dminv_k = -minv @ dm[k] @ minv
-            dqh[k] = 0.5 * p @ dminv_k @ p
-        dqh += self.potential_gradient(q)
-        qdot = minv @ p
-        pdot = -dqh + self.input_matrix(q) @ u
-        return qdot, pdot
+        qdot = np.linalg.solve(self.mass_matrix(q), p)
+        dqh = q_gradient(self.potential_gradient(q), self.mass_derivatives(q), qdot)
+        return qdot, -dqh + self.input_matrix(q) @ u
 
 
 class ShapedDesign:

@@ -191,33 +191,30 @@ def skew_pair_basis(n: int) -> list[SkewPairTensor]:
     return basis
 
 
+def _orbit_rank(rows: np.ndarray, n: int) -> int:
+    """Rank of rows over the coordinates (i, j, k), each row living on one orbit
+    {i, j, k} of index permutations: the sum of ranks of <= 6-column blocks."""
+    orbit = np.sort(np.indices((n, n, n)).reshape(3, -1), axis=0)
+    orbit = (orbit[0] * n + orbit[1]) * n + orbit[2]
+    return sum(int(np.linalg.matrix_rank(rows[:, orbit == o])) for o in np.unique(orbit))
+
+
 def _constructive_dims(n: int) -> tuple[int, int, int]:
     basis = skew_pair_basis(n)
-    flat_b = np.array([b.entries.ravel() for b in basis])
-    dim_b = int(np.linalg.matrix_rank(flat_b)) if len(basis) else 0
+    flat_b = np.array([b.entries.ravel() for b in basis]).reshape(-1, n ** 3)
+    dim_b = _orbit_rank(flat_b, n)
 
-    flat_psi = np.array([psi(b).entries.ravel() for b in basis])
-    rank_psi = int(np.linalg.matrix_rank(flat_psi)) if len(basis) else 0
-    dim_ker = dim_b - rank_psi
+    flat_psi = np.array([psi(b).entries.ravel() for b in basis]).reshape(-1, n ** 3)
+    dim_ker = dim_b - _orbit_rank(flat_psi, n)
 
-    # Gyroscopic space directly: solution set of the symmetry and cyclic
-    # constraints over all n^3 coordinates.
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                row = np.zeros(n ** 3)
-                row[(i * n + j) * n + k] += 1.0
-                row[(j * n + i) * n + k] -= 1.0
-                rows.append(row)
-                row = np.zeros(n ** 3)
-                row[(i * n + j) * n + k] += 1.0
-                row[(j * n + k) * n + i] += 1.0
-                row[(k * n + i) * n + j] += 1.0
-                rows.append(row)
-    constraint_rank = int(np.linalg.matrix_rank(np.array(rows)))
-    dim_c = n ** 3 - constraint_rank
-    return dim_b, dim_c, dim_ker
+    # Gyroscopic space directly: solution set of the constraints over all n^3
+    # coordinates, rows e_ijk - e_jik (symmetry) and e_ijk + e_jki + e_kij (cyclic).
+    unit = np.eye(n ** 3).reshape(n, n, n, n ** 3)
+    rows = np.concatenate([
+        unit - unit.transpose(1, 0, 2, 3),
+        unit + unit.transpose(1, 2, 0, 3) + unit.transpose(2, 0, 1, 3),
+    ]).reshape(-1, n ** 3)
+    return dim_b, n ** 3 - _orbit_rank(rows, n), dim_ker
 
 
 def cyclic_residual(t: Tensor3, n_unactuated: int) -> float:

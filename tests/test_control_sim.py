@@ -236,6 +236,58 @@ class TestFeedback:
             feedback(ctrl, [0.0, 0.0], [0.0, 0.0])
 
 
+    def test_fully_actuated(self):
+        # no annihilator: the matching residual is vacuous and the law is
+        # computable everywhere
+        sys = MechSystem(
+            VARS2,
+            ExprMatrix.from_strings([["2", "cos(q1)"], ["cos(q1)", "2"]], VARS2),
+            parse("q1^2 + q2^2", VARS2),
+            ExprMatrix.from_strings([["1", "0"], ["0", "1"]], VARS2),
+        )
+        design = ShapedDesign(
+            sys.vars,
+            ExprMatrix.from_strings([["1", "0"], ["0", "1"]], VARS2),
+            parse("q1^2 + 3*q2^2", VARS2),
+            np.eye(2),
+        )
+        ctrl = Controller(sys, design)
+        assert ctrl.matching_residual([0.1, 0.2]) == 0.0
+        q, p = np.array([0.1, 0.2]), np.array([0.3, -0.1])
+        u = feedback(ctrl, q, p)
+        ol = np.concatenate(sys.open_loop_field(q, p, u))
+        cl = np.concatenate(closed_loop_field(ctrl, q, p))
+        assert np.max(np.abs(ol - cl)) <= 1e-12
+
+
+def count_evaluations(*matrices):
+    """Wrap each ExprMatrix's compiled function; return the call counters."""
+    counts = [0] * len(matrices)
+    for i, m in enumerate(matrices):
+        fn = m._fn
+
+        def counted(q, i=i, fn=fn):
+            counts[i] += 1
+            return fn(q)
+
+        m._fn = counted
+    return counts
+
+
+class TestOneEvaluationPerCall:
+    @pytest.mark.parametrize("with_table", [False, True])
+    def test_each_matrix_once(self, with_table):
+        sys, design = builtin("pendulum_cart", eps=0.55, K=0.25)
+        if not with_table:
+            design = ShapedDesign(sys.vars, design.Mhat, design.Vhat, design.Kv)
+        ctrl = Controller(sys, design)
+        q, p = [0.3, -0.2], [0.4, 0.1]
+        for call in (feedback, closed_loop_field):
+            counts = count_evaluations(sys.M, sys.G, design.Mhat)
+            call(ctrl, q, p)
+            assert counts == [1, 1, 1], call.__name__
+
+
 class TestClosedLoopField:
     def test_equilibrium_is_fixed_point(self):
         _, _, ctrl = pendulum_controller()

@@ -44,6 +44,17 @@ def unstable_appended():
     )
 
 
+def spring_chain(n, k):
+    # n unit masses, the first tied to the wall, neighbours joined by springs
+    # of stiffness k, forced only at the last mass
+    vars = [f"q{i + 1}" for i in range(n)]
+    mass = [["1" if i == j else "0" for j in range(n)] for i in range(n)]
+    springs = ["q1^2"] + [f"(q{i + 2} - q{i + 1})^2" for i in range(n - 1)]
+    potential = f"{k}/2*(" + " + ".join(springs) + ")"
+    g = [["1" if i == n - 1 else "0"] for i in range(n)]
+    return make_system(mass, potential, g, vars=vars)
+
+
 def fd_hessian(f, n, h=1e-5):
     out = np.empty((n, n))
     for i in range(n):
@@ -107,6 +118,15 @@ class TestControllability:
     def test_appended_rank_two(self):
         rank, ok = controllability(linearize(oscillator_appended()))
         assert (rank, ok) == (2, False)
+
+
+    @pytest.mark.parametrize("n, k", [(6, 100), (8, 10), (10, 10)])
+    def test_spring_chain_badly_scaled(self, n, k):
+        # controllable for every k > 0; powers of A in the Kalman matrix
+        # lose the rank numerically, the staircase does not
+        rep = verdict(spring_chain(n, k))
+        assert (rep.kalman_rank, rep.verdict) == (2 * n, EXPONENTIAL)
+        assert rep.uncontrollable_eigs == ()
 
 
 class TestUncontrollableModes:

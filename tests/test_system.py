@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+from pathlib import Path
+from sys import executable
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from idapbc.system import (
     SystemError,
     builtin,
     hessian_at,
+    input_frame,
     load_system,
     save_system,
     system_to_dict,
@@ -160,6 +165,57 @@ class TestAnnihilator:
         sys = make_system([["1", "0"], ["0", "1"]], "q1^2", [["q1"], ["q1"]])
         with pytest.raises(SystemError, match="rank"):
             sys.annihilator([0.0, 0.0])
+
+
+class TestInputFrame:
+    def test_orthonormal_complements(self):
+        sys_, _ = builtin("three_dof")
+        rng = np.random.default_rng(1)
+        for _ in range(100):
+            q = rng.uniform(-1, 1, size=3)
+            frame = sys_.frame(q)
+            basis = np.vstack([frame.annihilator, frame.range_basis.T])
+            assert basis.shape == (3, 3)
+            assert np.max(np.abs(basis @ basis.T - np.eye(3))) <= 1e-12
+            assert np.max(np.abs(frame.annihilator @ frame.g)) <= 1e-12
+            # the range basis spans the columns of G
+            proj = frame.range_basis @ frame.range_basis.T
+            assert np.max(np.abs(proj @ frame.g - frame.g)) <= 1e-12
+
+    def test_matches_scipy_reference(self):
+        # scipy is only the reference here; the package does not import it
+        from scipy.linalg import null_space, orth
+
+        sys_, _ = builtin("three_dof")
+        rng = np.random.default_rng(2)
+        for _ in range(100):
+            q = rng.uniform(-1, 1, size=3)
+            frame = sys_.frame(q)
+            g = sys_.G(q)
+            for got, ref in (
+                (frame.annihilator.T, null_space(g.T)),
+                (frame.range_basis, orth(g)),
+            ):
+                assert got.shape == ref.shape
+                for col, ref_col in zip(got.T, ref.T):
+                    assert min(
+                        np.max(np.abs(col - ref_col)), np.max(np.abs(col + ref_col))
+                    ) <= 1e-13
+
+    def test_rank_deficient_rejected(self):
+        for g in ([[0.0], [0.0]], [[1.0, 2.0], [2.0, 4.0]]):
+            with pytest.raises(SystemError, match="rank-deficient at q=\\[0.5\\]"):
+                input_frame(np.array(g), [0.5])
+
+    def test_import_leaves_scipy_linalg_out(self):
+        src = str(Path(__import__("idapbc").__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import sys, idapbc.cli; print('scipy.linalg' in sys.modules)"
+        out = subprocess.run(
+            [executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"
 
 
 class TestBuiltins:
