@@ -256,7 +256,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         traj = simulate(field, sim_cfg, energy=energy)
     except DivergenceError as exc:
         metrics.update({"diverged": True, "divergence_time": exc.time})
-        _write_metrics(metrics, out)
+        _emit(metrics, out, "metrics.json")
         print(f"simulation diverged at t={exc.time:.6g}", file=_sys.stderr)
         return EXIT_DIVERGED
     write_trajectory_csv(out / "trajectory.csv", traj, sys.vars)
@@ -282,14 +282,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if classify(linearize(sys)).verdict == EXPONENTIAL:
             passed = passed and rate < 0.0
     metrics["passed"] = bool(passed)
-    _write_metrics(metrics, out)
+    _emit(metrics, out, "metrics.json")
     return EXIT_OK if passed else EXIT_FAIL
-
-
-def _write_metrics(metrics: dict, out: Path) -> None:
-    text = json.dumps(metrics, indent=2, default=float)
-    print(text)
-    (out / "metrics.json").write_text(text + "\n")
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:

@@ -16,17 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .matching import (
-    RESIDUAL_TOL,
-    MatchingError,
-    cyclic_sums,
-    gyro_extension,
-    kinetic_residual,
-    metric_pair,
-    potential_residual,
-    rotate,
-    t_tensor,
-)
+from .matching import RESIDUAL_TOL, MatchingError, MatchPoint
 from .system import (
     MechSystem,
     ShapedDesign,
@@ -91,35 +81,29 @@ class Controller:
             raise SystemError(f"Kv must be {sys.m}x{sys.m}")
         self.Kv = check_kv(kv)
         self._gyro = gyro
-        self._derives = gyro is None and design.C is None
 
     def gyro_at(self, q: Sequence[float]) -> np.ndarray:
         """Tensor values at q; zero with a warning where no extension exists."""
-        return self._gyro_from(q)
+        return self._gyro_from(MatchPoint(self.sys, self.design, q))
 
-    def _gyro_from(self, q, frame=None, t=None) -> np.ndarray:
-        # feedback and closed_loop_field pass the InputFrame and T they hold at q
+    def _gyro_from(self, point: MatchPoint) -> np.ndarray:
         if self._gyro is not None:
-            c = self._gyro(q)
+            c = self._gyro(point.q)
             return c.entries if isinstance(c, Tensor3) else np.asarray(c, dtype=float)
-        if not self._derives:
-            return self.design.c_table_at(q)
-        if frame is None:
-            frame, t = self.sys.frame(q), t_tensor(self.sys, self.design, q)
+        if self.design.C is not None:
+            return self.design.c_table_at(point.q)
         try:
-            return gyro_extension(t, frame, q).entries
+            return point.gyro().entries
         except MatchingError as exc:
             warnings.warn(
-                f"no gyroscopic extension at q={list(np.asarray(q, dtype=float))}; "
+                f"no gyroscopic extension at q={list(np.asarray(point.q, dtype=float))}; "
                 f"using zero gyroscopic force ({exc})"
             )
             return np.zeros((self.sys.n,) * 3)
 
     def matching_residual(self, q: Sequence[float]) -> float:
         """Largest matching-condition violation of the design at q."""
-        pot = potential_residual(self.sys, self.design, q)
-        kin = kinetic_residual(self.sys, self.design, q)
-        return float(np.max(np.abs(np.concatenate([pot, kin])), initial=0.0))
+        return MatchPoint(self.sys, self.design, q).residual()
 
 
 def feedback(ctrl: Controller, q: Sequence[float], p: Sequence[float]) -> np.ndarray:
@@ -128,27 +112,23 @@ def feedback(ctrl: Controller, q: Sequence[float], p: Sequence[float]) -> np.nda
     Computable everywhere the matrices invert; where the design's matching
     residual exceeds the verification tolerance a warning carrying the
     local residual is attached, since the law realizes the shaped dynamics
-    only up to that residual.  G, M and Mhat are evaluated once: the
-    residual check and a derived gyroscopic tensor share one T.
+    only up to that residual.  The residual check and a derived gyroscopic
+    tensor read one MatchPoint.
     """
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
-    sys, design = ctrl.sys, ctrl.design
-    frame, pair = sys.frame(q), metric_pair(sys, design, q)
-    (g, _, w), (minv, dm, mhat, dmhat) = frame, pair
-    dv, dvhat = sys.potential_gradient(q), design.shaped_potential_gradient(q)
-    t = pair.t_tensor()
-    defects = [pair.potential_defect(w, dv, dvhat), cyclic_sums(rotate(t, w))]
-    res = float(np.max(np.abs(np.concatenate(defects)), initial=0.0))
+    point = MatchPoint(ctrl.sys, ctrl.design, q)
+    res = point.residual()
     if res > RESIDUAL_TOL:
         warnings.warn(
             f"matching residual {res:.3e} exceeds {RESIDUAL_TOL:.1e} at "
             f"q={q.tolist()}; the feedback does not realize the shaped dynamics here"
         )
+    g, (minv, dm, mhat, dmhat) = point.frame.g, point.pair
     uhat = np.linalg.solve(mhat, p)
-    dqh = q_gradient(dv, dm, minv @ p)
-    dqhhat = q_gradient(dvhat, dmhat, uhat)
-    force = ctrl._gyro_from(q, frame, t).T @ uhat @ uhat
+    dqh = q_gradient(point.dv, dm, minv @ p)
+    dqhhat = q_gradient(point.dvhat, dmhat, uhat)
+    force = ctrl._gyro_from(point).T @ uhat @ uhat
     rhs = dqh - mhat @ (minv @ dqhhat) - g @ (ctrl.Kv @ (g.T @ uhat)) + force
     return np.linalg.solve(g.T @ g, g.T @ rhs)
 
@@ -160,9 +140,8 @@ def closed_loop_field(
     gyroscopic force."""
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
-    sys, design = ctrl.sys, ctrl.design
-    frame, pair = sys.frame(q), metric_pair(sys, design, q)
-    g, minv, mhat = frame.g, pair.minv, pair.mhat
+    point = MatchPoint(ctrl.sys, ctrl.design, q)
+    g, (minv, _, mhat, dmhat) = point.frame.g, point.pair
     eigs = np.linalg.eigvalsh((mhat + mhat.T) / 2.0)
     if eigs[0] <= 0.0:
         raise SystemError(
@@ -170,9 +149,8 @@ def closed_loop_field(
             f"(min eigenvalue {eigs[0]:.3e})"
         )
     uhat = np.linalg.solve(mhat, p)
-    dqhhat = q_gradient(design.shaped_potential_gradient(q), pair.dmhat, uhat)
-    t = pair.t_tensor() if ctrl._derives else None
-    force = ctrl._gyro_from(q, frame, t).T @ uhat @ uhat
+    dqhhat = q_gradient(point.dvhat, dmhat, uhat)
+    force = ctrl._gyro_from(point).T @ uhat @ uhat
     qdot = minv @ (mhat @ uhat)
     pdot = -mhat @ (minv @ dqhhat) - g @ (ctrl.Kv @ (g.T @ uhat)) + force
     return qdot, pdot
@@ -180,12 +158,11 @@ def closed_loop_field(
 
 def closed_loop_linearization(ctrl: Controller) -> np.ndarray:
     """Jacobian blocks of the shaped dynamics at the origin."""
-    sys, design = ctrl.sys, ctrl.design
-    n = sys.n
+    n = ctrl.sys.n
     origin = np.zeros(n)
-    m0inv, _, mhat0, _ = metric_pair(sys, design, origin)
-    hess = hessian_at(design.Vhat, n, origin)
-    g0 = sys.input_matrix(origin)
+    point = MatchPoint(ctrl.sys, ctrl.design, origin)
+    g0, (m0inv, _, mhat0, _) = point.frame.g, point.pair
+    hess = hessian_at(ctrl.design.Vhat, n, origin)
     damping = g0 @ ctrl.Kv @ g0.T @ np.linalg.inv(mhat0)
     out = np.zeros((2 * n, 2 * n))
     out[:n, n:] = m0inv

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations_with_replacement
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -80,30 +81,10 @@ class MetricPair(NamedTuple):
     mhat: np.ndarray
     dmhat: np.ndarray
 
-    def t_tensor(self) -> Tensor3:
-        dminv = _inverse_derivatives(self.minv, self.dm)
-        first = -0.5 * np.einsum("kl,lt,tij->ijk", self.mhat, self.minv, self.dmhat)
-        second = -0.5 * np.einsum("krs,ri,sj->ijk", dminv, self.mhat, self.mhat)
-        return Tensor3(first + second)
-
-    def potential_defect(self, w, dv, dvhat) -> np.ndarray:
-        """W (dV - Mhat M^-1 dVhat), the defect seen by the annihilator rows W."""
-        return w @ (dv - self.mhat @ self.minv @ dvhat)
-
-
-def metric_pair(sys: MechSystem, design: ShapedDesign, q: Sequence[float]) -> MetricPair:
-    """Evaluates M, dM, Mhat and dMhat once each at q."""
-    return MetricPair(
-        _symmetrized_inverse(sys.mass_matrix(q)),
-        sys.mass_derivatives(q),
-        design.shaped_mass(q),
-        design.shaped_mass_derivatives(q),
-    )
-
 
 def a_tensor(sys: MechSystem, design: ShapedDesign, q: Sequence[float]) -> np.ndarray:
     """A^{ij}_k built from the metric pair and their inverse derivatives."""
-    minv, dm, mhat, dmhat = metric_pair(sys, design, q)
+    minv, dm, mhat, dmhat = MatchPoint(sys, design, q).pair
     try:
         mhat_inv = _symmetrized_inverse(mhat)
     except np.linalg.LinAlgError as exc:
@@ -116,7 +97,7 @@ def a_tensor(sys: MechSystem, design: ShapedDesign, q: Sequence[float]) -> np.nd
 
 def t_tensor(sys: MechSystem, design: ShapedDesign, q: Sequence[float]) -> Tensor3:
     """T_ijk; requires no inversion of the shaped mass."""
-    return metric_pair(sys, design, q).t_tensor()
+    return MatchPoint(sys, design, q).t
 
 
 def match_tensors(sys: MechSystem, design: ShapedDesign, q: Sequence[float]) -> MatchTensors:
@@ -127,10 +108,7 @@ def potential_residual(
     sys: MechSystem, design: ShapedDesign, q: Sequence[float]
 ) -> np.ndarray:
     """Annihilator projection of the potential matching defect."""
-    w = sys.annihilator(q)
-    return metric_pair(sys, design, q).potential_defect(
-        w, sys.potential_gradient(q), design.shaped_potential_gradient(q)
-    )
+    return MatchPoint(sys, design, q).potential()
 
 
 def rotate(t: Tensor3, rows: np.ndarray) -> np.ndarray:
@@ -138,10 +116,83 @@ def rotate(t: Tensor3, rows: np.ndarray) -> np.ndarray:
     return np.einsum("ijk,ai,bj,ck->abc", t.entries, rows, rows, rows)
 
 
-def cyclic_sums(tp: np.ndarray) -> np.ndarray:
-    """Cyclic sums tp_abc + tp_bca + tp_cab over unordered triples a <= b <= c."""
-    cyc = tp + tp.transpose(1, 2, 0) + tp.transpose(2, 0, 1)
-    return np.array([cyc[i] for i in combinations_with_replacement(range(len(tp)), 3)])
+class _Kept(cached_property):
+    """cached_property without the lock Python 3.11 takes on each first read."""
+
+    def __get__(self, point, owner=None):
+        if point is None:
+            return self
+        value = point.__dict__[self.attrname] = self.func(point)
+        return value
+
+
+class MatchPoint:
+    """The input frame, metric pair, dV, dVhat and T at one q, each evaluated on
+    first read and kept.  Readers take the frame first, so a rank-deficient G
+    is reported ahead of a failing metric."""
+
+    def __init__(self, sys: MechSystem, design: ShapedDesign, q: Sequence[float]):
+        self.sys, self.design, self.q = sys, design, q
+
+    @_Kept
+    def frame(self) -> InputFrame:
+        return self.sys.frame(self.q)
+
+    @_Kept
+    def pair(self) -> MetricPair:
+        return MetricPair(
+            _symmetrized_inverse(self.sys.mass_matrix(self.q)),
+            self.sys.mass_derivatives(self.q),
+            self.design.shaped_mass(self.q),
+            self.design.shaped_mass_derivatives(self.q),
+        )
+
+    @_Kept
+    def dv(self) -> np.ndarray:
+        return self.sys.potential_gradient(self.q)
+
+    @_Kept
+    def dvhat(self) -> np.ndarray:
+        return self.design.shaped_potential_gradient(self.q)
+
+    @_Kept
+    def t(self) -> Tensor3:
+        minv, dm, mhat, dmhat = self.pair
+        dminv = _inverse_derivatives(minv, dm)
+        first = -0.5 * np.einsum("kl,lt,tij->ijk", mhat, minv, dmhat)
+        second = -0.5 * np.einsum("krs,ri,sj->ijk", dminv, mhat, mhat)
+        return Tensor3(first + second)
+
+    def potential(self) -> np.ndarray:
+        """W (dV - Mhat M^-1 dVhat)."""
+        w, (minv, _, mhat, _) = self.frame.annihilator, self.pair
+        return w @ (self.dv - mhat @ minv @ self.dvhat)
+
+    def kinetic(self, w: Optional[np.ndarray] = None) -> np.ndarray:
+        """Cyclic sums of T(w_a, w_b, w_c) over rows a <= b <= c of w (default W)."""
+        rows = self.frame.annihilator if w is None else w
+        tp = rotate(self.t, rows)
+        cyc = tp + tp.transpose(1, 2, 0) + tp.transpose(2, 0, 1)
+        return np.array([cyc[i] for i in combinations_with_replacement(range(len(tp)), 3)])
+
+    def residual(self) -> float:
+        """Largest matching-condition violation at the point."""
+        defects = np.concatenate([self.potential(), self.kinetic()])
+        return float(np.max(np.abs(defects), initial=0.0))
+
+    def gyro(self) -> GyroTensor:
+        """T rotated into the adapted basis [W; U'], extended to a gyroscopic
+        tensor there, and rotated back; independent of the basis choice within
+        each subspace."""
+        w, u, t = self.frame.annihilator, self.frame.range_basis, self.t
+        basis = np.vstack([w, u.T])
+        try:
+            cp = extend_to_gyro(Tensor3(rotate(t, basis)), len(w)).entries
+        except TensorError as exc:
+            raise MatchingError(
+                f"cannot extend to a gyroscopic tensor at q={list(self.q)}: {exc}"
+            ) from exc
+        return GyroTensor(np.einsum("rst,ri,sj,tk->ijk", cp, basis, basis, basis))
 
 
 def kinetic_residual(
@@ -155,9 +206,7 @@ def kinetic_residual(
     Passing ``w`` overrides the computed annihilator basis (rows must be
     orthonormal and span the same space for the result to be meaningful).
     """
-    if w is None:
-        w = sys.annihilator(q)
-    return cyclic_sums(rotate(t_tensor(sys, design, q), w))
+    return MatchPoint(sys, design, q).kinetic(w)
 
 
 def pde_counts(n: int, m: int) -> tuple[int, int]:
@@ -176,22 +225,7 @@ class GyroField:
         self.design = design
 
     def at(self, q: Sequence[float]) -> GyroTensor:
-        frame = self.sys.frame(q)
-        return gyro_extension(t_tensor(self.sys, self.design, q), frame, q)
-
-
-def gyro_extension(t: Tensor3, frame: InputFrame, q: Sequence[float]) -> GyroTensor:
-    """T rotated into the adapted basis [W; U'], extended to a gyroscopic
-    tensor there, and rotated back; independent of the basis choice within
-    each subspace."""
-    basis = np.vstack([frame.annihilator, frame.range_basis.T])
-    try:
-        cp = extend_to_gyro(Tensor3(rotate(t, basis)), len(frame.annihilator)).entries
-    except TensorError as exc:
-        raise MatchingError(
-            f"cannot extend to a gyroscopic tensor at q={list(q)}: {exc}"
-        ) from exc
-    return GyroTensor(np.einsum("rst,ri,sj,tk->ijk", cp, basis, basis, basis))
+        return MatchPoint(self.sys, self.design, q).gyro()
 
 
 def derive_gyro(sys: MechSystem, design: ShapedDesign) -> GyroField:
@@ -435,7 +469,7 @@ class ResidualReport:
     Residuals are recorded everywhere they evaluate; the pass verdict is
     taken over the largest symmetric box around the origin on which both
     metrics stay positive definite, since that is the domain on which the
-    design is usable.
+    design is usable.  ``failed_points`` counts the points that raised, by type.
     """
 
     axes: tuple
@@ -445,6 +479,7 @@ class ResidualReport:
     pd_mask: np.ndarray
     pd_box: dict
     tolerance: float
+    failed_points: dict
 
     @property
     def in_box_mask(self) -> np.ndarray:
@@ -509,6 +544,7 @@ class ResidualReport:
             "pd_box": {k: float(v) for k, v in self.pd_box.items()},
             "passed": self.passed,
             "worst": self.worst_point(),
+            "failed_points": dict(self.failed_points),
         }
 
     def write_csv(self, path) -> None:
@@ -589,15 +625,17 @@ def evaluate_residuals(
     pot = np.full((len(points), sys.n - sys.m), np.nan)
     kin = np.full((len(points), pde_counts(sys.n, sys.m)[1]), np.nan)
     pd_mask = np.zeros(len(points), dtype=bool)
+    failed: dict = {}
     for i, q in enumerate(points):
+        point = MatchPoint(sys, design, q)
         try:
-            pot[i] = potential_residual(sys, design, q)
-            kin[i] = kinetic_residual(sys, design, q)
+            pot[i] = point.potential()  # kept where the kinetic defect fails
+            kin[i] = point.kinetic()
         except (SystemError, MatchingError, TensorError, ExprError, ArithmeticError,
-                np.linalg.LinAlgError):
+                np.linalg.LinAlgError) as exc:
+            failed[type(exc).__name__] = failed.get(type(exc).__name__, 0) + 1
             continue
-        # Mhat evaluated above, so it evaluates here too
-        mhat = design.shaped_mass(q)
+        mhat = point.pair.mhat
         pd_mask[i] = (
             np.max(np.abs(mhat - mhat.T)) <= _sym_tol(mhat)
             and np.linalg.eigvalsh(mhat)[0] > 0.0
@@ -612,4 +650,5 @@ def evaluate_residuals(
         pd_mask=pd_mask,
         pd_box=box,
         tolerance=tol,
+        failed_points=failed,
     )

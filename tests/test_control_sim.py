@@ -16,8 +16,17 @@ from idapbc.control_sim import (
     write_trajectory_csv,
 )
 from idapbc.expr import parse
+from idapbc import matching
+from idapbc.matching import GyroField, evaluate_residuals, kinetic_residual
 from idapbc.system import ExprMatrix, MechSystem, ShapedDesign, SystemError, builtin
-from idapbc.tensor import GyroTensor, b_from_gyro, b_to_j, force_from_j, random_gyro
+from idapbc.tensor import (
+    GyroTensor,
+    TensorError,
+    b_from_gyro,
+    b_to_j,
+    force_from_j,
+    random_gyro,
+)
 
 VARS2 = ["q1", "q2"]
 
@@ -286,6 +295,59 @@ class TestOneEvaluationPerCall:
             counts = count_evaluations(sys.M, sys.G, design.Mhat)
             call(ctrl, q, p)
             assert counts == [1, 1, 1], call.__name__
+
+    def test_each_matrix_once_per_query(self):
+        sys, design = builtin("pendulum_cart", eps=0.55, K=0.25)
+        design = ShapedDesign(sys.vars, design.Mhat, design.Vhat, design.Kv)
+        ctrl = Controller(sys, design)
+        q = [0.3, -0.2]
+        for call in (GyroField(sys, design).at, ctrl.gyro_at, ctrl.matching_residual):
+            counts = count_evaluations(sys.M, sys.G, design.Mhat)
+            call(q)
+            assert counts == [1, 1, 1], call.__name__
+
+    def test_each_matrix_once_per_sweep_point(self):
+        sys, design = builtin("pendulum_cart", eps=0.55, K=0.25)
+        counts = count_evaluations(sys.M, sys.G, design.Mhat)
+        axes = [(name, np.linspace(-0.5, 0.5, 3)) for name in sys.vars]
+        evaluate_residuals(sys, design, axes)
+        assert counts == [9, 9, 9]
+
+    def test_stored_tensor_builds_no_t(self, monkeypatch):
+        def no_t(*args):
+            raise AssertionError("T built on a stored-tensor path")
+
+        # dM^-1, which only T (and A) are built from
+        monkeypatch.setattr(matching, "_inverse_derivatives", no_t)
+        sys, design = builtin("pendulum_cart", eps=0.55, K=0.25)
+        q, p = [0.3, -0.2], [0.4, 0.1]
+        closed_loop_field(Controller(sys, design), q, p)
+        override = Controller(sys, design, gyro=lambda q: np.zeros((2, 2, 2)))
+        counts = count_evaluations(sys.M, sys.G, design.Mhat)
+        override.gyro_at(q)
+        Controller(sys, design).gyro_at(q)
+        assert counts == [0, 0, 0]
+
+    def test_given_rows_build_no_frame(self):
+        sys, design = builtin("pendulum_cart", eps=0.55, K=0.25)
+        q = [0.3, -0.2]
+        w = sys.annihilator(q)
+        counts = count_evaluations(sys.M, sys.G, design.Mhat)
+        given = kinetic_residual(sys, design, q, w=w)
+        assert counts == [1, 0, 1]
+        assert np.array_equal(given, kinetic_residual(sys, design, q))
+
+    def test_non_finite_t_stays_a_tensor_error(self):
+        # T is quadratic in Mhat and overflows; that is not a missing extension
+        sys, design = builtin("pendulum_cart", eps=0.55, K=0.25)
+        rows = [[f"1e200*({e})" for e in row] for row in design.Mhat.to_strings()]
+        mhat = ExprMatrix.from_strings(rows, sys.vars)
+        big = Controller(sys, ShapedDesign(sys.vars, mhat, design.Vhat, design.Kv))
+        q, p = [0.5, 0.0], [0.4, 0.1]
+        for call in (lambda: GyroField(sys, big.design).at(q), lambda: big.gyro_at(q),
+                     lambda: closed_loop_field(big, q, p)):
+            with pytest.raises(TensorError, match="finite"):
+                call()
 
 
 class TestClosedLoopField:

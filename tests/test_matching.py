@@ -572,6 +572,43 @@ class TestEvaluateResiduals:
         summary = json.loads(json.dumps(rep.to_summary_dict()))
         assert summary["passed"] is True
         assert summary["grid"]["q1"]["count"] == 5
+        assert summary["failed_points"] == {}
+
+    def test_failed_points_counted(self, tmp_path):
+        # Mhat divides by (q1 - 0.5), so the grid's q1 = 0.5 row cannot evaluate
+        sys, design = builtin("pendulum_cart", eps=0.55, K=0.25)
+        rows = design.Mhat.to_strings()
+        rows[0][0] = f"{rows[0][0]} + (q1 - 0.5)/(q1 - 0.5) - 1"
+        broken = ShapedDesign(
+            sys.vars, ExprMatrix.from_strings(rows, sys.vars), design.Vhat, design.Kv
+        )
+        axes = [("q1", np.linspace(-1.0, 1.0, 5)), ("q2", np.linspace(-1.0, 1.0, 3))]
+        rep = evaluate_residuals(sys, broken, axes, tol=1e-9)
+        bad = rep.points[:, 0] == 0.5
+        assert int(bad.sum()) == 3
+        assert np.isnan(rep.potential_res[bad]).all()
+        assert np.isnan(rep.kinetic_res[bad]).all()
+        assert not rep.pd_mask[bad].any()
+        assert np.isfinite(rep.potential_res[~bad]).all()
+        assert rep.to_summary_dict()["failed_points"] == {"ExprError": 3}
+        rep.write_csv(tmp_path / "residuals.csv")
+        lines = (tmp_path / "residuals.csv").read_text().splitlines()[1:]
+        assert [line for line in lines if line.startswith("0.5,")] == [
+            f"0.5,{q2},nan,nan,0" for q2 in (-1, 0, 1)
+        ]
+
+    def test_potential_kept_where_kinetic_fails(self):
+        # Mhat of order 1e200 keeps the potential defect finite, but T
+        # (quadratic in Mhat) overflows and Tensor3 rejects it
+        sys, design = builtin("pendulum_cart", eps=0.55, K=0.25)
+        rows = [[f"1e200*({e})" for e in row] for row in design.Mhat.to_strings()]
+        big = ShapedDesign(
+            sys.vars, ExprMatrix.from_strings(rows, sys.vars), design.Vhat, design.Kv
+        )
+        rep = evaluate_residuals(sys, big, [("q1", [0.5]), ("q2", [0.0])])
+        assert np.isfinite(rep.potential_res).all()
+        assert np.isnan(rep.kinetic_res).all()
+        assert rep.failed_points == {"TensorError": 1}
 
     def test_axis_mismatch_rejected(self):
         sys, design = builtin("pendulum_cart")
