@@ -177,9 +177,9 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
         }
         _emit(payload, args.out, "synthesize.json")
         return EXIT_FAIL
-    field = derive_gyro(sys, design)
     points = report.points[report.in_box_mask]
-    values = np.stack([field.at(q).entries for q in points])
+    # as nested lists at once, so the array is freed before the bundle is encoded
+    values = derive_gyro(sys, design).sample(points).tolist()
     bundle = {
         "kind": "idapbc-controller-bundle",
         "version": __version__,
@@ -192,7 +192,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
         else None,
         "C_samples": {
             "points": points.tolist(),
-            "values": values.tolist(),
+            "values": values,
         },
         "metadata": {
             "source": args.system,

@@ -141,7 +141,7 @@ def closed_loop_field(
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
     point = MatchPoint(ctrl.sys, ctrl.design, q)
-    g, (minv, _, mhat, dmhat) = point.frame.g, point.pair
+    (g, _), (minv, _, mhat, dmhat) = point.g_svd, point.pair
     eigs = np.linalg.eigvalsh((mhat + mhat.T) / 2.0)
     if eigs[0] <= 0.0:
         raise SystemError(
@@ -201,7 +201,8 @@ def simulate(
 ) -> StateTrajectory:
     """Classical fourth-order Runge-Kutta on the split state (q, p).
 
-    Records energy(q, p) per sample when given (zeros otherwise).  Raises
+    Records energy per sample when given (zeros otherwise), from one call
+    ``energy(qs, ps)`` on the (steps + 1, n) stacks of samples.  Raises
     DivergenceError as soon as the state norm passes the guard, so runs
     started outside the basin of attraction terminate early.
     """
@@ -230,7 +231,7 @@ def simulate(
     if energy is None:
         energies = np.zeros(steps + 1)
     else:
-        energies = np.array([energy(s[:n], s[n:]) for s in states])
+        energies = energy(states[:, :n], states[:, n:])
     return StateTrajectory(times, states, energies)
 
 

@@ -467,11 +467,15 @@ def to_string(e: Expr) -> str:
 _BINARY_OPS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
 
 
-def _emit(e: Expr, temps: dict[Expr, str], body: list[tuple[str, Expr]]) -> str:
+def _emit(
+    e: Expr, temps: dict[Expr, str], body: list[tuple[str, Expr]], batch: bool = False
+) -> str:
     """Operand naming ``e`` in generated code.
 
     Constants and variables are written inline; any other node is assigned
     to a temporary on first sight, appended to ``body`` as (code, node).
+    The code is the same for both variants of compile_expr but for powers,
+    which the batch variant takes through ``_pow``.
     """
     if isinstance(e, Const):
         s = repr(e.value)
@@ -482,16 +486,17 @@ def _emit(e: Expr, temps: dict[Expr, str], body: list[tuple[str, Expr]]) -> str:
     if name is not None:
         return name
     if isinstance(e, (Add, Sub, Mul, Div)):
-        left = _emit(e.left, temps, body)
-        code = f"{left} {_BINARY_OPS[type(e)]} {_emit(e.right, temps, body)}"
+        left = _emit(e.left, temps, body, batch)
+        code = f"{left} {_BINARY_OPS[type(e)]} {_emit(e.right, temps, body, batch)}"
     elif isinstance(e, Pow):
-        code = f"{_emit(e.base, temps, body)} ** {e.exponent}"
+        base = _emit(e.base, temps, body, batch)
+        code = f"_pow({base}, {e.exponent})" if batch else f"{base} ** {e.exponent}"
     elif isinstance(e, Sin):
-        code = f"_sin({_emit(e.arg, temps, body)})"
+        code = f"_sin({_emit(e.arg, temps, body, batch)})"
     elif isinstance(e, Cos):
-        code = f"_cos({_emit(e.arg, temps, body)})"
+        code = f"_cos({_emit(e.arg, temps, body, batch)})"
     elif isinstance(e, Neg):
-        code = f"-{_emit(e.arg, temps, body)}"
+        code = f"-{_emit(e.arg, temps, body, batch)}"
     else:
         raise TypeError(f"unknown node {type(e).__name__}")
     name = f"_t{len(body)}"
@@ -518,7 +523,33 @@ def _division_error(exc: ZeroDivisionError, nodes: list[Expr | None]) -> ExprErr
     return ExprError(f"division by zero in {to_string(node)}")
 
 
-def compile_expr(tree) -> Callable[[Sequence[float]], float | np.ndarray]:
+def _pow_or_nan(v: float, k: int) -> float:
+    try:
+        return v ** k
+    except ArithmeticError:
+        return math.nan
+
+
+def _pow_rows(base, k: int):
+    """``base ** k`` per row with Python's float power, which the scalar variant
+    uses and numpy's power does not round like; NaN where it raises."""
+    if not isinstance(base, np.ndarray):
+        return base ** k
+    values = base.tolist()
+    try:
+        return np.array([v ** k for v in values], dtype=float)
+    except ArithmeticError:
+        return np.array([_pow_or_nan(v, k) for v in values], dtype=float)
+
+
+def _operand_of(e: Expr, temps: dict[Expr, str]) -> str | None:
+    """Name of a non-constant operand in generated code; None for a constant."""
+    if isinstance(e, Const):
+        return None
+    return f"_x{e.index}" if isinstance(e, Var) else temps[e]
+
+
+def compile_expr(tree, batch: bool = False) -> Callable:
     """Compile an expression, or a nested sequence of them, to one evaluator.
 
     The generated function converts the coordinates it reads to float,
@@ -526,36 +557,83 @@ def compile_expr(tree) -> Callable[[Sequence[float]], float | np.ndarray]:
     expression or an ndarray of the nesting's shape.  Division by zero
     raises :class:`ExprError` naming the dividing subexpression, as
     :meth:`Expr.eval` does.
+
+    With ``batch`` the same generated statements run on numpy arrays: the
+    function maps an (N, n) stack of points to ``(values, flagged)``, values
+    of shape (N, *shape) and a boolean row mask.  A row is flagged where a
+    temporary is not finite, which includes every zero denominator (its
+    quotient is infinite) and every power the scalar variant overflows on;
+    those are the rows where the scalar function raises or carries inf or
+    NaN.  A non-finite value reaches an output unless it is a denominator or
+    the base of a non-positive power, so only those and the outputs are
+    checked.  Values in flagged rows are placeholders.
     """
     leaves: list[Expr] = []
     shape = _flatten(tree, leaves)
     temps: dict[Expr, str] = {}
     body: list[tuple[str, Expr]] = []
-    outs = [_emit(e, temps, body) for e in leaves]
+    outs = [_emit(e, temps, body, batch) for e in leaves]
     used: set[int] = set()
     for e in leaves:
         _collect_vars(e, used)
-    if shape:
-        result = f"_array([{', '.join(outs)}])"
-        if len(shape) > 1:
-            result += f".reshape({shape})"
+    namespace = {"inf": math.inf, "nan": math.nan}
+    if batch:
+        checked = [
+            _operand_of(node.right if isinstance(node, Div) else node.base, temps)
+            for _, node in body
+            if isinstance(node, Div) or (isinstance(node, Pow) and node.exponent <= 0)
+        ]
+        lines = ["def _f(_q):", "    _q = _asarray(_q, dtype=float)", "    _n = len(_q)"]
+        lines += [f"    _x{i} = _q[:, {i}]" for i in sorted(used)]
+        lines += ["    with _errstate(all='ignore'):", "        try:"]
+        lines += [f"            {code}" for code, _ in body]
+        lines += [f"            _out = _empty((_n, {len(outs)}))"]
+        lines += [f"            _out[:, {k}] = {out}" for k, out in enumerate(outs)]
+        lines += [
+            "        except ArithmeticError:",  # a constant subtree divides by zero
+            f"            return _full((_n, *{shape}), nan), _ones(_n, dtype=bool)",
+            "    _flagged = ~_isfinite(_out).all(axis=1)",
+        ]
+        lines += [f"    _flagged |= ~_isfinite({name})" for name in checked if name]
+        lines += [f"    return _out.reshape((_n, *{shape})), _flagged"]
+        namespace.update(
+            _sin=np.sin, _cos=np.cos, _pow=_pow_rows, _asarray=np.asarray,
+            _errstate=np.errstate, _empty=np.empty, _full=np.full, _ones=np.ones,
+            _isfinite=np.isfinite,
+        )
     else:
-        result = outs[0]
-    head = ["def _f(_q):", "    try:"]
-    head += [f"        _x{i} = float(_q[{i}])" for i in sorted(used)]
-    lines = head + [f"        {code}" for code, _ in body] + [
-        f"        return {result}",
-        "    except ZeroDivisionError as exc:",
-        "        raise _division_error(exc, _nodes) from None",
-    ]
-    namespace = {
-        "_sin": math.sin,
-        "_cos": math.cos,
-        "_array": np.array,
-        "inf": math.inf,
-        "nan": math.nan,
-        "_division_error": _division_error,
-        "_nodes": [None] * len(head) + [node for _, node in body],
-    }
+        if shape:
+            result = f"_array([{', '.join(outs)}])"
+            if len(shape) > 1:
+                result += f".reshape({shape})"
+        else:
+            result = outs[0]
+        head = ["def _f(_q):", "    try:"]
+        head += [f"        _x{i} = float(_q[{i}])" for i in sorted(used)]
+        lines = head + [f"        {code}" for code, _ in body] + [
+            f"        return {result}",
+            "    except ZeroDivisionError as exc:",
+            "        raise _division_error(exc, _nodes) from None",
+        ]
+        namespace.update(
+            _sin=math.sin, _cos=math.cos, _array=np.array,
+            _division_error=_division_error,
+            _nodes=[None] * len(head) + [node for _, node in body],
+        )
     exec(compile("\n".join(lines), "<expr>", "exec"), namespace)
     return namespace["_f"]
+
+
+class LazyBatch:
+    """The batch variant of ``compile_expr(tree)``, compiled on the first call
+    and kept, so that owners which only evaluate single points never build it."""
+
+    __slots__ = ("_tree", "_fn")
+
+    def __init__(self, tree):
+        self._tree, self._fn = tree, None
+
+    def __call__(self, points) -> tuple[np.ndarray, np.ndarray]:
+        if self._fn is None:
+            self._fn = compile_expr(self._tree, batch=True)
+        return self._fn(points)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations_with_replacement
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -20,8 +20,32 @@ import numpy as np
 
 from .expr import Expr, ExprError, compile_expr, parse
 from .stability import NOT_STABILIZABLE, Linearization, classify
-from .system import InputFrame, MechSystem, ShapedDesign, SystemError, input_frame
-from .tensor import GyroTensor, Tensor3, TensorError, extend_to_gyro, random_spd
+from .system import (
+    InputFrame,
+    MechSystem,
+    ShapedDesign,
+    SystemError,
+    checked_svd,
+    full_rank,
+    identity_where,
+    input_frame,
+    lowest_eigenvalue,
+    split_basis,
+)
+from .tensor import (
+    CYCLIC_PRECONDITION_TOL,
+    INVARIANT_TOL,
+    GyroTensor,
+    Tensor3,
+    TensorError,
+    cyclic_sum,
+    extend_to_gyro,
+    extension_defects,
+    finite_rows,
+    gyro_defects,
+    gyro_extension,
+    random_spd,
+)
 
 RESIDUAL_TOL = 1e-8
 LINEAR_MATCH_RESIDUAL_TOL = 1e-9
@@ -34,8 +58,8 @@ class MatchingError(ValueError):
     pass
 
 
-def _sym_tol(arr: np.ndarray) -> float:
-    return 1e-10 * max(1.0, float(np.max(np.abs(arr))))
+def _sym_tol(arr: np.ndarray, axes=None) -> np.ndarray:
+    return 1e-10 * np.max(np.abs(arr), axis=axes, initial=1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,9 +81,12 @@ class MatchTensors:
         object.__setattr__(self, "a", a)
 
 
+# The per-point formulas below take arrays with any leading axes: MatchPoint
+# calls them on one point, MatchRows once on a stack of points.
+
 def _symmetrized_inverse(m: np.ndarray) -> np.ndarray:
     inv = np.linalg.inv(m)
-    return (inv + inv.T) / 2.0
+    return (inv + inv.swapaxes(-1, -2)) / 2.0
 
 
 def _inverse_derivatives(minv: np.ndarray, dm: np.ndarray) -> np.ndarray:
@@ -69,8 +96,8 @@ def _inverse_derivatives(minv: np.ndarray, dm: np.ndarray) -> np.ndarray:
     it bitwise symmetric preserves the index symmetries of the tensors
     assembled from it.
     """
-    out = -np.einsum("ij,kjl,lm->kim", minv, dm, minv)
-    return (out + out.transpose(0, 2, 1)) / 2.0
+    out = -np.einsum("...ij,...kjl,...lm->...kim", minv, dm, minv)
+    return (out + out.swapaxes(-1, -2)) / 2.0
 
 
 class MetricPair(NamedTuple):
@@ -80,6 +107,58 @@ class MetricPair(NamedTuple):
     dm: np.ndarray
     mhat: np.ndarray
     dmhat: np.ndarray
+
+
+def t_entries(pair: MetricPair) -> np.ndarray:
+    """T_ijk from the metric pair; requires no inversion of the shaped mass."""
+    minv, dm, mhat, dmhat = pair
+    dminv = _inverse_derivatives(minv, dm)
+    first = -0.5 * np.einsum("...kl,...lt,...tij->...ijk", mhat, minv, dmhat)
+    second = -0.5 * np.einsum("...krs,...ri,...sj->...ijk", dminv, mhat, mhat)
+    return first + second
+
+
+def potential_defect(
+    w: np.ndarray, pair: MetricPair, dv: np.ndarray, dvhat: np.ndarray
+) -> np.ndarray:
+    """W (dV - Mhat M^-1 dVhat); on a stack, dV and dVhat are columns (..., n, 1)."""
+    minv, _, mhat, _ = pair
+    return w @ (dv - mhat @ minv @ dvhat)
+
+
+def rotate(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """tp[a, b, c] = T(rows[a], rows[b], rows[c])."""
+    return np.einsum("...ijk,...ai,...bj,...ck->...abc", t, rows, rows, rows)
+
+
+@cache
+def _triples(d: int) -> np.ndarray:
+    """Flat indices of the triples a <= b <= c in a d x d x d block."""
+    return np.array(
+        [(a * d + b) * d + c for a, b, c in combinations_with_replacement(range(d), 3)],
+        dtype=int,
+    )
+
+
+def cyclic_defects(tp: np.ndarray) -> np.ndarray:
+    """Cyclic sums of tp over its index triples a <= b <= c."""
+    cyc = cyclic_sum(tp)
+    return cyc.reshape(cyc.shape[:-3] + (-1,)).take(_triples(tp.shape[-1]), axis=-1)
+
+
+def pd_rows(mhat: np.ndarray) -> np.ndarray:
+    """Whether Mhat is symmetric (to _sym_tol) and positive definite."""
+    sym_err = np.max(np.abs(mhat - mhat.swapaxes(-1, -2)), axis=(-2, -1))
+    return (sym_err <= _sym_tol(mhat, (-2, -1))) & (np.linalg.eigvalsh(mhat).T[0].T > 0.0)
+
+
+def _adapted_basis(w: np.ndarray, range_basis: np.ndarray) -> np.ndarray:
+    """The rows [W; U'], an orthonormal basis adapted to the split by G."""
+    return np.concatenate([w, range_basis.swapaxes(-1, -2)], axis=-2)
+
+
+def _rotate_back(cp: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    return np.einsum("...rst,...ri,...sj,...tk->...ijk", cp, basis, basis, basis)
 
 
 def a_tensor(sys: MechSystem, design: ShapedDesign, q: Sequence[float]) -> np.ndarray:
@@ -111,11 +190,6 @@ def potential_residual(
     return MatchPoint(sys, design, q).potential()
 
 
-def rotate(t: Tensor3, rows: np.ndarray) -> np.ndarray:
-    """tp[a, b, c] = T(rows[a], rows[b], rows[c])."""
-    return np.einsum("ijk,ai,bj,ck->abc", t.entries, rows, rows, rows)
-
-
 class _Kept(cached_property):
     """cached_property without the lock Python 3.11 takes on each first read."""
 
@@ -128,15 +202,21 @@ class _Kept(cached_property):
 
 class MatchPoint:
     """The input frame, metric pair, dV, dVhat and T at one q, each evaluated on
-    first read and kept.  Readers take the frame first, so a rank-deficient G
-    is reported ahead of a failing metric."""
+    first read and kept.  Readers take G or the frame first, so a
+    rank-deficient G is reported ahead of a failing metric."""
 
     def __init__(self, sys: MechSystem, design: ShapedDesign, q: Sequence[float]):
         self.sys, self.design, self.q = sys, design, q
 
     @_Kept
+    def g_svd(self) -> tuple[np.ndarray, np.ndarray]:
+        """G(q), its rank checked, and the U factor of its SVD."""
+        return checked_svd(self.sys.G(self.q), self.q)
+
+    @_Kept
     def frame(self) -> InputFrame:
-        return self.sys.frame(self.q)
+        g, u = self.g_svd
+        return InputFrame(g, *split_basis(u, g.shape[-1]))
 
     @_Kept
     def pair(self) -> MetricPair:
@@ -157,23 +237,16 @@ class MatchPoint:
 
     @_Kept
     def t(self) -> Tensor3:
-        minv, dm, mhat, dmhat = self.pair
-        dminv = _inverse_derivatives(minv, dm)
-        first = -0.5 * np.einsum("kl,lt,tij->ijk", mhat, minv, dmhat)
-        second = -0.5 * np.einsum("krs,ri,sj->ijk", dminv, mhat, mhat)
-        return Tensor3(first + second)
+        return Tensor3(t_entries(self.pair))
 
     def potential(self) -> np.ndarray:
         """W (dV - Mhat M^-1 dVhat)."""
-        w, (minv, _, mhat, _) = self.frame.annihilator, self.pair
-        return w @ (self.dv - mhat @ minv @ self.dvhat)
+        return potential_defect(self.frame.annihilator, self.pair, self.dv, self.dvhat)
 
     def kinetic(self, w: Optional[np.ndarray] = None) -> np.ndarray:
         """Cyclic sums of T(w_a, w_b, w_c) over rows a <= b <= c of w (default W)."""
         rows = self.frame.annihilator if w is None else w
-        tp = rotate(self.t, rows)
-        cyc = tp + tp.transpose(1, 2, 0) + tp.transpose(2, 0, 1)
-        return np.array([cyc[i] for i in combinations_with_replacement(range(len(tp)), 3)])
+        return cyclic_defects(rotate(self.t.entries, rows))
 
     def residual(self) -> float:
         """Largest matching-condition violation at the point."""
@@ -185,14 +258,80 @@ class MatchPoint:
         tensor there, and rotated back; independent of the basis choice within
         each subspace."""
         w, u, t = self.frame.annihilator, self.frame.range_basis, self.t
-        basis = np.vstack([w, u.T])
+        basis = _adapted_basis(w, u)
         try:
-            cp = extend_to_gyro(Tensor3(rotate(t, basis)), len(w)).entries
+            cp = extend_to_gyro(Tensor3(rotate(t.entries, basis)), len(w)).entries
         except TensorError as exc:
             raise MatchingError(
                 f"cannot extend to a gyroscopic tensor at q={list(self.q)}: {exc}"
             ) from exc
-        return GyroTensor(np.einsum("rst,ri,sj,tk->ijk", cp, basis, basis, basis))
+        return GyroTensor(_rotate_back(cp, basis))
+
+
+class MatchRows:
+    """MatchPoint's parts at each row of an (N, n) stack of points, each
+    evaluated once for the whole stack by MatchPoint's formulas.
+
+    ``failed`` flags each row where MatchPoint would raise, or where the
+    evaluator flags a value (see compile_expr); such rows hold placeholders
+    and callers take them from MatchPoint.  Flagged matrices are replaced by
+    the identity before each stacked np.linalg call.
+    """
+
+    def __init__(self, sys: MechSystem, design: ShapedDesign, points: np.ndarray):
+        points = np.asarray(points, dtype=float)
+        self.failed = failed = np.zeros(len(points), dtype=bool)
+
+        def rows(batch):
+            values, flagged = batch(points)
+            np.logical_or(failed, flagged, out=failed)
+            return values
+
+        # the order of MatchPoint's reads: frame, pair, dV, dVhat, T
+        u, s, _ = np.linalg.svd(identity_where(rows(sys.G.batch), failed))
+        failed |= ~full_rank(s, sys.n)  # m <= n for a MechSystem
+        self.range_basis, self.annihilator = split_basis(u, sys.m)
+        m = identity_where(rows(sys.M.batch), failed)
+        failed |= ~(lowest_eigenvalue(m) > 0.0)  # mass_matrix raises
+        minv = _symmetrized_inverse(identity_where(m, failed))
+        self.pair = MetricPair(
+            minv, rows(sys.dm_batch), rows(design.Mhat.batch), rows(design.dmhat_batch)
+        )
+        self.dv, self.dvhat = rows(sys.dv_batch), rows(design.dvhat_batch)
+        with np.errstate(all="ignore"):
+            # in C order, as Tensor3 copies it: einsum sums in layout order
+            self.t = np.ascontiguousarray(t_entries(self.pair))
+        failed |= ~finite_rows(self.t)  # Tensor3 raises
+
+    def potential(self) -> np.ndarray:
+        with np.errstate(all="ignore"):
+            columns = self.dv[..., None], self.dvhat[..., None]
+            return potential_defect(self.annihilator, self.pair, *columns)[..., 0]
+
+    def kinetic(self) -> np.ndarray:
+        with np.errstate(all="ignore"):
+            return cyclic_defects(rotate(self.t, self.annihilator))
+
+    def pd_mask(self) -> np.ndarray:
+        return pd_rows(identity_where(self.pair.mhat, self.failed))
+
+    def gyro(self) -> tuple[np.ndarray, np.ndarray]:
+        """MatchPoint.gyro's entries at each row, and the rows where it raises
+        (or that ``failed`` flags already)."""
+        failed = self.failed.copy()
+        d = self.annihilator.shape[-2]
+        basis = _adapted_basis(self.annihilator, self.range_basis)
+        with np.errstate(all="ignore"):
+            tp = rotate(self.t, basis)
+            sym_err, res, scale = extension_defects(tp, d)
+            cp = gyro_extension(tp, d)
+            c = _rotate_back(cp, basis)
+            failed |= ~finite_rows(tp) | (sym_err > INVARIANT_TOL * scale)
+            failed |= res > CYCLIC_PRECONDITION_TOL * scale
+            for tensor in (cp, c):  # each built as a GyroTensor
+                sym_err, cyc_err, tol = gyro_defects(tensor)
+                failed |= ~finite_rows(tensor) | (sym_err > tol) | (cyc_err > tol)
+        return c, failed
 
 
 def kinetic_residual(
@@ -226,6 +365,16 @@ class GyroField:
 
     def at(self, q: Sequence[float]) -> GyroTensor:
         return MatchPoint(self.sys, self.design, q).gyro()
+
+    def sample(self, points: np.ndarray) -> np.ndarray:
+        """``at(q).entries`` for each row q of an (N, n) stack, in one batched
+        pass; the rows that pass flags are taken from ``at``, which raises at
+        the first point it raised at."""
+        points = np.asarray(points, dtype=float)
+        c, failed = MatchRows(self.sys, self.design, points).gyro()
+        for i in np.flatnonzero(failed):
+            c[i] = self.at(points[i]).entries
+        return c
 
 
 def derive_gyro(sys: MechSystem, design: ShapedDesign) -> GyroField:
@@ -613,7 +762,12 @@ def evaluate_residuals(
     axes: Sequence[tuple[str, Sequence[float]]],
     tol: float = RESIDUAL_TOL,
 ) -> ResidualReport:
-    """Sweep residuals over a tensor-product grid and estimate the PD box."""
+    """Sweep residuals over a tensor-product grid and estimate the PD box.
+
+    One batched pass (MatchRows) covers the grid; the rows it flags are
+    evaluated point by point, so that their values, and the exceptions
+    counted in ``failed_points``, are MatchPoint's.
+    """
     names = [name for name, _ in axes]
     if names != list(sys.vars):
         raise MatchingError(
@@ -622,12 +776,12 @@ def evaluate_residuals(
     values = [np.asarray(v, dtype=float) for _, v in axes]
     mesh = np.meshgrid(*values, indexing="ij")
     points = np.stack([m.ravel() for m in mesh], axis=1)
-    pot = np.full((len(points), sys.n - sys.m), np.nan)
-    kin = np.full((len(points), pde_counts(sys.n, sys.m)[1]), np.nan)
-    pd_mask = np.zeros(len(points), dtype=bool)
+    rows = MatchRows(sys, design, points)
+    pot, kin, pd_mask = rows.potential(), rows.kinetic(), rows.pd_mask()
     failed: dict = {}
-    for i, q in enumerate(points):
-        point = MatchPoint(sys, design, q)
+    for i in np.flatnonzero(rows.failed):
+        pot[i], kin[i], pd_mask[i] = np.nan, np.nan, False
+        point = MatchPoint(sys, design, points[i])
         try:
             pot[i] = point.potential()  # kept where the kinetic defect fails
             kin[i] = point.kinetic()
@@ -635,11 +789,7 @@ def evaluate_residuals(
                 np.linalg.LinAlgError) as exc:
             failed[type(exc).__name__] = failed.get(type(exc).__name__, 0) + 1
             continue
-        mhat = point.pair.mhat
-        pd_mask[i] = (
-            np.max(np.abs(mhat - mhat.T)) <= _sym_tol(mhat)
-            and np.linalg.eigvalsh(mhat)[0] > 0.0
-        )
+        pd_mask[i] = pd_rows(point.pair.mhat)
     axes_t = tuple((name, vals) for name, vals in zip(names, values))
     box = _pd_box(axes_t, pd_mask.reshape([len(v) for v in values]))
     return ResidualReport(

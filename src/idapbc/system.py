@@ -18,6 +18,7 @@ from .expr import (
     Const,
     Expr,
     ExprError,
+    LazyBatch,
     add,
     compile_expr,
     differentiate,
@@ -46,6 +47,8 @@ class ExprMatrix:
         self.rows = len(entries)
         self.cols = cols
         self._fn = compile_expr(self.entries)
+        # (N, n) stack of points -> ((N, rows, cols) values, flagged rows)
+        self.batch = LazyBatch(self.entries)
 
     @classmethod
     def from_strings(
@@ -96,6 +99,37 @@ def check_kv(kv: np.ndarray) -> np.ndarray:
     return kv
 
 
+def identity_where(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """A copy of a (..., k, l) stack with the flagged rows set to the identity,
+    for a stacked np.linalg call, which raises for the whole stack on one
+    singular or non-finite matrix."""
+    return np.where(rows[..., None, None], np.eye(*a.shape[-2:]), a)
+
+
+def lowest_eigenvalue(m: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of the symmetric part of each matrix of a
+    (..., n, n) stack."""
+    # .T[0].T is [..., 0], but a scalar rather than a 0-d array for one matrix
+    return np.linalg.eigvalsh((m + m.swapaxes(-1, -2)) / 2.0).T[0].T
+
+
+_EPS = np.finfo(float).eps
+
+
+def full_rank(s: np.ndarray, n: int) -> np.ndarray:
+    """Whether each matrix of a stack with n rows and singular values s
+    (..., k) has rank k, at matrix_rank's tolerance."""
+    return (s.T[-1] > s.T[0] * n * _EPS).T
+
+
+def checked_input(g: np.ndarray, s: np.ndarray, q: Sequence[float]) -> np.ndarray:
+    """G (n x m) with singular values s; raises unless its rank is m."""
+    n, m = g.shape
+    if m > n or not full_rank(s, n):
+        raise SystemError(f"input matrix rank-deficient at q={list(q)}")
+    return g
+
+
 class InputFrame(NamedTuple):
     """G (n x m) and the orthonormal split of R^n it induces: ``range_basis``
     columns span its range, ``annihilator`` rows W satisfy W G = 0, each row
@@ -106,17 +140,30 @@ class InputFrame(NamedTuple):
     annihilator: np.ndarray
 
 
+def split_basis(u: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The range bases and annihilator rows of a (..., n, m) stack of G from
+    the U factors (..., n, n) of their SVDs; each annihilator row is signed so
+    that its first largest-magnitude entry is positive.  Writes into u."""
+    w = u[..., m:].swapaxes(-1, -2)
+    rows = w.reshape(-1, w.shape[-1]).tolist()
+    signs = [-1.0 if max(row, key=abs) < 0.0 else 1.0 for row in rows]
+    # in place: w keeps the layout of a view of u, which decides the BLAS call
+    # (and so the rounding) of products with w
+    if -1.0 in signs:
+        w *= signs[0] if len(signs) == 1 else np.array(signs).reshape(w.shape[:-1] + (1,))
+    return u[..., :m], w
+
+
+def checked_svd(g: np.ndarray, q: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """G (n x m) and the U factor of its SVD; raises unless its rank is m."""
+    u, s, _ = np.linalg.svd(g)
+    return checked_input(g, s, q), u
+
+
 def input_frame(g: np.ndarray, q: Sequence[float]) -> InputFrame:
     """One SVD of G; raises unless its rank is m (matrix_rank's tolerance)."""
-    n, m = g.shape
-    u, s, _ = np.linalg.svd(g)
-    if m > n or not s[-1] > s[0] * n * np.finfo(float).eps:
-        raise SystemError(f"input matrix rank-deficient at q={list(q)}")
-    w = u[:, m:].T
-    for row in w:
-        if max(row.tolist(), key=abs) < 0.0:
-            row *= -1.0
-    return InputFrame(g, u[:, :m], w)
+    g, u = checked_svd(g, q)
+    return InputFrame(g, *split_basis(u, g.shape[-1]))
 
 
 def q_gradient(dv: np.ndarray, dm: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -159,9 +206,14 @@ class MechSystem:
         self.G = G
         self.name = name
 
+        grad, dm = gradient(V, n), derivative_stack(M, n)
         self._v_fn = compile_expr(V)
-        self._dv_fn = compile_expr(gradient(V, n))
-        self._dm_fn = compile_expr(derivative_stack(M, n))
+        self._dv_fn = compile_expr(grad)
+        self._dm_fn = compile_expr(dm)
+        # batch variants (see compile_expr), compiled on first use
+        self.v_batch = LazyBatch(V)
+        self.dv_batch = LazyBatch(grad)
+        self.dm_batch = LazyBatch(dm)
         origin = np.zeros(n)
         grad0 = self._dv_fn(origin)
         if np.max(np.abs(grad0)) > EQUILIBRIUM_TOL:
@@ -171,11 +223,11 @@ class MechSystem:
 
     def mass_matrix(self, q: Sequence[float]) -> np.ndarray:
         m = self.M(q)
-        eigs = np.linalg.eigvalsh((m + m.T) / 2.0)
-        if eigs[0] <= 0.0:
+        low = lowest_eigenvalue(m)
+        if low <= 0.0:
             raise SystemError(
                 f"mass matrix not positive definite at q={list(q)} "
-                f"(eigenvalue {eigs[0]:.6e})"
+                f"(eigenvalue {low:.6e})"
             )
         return m
 
@@ -194,12 +246,16 @@ class MechSystem:
         return input_frame(self.G(q), q)
 
     def input_matrix(self, q: Sequence[float]) -> np.ndarray:
-        return self.frame(q).g
+        """G(q); raises if its rank is below m (singular values only)."""
+        g = self.G(q)
+        return checked_input(g, np.linalg.svd(g, compute_uv=False), q)
 
-    def hamiltonian(self, q: Sequence[float], p: Sequence[float]) -> float:
-        m = self.mass_matrix(q)
+    def hamiltonian(self, q: Sequence[float], p: Sequence[float]) -> float | np.ndarray:
+        """p' M^-1 p / 2 + V at (q, p), or at each row of (N, n) arrays."""
         p = np.asarray(p, dtype=float)
-        return 0.5 * float(p @ np.linalg.solve(m, p)) + self.potential(q)
+        if isinstance(q, np.ndarray) and q.ndim == 2:
+            return _energy_rows(self.hamiltonian, self.M.batch, self.v_batch, q, p, True)
+        return 0.5 * float(p @ np.linalg.solve(self.mass_matrix(q), p)) + self.potential(q)
 
     def annihilator(self, q: Sequence[float]) -> np.ndarray:
         """Orthonormal rows spanning the left annihilator of G(q), each signed
@@ -252,9 +308,14 @@ class ShapedDesign:
         self.C = C
         self.params = dict(params or {})
 
+        grad, dmhat = gradient(Vhat, n), derivative_stack(Mhat, n)
         self._vhat_fn = compile_expr(Vhat)
-        self._dvhat_fn = compile_expr(gradient(Vhat, n))
-        self._dmhat_fn = compile_expr(derivative_stack(Mhat, n))
+        self._dvhat_fn = compile_expr(grad)
+        self._dmhat_fn = compile_expr(dmhat)
+        # batch variants (see compile_expr), compiled on first use
+        self.vhat_batch = LazyBatch(Vhat)
+        self.dvhat_batch = LazyBatch(grad)
+        self.dmhat_batch = LazyBatch(dmhat)
         self._c_fn = None
         if C is not None:
             if len(C) != n or any(len(r) != n for r in C) or any(
@@ -275,15 +336,42 @@ class ShapedDesign:
     def shaped_potential_gradient(self, q: Sequence[float]) -> np.ndarray:
         return self._dvhat_fn(q)
 
-    def shaped_hamiltonian(self, q: Sequence[float], p: Sequence[float]) -> float:
-        mhat = self.Mhat(q)
+    def shaped_hamiltonian(
+        self, q: Sequence[float], p: Sequence[float]
+    ) -> float | np.ndarray:
+        """p' Mhat^-1 p / 2 + Vhat at (q, p), or at each row of (N, n) arrays."""
         p = np.asarray(p, dtype=float)
-        return 0.5 * float(p @ np.linalg.solve(mhat, p)) + self.shaped_potential(q)
+        if isinstance(q, np.ndarray) and q.ndim == 2:
+            return _energy_rows(
+                self.shaped_hamiltonian, self.Mhat.batch, self.vhat_batch, q, p, False
+            )
+        return 0.5 * float(p @ np.linalg.solve(self.Mhat(q), p)) + self.shaped_potential(q)
 
     def c_table_at(self, q: Sequence[float]) -> np.ndarray | None:
         if self._c_fn is None:
             return None
         return self._c_fn(q)
+
+
+def _energy_rows(per_point, metric, potential, q, p, check_pd: bool) -> np.ndarray:
+    """p' X^-1 p / 2 + U at each row of (N, n) stacks, from the batch variants
+    of the metric X and the potential U.  Rows the evaluator flags, and with
+    ``check_pd`` rows where X is not positive definite, take ``per_point``,
+    which raises at the first one it raised at; a singular metric sends every
+    row there, as a stacked solve raises for the whole stack."""
+    x, flagged = metric(q)
+    u, flagged_u = potential(q)
+    flagged |= flagged_u
+    if check_pd:
+        flagged |= ~(lowest_eigenvalue(identity_where(x, flagged)) > 0.0)
+    try:
+        solved = np.linalg.solve(identity_where(x, flagged), p[..., None])
+    except np.linalg.LinAlgError:
+        return np.array([per_point(qi, pi) for qi, pi in zip(q, p)])
+    energy = 0.5 * (p[..., None, :] @ solved)[..., 0, 0] + u
+    for i in np.flatnonzero(flagged):
+        energy[i] = per_point(q[i], p[i])
+    return energy
 
 
 @dataclass

@@ -25,9 +25,40 @@ class TensorError(ValueError):
     pass
 
 
-def _scale(a: np.ndarray) -> float:
-    m = float(np.max(np.abs(a))) if a.size else 0.0
-    return max(m, 1.0)
+def _scale(a: np.ndarray, axes=None) -> np.ndarray:
+    """max(max |a|, 1) over ``axes`` (all by default)."""
+    return np.max(np.abs(a), axis=axes, initial=1.0)
+
+
+# The last three axes of a (..., n, n, n) stack of tensors, and their
+# permutations (1, 2, 0) and (2, 0, 1).
+_CUBE = (-3, -2, -1)
+
+
+def _t120(a: np.ndarray) -> np.ndarray:
+    return a.swapaxes(-3, -2).swapaxes(-2, -1)
+
+
+def _t201(a: np.ndarray) -> np.ndarray:
+    return a.swapaxes(-2, -1).swapaxes(-3, -2)
+
+
+def cyclic_sum(e: np.ndarray) -> np.ndarray:
+    """e_ijk + e_kij + e_jki over the last three axes."""
+    return e + _t120(e) + _t201(e)
+
+
+def finite_rows(a: np.ndarray) -> np.ndarray:
+    """Whether every entry of each tensor of a (..., n, n, n) stack is finite."""
+    return np.isfinite(a).all(axis=_CUBE)
+
+
+def gyro_defects(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """First-pair symmetry error, cyclic-sum error and the tolerance both are
+    held to, for each tensor of a (..., n, n, n) stack."""
+    sym = np.max(np.abs(c - c.swapaxes(-3, -2)), axis=_CUBE)
+    cyc = np.max(np.abs(cyclic_sum(c)), axis=_CUBE)
+    return sym, cyc, INVARIANT_TOL * _scale(c, _CUBE)
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,7 +73,7 @@ class Tensor3:
             raise TensorError(f"expected cubic array, got shape {arr.shape}")
         if arr.shape[0] < 1:
             raise TensorError("dimension must be >= 1")
-        if not np.all(np.isfinite(arr)):
+        if not finite_rows(arr):
             raise TensorError("entries must be finite")
         arr = arr.copy()
         arr.setflags(write=False)
@@ -63,12 +94,9 @@ class GyroTensor(Tensor3):
 
     def __post_init__(self):
         super().__post_init__()
-        c = self.entries
-        tol = INVARIANT_TOL * _scale(c)
-        sym_err = np.max(np.abs(c - c.transpose(1, 0, 2)))
+        sym_err, cyc_err, tol = gyro_defects(self.entries)
         if sym_err > tol:
             raise TensorError(f"first-pair symmetry violated by {sym_err:.3e}")
-        cyc_err = np.max(np.abs(c + c.transpose(1, 2, 0) + c.transpose(2, 0, 1)))
         if cyc_err > tol:
             raise TensorError(f"cyclic sum violated by {cyc_err:.3e}")
 
@@ -217,12 +245,38 @@ def _constructive_dims(n: int) -> tuple[int, int, int]:
     return dim_b, n ** 3 - _orbit_rank(rows, n), dim_ker
 
 
+def _block_cyclic_error(e: np.ndarray, u: int) -> np.ndarray:
+    return np.max(np.abs(cyclic_sum(e[..., :u, :u, :u])), axis=_CUBE, initial=0.0)
+
+
 def cyclic_residual(t: Tensor3, n_unactuated: int) -> float:
     """Max |T_abc + T_bca + T_cab| over the leading unactuated block."""
-    s = t.entries[:n_unactuated, :n_unactuated, :n_unactuated]
-    if s.size == 0:
-        return 0.0
-    return float(np.max(np.abs(s + s.transpose(1, 2, 0) + s.transpose(2, 0, 1))))
+    return float(_block_cyclic_error(t.entries, n_unactuated))
+
+
+def extension_defects(e: np.ndarray, u: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each T of a (..., n, n, n) stack with u unactuated indices: its
+    first-pair symmetry error, its cyclic residual on the unactuated block,
+    and its scale, which the extension's preconditions are relative to."""
+    sym = np.max(np.abs(e - e.swapaxes(-3, -2)), axis=_CUBE)
+    return sym, _block_cyclic_error(e, u), _scale(e, _CUBE)
+
+
+def gyro_extension(e: np.ndarray, u: int) -> np.ndarray:
+    """Entries of the extension of each T of a (..., n, n, n) stack; the
+    preconditions are not checked (see extend_to_gyro)."""
+    c = np.zeros(e.shape)
+    # Third slot unactuated: copy T.
+    c[..., :u] = e[..., :u]
+    # Two unactuated, third actuated.
+    # C_{alpha beta a} = -T_{beta a alpha} - T_{a alpha beta}
+    c[..., :u, :u, u:] = -_t201(e[..., :u, u:, :u]) - _t120(e[..., u:, :u, :u])
+    # One unactuated among the first pair, third actuated.
+    # C_{alpha a b} = C_{b alpha a} = -T_{ab alpha} / 2
+    c[..., :u, u:, u:] = -0.5 * _t201(e[..., u:, u:, :u])
+    c[..., u:, :u, u:] = -0.5 * _t120(e[..., u:, u:, :u])
+    # All actuated: free block, zero by convention.
+    return c
 
 
 def extend_to_gyro(t: Tensor3, n_unactuated: int) -> GyroTensor:
@@ -233,34 +287,17 @@ def extend_to_gyro(t: Tensor3, n_unactuated: int) -> GyroTensor:
     output C agrees with T whenever the third slot is unactuated, and the
     free fully-actuated block is set to zero.
     """
-    e = t.entries
-    n = t.n
-    if not 0 <= n_unactuated <= n:
-        raise TensorError(f"invalid split {n_unactuated} of {n}")
-    scale = _scale(e)
-    sym_err = np.max(np.abs(e - e.transpose(1, 0, 2)))
+    if not 0 <= n_unactuated <= t.n:
+        raise TensorError(f"invalid split {n_unactuated} of {t.n}")
+    sym_err, res, scale = extension_defects(t.entries, n_unactuated)
     if sym_err > INVARIANT_TOL * scale:
         raise TensorError(f"T must be symmetric in its first two indices (error {sym_err:.3e})")
-    res = cyclic_residual(t, n_unactuated)
     if res > CYCLIC_PRECONDITION_TOL * scale:
         raise TensorError(
             f"cyclic sum of T on the unactuated block must vanish; residual {res:.3e} "
             f"exceeds {CYCLIC_PRECONDITION_TOL:.1e} relative tolerance"
         )
-
-    u = n_unactuated
-    c = np.zeros((n, n, n))
-    # Third slot unactuated: copy T.
-    c[:, :, :u] = e[:, :, :u]
-    # Two unactuated, third actuated.
-    # C_{alpha beta a} = -T_{beta a alpha} - T_{a alpha beta}
-    c[:u, :u, u:] = -e[:u, u:, :u].transpose(2, 0, 1) - e[u:, :u, :u].transpose(1, 2, 0)
-    # One unactuated among the first pair, third actuated.
-    # C_{alpha a b} = C_{b alpha a} = -T_{ab alpha} / 2
-    c[:u, u:, u:] = -0.5 * e[u:, u:, :u].transpose(2, 0, 1)
-    c[u:, :u, u:] = -0.5 * e[u:, u:, :u].transpose(1, 2, 0)
-    # All actuated: free block, zero by convention.
-    return GyroTensor(c)
+    return GyroTensor(gyro_extension(t.entries, n_unactuated))
 
 
 def b_from_gyro(c: GyroTensor) -> SkewPairTensor:
@@ -299,7 +336,7 @@ def random_admissible_t(n: int, n_unactuated: int, rng: np.random.Generator) -> 
     t = (raw + raw.transpose(1, 0, 2)) / 2.0
     u = n_unactuated
     block = t[:u, :u, :u]
-    cyc = (block + block.transpose(1, 2, 0) + block.transpose(2, 0, 1)) / 3.0
+    cyc = cyclic_sum(block) / 3.0
     # Removing a third of the cyclic sum keeps first-pair symmetry (the
     # cyclic average of a first-pair-symmetric tensor is fully symmetric).
     t[:u, :u, :u] = block - cyc

@@ -270,16 +270,21 @@ class TestFeedback:
 
 
 def count_evaluations(*matrices):
-    """Wrap each ExprMatrix's compiled function; return the call counters."""
+    """Wrap each ExprMatrix's compiled function and its batch variant; return
+    the counters of points evaluated (one per call, one per batch row)."""
     counts = [0] * len(matrices)
     for i, m in enumerate(matrices):
-        fn = m._fn
+        fn, batch = m._fn, m.batch
 
         def counted(q, i=i, fn=fn):
             counts[i] += 1
             return fn(q)
 
-        m._fn = counted
+        def counted_rows(points, i=i, batch=batch):
+            counts[i] += len(points)
+            return batch(points)
+
+        m._fn, m.batch = counted, counted_rows
     return counts
 
 
@@ -506,6 +511,20 @@ class TestSimulate:
         )
         h0 = traj.energies[0]
         assert np.max(np.abs(traj.energies - h0)) <= 1e-6 * (1.0 + abs(h0))
+
+    @pytest.mark.parametrize("closed", [True, False])
+    def test_energies_match_per_sample_calls(self, closed):
+        # simulate evaluates the energy once on the stacked samples
+        sys, design = builtin("pendulum_cart", eps=0.55, K=0.25)
+        ctrl = Controller(sys, design, kv=1.0)
+        if closed:
+            field, energy = (lambda q, p: closed_loop_field(ctrl, q, p)), design.shaped_hamiltonian
+        else:
+            field, energy = (lambda q, p: sys.open_loop_field(q, p, np.zeros(1))), sys.hamiltonian
+        cfg = SimConfig(t_end=0.5, dt=1e-3, x0=[0.3, -0.1, 0.2, 0.0])
+        traj = simulate(field, cfg, energy=energy)
+        per_sample = [energy(s[:2], s[2:]) for s in traj.states]
+        np.testing.assert_allclose(traj.energies, per_sample, rtol=1e-12, atol=0.0)
 
     def test_fourth_order_convergence(self):
         sys, design = builtin("pendulum_cart", eps=0.55, K=0.25)

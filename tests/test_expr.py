@@ -12,6 +12,8 @@ from idapbc.expr import (
     parse,
     to_string,
 )
+from idapbc import expr
+from idapbc.matching import evaluate_residuals
 from idapbc.system import builtin, derivative_stack
 
 VARS2 = ["q1", "q2"]
@@ -215,3 +217,76 @@ class TestProperties:
         assert parse("sin(q2)*q1", VARS2).variables() == {0, 1}
         assert parse("cos(q1)", VARS2).variables() == {0}
         assert parse("3.5", VARS2).variables() == set()
+
+
+class TestBatch:
+    def test_batch_equals_scalar(self):
+        pend, shaped = builtin("pendulum_cart", eps=0.55, K=0.25)
+        three, _ = builtin("three_dof")
+        tables = [
+            (pend.M.entries, 2),
+            (shaped.Mhat.entries, 2),
+            (three.M.entries, 3),
+            (derivative_stack(pend.M, 2), 2),
+            (derivative_stack(shaped.Mhat, 2), 2),
+            (derivative_stack(three.M, 3), 3),
+            (shaped.C, 2),
+            # numpy's power rounds unlike Python's in a few percent of cases
+            ([parse("q1^3*q2^-2 + (q1 + q2)^5 - q1^2", VARS2)], 2),
+        ]
+        rng = np.random.default_rng(5)
+        for table, n in tables:
+            points = rng.uniform(-1, 1, size=(500, n))
+            values, flagged = compile_expr(table, batch=True)(points)
+            scalar = compile_expr(table)
+            assert not flagged.any()
+            assert np.array_equal(values, np.stack([scalar(q) for q in points]))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1/(1/(q1 - 0.5))",  # the infinite temporary is gone from the output
+            "q1^-2",
+            "(1e200*q1)^2",
+            "sin(q2) + q2/(q1*q1 - 0.25)",
+        ],
+    )
+    def test_flags_rows_where_scalar_raises(self, text):
+        e = parse(text, VARS2)
+        points = np.array([[v, 0.3] for v in (-1.0, -0.5, 0.0, 1e-250, 0.5, 2.0)])
+        values, flagged = compile_expr(e, batch=True)(points)
+        scalar = compile_expr(e)
+        raises = []
+        for q, value in zip(points, values):
+            try:
+                expect = scalar(q)
+            except (ExprError, OverflowError):
+                raises.append(True)
+            else:
+                raises.append(False)
+                assert value == expect
+        assert any(raises) and not all(raises)
+        assert flagged.tolist() == raises
+
+    def test_division_by_a_constant_zero_flags_every_row(self):
+        values, flagged = compile_expr(parse("q1 + 1/0", VARS2), batch=True)(np.ones((3, 2)))
+        assert values.shape == (3,) and flagged.all()
+
+    def test_compiled_on_first_batched_call(self, monkeypatch):
+        compiled = []
+        plain = expr.compile_expr
+
+        def counting(tree, batch=False):
+            compiled.append(batch)
+            return plain(tree, batch)
+
+        monkeypatch.setattr(expr, "compile_expr", counting)
+        sys, design = builtin("pendulum_cart", eps=0.55, K=0.25)
+        sys.hamiltonian([0.1, 0.2], [0.3, 0.4])
+        assert True not in compiled
+        axes = [(name, np.linspace(-0.5, 0.5, 3)) for name in sys.vars]
+        evaluate_residuals(sys, design, axes)
+        # G, M, dM, dV, Mhat, dMhat and dVhat, once each
+        assert compiled.count(True) == 7
+        evaluate_residuals(sys, design, axes)
+        assert compiled.count(True) == 7

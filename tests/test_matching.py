@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from idapbc.expr import add, parse
+from idapbc.expr import ExprError, add, parse
 from idapbc.matching import (
     CharacteristicsSolution,
     LinearMatch,
     MatchingError,
+    MatchPoint,
     a_tensor,
     derive_gyro,
     evaluate_residuals,
@@ -22,7 +23,8 @@ from idapbc.matching import (
     t_tensor,
 )
 from idapbc.stability import linearize
-from idapbc.system import ExprMatrix, MechSystem, ShapedDesign, builtin
+from idapbc.system import ExprMatrix, MechSystem, ShapedDesign, SystemError, builtin
+from idapbc.tensor import TensorError
 
 VARS2 = ["q1", "q2"]
 VARS3 = ["q1", "q2", "q3"]
@@ -614,3 +616,108 @@ class TestEvaluateResiduals:
         sys, design = builtin("pendulum_cart")
         with pytest.raises(MatchingError, match="axes"):
             evaluate_residuals(sys, design, [("q2", [0.0]), ("q1", [0.0])])
+
+
+def reference_sweep(sys, design, points):
+    """The sweep point by point: one MatchPoint per grid point."""
+    pot = np.full((len(points), sys.n - sys.m), np.nan)
+    kin = np.full((len(points), pde_counts(sys.n, sys.m)[1]), np.nan)
+    pd = np.zeros(len(points), dtype=bool)
+    failed = {}
+    for i, q in enumerate(points):
+        point = MatchPoint(sys, design, q)
+        try:
+            pot[i] = point.potential()
+            kin[i] = point.kinetic()
+        except (SystemError, MatchingError, TensorError, ExprError, ArithmeticError,
+                np.linalg.LinAlgError) as exc:
+            failed[type(exc).__name__] = failed.get(type(exc).__name__, 0) + 1
+            continue
+        mhat = point.pair.mhat
+        pd[i] = (
+            np.max(np.abs(mhat - mhat.T)) <= 1e-10 * max(1.0, float(np.max(np.abs(mhat))))
+            and np.linalg.eigvalsh(mhat)[0] > 0.0
+        )
+    return pot, kin, pd, failed
+
+
+class TestBatchedSweep:
+    def test_failing_rows_match_point_by_point(self):
+        # one grid row (three points) fails in each way: M not positive
+        # definite at q1 = -0.75, 0/0 in Mhat at q1 = -0.5, T overflowing where
+        # Mhat peaks at 1e155 (q1 = 0.25), G rank-deficient at q1 = 0.5 and a
+        # power overflowing at q1 = 0.75
+        sys, design = builtin("pendulum_cart", eps=0.55, K=0.25)
+        m = sys.M.to_strings()
+        m[0][0] += " - 2*(1e-50/(1e-50 + (q1 + 0.75)^2))^4"
+        rows = design.Mhat.to_strings()
+        rows[0][0] += (
+            " + (q1 + 0.5)/(q1 + 0.5) - 1"
+            " + 1e155*(1e-50/(1e-50 + (q1 - 0.25)^2))^4"
+            " + 1e-300*(1/(1e-200 + (q1 - 0.75)^2))^2"
+        )
+        g = ExprMatrix.from_strings([["0"], ["q1 - 0.5"]], sys.vars)
+        sys = MechSystem(sys.vars, ExprMatrix.from_strings(m, sys.vars), sys.V, g)
+        design = ShapedDesign(
+            sys.vars, ExprMatrix.from_strings(rows, sys.vars), design.Vhat, design.Kv
+        )
+        axes = [("q1", np.linspace(-1.0, 1.0, 9)), ("q2", np.linspace(-1.0, 1.0, 3))]
+        rep = evaluate_residuals(sys, design, axes)
+        pot, kin, pd, failed = reference_sweep(sys, design, rep.points)
+        assert failed == {"SystemError": 6, "ExprError": 3, "TensorError": 3,
+                          "OverflowError": 3}
+        assert rep.failed_points == failed
+        np.testing.assert_array_equal(rep.potential_res, pot)
+        np.testing.assert_array_equal(rep.kinetic_res, kin)
+        np.testing.assert_array_equal(rep.pd_mask, pd)
+
+    @pytest.mark.parametrize(
+        "case", [(0.3, 0.1), (0.45, 0.5), (0.55, 1.0), "three_dof_constant_shaped"]
+    )
+    def test_clean_grid_matches_point_by_point(self, case):
+        if case == "three_dof_constant_shaped":
+            sys, design = three_dof_constant_shaped()
+            axes = [(name, np.linspace(-1.0, 1.0, 5)) for name in sys.vars]
+        else:
+            sys, design = builtin("pendulum_cart", eps=case[0], K=case[1])
+            axes = [("q1", np.linspace(-1.0, 1.0, 21)), ("q2", np.linspace(-1.0, 1.0, 11))]
+        rep = evaluate_residuals(sys, design, axes)
+        pot, kin, pd, failed = reference_sweep(sys, design, rep.points)
+        assert rep.failed_points == failed == {}
+        np.testing.assert_allclose(rep.potential_res, pot, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(rep.kinetic_res, kin, rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(rep.pd_mask, pd)
+        field = derive_gyro(sys, design)
+        expect = np.stack([field.at(q).entries for q in rep.points])
+        np.testing.assert_allclose(field.sample(rep.points), expect, rtol=1e-12, atol=1e-12)
+
+    def test_sums_in_point_order(self):
+        # with G = [[0], [q1 - 0.5]], W has an entry of order 1e-16 at
+        # q1 = 0.10000000000000003, where T(W, W, W) depends on the order of
+        # its sums; the batched pass keeps the per-point order there
+        sys, design = builtin("pendulum_cart", eps=0.55, K=0.25)
+        g = ExprMatrix.from_strings([["0"], ["q1 - 0.5"]], sys.vars)
+        sys = MechSystem(sys.vars, sys.M, sys.V, g)
+        axes = [("q1", np.linspace(-0.2, 0.2, 5)), ("q2", np.linspace(-1.0, 1.0, 3))]
+        rep = evaluate_residuals(sys, design, axes)
+        np.testing.assert_array_equal(rep.kinetic_res, reference_sweep(sys, design, rep.points)[1])
+        field = derive_gyro(sys, design)
+        expect = np.stack([field.at(q).entries for q in rep.points])
+        np.testing.assert_array_equal(field.sample(rep.points), expect)
+
+    def test_sample_raises_where_at_raises(self):
+        # a design off the kinetic matching: no extension anywhere off q1 = 0
+        sys, design = builtin("pendulum_cart", eps=0.55, K=0.25)
+        rows = design.Mhat.to_strings()
+        rows[0][1] += " + q1/10"
+        rows[1][0] += " + q1/10"
+        bent = ShapedDesign(
+            sys.vars, ExprMatrix.from_strings(rows, sys.vars), design.Vhat, design.Kv
+        )
+        points = np.array([[0.0, 0.0], [0.3, 0.1], [0.6, 0.1]])
+        field = derive_gyro(sys, bent)
+        with pytest.raises(MatchingError) as batched:
+            field.sample(points)
+        with pytest.raises(MatchingError) as single:
+            field.at(points[1])
+        assert str(batched.value) == str(single.value)

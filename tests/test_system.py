@@ -106,6 +106,34 @@ class TestMechSystem:
         _, pdot1 = sys.open_loop_field(q, p, [2.5])
         assert np.allclose(pdot1 - pdot0, sys.input_matrix(q) @ [2.5])
 
+    def test_open_loop_rejects_rank_deficient_input(self):
+        # G = [[0], [q1 - 0.5]] loses rank on the line q1 = 0.5 only
+        sys = make_system([["1", "0"], ["0", "1"]], "q1^2", [["0"], ["q1 - 0.5"]])
+        sys.open_loop_field([0.4, 0.0], [0.1, 0.2], [1.0])
+        for q in ([0.5, 0.0], [0.5, -0.3]):
+            with pytest.raises(SystemError, match="input matrix rank-deficient at q="):
+                sys.open_loop_field(q, [0.1, 0.2], [1.0])
+
+    def test_stacked_hamiltonian_raises_at_first_bad_row(self):
+        # V cannot be evaluated at q1 = 0.2, and M is not PD where |q1| >= 1
+        sys = make_system(
+            [["1 - q1^2", "0"], ["0", "1"]],
+            "q1^2 + (q1 - 0.2)/(q1 - 0.2) - 1",
+            [["0"], ["1"]],
+        )
+        p = np.full((3, 2), 0.3)
+        good = np.array([[0.1, 0.0], [0.4, 1.0], [-0.3, 0.5]])
+        assert np.array_equal(
+            sys.hamiltonian(good, p), [sys.hamiltonian(q, r) for q, r in zip(good, p)]
+        )
+        for q1s, error in (((0.1, 0.2, 1.5), ExprError), ((0.1, 1.5, 0.2), SystemError)):
+            q = np.array([[v, 0.0] for v in q1s])
+            with pytest.raises(error) as stacked:
+                sys.hamiltonian(q, p)
+            with pytest.raises(error) as single:
+                sys.hamiltonian(q[1], p[1])
+            assert str(stacked.value) == str(single.value)
+
     def test_energy_conserved_uncontrolled(self):
         sys, _ = builtin("pendulum_cart")
         x = np.array([0.3, 0.0, 0.2, -0.1])
