@@ -85,6 +85,14 @@ def parse_grid(text: str) -> tuple[tuple[str, tuple[float, float, int]], ...]:
     return tuple(axes)
 
 
+def finite_float(text: str) -> float:
+    """The type of every float flag: nan and inf are input errors."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise CliError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def parse_x0(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(v) for v in text.split(","))
@@ -311,8 +319,8 @@ def build_parser() -> _Parser:
                 required=True,
                 help="JSON file, controller bundle, or builtin:<name>",
             )
-            p.add_argument("--eps", type=float, default=None)
-            p.add_argument("--K", type=float, default=None)
+            p.add_argument("--eps", type=finite_float, default=None)
+            p.add_argument("--K", type=finite_float, default=None)
         p.add_argument("--out", type=Path, default=None, help="output directory")
 
     p = sub.add_parser("check", help="stabilizability verdict of the linearization")
@@ -321,20 +329,20 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", help="matching residuals and minimum conditions")
     common(p)
     p.add_argument("--grid", type=parse_grid, default=None, help="q1=-1:1:41,q2=-1:1:11")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=finite_float, default=None)
 
     p = sub.add_parser("synthesize", help="derive the gyroscopic tensor bundle")
     common(p)
     p.add_argument("--grid", type=parse_grid, default=None, help="q1=-1:1:41,q2=-1:1:11")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=finite_float, default=None)
 
     p = sub.add_parser("simulate", help="integrate the closed (or open) loop")
     common(p)
-    p.add_argument("--Kv", type=float, default=None, help="damping gain (scalar)")
+    p.add_argument("--Kv", type=finite_float, default=None, help="damping gain (scalar)")
     p.add_argument("--x0", type=parse_x0, default=None, help="initial state q1,..,p1,..")
-    p.add_argument("--t-end", type=float, default=10.0)
-    p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--t-end", type=finite_float, default=10.0)
+    p.add_argument("--dt", type=finite_float, default=1e-3)
+    p.add_argument("--tol", type=finite_float, default=None)
     p.add_argument("--open-loop", action="store_true")
 
     p = sub.add_parser("selftest", help="run the library property suites")

@@ -25,6 +25,7 @@ from .system import (
     check_kv,
     hessian_at,
     q_gradient,
+    spd_defect,
 )
 from .tensor import Tensor3
 
@@ -40,17 +41,6 @@ class DivergenceError(RuntimeError):
         )
         self.time = time
         self.norm = norm
-
-
-def gyro_force(c, mhat: np.ndarray, p: Sequence[float]) -> np.ndarray:
-    """Quadratic gyroscopic force: contract c twice with Mhat^-1 p.
-
-    Degree-2 homogeneous in p and workless along Mhat^-1 p whenever c is a
-    gyroscopic tensor.  Accepts a tensor object or a raw (n,n,n) array.
-    """
-    entries = c.entries if isinstance(c, Tensor3) else np.asarray(c, dtype=float)
-    u = np.linalg.solve(np.asarray(mhat, dtype=float), np.asarray(p, dtype=float))
-    return entries.T @ u @ u
 
 
 class Controller:
@@ -77,9 +67,7 @@ class Controller:
         kv = design.Kv if kv is None else np.asarray(kv, dtype=float)
         if kv.ndim == 0:
             kv = float(kv) * np.eye(sys.m)
-        if kv.shape != (sys.m, sys.m):
-            raise SystemError(f"Kv must be {sys.m}x{sys.m}")
-        self.Kv = check_kv(kv)
+        self.Kv = check_kv(kv, sys.m)
         self._gyro = gyro
 
     def gyro_at(self, q: Sequence[float]) -> np.ndarray:
@@ -106,14 +94,30 @@ class Controller:
         return MatchPoint(self.sys, self.design, q).residual()
 
 
-def feedback(ctrl: Controller, q: Sequence[float], p: Sequence[float]) -> np.ndarray:
-    """Stabilizing input at (q, p).
+def _shaped_law(
+    ctrl: Controller, point: MatchPoint, p: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(qdot, pdot) of the shaped dynamics at (point.q, p), the damped Hamiltonian
+    flow of the design plus the gyroscopic force; raises where Mhat is not PD."""
+    (g, _), (minv, _, mhat, dmhat) = point.g_svd, point.pair
+    if defect := spd_defect(mhat):
+        raise SystemError(f"shaped mass {defect} at q={point.q.tolist()}")
+    uhat = np.linalg.solve(mhat, p)
+    dqhhat = q_gradient(point.dvhat, dmhat, uhat)
+    force = ctrl._gyro_from(point).T @ uhat @ uhat
+    qdot = minv @ (mhat @ uhat)
+    pdot = -mhat @ (minv @ dqhhat) - g @ (ctrl.Kv @ (g.T @ uhat)) + force
+    return qdot, pdot
 
-    Computable everywhere the matrices invert; where the design's matching
-    residual exceeds the verification tolerance a warning carrying the
-    local residual is attached, since the law realizes the shaped dynamics
-    only up to that residual.  The residual check and a derived gyroscopic
-    tensor read one MatchPoint.
+
+def feedback(ctrl: Controller, q: Sequence[float], p: Sequence[float]) -> np.ndarray:
+    """Stabilizing input at (q, p): the u with G'G u = G'(dH/dq + pdot), for
+    which the open loop equals the shaped dynamics (qdot, pdot).
+
+    Raises where Mhat is not positive definite, like closed_loop_field.
+    Where the design's matching residual exceeds the verification tolerance
+    a warning carrying the local residual is attached, since the law
+    realizes the shaped dynamics only up to that residual.
     """
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
@@ -124,36 +128,18 @@ def feedback(ctrl: Controller, q: Sequence[float], p: Sequence[float]) -> np.nda
             f"matching residual {res:.3e} exceeds {RESIDUAL_TOL:.1e} at "
             f"q={q.tolist()}; the feedback does not realize the shaped dynamics here"
         )
-    g, (minv, dm, mhat, dmhat) = point.frame.g, point.pair
-    uhat = np.linalg.solve(mhat, p)
-    dqh = q_gradient(point.dv, dm, minv @ p)
-    dqhhat = q_gradient(point.dvhat, dmhat, uhat)
-    force = ctrl._gyro_from(point).T @ uhat @ uhat
-    rhs = dqh - mhat @ (minv @ dqhhat) - g @ (ctrl.Kv @ (g.T @ uhat)) + force
+    _, pdot = _shaped_law(ctrl, point, p)
+    g, (minv, dm, _, _) = point.frame.g, point.pair
+    rhs = q_gradient(point.dv, dm, minv @ p) + pdot
     return np.linalg.solve(g.T @ g, g.T @ rhs)
 
 
 def closed_loop_field(
     ctrl: Controller, q: Sequence[float], p: Sequence[float]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Shaped dynamics: damped Hamiltonian flow of the design plus the
-    gyroscopic force."""
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
-    point = MatchPoint(ctrl.sys, ctrl.design, q)
-    (g, _), (minv, _, mhat, dmhat) = point.g_svd, point.pair
-    eigs = np.linalg.eigvalsh((mhat + mhat.T) / 2.0)
-    if eigs[0] <= 0.0:
-        raise SystemError(
-            f"shaped mass not positive definite at q={q.tolist()} "
-            f"(min eigenvalue {eigs[0]:.3e})"
-        )
-    uhat = np.linalg.solve(mhat, p)
-    dqhhat = q_gradient(point.dvhat, dmhat, uhat)
-    force = ctrl._gyro_from(point).T @ uhat @ uhat
-    qdot = minv @ (mhat @ uhat)
-    pdot = -mhat @ (minv @ dqhhat) - g @ (ctrl.Kv @ (g.T @ uhat)) + force
-    return qdot, pdot
+    """Shaped dynamics at (q, p); raises where Mhat is not positive definite."""
+    point = MatchPoint(ctrl.sys, ctrl.design, np.asarray(q, dtype=float))
+    return _shaped_law(ctrl, point, np.asarray(p, dtype=float))
 
 
 def closed_loop_linearization(ctrl: Controller) -> np.ndarray:
@@ -185,8 +171,8 @@ class SimConfig:
             raise SystemError("x0 must be a finite vector of even length (q then p)")
         if not self.dt > 0.0:
             raise SystemError("dt must be positive")
-        if self.t_end < self.dt:
-            raise SystemError("t_end must cover at least one step")
+        if not self.dt <= self.t_end < np.inf:
+            raise SystemError("t_end must be finite and cover at least one step")
 
     @property
     def steps(self) -> int:

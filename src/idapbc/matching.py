@@ -21,6 +21,7 @@ import numpy as np
 from .expr import Expr, ExprError, compile_expr, parse
 from .stability import NOT_STABILIZABLE, Linearization, classify
 from .system import (
+    INVARIANT_TOL,
     InputFrame,
     MechSystem,
     ShapedDesign,
@@ -30,11 +31,12 @@ from .system import (
     identity_where,
     input_frame,
     lowest_eigenvalue,
+    spd_defect,
     split_basis,
+    symmetric,
 )
 from .tensor import (
     CYCLIC_PRECONDITION_TOL,
-    INVARIANT_TOL,
     GyroTensor,
     Tensor3,
     TensorError,
@@ -58,10 +60,6 @@ class MatchingError(ValueError):
     pass
 
 
-def _sym_tol(arr: np.ndarray, axes=None) -> np.ndarray:
-    return 1e-10 * np.max(np.abs(arr), axis=axes, initial=1.0)
-
-
 @dataclass(frozen=True, eq=False)
 class MatchTensors:
     """Pointwise values a[i, j, k] = A^{ij}_k and t[i, j, k] = T_ijk."""
@@ -70,13 +68,10 @@ class MatchTensors:
     t: Tensor3
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        if np.max(np.abs(a - a.transpose(1, 0, 2))) > _sym_tol(a):
-            raise MatchingError("A must be symmetric in its upper index pair")
-        t = self.t.entries
-        if np.max(np.abs(t - t.transpose(1, 0, 2))) > _sym_tol(t):
-            raise MatchingError("T must be symmetric in its first index pair")
-        a = a.copy()
+        a = np.array(self.a, dtype=float)
+        for name, e in (("A", a), ("T", self.t.entries)):
+            if not symmetric(np.moveaxis(e, -1, 0)).all():
+                raise MatchingError(f"{name} must be symmetric in its first index pair")
         a.setflags(write=False)
         object.__setattr__(self, "a", a)
 
@@ -144,12 +139,6 @@ def cyclic_defects(tp: np.ndarray) -> np.ndarray:
     """Cyclic sums of tp over its index triples a <= b <= c."""
     cyc = cyclic_sum(tp)
     return cyc.reshape(cyc.shape[:-3] + (-1,)).take(_triples(tp.shape[-1]), axis=-1)
-
-
-def pd_rows(mhat: np.ndarray) -> np.ndarray:
-    """Whether Mhat is symmetric (to _sym_tol) and positive definite."""
-    sym_err = np.max(np.abs(mhat - mhat.swapaxes(-1, -2)), axis=(-2, -1))
-    return (sym_err <= _sym_tol(mhat, (-2, -1))) & (np.linalg.eigvalsh(mhat).T[0].T > 0.0)
 
 
 def _adapted_basis(w: np.ndarray, range_basis: np.ndarray) -> np.ndarray:
@@ -313,7 +302,9 @@ class MatchRows:
             return cyclic_defects(rotate(self.t, self.annihilator))
 
     def pd_mask(self) -> np.ndarray:
-        return pd_rows(identity_where(self.pair.mhat, self.failed))
+        # spd_defect's test; the rows ``failed`` leaves are finite
+        mhat = identity_where(self.pair.mhat, self.failed)
+        return symmetric(mhat) & (lowest_eigenvalue(mhat) > 0.0)
 
     def gyro(self) -> tuple[np.ndarray, np.ndarray]:
         """MatchPoint.gyro's entries at each row, and the rows where it raises
@@ -390,14 +381,9 @@ class LinearMatch:
 
     def __post_init__(self):
         for name, arr in (("mbar", self.mbar), ("sbar", self.sbar)):
-            a = np.asarray(arr, dtype=float)
-            if a.ndim != 2 or a.shape[0] != a.shape[1]:
-                raise MatchingError(f"{name} must be square")
-            if np.max(np.abs(a - a.T)) > _sym_tol(a):
-                raise MatchingError(f"{name} must be symmetric")
-            if np.linalg.eigvalsh(a)[0] <= 0.0:
-                raise MatchingError(f"{name} must be positive definite")
-            a = a.copy()
+            a = np.array(arr, dtype=float)
+            if defect := spd_defect(a):
+                raise MatchingError(f"{name} {defect}")
             a.setflags(write=False)
             object.__setattr__(self, name, a)
 
@@ -453,8 +439,7 @@ def solve_linear_matching(lin: Linearization, seed: int = 0) -> LinearMatch:
         lm = LinearMatch(mbar, sbar)
         ok = (
             linear_match_residual(lm, lin) <= LINEAR_MATCH_RESIDUAL_TOL
-            and np.linalg.eigvalsh(mbar)[0] >= LINEAR_MATCH_MIN_EIG
-            and np.linalg.eigvalsh(sbar)[0] >= LINEAR_MATCH_MIN_EIG
+            and min(lowest_eigenvalue(np.stack([mbar, sbar]))) >= LINEAR_MATCH_MIN_EIG
         )
         return lm if ok else None
 
@@ -789,7 +774,7 @@ def evaluate_residuals(
                 np.linalg.LinAlgError) as exc:
             failed[type(exc).__name__] = failed.get(type(exc).__name__, 0) + 1
             continue
-        pd_mask[i] = pd_rows(point.pair.mhat)
+        pd_mask[i] = spd_defect(point.pair.mhat) is None
     axes_t = tuple((name, vals) for name, vals in zip(names, values))
     box = _pd_box(axes_t, pd_mask.reshape([len(v) for v in values]))
     return ResidualReport(

@@ -90,15 +90,6 @@ def derivative_stack(m: ExprMatrix, n: int) -> list[list[list[Expr]]]:
     return [[[e.diff(k) for e in row] for row in m.entries] for k in range(n)]
 
 
-def check_kv(kv: np.ndarray) -> np.ndarray:
-    """Reject a damping matrix that is not symmetric positive definite."""
-    if np.max(np.abs(kv - kv.T)) > 1e-12 * max(1.0, float(np.max(np.abs(kv)))):
-        raise SystemError("Kv must be symmetric")
-    if np.linalg.eigvalsh((kv + kv.T) / 2.0)[0] <= 0.0:
-        raise SystemError("Kv must be positive definite")
-    return kv
-
-
 def identity_where(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """A copy of a (..., k, l) stack with the flagged rows set to the identity,
     for a stacked np.linalg call, which raises for the whole stack on one
@@ -107,10 +98,51 @@ def identity_where(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def lowest_eigenvalue(m: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of the symmetric part of each matrix of a
-    (..., n, n) stack."""
+    """Smallest eigenvalue of each matrix of a (..., n, n) stack of symmetric
+    matrices (eigvalsh reads the lower triangle)."""
     # .T[0].T is [..., 0], but a scalar rather than a 0-d array for one matrix
-    return np.linalg.eigvalsh((m + m.swapaxes(-1, -2)) / 2.0).T[0].T
+    return np.linalg.eigvalsh(m).T[0].T
+
+
+# Matrices and tensors reach the checks from symbolic expressions, exact up to
+# rounding; tolerances are relative to scale_of.
+INVARIANT_TOL = 1e-12
+
+
+def scale_of(a: np.ndarray, axes=None) -> np.ndarray:
+    """max(max |a|, 1) over ``axes`` (all by default)."""
+    return np.abs(a).max(axis=axes, initial=1.0)
+
+
+def symmetric(a: np.ndarray) -> np.ndarray:
+    """Whether each matrix of a (..., k, k) stack is symmetric to INVARIANT_TOL."""
+    asym = np.abs(a - a.swapaxes(-1, -2)).max(axis=(-2, -1))
+    return asym <= INVARIANT_TOL * scale_of(a, (-2, -1))
+
+
+def spd_defect(a) -> str | None:
+    """Why a is not a finite, square, symmetric positive definite matrix, or None."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        return f"is not square (shape {a.shape})"
+    if not np.isfinite(a).all():
+        return "is not finite"
+    if not symmetric(a):
+        return "is not symmetric"
+    low = lowest_eigenvalue(a)
+    if not low > 0.0:
+        return f"is not positive definite (min eigenvalue {low:.3e})"
+    return None
+
+
+def check_kv(kv, m: int) -> np.ndarray:
+    """Kv as an m x m float array; raises unless spd_defect passes it."""
+    kv = np.asarray(kv, dtype=float)
+    if kv.shape != (m, m):
+        raise SystemError(f"Kv must be {m}x{m}")
+    if defect := spd_defect(kv):
+        raise SystemError(f"Kv {defect}")
+    return kv
 
 
 _EPS = np.finfo(float).eps
@@ -296,15 +328,11 @@ class ShapedDesign:
             raise SystemError(f"shaped mass matrix must be {n}x{n}")
         if not Mhat.is_symmetric():
             raise SystemError("shaped mass matrix must be structurally symmetric")
-        kv = np.asarray(Kv, dtype=float)
-        if kv.ndim != 2 or kv.shape[0] != kv.shape[1]:
-            raise SystemError("Kv must be a square matrix")
-        check_kv(kv)
         self.vars = tuple(vars)
         self.n = n
         self.Mhat = Mhat
         self.Vhat = Vhat
-        self.Kv = kv
+        self.Kv = check_kv(Kv, len(Kv) if np.ndim(Kv) else 1)
         self.C = C
         self.params = dict(params or {})
 
@@ -546,6 +574,7 @@ def load_system(
         mhat = ExprMatrix.from_strings(shaped["Mhat"], vars, params)
         vhat = parse(shaped["Vhat"], vars, params)
         kv = shaped.get("Kv", np.eye(sys.m)) if bundle_kv is None else bundle_kv
+        kv = check_kv(kv, sys.m)
         c_table = None
         if "C" in shaped:
             c_table = [

@@ -15,19 +15,14 @@ from itertools import permutations
 
 import numpy as np
 
-# Inputs reach these constructors from symbolic derivatives, exact up to
-# rounding; tolerances are relative to the tensor's own scale.
-INVARIANT_TOL = 1e-12
+from .system import INVARIANT_TOL, scale_of, spd_defect
+
+# relative to the tensor's scale_of, like INVARIANT_TOL
 CYCLIC_PRECONDITION_TOL = 1e-9
 
 
 class TensorError(ValueError):
     pass
-
-
-def _scale(a: np.ndarray, axes=None) -> np.ndarray:
-    """max(max |a|, 1) over ``axes`` (all by default)."""
-    return np.max(np.abs(a), axis=axes, initial=1.0)
 
 
 # The last three axes of a (..., n, n, n) stack of tensors, and their
@@ -58,7 +53,7 @@ def gyro_defects(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     held to, for each tensor of a (..., n, n, n) stack."""
     sym = np.max(np.abs(c - c.swapaxes(-3, -2)), axis=_CUBE)
     cyc = np.max(np.abs(cyclic_sum(c)), axis=_CUBE)
-    return sym, cyc, INVARIANT_TOL * _scale(c, _CUBE)
+    return sym, cyc, INVARIANT_TOL * scale_of(c, _CUBE)
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,7 +104,7 @@ class SkewPairTensor(Tensor3):
         super().__post_init__()
         b = self.entries
         skew_err = np.max(np.abs(b + b.transpose(0, 2, 1)))
-        if skew_err > INVARIANT_TOL * _scale(b):
+        if skew_err > INVARIANT_TOL * scale_of(b):
             raise TensorError(f"last-pair skewness violated by {skew_err:.3e}")
 
 
@@ -124,7 +119,7 @@ class Interconnection:
         if arr.ndim != 3 or len(set(arr.shape)) != 1:
             raise TensorError(f"expected cubic array, got shape {arr.shape}")
         skew_err = np.max(np.abs(arr + arr.transpose(1, 0, 2)))
-        if skew_err > INVARIANT_TOL * _scale(arr):
+        if skew_err > INVARIANT_TOL * scale_of(arr):
             raise TensorError(f"J^k_ij skewness violated by {skew_err:.3e}")
         arr = arr.copy()
         arr.setflags(write=False)
@@ -148,28 +143,18 @@ def psi(b: SkewPairTensor) -> GyroTensor:
     return GyroTensor((e + e.transpose(1, 0, 2)) / 2.0)
 
 
-def _require_spd(m: np.ndarray, name: str) -> np.ndarray:
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise TensorError(f"{name} must be square")
-    if np.max(np.abs(m - m.T)) > 1e-10 * _scale(m):
-        raise TensorError(f"{name} must be symmetric")
-    eigs = np.linalg.eigvalsh((m + m.T) / 2.0)
-    if eigs[0] <= 0.0:
-        raise TensorError(f"{name} not positive definite (min eigenvalue {eigs[0]:.3e})")
-    return m
-
-
 def j_to_b(j: Interconnection, mhat: np.ndarray) -> SkewPairTensor:
     """B_kij = J^l_ji Mhat_lk (a bijection for fixed positive definite Mhat)."""
-    mhat = _require_spd(mhat, "Mhat")
+    if defect := spd_defect(mhat):
+        raise TensorError(f"Mhat {defect}")
     b = np.einsum("jil,lk->kij", j.coeffs, mhat)
     return SkewPairTensor(b)
 
 
 def b_to_j(b: SkewPairTensor, mhat: np.ndarray) -> Interconnection:
     """Inverse of :func:`j_to_b`."""
-    mhat = _require_spd(mhat, "Mhat")
+    if defect := spd_defect(mhat):
+        raise TensorError(f"Mhat {defect}")
     mhat_inv = np.linalg.inv(mhat)
     j = np.einsum("kij,kl->jil", b.entries, mhat_inv)
     return Interconnection(j)
@@ -177,10 +162,22 @@ def b_to_j(b: SkewPairTensor, mhat: np.ndarray) -> Interconnection:
 
 def force_from_j(j: Interconnection, mhat: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Conventional interconnection force: F_i = J^k_ij Mhat^jl p_k p_l."""
-    mhat = _require_spd(mhat, "Mhat")
+    if defect := spd_defect(mhat):
+        raise TensorError(f"Mhat {defect}")
     mhat_inv = np.linalg.inv(mhat)
     p = np.asarray(p, dtype=float)
     return np.einsum("ijk,jl,l,k->i", j.coeffs, mhat_inv, p, p)
+
+
+def gyro_force(c, mhat: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Quadratic gyroscopic force: contract c twice with Mhat^-1 p.
+
+    Degree-2 homogeneous in p and workless along Mhat^-1 p whenever c is a
+    gyroscopic tensor.  Accepts a tensor object or a raw (n,n,n) array.
+    """
+    entries = c.entries if isinstance(c, Tensor3) else np.asarray(c, dtype=float)
+    u = np.linalg.solve(np.asarray(mhat, dtype=float), np.asarray(p, dtype=float))
+    return entries.T @ u @ u
 
 
 def space_dims(n: int, verify: bool = True) -> tuple[int, int, int]:
@@ -259,7 +256,7 @@ def extension_defects(e: np.ndarray, u: int) -> tuple[np.ndarray, np.ndarray, np
     first-pair symmetry error, its cyclic residual on the unactuated block,
     and its scale, which the extension's preconditions are relative to."""
     sym = np.max(np.abs(e - e.swapaxes(-3, -2)), axis=_CUBE)
-    return sym, _block_cyclic_error(e, u), _scale(e, _CUBE)
+    return sym, _block_cyclic_error(e, u), scale_of(e, _CUBE)
 
 
 def gyro_extension(e: np.ndarray, u: int) -> np.ndarray:
@@ -362,24 +359,19 @@ class SelfCheckResult:
 
 def selfcheck(seed: int = 0, dims_max: int = 5, draws: int = 50) -> list[SelfCheckResult]:
     """Property suites behind the CLI selftest subcommand."""
-    from . import control_sim  # local import; control_sim depends on this module
-
     rng = np.random.default_rng(seed)
     results: list[SelfCheckResult] = []
 
     def record(name: str, passed: bool, detail: str) -> None:
         results.append(SelfCheckResult(name, passed, detail))
 
-    ok = True
-    detail = ""
-    for n in range(2, dims_max + 1):
-        closed = (n * n * (n - 1) // 2, n * (n * n - 1) // 3, n * (n - 1) * (n - 2) // 6)
-        constructed = _constructive_dims(n)
-        if constructed != closed:
-            ok = False
-            detail = f"n={n}: {constructed} != {closed}"
-            break
-    record("space dimensions (constructive vs closed form)", ok, detail or f"n=2..{dims_max}")
+    try:
+        for n in range(2, dims_max + 1):
+            space_dims(n)
+        ok, detail = True, f"n=2..{dims_max}"
+    except TensorError as exc:
+        ok, detail = False, str(exc)
+    record("space dimensions (constructive vs closed form)", ok, detail)
 
     worst = 0.0
     for _ in range(draws):
@@ -411,7 +403,7 @@ def selfcheck(seed: int = 0, dims_max: int = 5, draws: int = 50) -> list[SelfChe
         back = b_to_j(j_to_b(j, mhat), mhat)
         worst = max(worst, float(np.max(np.abs(back.coeffs - j.coeffs))))
         f_direct = force_from_j(j, mhat, p)
-        f_gyro = control_sim.gyro_force(psi(j_to_b(j, mhat)), mhat, p)
+        f_gyro = gyro_force(psi(j_to_b(j, mhat)), mhat, p)
         worst = max(worst, float(np.max(np.abs(f_direct - f_gyro))))
     record("interconnection round trip and force equivalence", worst <= 1e-10,
            f"max deviation {worst:.2e}")

@@ -17,7 +17,6 @@ from idapbc.control_sim import (
     closed_loop_linearization,
     decay_metrics,
     feedback,
-    gyro_force,
     simulate,
 )
 from idapbc.expr import parse
@@ -34,6 +33,7 @@ from idapbc.tensor import (
     SkewPairTensor,
     extend_to_gyro,
     force_from_j,
+    gyro_force,
     j_to_b,
     psi,
     random_admissible_t,

@@ -87,6 +87,29 @@ class TestParsing:
         with pytest.raises(CliError, match="empty"):
             parse_grid("q1=1:-1:5")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "command,flag",
+        [
+            ("check", "--eps"),
+            ("verify", "--K"),
+            ("verify", "--tol"),
+            ("synthesize", "--eps"),
+            ("simulate", "--eps"),
+            ("simulate", "--t-end"),
+            ("simulate", "--dt"),
+            ("simulate", "--Kv"),
+        ],
+    )
+    def test_non_finite_flag_is_an_input_error(self, capsys, tmp_path, command, flag, value):
+        code, _, err = run(
+            capsys, command, "--system", "builtin:pendulum_cart", f"{flag}={value}",
+            "--out", str(tmp_path),
+        )
+        assert code == 1
+        assert err == f"error: argument {flag}: expected a finite number, got {value!r}\n"
+        assert not list(tmp_path.iterdir())
+
     def test_grid_message_reaches_user(self, capsys):
         code, _, err = run(
             capsys, "verify", "--system", "builtin:pendulum_cart", "--grid", "q1=-1:1"
@@ -212,6 +235,17 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--system", path)
         assert code == 1
         assert "no shaped design" in err
+
+    @pytest.mark.parametrize("command", ["verify", "synthesize"])
+    def test_kv_of_wrong_size_is_an_input_error(self, capsys, tmp_path, command):
+        data = pendulum_dict(eps=0.55, K=0.25)
+        data["shaped"]["Kv"] = [[1.0, 0.0], [0.0, 1.0]]
+        path = write_json(tmp_path / "kv2.json", data)
+        out = tmp_path / "out"
+        code, _, err = run(capsys, command, "--system", path, "--out", str(out))
+        assert code == 1
+        assert err == "error: Kv must be 1x1\n"
+        assert not out.exists()
 
     def test_grid_axis_mismatch(self, capsys):
         code, _, err = run(

@@ -11,7 +11,6 @@ from idapbc.control_sim import (
     closed_loop_linearization,
     decay_metrics,
     feedback,
-    gyro_force,
     simulate,
     write_trajectory_csv,
 )
@@ -25,6 +24,7 @@ from idapbc.tensor import (
     b_from_gyro,
     b_to_j,
     force_from_j,
+    gyro_force,
     random_gyro,
 )
 
@@ -120,6 +120,12 @@ class TestController:
         sys, design = builtin("pendulum_cart")
         with pytest.raises(SystemError, match="positive definite"):
             Controller(sys, design, kv=np.array([[-1.0]]))
+
+    @pytest.mark.parametrize("kv", [np.nan, np.inf])
+    def test_non_finite_scalar_kv_rejected(self, kv):
+        sys, design = builtin("pendulum_cart")
+        with pytest.raises(SystemError, match="is not finite"):
+            Controller(sys, design, kv=kv)
 
     def test_asymmetric_kv_rejected(self):
         sys, _ = builtin("three_dof")
@@ -231,6 +237,16 @@ class TestFeedback:
         ctrl = Controller(sys, spoiled)
         with pytest.warns(UserWarning, match="matching residual"):
             feedback(ctrl, [0.3, 0.0], [0.1, 0.1])
+
+    def test_refuses_outside_pd_region(self):
+        # Mhat(1.3, 0) has eigenvalue -2.29: no shaped dynamics to match there
+        _, _, ctrl = pendulum_controller(eps=0.55, K=0.25)
+        q, p = [1.3, 0.0], [0.1, 0.2]
+        with pytest.raises(SystemError, match="not positive definite") as field_error:
+            closed_loop_field(ctrl, q, p)
+        with pytest.raises(SystemError, match="not positive definite") as feedback_error:
+            feedback(ctrl, q, p)
+        assert str(feedback_error.value) == str(field_error.value)
 
     def test_rank_deficient_input_matrix(self):
         sys = MechSystem(
@@ -469,6 +485,11 @@ class TestSimConfig:
             SimConfig(t_end=1.0, dt=0.01, x0=[0.0, 0.0, 0.0])
         with pytest.raises(SystemError, match="finite"):
             SimConfig(t_end=1.0, dt=0.01, x0=[np.nan, 0.0])
+
+    @pytest.mark.parametrize("t_end", [np.nan, np.inf])
+    def test_non_finite_horizon_rejected(self, t_end):
+        with pytest.raises(SystemError, match="t_end must be finite"):
+            SimConfig(t_end=t_end, dt=0.01, x0=[0.0, 0.0])
 
     def test_horizon_snaps_to_whole_steps(self):
         cfg = SimConfig(t_end=1.0, dt=0.3, x0=[0.0, 0.0])

@@ -7,7 +7,10 @@ from sys import executable
 import numpy as np
 import pytest
 
+from idapbc.control_sim import Controller
 from idapbc.expr import ExprError, parse
+from idapbc.matching import LinearMatch, MatchingError
+from idapbc.stability import minimum_check
 from idapbc.system import (
     ExprMatrix,
     MechSystem,
@@ -19,8 +22,10 @@ from idapbc.system import (
     input_frame,
     load_system,
     save_system,
+    spd_defect,
     system_to_dict,
 )
+from idapbc.tensor import TensorError, j_to_b, random_interconnection
 
 VARS2 = ["q1", "q2"]
 
@@ -412,7 +417,85 @@ class TestJsonIO:
                 }
             )
 
+    @pytest.mark.parametrize("where", ["shaped", "bundle"])
+    def test_kv_checked_against_m(self, where):
+        sys, design = builtin("pendulum_cart")
+        data = system_to_dict(sys, design)
+        if where == "shaped":
+            data["shaped"]["Kv"] = np.eye(2).tolist()
+        else:
+            data = {"system": data, "Kv": np.eye(2).tolist()}
+        with pytest.raises(SystemError, match="Kv must be 1x1"):
+            load_system(data)
+
     def test_resolve_builtin(self):
         sys, design = load_system("builtin:pendulum_cart", eps=0.5)
         assert sys.name == "pendulum_cart"
         assert design.shaped_mass([0, 0])[0, 0] == pytest.approx(1.5)
+
+
+def _minimum_check_of(a):
+    # the check reads Mhat(0); an ExprMatrix could not hold an asymmetric or
+    # non-finite value
+    mhat = ExprMatrix.from_strings([["1", "0"], ["0", "1"]], VARS2)
+    design = ShapedDesign(VARS2, mhat, parse("q1^2 + q2^2", VARS2), np.eye(1))
+    design.Mhat = lambda q: a
+    report = minimum_check(design)
+    if not report.passed:
+        raise SystemError("; ".join(report.failures))
+
+
+def _sites():
+    three_dof, _ = builtin("three_dof")
+    design = ShapedDesign(three_dof.vars, three_dof.M, three_dof.V, np.eye(2))
+    j = random_interconnection(2, np.random.default_rng(0))
+    return {
+        "ShapedDesign.Kv": (
+            lambda a: ShapedDesign(three_dof.vars, three_dof.M, three_dof.V, a),
+            SystemError,
+        ),
+        "Controller.Kv": (lambda a: Controller(three_dof, design, kv=a), SystemError),
+        "LinearMatch.mbar": (lambda a: LinearMatch(a, np.eye(2)), MatchingError),
+        "LinearMatch.sbar": (lambda a: LinearMatch(np.eye(2), a), MatchingError),
+        "j_to_b.Mhat": (lambda a: j_to_b(j, a), TensorError),
+        "minimum_check.Mhat": (_minimum_check_of, SystemError),
+    }
+
+
+SITES = _sites()
+
+REJECTED = {
+    "asymmetric": (np.array([[1.0, 0.5], [0.0, 1.0]]), "symmetric"),
+    "indefinite": (np.diag([1.0, -1.0]), "positive definite"),
+    "nan": (np.array([[1.0, 0.0], [0.0, np.nan]]), "is not finite"),
+    # an inf without its mirror passes the symmetry test: inf <= tol * inf
+    "inf": (np.array([[1.0, np.inf], [0.0, 1.0]]), "is not finite"),
+}
+
+
+class TestSpdCheck:
+    """Every symmetric positive definite check goes through spd_defect."""
+
+    @pytest.mark.parametrize("bad", sorted(REJECTED))
+    @pytest.mark.parametrize("site", sorted(SITES))
+    def test_rejects(self, site, bad):
+        call, error = SITES[site]
+        a, words = REJECTED[bad]
+        with pytest.raises(error, match=words):
+            call(a)
+
+    @pytest.mark.parametrize("scale", [1e-8, 1e8])
+    @pytest.mark.parametrize("site", sorted(SITES))
+    def test_accepts_badly_scaled(self, site, scale):
+        call, _ = SITES[site]
+        call(scale * np.eye(2))
+
+    def test_one_symmetry_tolerance(self):
+        # relative to max(1, max |a|): 1e-12 absolute below 1, relative above
+        for size in (1e-8, 1.0, 1e8):
+            a = size * np.eye(2)
+            a[0, 1] = 0.9e-12 * max(1.0, size)
+            assert spd_defect(a) is None
+            a[0, 1] = 1.1e-12 * max(1.0, size)
+            assert spd_defect(a) == "is not symmetric"
+        assert spd_defect(np.ones(3)) == "is not square (shape (3,))"
