@@ -77,6 +77,8 @@ def parse_grid(text: str) -> tuple[tuple[str, tuple[float, float, int]], ...]:
         except ValueError as exc:
             raise CliError(f"grid axis {part!r}: {exc}") from exc
         name = name.strip()
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise CliError(f"grid bounds for {name} must be finite")
         if count < 1:
             raise CliError(f"grid count for {name} must be >= 1")
         if not lo <= hi:

@@ -16,6 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import linalg
 from .matching import RESIDUAL_TOL, MatchingError, MatchPoint
 from .system import (
     MechSystem,
@@ -102,7 +103,7 @@ def _shaped_law(
     (g, _), (minv, _, mhat, dmhat) = point.g_svd, point.pair
     if defect := spd_defect(mhat):
         raise SystemError(f"shaped mass {defect} at q={point.q.tolist()}")
-    uhat = np.linalg.solve(mhat, p)
+    uhat = linalg.solve(mhat, p)
     dqhhat = q_gradient(point.dvhat, dmhat, uhat)
     force = ctrl._gyro_from(point).T @ uhat @ uhat
     qdot = minv @ (mhat @ uhat)
@@ -131,7 +132,7 @@ def feedback(ctrl: Controller, q: Sequence[float], p: Sequence[float]) -> np.nda
     _, pdot = _shaped_law(ctrl, point, p)
     g, (minv, dm, _, _) = point.frame.g, point.pair
     rhs = q_gradient(point.dv, dm, minv @ p) + pdot
-    return np.linalg.solve(g.T @ g, g.T @ rhs)
+    return linalg.solve(g.T @ g, g.T @ rhs)
 
 
 def closed_loop_field(
@@ -149,7 +150,7 @@ def closed_loop_linearization(ctrl: Controller) -> np.ndarray:
     point = MatchPoint(ctrl.sys, ctrl.design, origin)
     g0, (m0inv, _, mhat0, _) = point.frame.g, point.pair
     hess = hessian_at(ctrl.design.Vhat, n, origin)
-    damping = g0 @ ctrl.Kv @ g0.T @ np.linalg.inv(mhat0)
+    damping = g0 @ ctrl.Kv @ g0.T @ linalg.inv(mhat0)
     out = np.zeros((2 * n, 2 * n))
     out[:n, n:] = m0inv
     out[n:, :n] = -mhat0 @ m0inv @ hess

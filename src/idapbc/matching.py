@@ -18,6 +18,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
+from . import linalg
 from .expr import Expr, ExprError, compile_expr, parse
 from .stability import NOT_STABILIZABLE, Linearization, classify
 from .system import (
@@ -26,7 +27,6 @@ from .system import (
     MechSystem,
     ShapedDesign,
     SystemError,
-    checked_svd,
     full_rank,
     identity_where,
     input_frame,
@@ -80,7 +80,7 @@ class MatchTensors:
 # calls them on one point, MatchRows once on a stack of points.
 
 def _symmetrized_inverse(m: np.ndarray) -> np.ndarray:
-    inv = np.linalg.inv(m)
+    inv = linalg.inv(m)
     return (inv + inv.swapaxes(-1, -2)) / 2.0
 
 
@@ -200,12 +200,11 @@ class MatchPoint:
     @_Kept
     def g_svd(self) -> tuple[np.ndarray, np.ndarray]:
         """G(q), its rank checked, and the U factor of its SVD."""
-        return checked_svd(self.sys.G(self.q), self.q)
+        return self.sys.input_svd(self.q)
 
     @_Kept
     def frame(self) -> InputFrame:
-        g, u = self.g_svd
-        return InputFrame(g, *split_basis(u, g.shape[-1]))
+        return self.sys.frame_from(*self.g_svd)
 
     @_Kept
     def pair(self) -> MetricPair:
@@ -264,7 +263,7 @@ class MatchRows:
     ``failed`` flags each row where MatchPoint would raise, or where the
     evaluator flags a value (see compile_expr); such rows hold placeholders
     and callers take them from MatchPoint.  Flagged matrices are replaced by
-    the identity before each stacked np.linalg call.
+    the identity before each stacked linalg call.
     """
 
     def __init__(self, sys: MechSystem, design: ShapedDesign, points: np.ndarray):
@@ -277,7 +276,7 @@ class MatchRows:
             return values
 
         # the order of MatchPoint's reads: frame, pair, dV, dVhat, T
-        u, s, _ = np.linalg.svd(identity_where(rows(sys.G.batch), failed))
+        u, s, _ = linalg.svd(identity_where(rows(sys.G.batch), failed))
         failed |= ~full_rank(s, sys.n)  # m <= n for a MechSystem
         self.range_basis, self.annihilator = split_basis(u, sys.m)
         m = identity_where(rows(sys.M.batch), failed)
@@ -391,7 +390,7 @@ class LinearMatch:
 def linear_match_residual(lm: LinearMatch, lin: Linearization) -> float:
     """Max entry of the annihilator-projected linear matching defect."""
     w = input_frame(lin.g0, np.zeros(lin.n)).annihilator
-    res = w @ (lm.mbar @ np.linalg.inv(lin.mlin) @ lm.sbar - lin.hess)
+    res = w @ (lm.mbar @ linalg.inv(lin.mlin) @ lm.sbar - lin.hess)
     return float(np.max(np.abs(res))) if res.size else 0.0
 
 
@@ -429,7 +428,7 @@ def solve_linear_matching(lin: Linearization, seed: int = 0) -> LinearMatch:
     w = input_frame(lin.g0, np.zeros(n)).annihilator[0]
     d = w @ lin.hess
     h = lin.mlin @ w
-    minv0 = np.linalg.inv(lin.mlin)
+    minv0 = linalg.inv(lin.mlin)
 
     def attempt(r: np.ndarray) -> Optional[LinearMatch]:
         sbar = _pd_completion(r, d)
@@ -529,7 +528,7 @@ def solve_kinetic_characteristics(
         qvec = np.zeros(n)
         qvec[0] = q1
         x = np.append(qvec, u)
-        minv = np.linalg.inv(sys.mass_matrix(qvec))
+        minv = linalg.inv(sys.mass_matrix(qvec))
         c = np.concatenate(([u], ansatz_fn(x))) @ minv
         # row' dM^-1/dq1 row with dM^-1 = -M^-1 dM M^-1, as in q_gradient
         return c, -float(c @ sys.mass_derivatives(qvec)[0] @ c)

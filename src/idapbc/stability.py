@@ -13,6 +13,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import linalg
 from .expr import ExprError
 from .system import MechSystem, ShapedDesign, SystemError, hessian_at, spd_defect
 
@@ -41,7 +42,7 @@ class Linearization:
         n = self.mlin.shape[0]
         if self.alin.shape != (2 * n, 2 * n) or self.blin.shape[0] != 2 * n:
             raise SystemError("linearization block shapes inconsistent")
-        minv = np.linalg.inv(self.mlin)
+        minv = linalg.inv(self.mlin)
         ok = (
             np.allclose(self.alin[:n, :n], 0.0, atol=1e-12)
             and np.allclose(self.alin[n:, n:], 0.0, atol=1e-12)
@@ -98,7 +99,7 @@ def linearize(sys: MechSystem) -> Linearization:
     hess = hessian_at(sys.V, n, origin)
     g0 = sys.input_matrix(origin)
     alin = np.zeros((2 * n, 2 * n))
-    alin[:n, n:] = np.linalg.inv(m0)
+    alin[:n, n:] = linalg.inv(m0)
     alin[n:, :n] = -hess
     blin = np.vstack([np.zeros((n, sys.m)), g0])
     return Linearization(alin, blin, m0, hess)
@@ -116,7 +117,7 @@ def _staircase(lin: Linearization, rtol: float) -> tuple[int, list[complex], boo
     q, r = np.eye(a.shape[0]), 0
     block, scale = b, np.linalg.norm(b, 2)
     while r < a.shape[0]:
-        u, sv, _ = np.linalg.svd(q[:, r:].T @ block)
+        u, sv, _ = linalg.svd(q[:, r:].T @ block)
         k = int(np.count_nonzero(sv > rtol * scale))
         if k == 0:
             break
@@ -208,7 +209,7 @@ def minimum_check(design: ShapedDesign) -> MinimumCheckReport:
 
     try:
         hess = hessian_at(design.Vhat, n, origin)
-        eigs = np.linalg.eigvalsh(hess)
+        eigs = linalg.eigvalsh(hess)
         hess_eigs = tuple(float(e) for e in eigs)
         if eigs[0] < MIN_EIG_TOL:
             failures.append(
@@ -221,7 +222,7 @@ def minimum_check(design: ShapedDesign) -> MinimumCheckReport:
         mhat0 = design.Mhat(origin)
         defect = spd_defect(mhat0)
         if defect is None:
-            mhat_min = float(np.linalg.eigvalsh(mhat0)[0])
+            mhat_min = float(linalg.eigvalsh(mhat0)[0])
             if mhat_min < MIN_EIG_TOL:
                 defect = f"has min eigenvalue {mhat_min:.3e}"
         if defect is not None:

@@ -8,12 +8,14 @@ symbolic expressions with fast compiled evaluators attached.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from . import linalg
 from .expr import (
     Const,
     Expr,
@@ -92,7 +94,7 @@ def derivative_stack(m: ExprMatrix, n: int) -> list[list[list[Expr]]]:
 
 def identity_where(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """A copy of a (..., k, l) stack with the flagged rows set to the identity,
-    for a stacked np.linalg call, which raises for the whole stack on one
+    for a stacked linalg call, which raises for the whole stack on one
     singular or non-finite matrix."""
     return np.where(rows[..., None, None], np.eye(*a.shape[-2:]), a)
 
@@ -101,7 +103,7 @@ def lowest_eigenvalue(m: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of each matrix of a (..., n, n) stack of symmetric
     matrices (eigvalsh reads the lower triangle)."""
     # .T[0].T is [..., 0], but a scalar rather than a 0-d array for one matrix
-    return np.linalg.eigvalsh(m).T[0].T
+    return linalg.eigvalsh(m).T[0].T
 
 
 # Matrices and tensors reach the checks from symbolic expressions, exact up to
@@ -137,7 +139,10 @@ def spd_defect(a) -> str | None:
 
 def check_kv(kv, m: int) -> np.ndarray:
     """Kv as an m x m float array; raises unless spd_defect passes it."""
-    kv = np.asarray(kv, dtype=float)
+    try:
+        kv = np.asarray(kv, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise SystemError(f"Kv is not a numeric matrix: {exc}") from exc
     if kv.shape != (m, m):
         raise SystemError(f"Kv must be {m}x{m}")
     if defect := spd_defect(kv):
@@ -188,7 +193,7 @@ def split_basis(u: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 def checked_svd(g: np.ndarray, q: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     """G (n x m) and the U factor of its SVD; raises unless its rank is m."""
-    u, s, _ = np.linalg.svd(g)
+    u, s, _ = linalg.svd(g)
     return checked_input(g, s, q), u
 
 
@@ -196,6 +201,14 @@ def input_frame(g: np.ndarray, q: Sequence[float]) -> InputFrame:
     """One SVD of G; raises unless its rank is m (matrix_rank's tolerance)."""
     g, u = checked_svd(g, q)
     return InputFrame(g, *split_basis(u, g.shape[-1]))
+
+
+def _kept_frame(u: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(U, range basis, annihilator) from the U factor of an SVD of G, read-only."""
+    parts = (u.copy(), *split_basis(u, m))
+    for a in parts:
+        a.setflags(write=False)
+    return parts
 
 
 def q_gradient(dv: np.ndarray, dm: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -212,7 +225,8 @@ class MechSystem:
     State is (q, p); dynamics qdot = dH/dp, pdot = -dH/dq + G(q) u with
     H = p' M(q)^-1 p / 2 + V(q). Mass-matrix positive definiteness and
     input rank are checked at query time, the equilibrium condition
-    dV(0) = 0 at construction.
+    dV(0) = 0 at construction.  A G without variables that has full rank
+    is checked, factored and split once, at its first query.
     """
 
     def __init__(
@@ -252,6 +266,10 @@ class MechSystem:
             raise SystemError(
                 f"origin is not an equilibrium: |dV(0)| = {np.max(np.abs(grad0)):.3e}"
             )
+        self._g_constant = not any(e.variables() for row in G.entries for e in row)
+        # _kept_frame of a constant G, from its first query that passes the
+        # rank check; a rank-deficient one is never kept, so each query raises
+        self._const_frame = None
 
     def mass_matrix(self, q: Sequence[float]) -> np.ndarray:
         m = self.M(q)
@@ -273,21 +291,41 @@ class MechSystem:
     def potential_gradient(self, q: Sequence[float]) -> np.ndarray:
         return self._dv_fn(q)
 
+    def input_svd(self, q: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+        """G(q), its rank checked, and the U factor of its SVD; for a constant
+        G, the read-only factor kept from the first query."""
+        g = self.G(q)
+        if self._const_frame is None:
+            g, u = checked_svd(g, q)
+            if not self._g_constant:
+                return g, u
+            self._const_frame = _kept_frame(u, self.m)
+        return g, self._const_frame[0]
+
+    def frame_from(self, g: np.ndarray, u: np.ndarray) -> InputFrame:
+        """The input frame of G from the U factor input_svd returned with it."""
+        if self._const_frame is None:
+            return InputFrame(g, *split_basis(u, self.m))
+        return InputFrame(g, *self._const_frame[1:])
+
     def frame(self, q: Sequence[float]) -> InputFrame:
         """G(q) with its range basis and annihilator; raises if rank < m."""
-        return input_frame(self.G(q), q)
+        return self.frame_from(*self.input_svd(q))
 
     def input_matrix(self, q: Sequence[float]) -> np.ndarray:
-        """G(q); raises if its rank is below m (singular values only)."""
+        """G(q); raises if its rank is below m (singular values only, where G
+        is not constant)."""
+        if self._g_constant:
+            return self.input_svd(q)[0]
         g = self.G(q)
-        return checked_input(g, np.linalg.svd(g, compute_uv=False), q)
+        return checked_input(g, linalg.svd(g, compute_uv=False), q)
 
     def hamiltonian(self, q: Sequence[float], p: Sequence[float]) -> float | np.ndarray:
         """p' M^-1 p / 2 + V at (q, p), or at each row of (N, n) arrays."""
         p = np.asarray(p, dtype=float)
         if isinstance(q, np.ndarray) and q.ndim == 2:
             return _energy_rows(self.hamiltonian, self.M.batch, self.v_batch, q, p, True)
-        return 0.5 * float(p @ np.linalg.solve(self.mass_matrix(q), p)) + self.potential(q)
+        return 0.5 * float(p @ linalg.solve(self.mass_matrix(q), p)) + self.potential(q)
 
     def annihilator(self, q: Sequence[float]) -> np.ndarray:
         """Orthonormal rows spanning the left annihilator of G(q), each signed
@@ -300,7 +338,7 @@ class MechSystem:
         q = np.asarray(q, dtype=float)
         p = np.asarray(p, dtype=float)
         u = np.asarray(u, dtype=float)
-        qdot = np.linalg.solve(self.mass_matrix(q), p)
+        qdot = linalg.solve(self.mass_matrix(q), p)
         dqh = q_gradient(self.potential_gradient(q), self.mass_derivatives(q), qdot)
         return qdot, -dqh + self.input_matrix(q) @ u
 
@@ -373,7 +411,7 @@ class ShapedDesign:
             return _energy_rows(
                 self.shaped_hamiltonian, self.Mhat.batch, self.vhat_batch, q, p, False
             )
-        return 0.5 * float(p @ np.linalg.solve(self.Mhat(q), p)) + self.shaped_potential(q)
+        return 0.5 * float(p @ linalg.solve(self.Mhat(q), p)) + self.shaped_potential(q)
 
     def c_table_at(self, q: Sequence[float]) -> np.ndarray | None:
         if self._c_fn is None:
@@ -393,7 +431,7 @@ def _energy_rows(per_point, metric, potential, q, p, check_pd: bool) -> np.ndarr
     if check_pd:
         flagged |= ~(lowest_eigenvalue(identity_where(x, flagged)) > 0.0)
     try:
-        solved = np.linalg.solve(identity_where(x, flagged), p[..., None])
+        solved = linalg.solve(identity_where(x, flagged), p[..., None])
     except np.linalg.LinAlgError:
         return np.array([per_point(qi, pi) for qi, pi in zip(q, p)])
     energy = 0.5 * (p[..., None, :] @ solved)[..., 0, 0] + u
@@ -466,6 +504,14 @@ def _pendulum_gyro_table(
     ]
 
 
+def _finite_params(params: dict[str, float]) -> dict[str, float]:
+    """params; raises for a non-finite value, which no design can be built from."""
+    for key, value in params.items():
+        if not math.isfinite(value):
+            raise SystemError(f"shaped parameter {key} must be finite, got {value!r}")
+    return params
+
+
 def builtin(
     name: str, eps: float = 1.0, K: float = 1.0, Kv: np.ndarray | None = None
 ) -> tuple[MechSystem, ShapedDesign | None]:
@@ -476,7 +522,7 @@ def builtin(
     design and returns None for it.
     """
     if name == "pendulum_cart":
-        params = {"eps": float(eps), "K": float(K)}
+        params = _finite_params({"eps": float(eps), "K": float(K)})
         m = ExprMatrix.from_strings(
             [["1", "cos(q1)"], ["cos(q1)", "2"]], PENDULUM_VARS
         )
@@ -571,6 +617,7 @@ def load_system(
             params["eps"] = float(eps)
         if K is not None:
             params["K"] = float(K)
+        _finite_params(params)
         mhat = ExprMatrix.from_strings(shaped["Mhat"], vars, params)
         vhat = parse(shaped["Vhat"], vars, params)
         kv = shaped.get("Kv", np.eye(sys.m)) if bundle_kv is None else bundle_kv

@@ -15,6 +15,7 @@ from itertools import permutations
 
 import numpy as np
 
+from . import linalg
 from .system import INVARIANT_TOL, scale_of, spd_defect
 
 # relative to the tensor's scale_of, like INVARIANT_TOL
@@ -155,7 +156,7 @@ def b_to_j(b: SkewPairTensor, mhat: np.ndarray) -> Interconnection:
     """Inverse of :func:`j_to_b`."""
     if defect := spd_defect(mhat):
         raise TensorError(f"Mhat {defect}")
-    mhat_inv = np.linalg.inv(mhat)
+    mhat_inv = linalg.inv(mhat)
     j = np.einsum("kij,kl->jil", b.entries, mhat_inv)
     return Interconnection(j)
 
@@ -164,7 +165,7 @@ def force_from_j(j: Interconnection, mhat: np.ndarray, p: np.ndarray) -> np.ndar
     """Conventional interconnection force: F_i = J^k_ij Mhat^jl p_k p_l."""
     if defect := spd_defect(mhat):
         raise TensorError(f"Mhat {defect}")
-    mhat_inv = np.linalg.inv(mhat)
+    mhat_inv = linalg.inv(mhat)
     p = np.asarray(p, dtype=float)
     return np.einsum("ijk,jl,l,k->i", j.coeffs, mhat_inv, p, p)
 
@@ -176,7 +177,7 @@ def gyro_force(c, mhat: np.ndarray, p: np.ndarray) -> np.ndarray:
     gyroscopic tensor.  Accepts a tensor object or a raw (n,n,n) array.
     """
     entries = c.entries if isinstance(c, Tensor3) else np.asarray(c, dtype=float)
-    u = np.linalg.solve(np.asarray(mhat, dtype=float), np.asarray(p, dtype=float))
+    u = linalg.solve(np.asarray(mhat, dtype=float), np.asarray(p, dtype=float))
     return entries.T @ u @ u
 
 

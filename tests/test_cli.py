@@ -110,6 +110,20 @@ class TestParsing:
         assert err == f"error: argument {flag}: expected a finite number, got {value!r}\n"
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "grid", ["q1=-inf:1:5,q2=-1:1:3", "q1=-1:1:5,q2=-1:inf:3", "q1=nan:1:5,q2=-1:1:3"]
+    )
+    def test_non_finite_grid_bound_is_an_input_error(self, capsys, tmp_path, grid):
+        out = tmp_path / "out"
+        code, stdout, err = run(
+            capsys, "verify", "--system", "builtin:pendulum_cart", "--grid", grid,
+            "--out", str(out),
+        )
+        assert code == 1
+        axis = "q2" if "inf:3" in grid else "q1"
+        assert err == f"error: argument --grid: grid bounds for {axis} must be finite\n"
+        assert stdout == "" and not out.exists()
+
     def test_grid_message_reaches_user(self, capsys):
         code, _, err = run(
             capsys, "verify", "--system", "builtin:pendulum_cart", "--grid", "q1=-1:1"
@@ -246,6 +260,24 @@ class TestVerify:
         assert code == 1
         assert err == "error: Kv must be 1x1\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("kv", ["x", [[1], [1, 2]]])
+    def test_non_numeric_kv_is_an_input_error(self, capsys, tmp_path, kv):
+        data = pendulum_dict(eps=0.55, K=0.25)
+        data["shaped"]["Kv"] = kv
+        path = write_json(tmp_path / "kv.json", data)
+        code, _, err = run(capsys, "verify", "--system", path)
+        assert code == 1
+        assert err.startswith("error: Kv is not a numeric matrix: ")
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    def test_non_finite_param_is_an_input_error(self, capsys, tmp_path, value):
+        text = json.dumps(pendulum_dict(eps=0.55, K=0.25))
+        path = tmp_path / "params.json"
+        path.write_text(text.replace('"eps": 0.55', f'"eps": {value}'))
+        code, _, err = run(capsys, "verify", "--system", str(path))
+        assert code == 1
+        assert err == f"error: shaped parameter eps must be finite, got {float(value)!r}\n"
 
     def test_grid_axis_mismatch(self, capsys):
         code, _, err = run(

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -7,9 +8,10 @@ from sys import executable
 import numpy as np
 import pytest
 
+from idapbc import linalg
 from idapbc.control_sim import Controller
 from idapbc.expr import ExprError, parse
-from idapbc.matching import LinearMatch, MatchingError
+from idapbc.matching import LinearMatch, MatchingError, MatchPoint
 from idapbc.stability import minimum_check
 from idapbc.system import (
     ExprMatrix,
@@ -240,6 +242,44 @@ class TestInputFrame:
             with pytest.raises(SystemError, match="rank-deficient at q=\\[0.5\\]"):
                 input_frame(np.array(g), [0.5])
 
+    def test_constant_input_factored_once(self, monkeypatch):
+        plant, _ = builtin("pendulum_cart")
+        queries = ([0.3, -0.2], [1.2, 0.7], [np.nan, 0.0])
+        expect = [input_frame(plant.G(q), q) for q in queries]
+        u = np.linalg.svd(plant.G(queries[0]))[0]
+        svd, calls = linalg.svd, []
+
+        def counted_svd(*args, **kwargs):
+            calls.append(args)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "svd", counted_svd)
+        sys_, design = builtin("pendulum_cart")
+        assert calls == []  # a system that is never queried is never factored
+        for q, ref in zip(queries, expect):
+            assert sys_.input_matrix(q).tobytes() == ref.g.tobytes()
+            for got in (sys_.frame(q), MatchPoint(sys_, design, q).frame):
+                for part, ref_part in zip(got, ref):
+                    assert part.tobytes() == ref_part.tobytes()
+            assert MatchPoint(sys_, design, q).g_svd[1].tobytes() == u.tobytes()
+        assert len(calls) == 1
+
+    def test_constant_input_frame_is_read_only(self):
+        sys_, _ = builtin("pendulum_cart")
+        frame = sys_.frame([0.3, -0.2])
+        for part in (frame.range_basis, frame.annihilator, sys_.input_svd([0.3, 0.0])[1]):
+            with pytest.raises(ValueError, match="read-only"):
+                part[0, 0] = 5.0
+        # G itself is evaluated per query, so a caller may write into it
+        sys_.input_matrix([0.3, -0.2])[:] = 5.0
+        assert np.array_equal(sys_.frame([0.3, -0.2]).g, [[0.0], [1.0]])
+
+    def test_constant_rank_deficient_input_names_the_query(self):
+        sys_ = make_system([["1", "0"], ["0", "1"]], "q1^2", [["0"], ["0"]])
+        for call in (sys_.frame, sys_.input_matrix, sys_.annihilator):
+            with pytest.raises(SystemError, match=r"rank-deficient at q=\[0.25, -0.5\]"):
+                call([0.25, -0.5])
+
     def test_import_leaves_scipy_linalg_out(self):
         src = str(Path(__import__("idapbc").__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
@@ -426,6 +466,28 @@ class TestJsonIO:
         else:
             data = {"system": data, "Kv": np.eye(2).tolist()}
         with pytest.raises(SystemError, match="Kv must be 1x1"):
+            load_system(data)
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_params_rejected(self, tmp_path, value):
+        text = json.dumps(system_to_dict(*builtin("pendulum_cart", eps=0.55, K=0.25)))
+        path = tmp_path / "sys.json"
+        path.write_text(text.replace('"eps": 0.55', f'"eps": {value}'))
+        message = f"shaped parameter eps must be finite, got {float(value)!r}"
+        with pytest.raises(SystemError, match=f"^{message}$"):
+            load_system(path)
+
+    @pytest.mark.parametrize("override", [{"eps": math.inf}, {"K": math.nan}])
+    def test_non_finite_overrides_rejected(self, override):
+        for source in ("builtin:pendulum_cart", system_to_dict(*builtin("pendulum_cart"))):
+            with pytest.raises(SystemError, match="must be finite"):
+                load_system(source, **override)
+
+    @pytest.mark.parametrize("kv", ["x", [[1], [1, 2]], {"a": 1}])
+    def test_non_numeric_kv_rejected(self, kv):
+        data = system_to_dict(*builtin("pendulum_cart"))
+        data["shaped"]["Kv"] = kv
+        with pytest.raises(SystemError, match="^Kv is not a numeric matrix: "):
             load_system(data)
 
     def test_resolve_builtin(self):
