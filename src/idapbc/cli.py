@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import __version__
+from . import __version__, writer
 from .control_sim import (
     Controller,
     DivergenceError,
@@ -113,7 +113,7 @@ def _grid_axes(
 
 
 def _emit(payload: dict, out: Path | None, filename: str) -> None:
-    text = json.dumps(payload, indent=2, default=float)
+    text = writer.dumps(payload)
     print(text)
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
@@ -188,8 +188,6 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
         _emit(payload, args.out, "synthesize.json")
         return EXIT_FAIL
     points = report.points[report.in_box_mask]
-    # as nested lists at once, so the array is freed before the bundle is encoded
-    values = derive_gyro(sys, design).sample(points).tolist()
     bundle = {
         "kind": "idapbc-controller-bundle",
         "version": __version__,
@@ -201,8 +199,8 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
         if design.C is not None
         else None,
         "C_samples": {
-            "points": points.tolist(),
-            "values": values,
+            "points": points,
+            "values": derive_gyro(sys, design).sample(points),
         },
         "metadata": {
             "source": args.system,
@@ -215,17 +213,15 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     out = args.out if args.out is not None else Path(".")
     out.mkdir(parents=True, exist_ok=True)
     path = out / "controller.json"
-    path.write_text(json.dumps(bundle, indent=2, default=float) + "\n")
+    path.write_text(writer.dumps(bundle) + "\n")
     print(
-        json.dumps(
+        writer.dumps(
             {
                 "refused": False,
                 "bundle": str(path),
                 "sampled_points": int(points.shape[0]),
                 "verify": verify_payload,
-            },
-            indent=2,
-            default=float,
+            }
         )
     )
     return EXIT_OK

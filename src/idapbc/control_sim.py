@@ -8,7 +8,6 @@ energy-decay diagnostics close the loop numerically.
 """
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,9 +25,11 @@ from .system import (
     check_kv,
     hessian_at,
     q_gradient,
+    q_text,
     spd_defect,
 )
 from .tensor import Tensor3
+from .writer import write_table
 
 DIVERGENCE_NORM = 1e6
 
@@ -85,7 +86,7 @@ class Controller:
             return point.gyro().entries
         except MatchingError as exc:
             warnings.warn(
-                f"no gyroscopic extension at q={list(np.asarray(point.q, dtype=float))}; "
+                f"no gyroscopic extension at q={q_text(point.q)}; "
                 f"using zero gyroscopic force ({exc})"
             )
             return np.zeros((self.sys.n,) * 3)
@@ -102,7 +103,7 @@ def _shaped_law(
     flow of the design plus the gyroscopic force; raises where Mhat is not PD."""
     (g, _), (minv, _, mhat, dmhat) = point.g_svd, point.pair
     if defect := spd_defect(mhat):
-        raise SystemError(f"shaped mass {defect} at q={point.q.tolist()}")
+        raise SystemError(f"shaped mass {defect} at q={q_text(point.q)}")
     uhat = linalg.solve(mhat, p)
     dqhhat = q_gradient(point.dvhat, dmhat, uhat)
     force = ctrl._gyro_from(point).T @ uhat @ uhat
@@ -127,7 +128,7 @@ def feedback(ctrl: Controller, q: Sequence[float], p: Sequence[float]) -> np.nda
     if res > RESIDUAL_TOL:
         warnings.warn(
             f"matching residual {res:.3e} exceeds {RESIDUAL_TOL:.1e} at "
-            f"q={q.tolist()}; the feedback does not realize the shaped dynamics here"
+            f"q={q_text(q)}; the feedback does not realize the shaped dynamics here"
         )
     _, pdot = _shaped_law(ctrl, point, p)
     g, (minv, dm, _, _) = point.frame.g, point.pair
@@ -258,9 +259,4 @@ def write_trajectory_csv(
     if traj.states.shape[1] != 2 * n:
         raise SystemError("variable names do not match the state dimension")
     header = ["t", *vars, *[f"p{i + 1}" for i in range(n)], "energy"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for k in range(traj.times.size):
-            row = [traj.times[k], *traj.states[k], traj.energies[k]]
-            writer.writerow([f"{value:.17g}" for value in row])
+    write_table(path, header, np.column_stack([traj.times, traj.states, traj.energies]))

@@ -10,7 +10,6 @@ single quasi-linear kinetic PDE.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations_with_replacement
@@ -31,6 +30,7 @@ from .system import (
     identity_where,
     input_frame,
     lowest_eigenvalue,
+    q_text,
     spd_defect,
     split_basis,
     symmetric,
@@ -48,6 +48,7 @@ from .tensor import (
     gyro_extension,
     random_spd,
 )
+from .writer import write_table
 
 RESIDUAL_TOL = 1e-8
 LINEAR_MATCH_RESIDUAL_TOL = 1e-9
@@ -156,7 +157,7 @@ def a_tensor(sys: MechSystem, design: ShapedDesign, q: Sequence[float]) -> np.nd
     try:
         mhat_inv = _symmetrized_inverse(mhat)
     except np.linalg.LinAlgError as exc:
-        raise MatchingError(f"shaped mass singular at q={list(q)}: {exc}") from exc
+        raise MatchingError(f"shaped mass singular at q={q_text(q)}: {exc}") from exc
     dminv = _inverse_derivatives(minv, dm)
     dmhat_inv = _inverse_derivatives(mhat_inv, dmhat)
     first = 0.5 * np.einsum("kl,lr,rij->ijk", mhat, minv, dmhat_inv)
@@ -251,7 +252,7 @@ class MatchPoint:
             cp = extend_to_gyro(Tensor3(rotate(t.entries, basis)), len(w)).entries
         except TensorError as exc:
             raise MatchingError(
-                f"cannot extend to a gyroscopic tensor at q={list(self.q)}: {exc}"
+                f"cannot extend to a gyroscopic tensor at q={q_text(self.q)}: {exc}"
             ) from exc
         return GyroTensor(_rotate_back(cp, basis))
 
@@ -684,18 +685,13 @@ class ResidualReport:
         names = [name for name, _ in self.axes]
         pot_cols = [f"potential_res_{i + 1}" for i in range(self.potential_res.shape[1])]
         kin_cols = [f"kinetic_res_{i + 1}" for i in range(self.kinetic_res.shape[1])]
-        with open(path, "w", newline="") as fh:
-            out = csv.writer(fh)
-            out.writerow(names + pot_cols + kin_cols + ["pd"])
-            for row_q, row_p, row_k, pd in zip(
-                self.points, self.potential_res, self.kinetic_res, self.pd_mask
-            ):
-                out.writerow(
-                    [f"{v:.17g}" for v in row_q]
-                    + [f"{v:.17g}" for v in row_p]
-                    + [f"{v:.17g}" for v in row_k]
-                    + [int(pd)]
-                )
+        write_table(
+            path,
+            names + pot_cols + kin_cols + ["pd"],
+            np.column_stack(
+                [self.points, self.potential_res, self.kinetic_res, self.pd_mask]
+            ),
+        )
 
 
 def _pd_box(axes, pd_grid: np.ndarray) -> dict:

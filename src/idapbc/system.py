@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from . import linalg
+from . import linalg, writer
 from .expr import (
     Const,
     Expr,
@@ -159,11 +159,16 @@ def full_rank(s: np.ndarray, n: int) -> np.ndarray:
     return (s.T[-1] > s.T[0] * n * _EPS).T
 
 
+def q_text(q: Sequence[float]) -> str:
+    """q for a message, as a list of plain floats: [0.2, -0.1]."""
+    return str([float(v) for v in q])
+
+
 def checked_input(g: np.ndarray, s: np.ndarray, q: Sequence[float]) -> np.ndarray:
     """G (n x m) with singular values s; raises unless its rank is m."""
     n, m = g.shape
     if m > n or not full_rank(s, n):
-        raise SystemError(f"input matrix rank-deficient at q={list(q)}")
+        raise SystemError(f"input matrix rank-deficient at q={q_text(q)}")
     return g
 
 
@@ -276,7 +281,7 @@ class MechSystem:
         low = lowest_eigenvalue(m)
         if low <= 0.0:
             raise SystemError(
-                f"mass matrix not positive definite at q={list(q)} "
+                f"mass matrix not positive definite at q={q_text(q)} "
                 f"(eigenvalue {low:.6e})"
             )
         return m
@@ -664,6 +669,4 @@ def system_to_dict(sys: MechSystem, design: ShapedDesign | None = None) -> dict:
 def save_system(
     path: str | Path, sys: MechSystem, design: ShapedDesign | None = None
 ) -> None:
-    with open(path, "w") as fh:
-        json.dump(system_to_dict(sys, design), fh, indent=2)
-        fh.write("\n")
+    Path(path).write_text(writer.dumps(system_to_dict(sys, design)) + "\n")

@@ -529,6 +529,21 @@ class TestSimulate:
         assert code == 1
         assert "not positive definite" in err
 
+    def test_error_prints_q_as_plain_floats(self, capsys, tmp_path):
+        data = pendulum_dict()
+        data["G"] = [["0"], ["0"]]
+        code, _, err = run(
+            capsys,
+            "simulate",
+            "--system",
+            write_json(tmp_path / "no_input.json", data),
+            "--x0=0.2,-0.1,0,0",
+            "--out",
+            str(tmp_path),
+        )
+        assert code == 1
+        assert "rank-deficient at q=[0.2, -0.1]" in err
+
     def test_wrong_state_length(self, capsys):
         code, _, err = run(
             capsys,
