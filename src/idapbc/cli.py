@@ -200,7 +200,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
         else None,
         "C_samples": {
             "points": points,
-            "values": derive_gyro(sys, design).sample(points),
+            "values": report.rows.gyro(report.in_box_mask),
         },
         "metadata": {
             "source": args.system,

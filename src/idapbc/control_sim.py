@@ -101,7 +101,7 @@ def _shaped_law(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(qdot, pdot) of the shaped dynamics at (point.q, p), the damped Hamiltonian
     flow of the design plus the gyroscopic force; raises where Mhat is not PD."""
-    (g, _), (minv, _, mhat, dmhat) = point.g_svd, point.pair
+    (g, _), (minv, mhat, dmhat) = point.g_svd, point.pair
     if defect := spd_defect(mhat):
         raise SystemError(f"shaped mass {defect} at q={q_text(point.q)}")
     uhat = linalg.solve(mhat, p)
@@ -131,8 +131,8 @@ def feedback(ctrl: Controller, q: Sequence[float], p: Sequence[float]) -> np.nda
             f"q={q_text(q)}; the feedback does not realize the shaped dynamics here"
         )
     _, pdot = _shaped_law(ctrl, point, p)
-    g, (minv, dm, _, _) = point.frame.g, point.pair
-    rhs = q_gradient(point.dv, dm, minv @ p) + pdot
+    g, minv = point.frame.g, point.pair.minv
+    rhs = q_gradient(point.dv, point.dm, minv @ p) + pdot
     return linalg.solve(g.T @ g, g.T @ rhs)
 
 
@@ -149,7 +149,7 @@ def closed_loop_linearization(ctrl: Controller) -> np.ndarray:
     n = ctrl.sys.n
     origin = np.zeros(n)
     point = MatchPoint(ctrl.sys, ctrl.design, origin)
-    g0, (m0inv, _, mhat0, _) = point.frame.g, point.pair
+    g0, (m0inv, mhat0, _) = point.frame.g, point.pair
     hess = hessian_at(ctrl.design.Vhat, n, origin)
     damping = g0 @ ctrl.Kv @ g0.T @ linalg.inv(mhat0)
     out = np.zeros((2 * n, 2 * n))

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import combinations_with_replacement
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -21,7 +20,6 @@ from . import linalg
 from .expr import Expr, ExprError, compile_expr, parse
 from .stability import NOT_STABILIZABLE, Linearization, classify
 from .system import (
-    INVARIANT_TOL,
     InputFrame,
     MechSystem,
     ShapedDesign,
@@ -36,17 +34,18 @@ from .system import (
     symmetric,
 )
 from .tensor import (
-    CYCLIC_PRECONDITION_TOL,
+    GyroMap,
     GyroTensor,
     Tensor3,
     TensorError,
     cyclic_sum,
-    extend_to_gyro,
-    extension_defects,
+    derivation_failed,
     finite_rows,
-    gyro_defects,
-    gyro_extension,
+    gyro_defect,
+    index_triples,
+    precondition_defect,
     random_spd,
+    rotate,
 )
 from .writer import write_table
 
@@ -97,17 +96,17 @@ def _inverse_derivatives(minv: np.ndarray, dm: np.ndarray) -> np.ndarray:
 
 
 class MetricPair(NamedTuple):
-    """M^-1 (the one, symmetrized, inverse of M), dM, Mhat and dMhat at a q."""
+    """M^-1 (the one, symmetrized, inverse of M), Mhat and dMhat at a q."""
 
     minv: np.ndarray
-    dm: np.ndarray
     mhat: np.ndarray
     dmhat: np.ndarray
 
 
-def t_entries(pair: MetricPair) -> np.ndarray:
-    """T_ijk from the metric pair; requires no inversion of the shaped mass."""
-    minv, dm, mhat, dmhat = pair
+def t_entries(pair: MetricPair, dm: np.ndarray) -> np.ndarray:
+    """T_ijk from the metric pair and dM; requires no inversion of the shaped
+    mass."""
+    minv, mhat, dmhat = pair
     dminv = _inverse_derivatives(minv, dm)
     first = -0.5 * np.einsum("...kl,...lt,...tij->...ijk", mhat, minv, dmhat)
     second = -0.5 * np.einsum("...krs,...ri,...sj->...ijk", dminv, mhat, mhat)
@@ -118,28 +117,14 @@ def potential_defect(
     w: np.ndarray, pair: MetricPair, dv: np.ndarray, dvhat: np.ndarray
 ) -> np.ndarray:
     """W (dV - Mhat M^-1 dVhat); on a stack, dV and dVhat are columns (..., n, 1)."""
-    minv, _, mhat, _ = pair
+    minv, mhat, _ = pair
     return w @ (dv - mhat @ minv @ dvhat)
-
-
-def rotate(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """tp[a, b, c] = T(rows[a], rows[b], rows[c])."""
-    return np.einsum("...ijk,...ai,...bj,...ck->...abc", t, rows, rows, rows)
-
-
-@cache
-def _triples(d: int) -> np.ndarray:
-    """Flat indices of the triples a <= b <= c in a d x d x d block."""
-    return np.array(
-        [(a * d + b) * d + c for a, b, c in combinations_with_replacement(range(d), 3)],
-        dtype=int,
-    )
 
 
 def cyclic_defects(tp: np.ndarray) -> np.ndarray:
     """Cyclic sums of tp over its index triples a <= b <= c."""
     cyc = cyclic_sum(tp)
-    return cyc.reshape(cyc.shape[:-3] + (-1,)).take(_triples(tp.shape[-1]), axis=-1)
+    return cyc.reshape(cyc.shape[:-3] + (-1,)).take(index_triples(tp.shape[-1]), axis=-1)
 
 
 def _adapted_basis(w: np.ndarray, range_basis: np.ndarray) -> np.ndarray:
@@ -147,13 +132,33 @@ def _adapted_basis(w: np.ndarray, range_basis: np.ndarray) -> np.ndarray:
     return np.concatenate([w, range_basis.swapaxes(-1, -2)], axis=-2)
 
 
-def _rotate_back(cp: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    return np.einsum("...rst,...ri,...sj,...tk->...ijk", cp, basis, basis, basis)
+@cache
+def _adapted_map(n: int, d: int) -> GyroMap:
+    """The GyroMap without a basis, for n coordinates, d of them unactuated."""
+    return GyroMap(n, d)
+
+
+def _derivation_map(
+    sys: MechSystem, frame: InputFrame
+) -> tuple[GyroMap, Optional[np.ndarray]]:
+    """The GyroMap for T at a point with this input frame, and the adapted
+    basis its ``apply`` rotates by.  For a constant G the basis is folded in
+    (None is returned for it): the system keeps that map from the first
+    derivation that reads it."""
+    d = len(frame.annihilator)
+    if not sys.frame_kept:
+        basis = _adapted_basis(frame.annihilator, frame.range_basis)
+        return _adapted_map(sys.n, d), basis
+    if sys.kept_gyro_map is None:
+        basis = _adapted_basis(frame.annihilator, frame.range_basis)
+        sys.kept_gyro_map = GyroMap(sys.n, d, basis)
+    return sys.kept_gyro_map, None
 
 
 def a_tensor(sys: MechSystem, design: ShapedDesign, q: Sequence[float]) -> np.ndarray:
     """A^{ij}_k built from the metric pair and their inverse derivatives."""
-    minv, dm, mhat, dmhat = MatchPoint(sys, design, q).pair
+    point = MatchPoint(sys, design, q)
+    (minv, mhat, dmhat), dm = point.pair, point.dm
     try:
         mhat_inv = _symmetrized_inverse(mhat)
     except np.linalg.LinAlgError as exc:
@@ -191,9 +196,9 @@ class _Kept(cached_property):
 
 
 class MatchPoint:
-    """The input frame, metric pair, dV, dVhat and T at one q, each evaluated on
-    first read and kept.  Readers take G or the frame first, so a
-    rank-deficient G is reported ahead of a failing metric."""
+    """The input frame, metric pair, dM, dV, dVhat, T and T's derivation at
+    one q, each evaluated on first read and kept.  Readers take G or the frame
+    first, so a rank-deficient G is reported ahead of a failing metric."""
 
     def __init__(self, sys: MechSystem, design: ShapedDesign, q: Sequence[float]):
         self.sys, self.design, self.q = sys, design, q
@@ -211,10 +216,13 @@ class MatchPoint:
     def pair(self) -> MetricPair:
         return MetricPair(
             _symmetrized_inverse(self.sys.mass_matrix(self.q)),
-            self.sys.mass_derivatives(self.q),
             self.design.shaped_mass(self.q),
             self.design.shaped_mass_derivatives(self.q),
         )
+
+    @_Kept
+    def dm(self) -> np.ndarray:
+        return self.sys.mass_derivatives(self.q)
 
     @_Kept
     def dv(self) -> np.ndarray:
@@ -226,7 +234,14 @@ class MatchPoint:
 
     @_Kept
     def t(self) -> Tensor3:
-        return Tensor3(t_entries(self.pair))
+        return Tensor3(t_entries(self.pair, self.dm))
+
+    @_Kept
+    def derivation(self) -> tuple[GyroMap, np.ndarray]:
+        """The GyroMap at the point and its output for T: one product for a
+        constant G."""
+        gmap, basis = _derivation_map(self.sys, self.frame)
+        return gmap, gmap.apply(self.t.entries, basis)
 
     def potential(self) -> np.ndarray:
         """W (dV - Mhat M^-1 dVhat)."""
@@ -234,8 +249,10 @@ class MatchPoint:
 
     def kinetic(self, w: Optional[np.ndarray] = None) -> np.ndarray:
         """Cyclic sums of T(w_a, w_b, w_c) over rows a <= b <= c of w (default W)."""
-        rows = self.frame.annihilator if w is None else w
-        return cyclic_defects(rotate(self.t.entries, rows))
+        if w is None:
+            gmap, y = self.derivation
+            return y[gmap.kinetic]
+        return cyclic_defects(rotate(self.t.entries, w))
 
     def residual(self) -> float:
         """Largest matching-condition violation at the point."""
@@ -245,30 +262,34 @@ class MatchPoint:
     def gyro(self) -> GyroTensor:
         """T rotated into the adapted basis [W; U'], extended to a gyroscopic
         tensor there, and rotated back; independent of the basis choice within
-        each subspace."""
-        w, u, t = self.frame.annihilator, self.frame.range_basis, self.t
-        basis = _adapted_basis(w, u)
-        try:
-            cp = extend_to_gyro(Tensor3(rotate(t.entries, basis)), len(w)).entries
-        except TensorError as exc:
+        each subspace.  Raises what extend_to_gyro (as a MatchingError) and
+        GyroTensor would, from the peaks of the derivation's blocks."""
+        gmap, y = self.derivation
+        peaks = gmap.peaks(y).tolist()
+        if defect := precondition_defect(*peaks[:3]) or gyro_defect(*peaks[3:6]):
             raise MatchingError(
-                f"cannot extend to a gyroscopic tensor at q={q_text(self.q)}: {exc}"
-            ) from exc
-        return GyroTensor(_rotate_back(cp, basis))
+                f"cannot extend to a gyroscopic tensor at q={q_text(self.q)}: {defect}"
+            ) from TensorError(defect)
+        if defect := gyro_defect(*peaks[6:]):
+            raise TensorError(defect)
+        return GyroTensor.derived(y[gmap.c].reshape((self.sys.n,) * 3))
 
 
 class MatchRows:
-    """MatchPoint's parts at each row of an (N, n) stack of points, each
-    evaluated once for the whole stack by MatchPoint's formulas.
+    """MatchPoint's potential and kinetic defects, Mhat PD test and gyroscopic
+    tensor at each row of an (N, n) stack of points, each evaluated once for
+    the whole stack by MatchPoint's formulas.
 
     ``failed`` flags each row where MatchPoint would raise, or where the
     evaluator flags a value (see compile_expr); such rows hold placeholders
-    and callers take them from MatchPoint.  Flagged matrices are replaced by
-    the identity before each stacked linalg call.
+    and callers take them from MatchPoint.  ``gyro_failed`` adds the rows
+    where MatchPoint.gyro raises.  Flagged matrices are replaced by the
+    identity before each stacked linalg call.  Only the results are kept.
     """
 
     def __init__(self, sys: MechSystem, design: ShapedDesign, points: np.ndarray):
-        points = np.asarray(points, dtype=float)
+        self.sys, self.design = sys, design
+        self.points = points = np.asarray(points, dtype=float)
         self.failed = failed = np.zeros(len(points), dtype=bool)
 
         def rows(batch):
@@ -276,53 +297,41 @@ class MatchRows:
             np.logical_or(failed, flagged, out=failed)
             return values
 
-        # the order of MatchPoint's reads: frame, pair, dV, dVhat, T
+        # the order of MatchPoint's reads: frame, pair, dM, dV, dVhat, T
         u, s, _ = linalg.svd(identity_where(rows(sys.G.batch), failed))
         failed |= ~full_rank(s, sys.n)  # m <= n for a MechSystem
-        self.range_basis, self.annihilator = split_basis(u, sys.m)
+        range_basis, w = split_basis(u, sys.m)
         m = identity_where(rows(sys.M.batch), failed)
         failed |= ~(lowest_eigenvalue(m) > 0.0)  # mass_matrix raises
         minv = _symmetrized_inverse(identity_where(m, failed))
-        self.pair = MetricPair(
-            minv, rows(sys.dm_batch), rows(design.Mhat.batch), rows(design.dmhat_batch)
-        )
-        self.dv, self.dvhat = rows(sys.dv_batch), rows(design.dvhat_batch)
+        pair = MetricPair(minv, rows(design.Mhat.batch), rows(design.dmhat_batch))
+        dm = rows(sys.dm_batch)
+        dv, dvhat = rows(sys.dv_batch), rows(design.dvhat_batch)
         with np.errstate(all="ignore"):
+            self.potential = potential_defect(w, pair, dv[..., None], dvhat[..., None])[..., 0]
             # in C order, as Tensor3 copies it: einsum sums in layout order
-            self.t = np.ascontiguousarray(t_entries(self.pair))
-        failed |= ~finite_rows(self.t)  # Tensor3 raises
-
-    def potential(self) -> np.ndarray:
-        with np.errstate(all="ignore"):
-            columns = self.dv[..., None], self.dvhat[..., None]
-            return potential_defect(self.annihilator, self.pair, *columns)[..., 0]
-
-    def kinetic(self) -> np.ndarray:
-        with np.errstate(all="ignore"):
-            return cyclic_defects(rotate(self.t, self.annihilator))
-
-    def pd_mask(self) -> np.ndarray:
+            t = np.ascontiguousarray(t_entries(pair, dm))
+        failed |= ~finite_rows(t)  # Tensor3 raises
         # spd_defect's test; the rows ``failed`` leaves are finite
-        mhat = identity_where(self.pair.mhat, self.failed)
-        return symmetric(mhat) & (lowest_eigenvalue(mhat) > 0.0)
-
-    def gyro(self) -> tuple[np.ndarray, np.ndarray]:
-        """MatchPoint.gyro's entries at each row, and the rows where it raises
-        (or that ``failed`` flags already)."""
-        failed = self.failed.copy()
-        d = self.annihilator.shape[-2]
-        basis = _adapted_basis(self.annihilator, self.range_basis)
+        mhat = identity_where(pair.mhat, failed)
+        self.pd = symmetric(mhat) & (lowest_eigenvalue(mhat) > 0.0)
+        # the map without a basis: the frame varies from row to row
+        gmap = _adapted_map(sys.n, sys.n - sys.m)
         with np.errstate(all="ignore"):
-            tp = rotate(self.t, basis)
-            sym_err, res, scale = extension_defects(tp, d)
-            cp = gyro_extension(tp, d)
-            c = _rotate_back(cp, basis)
-            failed |= ~finite_rows(tp) | (sym_err > INVARIANT_TOL * scale)
-            failed |= res > CYCLIC_PRECONDITION_TOL * scale
-            for tensor in (cp, c):  # each built as a GyroTensor
-                sym_err, cyc_err, tol = gyro_defects(tensor)
-                failed |= ~finite_rows(tensor) | (sym_err > tol) | (cyc_err > tol)
-        return c, failed
+            y = gmap.apply(t, _adapted_basis(w, range_basis))
+        self.kinetic = y[:, gmap.kinetic]
+        self.c = y[:, gmap.c].reshape((-1,) + (sys.n,) * 3).copy()
+        self.gyro_failed = failed | derivation_failed(gmap.peaks(y, out=y))
+
+    def gyro(self, select=slice(None)) -> np.ndarray:
+        """MatchPoint.gyro's entries at each selected row, those of the rows
+        in ``gyro_failed`` taken from GyroField.at, which raises at the
+        first point it raises at."""
+        c, points = self.c[select].copy(), self.points[select]
+        at = GyroField(self.sys, self.design).at
+        for i in np.flatnonzero(self.gyro_failed[select]):
+            c[i] = at(points[i]).entries
+        return c
 
 
 def kinetic_residual(
@@ -359,13 +368,8 @@ class GyroField:
 
     def sample(self, points: np.ndarray) -> np.ndarray:
         """``at(q).entries`` for each row q of an (N, n) stack, in one batched
-        pass; the rows that pass flags are taken from ``at``, which raises at
-        the first point it raised at."""
-        points = np.asarray(points, dtype=float)
-        c, failed = MatchRows(self.sys, self.design, points).gyro()
-        for i in np.flatnonzero(failed):
-            c[i] = self.at(points[i]).entries
-        return c
+        pass (see MatchRows.gyro)."""
+        return MatchRows(self.sys, self.design, points).gyro()
 
 
 def derive_gyro(sys: MechSystem, design: ShapedDesign) -> GyroField:
@@ -614,6 +618,8 @@ class ResidualReport:
     pd_box: dict
     tolerance: float
     failed_points: dict
+    # the sweep's batched pass, whose gyro() synthesize samples C from
+    rows: MatchRows
 
     @property
     def in_box_mask(self) -> np.ndarray:
@@ -757,7 +763,7 @@ def evaluate_residuals(
     mesh = np.meshgrid(*values, indexing="ij")
     points = np.stack([m.ravel() for m in mesh], axis=1)
     rows = MatchRows(sys, design, points)
-    pot, kin, pd_mask = rows.potential(), rows.kinetic(), rows.pd_mask()
+    pot, kin, pd_mask = rows.potential, rows.kinetic, rows.pd
     failed: dict = {}
     for i in np.flatnonzero(rows.failed):
         pot[i], kin[i], pd_mask[i] = np.nan, np.nan, False
@@ -781,4 +787,5 @@ def evaluate_residuals(
         pd_box=box,
         tolerance=tol,
         failed_points=failed,
+        rows=rows,
     )

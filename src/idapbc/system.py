@@ -127,9 +127,14 @@ def spd_defect(a) -> str | None:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         return f"is not square (shape {a.shape})"
-    if not np.isfinite(a).all():
+    # max |a| and max |a - a'| in one pass; a NaN or inf makes max |a|
+    # non-finite (an inf facing an inf in a - a' warns of the NaN it makes)
+    peak, asym = np.maximum.reduceat(
+        np.abs(np.concatenate((a, a - a.T), axis=None)), (0, a.size)
+    ).tolist()
+    if not math.isfinite(peak):
         return "is not finite"
-    if not symmetric(a):
+    if asym > INVARIANT_TOL * max(peak, 1.0):  # symmetric's test
         return "is not symmetric"
     low = lowest_eigenvalue(a)
     if not low > 0.0:
@@ -275,6 +280,9 @@ class MechSystem:
         # _kept_frame of a constant G, from its first query that passes the
         # rank check; a rank-deficient one is never kept, so each query raises
         self._const_frame = None
+        # the gyroscopic derivation map with the kept frame folded in (see
+        # matching._derivation_map), from the first derivation that reads it
+        self.kept_gyro_map = None
 
     def mass_matrix(self, q: Sequence[float]) -> np.ndarray:
         m = self.M(q)
@@ -306,6 +314,11 @@ class MechSystem:
                 return g, u
             self._const_frame = _kept_frame(u, self.m)
         return g, self._const_frame[0]
+
+    @property
+    def frame_kept(self) -> bool:
+        """Whether the input frame is kept: G is constant and was queried."""
+        return self._const_frame is not None
 
     def frame_from(self, g: np.ndarray, u: np.ndarray) -> InputFrame:
         """The input frame of G from the U factor input_svd returned with it."""

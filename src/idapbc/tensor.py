@@ -10,8 +10,10 @@ verified kinetic matching condition into a usable force term.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import permutations
+from functools import cache
+from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
@@ -49,12 +51,54 @@ def finite_rows(a: np.ndarray) -> np.ndarray:
     return np.isfinite(a).all(axis=_CUBE)
 
 
-def gyro_defects(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """First-pair symmetry error, cyclic-sum error and the tolerance both are
-    held to, for each tensor of a (..., n, n, n) stack."""
-    sym = np.max(np.abs(c - c.swapaxes(-3, -2)), axis=_CUBE)
-    cyc = np.max(np.abs(cyclic_sum(c)), axis=_CUBE)
-    return sym, cyc, INVARIANT_TOL * scale_of(c, _CUBE)
+NOT_FINITE = "entries must be finite"
+
+
+def gyro_defect(peak: float, sym_err: float, cyc_err: float) -> str | None:
+    """Why a tensor whose largest |entry| is ``peak``, with first-pair
+    symmetry error ``sym_err`` and largest |cyclic sum| ``cyc_err``, is not a
+    GyroTensor, or None."""
+    if not math.isfinite(peak):
+        return NOT_FINITE
+    tol = INVARIANT_TOL * max(peak, 1.0)
+    if sym_err > tol:
+        return f"first-pair symmetry violated by {sym_err:.3e}"
+    if cyc_err > tol:
+        return f"cyclic sum violated by {cyc_err:.3e}"
+    return None
+
+
+def precondition_defect(peak: float, sym_err: float, residual: float) -> str | None:
+    """Why extend_to_gyro refuses a T whose largest |entry| is ``peak``, with
+    first-pair symmetry error ``sym_err`` and largest |cyclic sum| on the
+    unactuated block ``residual``, or None."""
+    if not math.isfinite(peak):
+        return NOT_FINITE
+    scale = max(peak, 1.0)
+    if sym_err > INVARIANT_TOL * scale:
+        return f"T must be symmetric in its first two indices (error {sym_err:.3e})"
+    if residual > CYCLIC_PRECONDITION_TOL * scale:
+        return (
+            f"cyclic sum of T on the unactuated block must vanish; residual {residual:.3e} "
+            f"exceeds {CYCLIC_PRECONDITION_TOL:.1e} relative tolerance"
+        )
+    return None
+
+
+def _blocks(e: np.ndarray, u: int | None = None) -> list[np.ndarray]:
+    """Each tensor of an (N, n, n, n) stack, its first-pair asymmetry and its
+    cyclic sum (on the leading u x u x u block, if u is given; one zero for
+    an empty block), as (N, k) arrays."""
+    cyc = cyclic_sum(e if u is None else e[:, :u, :u, :u])
+    if cyc.size == 0:
+        cyc = np.zeros((len(e), 1))
+    return [b.reshape(len(e), -1) for b in (e, e - e.swapaxes(-3, -2), cyc)]
+
+
+def _peaks(e: np.ndarray, u: int | None = None) -> list[float]:
+    """The largest |entry| of each of e's _blocks: max |e|, its first-pair
+    symmetry error and its largest |cyclic sum|."""
+    return [np.abs(b).max() for b in _blocks(e[None], u)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,7 +114,7 @@ class Tensor3:
         if arr.shape[0] < 1:
             raise TensorError("dimension must be >= 1")
         if not finite_rows(arr):
-            raise TensorError("entries must be finite")
+            raise TensorError(NOT_FINITE)
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
@@ -90,11 +134,17 @@ class GyroTensor(Tensor3):
 
     def __post_init__(self):
         super().__post_init__()
-        sym_err, cyc_err, tol = gyro_defects(self.entries)
-        if sym_err > tol:
-            raise TensorError(f"first-pair symmetry violated by {sym_err:.3e}")
-        if cyc_err > tol:
-            raise TensorError(f"cyclic sum violated by {cyc_err:.3e}")
+        if defect := gyro_defect(*_peaks(self.entries)):
+            raise TensorError(defect)
+
+    @classmethod
+    def derived(cls, entries: np.ndarray) -> "GyroTensor":
+        """A GyroTensor of a C-ordered (n, n, n) array that every check of
+        the constructor has passed already (see GyroMap); made read-only."""
+        c = object.__new__(cls)
+        entries.setflags(write=False)
+        object.__setattr__(c, "entries", entries)
+        return c
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,21 +293,9 @@ def _constructive_dims(n: int) -> tuple[int, int, int]:
     return dim_b, n ** 3 - _orbit_rank(rows, n), dim_ker
 
 
-def _block_cyclic_error(e: np.ndarray, u: int) -> np.ndarray:
-    return np.max(np.abs(cyclic_sum(e[..., :u, :u, :u])), axis=_CUBE, initial=0.0)
-
-
 def cyclic_residual(t: Tensor3, n_unactuated: int) -> float:
     """Max |T_abc + T_bca + T_cab| over the leading unactuated block."""
-    return float(_block_cyclic_error(t.entries, n_unactuated))
-
-
-def extension_defects(e: np.ndarray, u: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For each T of a (..., n, n, n) stack with u unactuated indices: its
-    first-pair symmetry error, its cyclic residual on the unactuated block,
-    and its scale, which the extension's preconditions are relative to."""
-    sym = np.max(np.abs(e - e.swapaxes(-3, -2)), axis=_CUBE)
-    return sym, _block_cyclic_error(e, u), scale_of(e, _CUBE)
+    return float(_peaks(t.entries, n_unactuated)[2])
 
 
 def gyro_extension(e: np.ndarray, u: int) -> np.ndarray:
@@ -287,15 +325,95 @@ def extend_to_gyro(t: Tensor3, n_unactuated: int) -> GyroTensor:
     """
     if not 0 <= n_unactuated <= t.n:
         raise TensorError(f"invalid split {n_unactuated} of {t.n}")
-    sym_err, res, scale = extension_defects(t.entries, n_unactuated)
-    if sym_err > INVARIANT_TOL * scale:
-        raise TensorError(f"T must be symmetric in its first two indices (error {sym_err:.3e})")
-    if res > CYCLIC_PRECONDITION_TOL * scale:
-        raise TensorError(
-            f"cyclic sum of T on the unactuated block must vanish; residual {res:.3e} "
-            f"exceeds {CYCLIC_PRECONDITION_TOL:.1e} relative tolerance"
-        )
+    if defect := precondition_defect(*_peaks(t.entries, n_unactuated)):
+        raise TensorError(defect)
     return GyroTensor(gyro_extension(t.entries, n_unactuated))
+
+
+@cache
+def index_triples(d: int) -> np.ndarray:
+    """Flat indices of the triples a <= b <= c in a d x d x d block."""
+    return np.array(
+        [(a * d + b) * d + c for a, b, c in combinations_with_replacement(range(d), 3)],
+        dtype=int,
+    )
+
+
+def rotate(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """tp[a, b, c] = T(rows[a], rows[b], rows[c]) for each T of a stack."""
+    return np.einsum("...ijk,...ai,...bj,...ck->...abc", t, rows, rows, rows)
+
+
+def rotate_back(tp: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """T from tp = rotate(T, basis), for an orthonormal basis."""
+    return np.einsum("...rst,...ri,...sj,...tk->...ijk", tp, basis, basis, basis)
+
+
+class GyroMap:
+    """extend_to_gyro of T in an adapted basis, C rotated back out of it, and
+    every check on the way, as linear maps of T.
+
+    The outputs are nine blocks, in the order the checks read them: tp (T in
+    the basis), its first-pair asymmetry and its cyclic sums on the unactuated
+    block (precondition_defect); the extension cp, its asymmetry and cyclic
+    sums, and then C's (gyro_defect).  The matrices are rotate,
+    gyro_extension, the first-pair swap, cyclic_sum and rotate_back applied to
+    the n^3 unit tensors, so each formula stays written once.
+
+    With a fixed ``basis``, one matrix takes vec(T) to all nine blocks.
+    Without one, ``apply`` rotates T by the basis it is given, one matrix
+    takes vec(tp) to the first six blocks, C comes from cp by rotate_back,
+    and a second matrix takes vec(C) to the last three.
+    """
+
+    def __init__(self, n: int, u: int, basis: np.ndarray | None = None):
+        units = np.eye(n ** 3).reshape(-1, n, n, n)
+        tp = units if basis is None else rotate(units, basis)
+        cp = gyro_extension(tp, u)
+        blocks = _blocks(tp, u) + _blocks(cp)
+        tail = _blocks(units if basis is None else rotate_back(cp, basis))
+        if basis is None:
+            self.head, self.tail = np.hstack(blocks), np.hstack(tail)
+        else:
+            self.head, self.tail = np.hstack(blocks + tail), None
+        sizes = [b.shape[1] for b in blocks + tail]
+        self.starts = np.cumsum([0] + sizes[:-1])
+        edges = [*self.starts, sum(sizes)]
+        # tp's cyclic sums on the unactuated block, cp and C
+        self.cyclic, self.cp, self.c = (slice(edges[i], edges[i + 1]) for i in (2, 3, 6))
+        # the kinetic defects: tp's cyclic sums over the unactuated index
+        # triples a <= b <= c
+        self.kinetic = self.cyclic.start + index_triples(u)
+
+    def apply(self, t: np.ndarray, basis: np.ndarray | None = None) -> np.ndarray:
+        """The nine blocks, concatenated, for each T of a C-ordered
+        (..., n, n, n) stack; ``basis`` holds the adapted basis of each T
+        unless the map has one folded in."""
+        lead = t.shape[:-3]
+        if self.tail is None:
+            return t.reshape(lead + (-1,)) @ self.head
+        y = rotate(t, basis).reshape(lead + (-1,)) @ self.head
+        c = rotate_back(y[..., self.cp].reshape(t.shape), basis)
+        return np.concatenate((y, c.reshape(lead + (-1,)) @ self.tail), axis=-1)
+
+    def peaks(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The largest |entry| of each block of apply's output; ``out``
+        (y itself, say) takes the |entries|."""
+        return np.maximum.reduceat(np.abs(y, out=out), self.starts, axis=-1)
+
+
+def derivation_failed(peaks: np.ndarray) -> np.ndarray:
+    """Whether precondition_defect (on tp) or gyro_defect (on cp or C) finds
+    a defect, for each row of an (N, 9) stack of GyroMap peaks."""
+    failed = np.zeros(len(peaks), dtype=bool)
+    triples = peaks.T.reshape(3, 3, -1)
+    for (peak, sym_err, cyc_err), cyc_tol in zip(
+        triples, (CYCLIC_PRECONDITION_TOL, INVARIANT_TOL, INVARIANT_TOL)
+    ):
+        scale = np.maximum(peak, 1.0)
+        failed |= ~np.isfinite(peak) | (sym_err > INVARIANT_TOL * scale)
+        failed |= cyc_err > cyc_tol * scale
+    return failed
 
 
 def b_from_gyro(c: GyroTensor) -> SkewPairTensor:
@@ -408,5 +526,21 @@ def selfcheck(seed: int = 0, dims_max: int = 5, draws: int = 50) -> list[SelfChe
         worst = max(worst, float(np.max(np.abs(f_direct - f_gyro))))
     record("interconnection round trip and force equivalence", worst <= 1e-10,
            f"max deviation {worst:.2e}")
+
+    worst = 0.0
+    for _ in range(draws):
+        n = int(rng.integers(2, dims_max + 1))
+        u = int(rng.integers(1, n))
+        basis = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        t = rotate_back(random_admissible_t(n, u, rng).entries, basis)
+        expect = rotate_back(extend_to_gyro(Tensor3(rotate(t, basis)), u).entries, basis)
+        for gmap, rows in ((GyroMap(n, u, basis), None), (GyroMap(n, u), basis)):
+            y = gmap.apply(t, rows)
+            if derivation_failed(gmap.peaks(y)[None])[0]:
+                worst = np.inf
+            c = y[gmap.c].reshape(n, n, n)
+            worst = max(worst, float(np.max(np.abs(c - expect)) / scale_of(expect)))
+    record("derivation map equals the extension chain", worst <= 1e-12,
+           f"max relative deviation {worst:.2e}")
 
     return results

@@ -570,7 +570,7 @@ class TestSelftest:
         assert code == 0
         lines = out.splitlines()
         assert all(l.startswith("PASS") for l in lines[:-1])
-        assert lines[-1] == "4/4 suites passed"
+        assert lines[-1] == "5/5 suites passed"
 
     def test_seed_reproducible(self, capsys):
         _, first, _ = run(capsys, "selftest", "--seed", "42")
@@ -580,7 +580,7 @@ class TestSelftest:
     def test_dims_flag(self, capsys):
         code, out, _ = run(capsys, "selftest", "--dims-max", "3")
         assert code == 0
-        assert "4/4 suites passed" in out
+        assert "5/5 suites passed" in out
 
 
 class TestUsage:

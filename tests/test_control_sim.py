@@ -372,6 +372,23 @@ class TestOneEvaluationPerCall:
 
 
 class TestClosedLoopField:
+    @pytest.mark.parametrize("with_table", [False, True])
+    def test_reads_dm_only_for_feedback(self, with_table):
+        # the shaped law needs no dM/dq; the feedback's dH/dq does (and T)
+        sys, design = builtin("pendulum_cart", eps=0.55, K=0.25)
+        if not with_table:
+            design = ShapedDesign(sys.vars, design.Mhat, design.Vhat, design.Kv)
+        ctrl = Controller(sys, design)
+        calls = []
+        dm_fn = sys._dm_fn
+        sys._dm_fn = lambda q: calls.append(1) or dm_fn(q)
+        q, p = [0.3, -0.2], [0.4, 0.1]
+        closed_loop_field(ctrl, q, p)
+        assert len(calls) == (0 if with_table else 1)
+        del calls[:]
+        feedback(ctrl, q, p)
+        assert len(calls) == 1
+
     def test_equilibrium_is_fixed_point(self):
         _, _, ctrl = pendulum_controller()
         qdot, pdot = closed_loop_field(ctrl, [0.0, 0.0], [0.0, 0.0])

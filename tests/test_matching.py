@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from idapbc import matching
 from idapbc.expr import ExprError, add, parse
 from idapbc.matching import (
     CharacteristicsSolution,
@@ -23,8 +24,24 @@ from idapbc.matching import (
     t_tensor,
 )
 from idapbc.stability import linearize
-from idapbc.system import ExprMatrix, MechSystem, ShapedDesign, SystemError, builtin
-from idapbc.tensor import TensorError
+from idapbc.system import (
+    ExprMatrix,
+    MechSystem,
+    ShapedDesign,
+    SystemError,
+    builtin,
+    load_system,
+    q_text,
+    system_to_dict,
+)
+from idapbc.tensor import (
+    GyroMap,
+    GyroTensor,
+    Tensor3,
+    TensorError,
+    cyclic_sum,
+    extend_to_gyro,
+)
 
 VARS2 = ["q1", "q2"]
 VARS3 = ["q1", "q2", "q3"]
@@ -721,3 +738,155 @@ class TestBatchedSweep:
         with pytest.raises(MatchingError) as single:
             field.at(points[1])
         assert str(batched.value) == str(single.value)
+
+
+def reference_gyro(point):
+    """MatchPoint.gyro as an einsum chain: T rotated into [W; U'], extended by
+    extend_to_gyro there (its failures as a MatchingError), rotated back."""
+    w, u, t = point.frame.annihilator, point.frame.range_basis, point.t
+    basis = np.concatenate([w, u.T])
+    tp = np.einsum("ijk,ai,bj,ck->abc", t.entries, basis, basis, basis)
+    try:
+        cp = extend_to_gyro(Tensor3(tp), len(w)).entries
+    except TensorError as exc:
+        raise MatchingError(
+            f"cannot extend to a gyroscopic tensor at q={q_text(point.q)}: {exc}"
+        ) from exc
+    return GyroTensor(np.einsum("rst,ri,sj,tk->ijk", cp, basis, basis, basis))
+
+
+def crafted(entries):
+    """t_entries replaced by one returning ``entries`` at every point."""
+    def t_entries(pair, dm):
+        return np.broadcast_to(entries, pair.minv.shape[:-2] + entries.shape).copy()
+    return t_entries
+
+
+def failing_t(case):
+    t = np.zeros((2, 2, 2))
+    t[1, 1, 0] = 0.3
+    if case == "asymmetric":
+        t[0, 1, 1] = 1.0
+    elif case == "cyclic":
+        t[0, 0, 0] = 0.5
+    elif case == "non-finite":
+        t[1, 1, 1] = np.inf
+    else:  # cp = -T_010 - T_100 overflows
+        t[0, 1, 0] = t[1, 0, 0] = -1e308
+    return t
+
+
+class TestDerivationMap:
+    @pytest.mark.parametrize("g", [[["0"], ["1"]], [["0.6"], ["0.8"]], [["0"], ["q1 - 0.5"]]])
+    def test_matches_reference_chain(self, g):
+        # a signed permutation, a constant rotation and a varying frame
+        sys, design = builtin("pendulum_cart", eps=0.55, K=0.25)
+        sys = MechSystem(sys.vars, sys.M, sys.V, ExprMatrix.from_strings(g, sys.vars))
+        rng = np.random.default_rng(3)
+        permutation = g == [["0"], ["1"]]
+        for q in rng.uniform(-0.4, 0.4, (50, 2)):
+            point, ref = MatchPoint(sys, design, q), MatchPoint(sys, design, q)
+            w = ref.frame.annihilator
+            kin = cyclic_sum(np.einsum("ijk,ai,bj,ck->abc", ref.t.entries, w, w, w)).ravel()
+            try:
+                expect = reference_gyro(ref).entries
+            except MatchingError as exc:
+                with pytest.raises(MatchingError) as got:
+                    point.gyro()
+                if permutation:
+                    assert str(got.value) == str(exc)
+                expect = None
+            else:
+                c = point.gyro().entries
+                if permutation:
+                    assert c.tobytes() == expect.tobytes()
+                np.testing.assert_allclose(c, expect, rtol=0, atol=1e-13 * np.abs(expect).max())
+            if permutation:
+                assert point.kinetic().tobytes() == kin.tobytes()
+            np.testing.assert_allclose(point.kinetic(), kin, rtol=0, atol=1e-14)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("case", ["asymmetric", "cyclic", "non-finite", "cp-overflow"])
+    def test_failing_checks_raise_as_the_chain(self, monkeypatch, case):
+        sys, design = builtin("pendulum_cart", eps=0.55, K=0.25)
+        monkeypatch.setattr(matching, "t_entries", crafted(failing_t(case)))
+        q = np.array([0.3, -0.2])
+        with pytest.raises((MatchingError, TensorError)) as want:
+            reference_gyro(MatchPoint(sys, design, q))
+        for call in (lambda: MatchPoint(sys, design, q).gyro(),
+                     lambda: derive_gyro(sys, design).sample(np.array([q, [0.1, 0.1]]))):
+            with pytest.raises((MatchingError, TensorError)) as got:
+                call()
+            assert type(got.value) is type(want.value)
+            assert str(got.value) == str(want.value)
+        expected = TensorError if case == "non-finite" else MatchingError
+        assert type(want.value) is expected
+
+    def test_kinetic_and_gyro_from_one_product(self, monkeypatch):
+        sys, design = builtin("pendulum_cart", eps=0.55, K=0.25)
+        design = ShapedDesign(sys.vars, design.Mhat, design.Vhat, design.Kv)
+        calls = {"apply": 0, "peaks": 0, "checked": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(GyroMap, "apply", counted("apply", GyroMap.apply))
+        monkeypatch.setattr(GyroMap, "peaks", counted("peaks", GyroMap.peaks))
+        monkeypatch.setattr(GyroTensor, "__post_init__",
+                            counted("checked", GyroTensor.__post_init__))
+        point = MatchPoint(sys, design, np.array([0.3, -0.2]))
+        point.residual()
+        point.gyro()
+        assert calls == {"apply": 1, "peaks": 1, "checked": 0}
+
+    def test_folded_map_built_once_per_constant_g_system(self, monkeypatch, tmp_path):
+        built = []
+
+        class Counted(GyroMap):
+            def __init__(self, n, u, basis=None):
+                built.append(basis is not None)
+                super().__init__(n, u, basis)
+
+        monkeypatch.setattr(matching, "GyroMap", Counted)
+        sys, design = builtin("pendulum_cart", eps=0.55, K=0.25)
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(system_to_dict(sys, design)))
+        loaded, _ = load_system(str(path))
+        assert True not in built
+        assert sys.kept_gyro_map is None and loaded.kept_gyro_map is None
+        field = derive_gyro(sys, design)
+        field.at([0.3, -0.2])
+        kept = sys.kept_gyro_map
+        for q in ([0.1, 0.2], [-0.4, 0.0]):
+            field.at(q)
+            kinetic_residual(sys, design, q)
+        assert built.count(True) == 1 and sys.kept_gyro_map is kept
+        # a varying G folds nothing
+        g = ExprMatrix.from_strings([["0"], ["q1 - 0.5"]], sys.vars)
+        varying = MechSystem(sys.vars, sys.M, sys.V, g)
+        derive_gyro(varying, design).at([0.3, -0.2])
+        assert built.count(True) == 1 and varying.kept_gyro_map is None
+
+    def test_synthesize_samples_from_the_sweep(self, monkeypatch, tmp_path, capsys):
+        from idapbc.cli import main
+
+        made = []
+        init = matching.MatchRows.__init__
+
+        def counted(self, *args):
+            made.append(len(args[-1]))
+            init(self, *args)
+
+        monkeypatch.setattr(matching.MatchRows, "__init__", counted)
+        out = tmp_path / "out"
+        code = main(["synthesize", "--system", "builtin:pendulum_cart",
+                     "--grid", "q1=-1:1:9,q2=-1:1:5", "--out", str(out)])
+        capsys.readouterr()
+        assert code == 0 and made == [45]
+        samples = json.loads((out / "controller.json").read_text())["C_samples"]
+        sys, design = builtin("pendulum_cart")
+        expect = derive_gyro(sys, design).sample(np.array(samples["points"]))
+        assert np.array_equal(np.array(samples["values"]), expect)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from idapbc.tensor import (
+    GyroMap,
     GyroTensor,
     Interconnection,
     SkewPairTensor,
@@ -10,9 +11,13 @@ from idapbc.tensor import (
     b_from_gyro,
     b_to_j,
     cyclic_residual,
+    derivation_failed,
     extend_to_gyro,
     force_from_j,
+    gyro_defect,
+    gyro_extension,
     j_to_b,
+    precondition_defect,
     psi,
     random_admissible_t,
     random_gyro,
@@ -325,3 +330,102 @@ class TestSelfCheck:
         assert [(r.name, r.passed, r.detail) for r in a] == [
             (r.name, r.passed, r.detail) for r in b
         ]
+
+
+def chain_reference(t: np.ndarray, basis: np.ndarray, u: int):
+    """The derivation as an einsum chain: T rotated into the basis, extended
+    there, rotated back.  Returns the peaks GyroMap reads (max |e|, first-pair
+    asymmetry, cyclic sum, for tp on its unactuated block, cp and C), C and
+    tp's cyclic sums on the unactuated block."""
+    tp = np.einsum("ijk,ai,bj,ck->abc", t, basis, basis, basis)
+    cp = gyro_extension(tp, u)
+    c = np.einsum("rst,ri,sj,tk->ijk", cp, basis, basis, basis)
+
+    def cyclic(e):
+        return e + e.transpose(2, 0, 1) + e.transpose(1, 2, 0)
+
+    def peaks(e, block):
+        return [np.abs(e).max(), np.abs(e - e.transpose(1, 0, 2)).max(),
+                np.abs(cyclic(block)).max(initial=0.0)]
+
+    block = tp[:u, :u, :u]
+    return peaks(tp, block) + peaks(cp, cp) + peaks(c, c), c, cyclic(block).ravel()
+
+
+def first_pair_symmetric(n, rng):
+    raw = rng.standard_normal((n, n, n))
+    return (raw + raw.transpose(1, 0, 2)) / 2.0
+
+
+def both_maps(n, u, basis, t):
+    """The outputs of the map with the basis folded in and of the one without."""
+    folded, adapted = GyroMap(n, u, basis), GyroMap(n, u)
+    return [(gmap, gmap.apply(t, rows)) for gmap, rows in ((folded, None), (adapted, basis))]
+
+
+class TestGyroMap:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_einsum_chain_on_random_frames(self, n):
+        rng = np.random.default_rng(20 + n)
+        for u in range(n + 1):
+            for _ in range(5):
+                basis = np.linalg.qr(rng.standard_normal((n, n)))[0]
+                t = first_pair_symmetric(n, rng)
+                peaks, c, cyc = chain_reference(t, basis, u)
+                scale = np.abs(t).max()
+                for gmap, y in both_maps(n, u, basis, t):
+                    np.testing.assert_allclose(gmap.peaks(y), peaks, rtol=0, atol=1e-13 * scale)
+                    np.testing.assert_allclose(
+                        y[gmap.c].reshape(n, n, n), c, rtol=0, atol=1e-13 * scale
+                    )
+                    got = y[gmap.cyclic][: cyc.size]
+                    np.testing.assert_allclose(got, cyc, rtol=0, atol=1e-13 * scale)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_bitwise_on_signed_permutation_frames(self, n):
+        # every entry of C is one entry of cp, itself at most two terms of tp
+        # with coefficients +-1 or -1/2, so no sum rounds; tp's cyclic sums
+        # add three terms for u >= 2, and do round in another order
+        rng = np.random.default_rng(30 + n)
+        for u in range(n + 1):
+            for _ in range(5):
+                basis = np.zeros((n, n))
+                basis[np.arange(n), rng.permutation(n)] = rng.choice([-1.0, 1.0], n)
+                t = first_pair_symmetric(n, rng)
+                _, c, cyc = chain_reference(t, basis, u)
+                for gmap, y in both_maps(n, u, basis, t):
+                    assert y[gmap.c].reshape(n, n, n).tobytes() == c.tobytes()
+                    if u <= 1:
+                        assert y[gmap.cyclic][: cyc.size].tobytes() == cyc.tobytes()
+
+    def test_stacks_and_single_tensors_agree(self):
+        rng = np.random.default_rng(40)
+        n, u = 3, 1
+        basis = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        ts = np.stack([first_pair_symmetric(n, rng) for _ in range(4)])
+        for gmap, rows in ((GyroMap(n, u, basis), None), (GyroMap(n, u), basis)):
+            stacked = gmap.apply(ts, None if rows is None else np.broadcast_to(rows, (4, n, n)))
+            single = [gmap.apply(t, rows) for t in ts]
+            np.testing.assert_allclose(stacked, single, rtol=1e-14, atol=1e-14)
+
+    def test_failure_flags_follow_the_checks(self):
+        # one row per defect: none, asymmetric T, cyclic precondition,
+        # non-finite tp, cp overflowing
+        n, u = 2, 1
+        gmap = GyroMap(n, u)
+        ts = np.zeros((5, n, n, n))
+        ts[:, 1, 1, 0] = 0.3
+        ts[1, 0, 1, 1] = 1.0
+        ts[2, 0, 0, 0] = 0.5
+        ts[3, 1, 1, 1] = np.inf
+        ts[4, 0, 1, 0] = ts[4, 1, 0, 0] = -1e308
+        with np.errstate(all="ignore"):
+            peaks = gmap.peaks(gmap.apply(ts, np.broadcast_to(np.eye(n), (5, n, n))))
+        assert derivation_failed(peaks).tolist() == [False, True, True, True, True]
+        assert precondition_defect(*peaks[0, :3]) is None
+        assert gyro_defect(*peaks[0, 3:6]) is None and gyro_defect(*peaks[0, 6:]) is None
+        assert precondition_defect(*peaks[1, :3]).startswith("T must be symmetric")
+        assert precondition_defect(*peaks[2, :3]).startswith("cyclic sum of T")
+        assert precondition_defect(*peaks[3, :3]) == "entries must be finite"
+        assert precondition_defect(*peaks[4, :3]) is None
+        assert gyro_defect(*peaks[4, 3:6]) == "entries must be finite"
