@@ -293,6 +293,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
+    if args.dims_max < 2:
+        raise CliError(f"--dims-max must be >= 2, got {args.dims_max}")
+    if args.seed < 0:
+        raise CliError(f"--seed must be >= 0, got {args.seed}")
     results = selfcheck(seed=args.seed, dims_max=args.dims_max)
     failed = 0
     for r in results:

@@ -101,7 +101,7 @@ def _shaped_law(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(qdot, pdot) of the shaped dynamics at (point.q, p), the damped Hamiltonian
     flow of the design plus the gyroscopic force; raises where Mhat is not PD."""
-    (g, _), (minv, mhat, dmhat) = point.g_svd, point.pair
+    g, (minv, mhat, dmhat) = point.frame.g, point.pair
     if defect := spd_defect(mhat):
         raise SystemError(f"shaped mass {defect} at q={q_text(point.q)}")
     uhat = linalg.solve(mhat, p)

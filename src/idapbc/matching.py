@@ -134,25 +134,22 @@ def _adapted_basis(w: np.ndarray, range_basis: np.ndarray) -> np.ndarray:
 
 @cache
 def _adapted_map(n: int, d: int) -> GyroMap:
-    """The GyroMap without a basis, for n coordinates, d of them unactuated."""
+    """The GyroMap for n coordinates, d of them unactuated."""
     return GyroMap(n, d)
 
 
-def _derivation_map(
-    sys: MechSystem, frame: InputFrame
-) -> tuple[GyroMap, Optional[np.ndarray]]:
-    """The GyroMap for T at a point with this input frame, and the adapted
-    basis its ``apply`` rotates by.  For a constant G the basis is folded in
-    (None is returned for it): the system keeps that map from the first
-    derivation that reads it."""
-    d = len(frame.annihilator)
-    if not sys.frame_kept:
-        basis = _adapted_basis(frame.annihilator, frame.range_basis)
-        return _adapted_map(sys.n, d), basis
-    if sys.kept_gyro_map is None:
-        basis = _adapted_basis(frame.annihilator, frame.range_basis)
-        sys.kept_gyro_map = GyroMap(sys.n, d, basis)
-    return sys.kept_gyro_map, None
+def _derive(
+    sys: MechSystem, frame: InputFrame, t: np.ndarray
+) -> tuple[GyroMap, np.ndarray]:
+    """The GyroMap for T at a point with this input frame, and its output for
+    T.  For a constant G it is one product with the map's fold of the kept
+    frame, which the system keeps from the first derivation."""
+    gmap = _adapted_map(sys.n, sys.n - sys.m)
+    if not sys.g_constant:
+        return gmap, gmap.apply(t, _adapted_basis(frame.annihilator, frame.range_basis))
+    if sys.kept_fold is None:
+        sys.kept_fold = gmap.fold(_adapted_basis(frame.annihilator, frame.range_basis))
+    return gmap, t.reshape(-1) @ sys.kept_fold
 
 
 def a_tensor(sys: MechSystem, design: ShapedDesign, q: Sequence[float]) -> np.ndarray:
@@ -197,20 +194,15 @@ class _Kept(cached_property):
 
 class MatchPoint:
     """The input frame, metric pair, dM, dV, dVhat, T and T's derivation at
-    one q, each evaluated on first read and kept.  Readers take G or the frame
+    one q, each evaluated on first read and kept.  Readers take the frame
     first, so a rank-deficient G is reported ahead of a failing metric."""
 
     def __init__(self, sys: MechSystem, design: ShapedDesign, q: Sequence[float]):
         self.sys, self.design, self.q = sys, design, q
 
     @_Kept
-    def g_svd(self) -> tuple[np.ndarray, np.ndarray]:
-        """G(q), its rank checked, and the U factor of its SVD."""
-        return self.sys.input_svd(self.q)
-
-    @_Kept
     def frame(self) -> InputFrame:
-        return self.sys.frame_from(*self.g_svd)
+        return self.sys.frame(self.q)
 
     @_Kept
     def pair(self) -> MetricPair:
@@ -240,8 +232,7 @@ class MatchPoint:
     def derivation(self) -> tuple[GyroMap, np.ndarray]:
         """The GyroMap at the point and its output for T: one product for a
         constant G."""
-        gmap, basis = _derivation_map(self.sys, self.frame)
-        return gmap, gmap.apply(self.t.entries, basis)
+        return _derive(self.sys, self.frame, self.t.entries)
 
     def potential(self) -> np.ndarray:
         """W (dV - Mhat M^-1 dVhat)."""
@@ -315,7 +306,7 @@ class MatchRows:
         # spd_defect's test; the rows ``failed`` leaves are finite
         mhat = identity_where(pair.mhat, failed)
         self.pd = symmetric(mhat) & (lowest_eigenvalue(mhat) > 0.0)
-        # the map without a basis: the frame varies from row to row
+        # apply, not the fold: the frame varies from row to row
         gmap = _adapted_map(sys.n, sys.n - sys.m)
         with np.errstate(all="ignore"):
             y = gmap.apply(t, _adapted_basis(w, range_basis))

@@ -128,9 +128,9 @@ def spd_defect(a) -> str | None:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         return f"is not square (shape {a.shape})"
     # max |a| and max |a - a'| in one pass; a NaN or inf makes max |a|
-    # non-finite (an inf facing an inf in a - a' warns of the NaN it makes)
+    # non-finite (and an inf facing an inf in a - a' makes a NaN)
     peak, asym = np.maximum.reduceat(
-        np.abs(np.concatenate((a, a - a.T), axis=None)), (0, a.size)
+        np.abs(np.concatenate((a, linalg.subtract(a, a.T)), axis=None)), (0, a.size)
     ).tolist()
     if not math.isfinite(peak):
         return "is not finite"
@@ -169,14 +169,6 @@ def q_text(q: Sequence[float]) -> str:
     return str([float(v) for v in q])
 
 
-def checked_input(g: np.ndarray, s: np.ndarray, q: Sequence[float]) -> np.ndarray:
-    """G (n x m) with singular values s; raises unless its rank is m."""
-    n, m = g.shape
-    if m > n or not full_rank(s, n):
-        raise SystemError(f"input matrix rank-deficient at q={q_text(q)}")
-    return g
-
-
 class InputFrame(NamedTuple):
     """G (n x m) and the orthonormal split of R^n it induces: ``range_basis``
     columns span its range, ``annihilator`` rows W satisfy W G = 0, each row
@@ -201,24 +193,13 @@ def split_basis(u: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     return u[..., :m], w
 
 
-def checked_svd(g: np.ndarray, q: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """G (n x m) and the U factor of its SVD; raises unless its rank is m."""
-    u, s, _ = linalg.svd(g)
-    return checked_input(g, s, q), u
-
-
 def input_frame(g: np.ndarray, q: Sequence[float]) -> InputFrame:
-    """One SVD of G; raises unless its rank is m (matrix_rank's tolerance)."""
-    g, u = checked_svd(g, q)
-    return InputFrame(g, *split_basis(u, g.shape[-1]))
-
-
-def _kept_frame(u: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(U, range basis, annihilator) from the U factor of an SVD of G, read-only."""
-    parts = (u.copy(), *split_basis(u, m))
-    for a in parts:
-        a.setflags(write=False)
-    return parts
+    """One SVD, one rank check (matrix_rank's tolerance) and one split of G."""
+    n, m = g.shape
+    u, s, _ = linalg.svd(g)
+    if m > n or not full_rank(s, n):
+        raise SystemError(f"input matrix rank-deficient at q={q_text(q)}")
+    return InputFrame(g, *split_basis(u, m))
 
 
 def q_gradient(dv: np.ndarray, dm: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -235,8 +216,8 @@ class MechSystem:
     State is (q, p); dynamics qdot = dH/dp, pdot = -dH/dq + G(q) u with
     H = p' M(q)^-1 p / 2 + V(q). Mass-matrix positive definiteness and
     input rank are checked at query time, the equilibrium condition
-    dV(0) = 0 at construction.  A G without variables that has full rank
-    is checked, factored and split once, at its first query.
+    dV(0) = 0 at construction.  A G without variables (``g_constant``) that
+    has full rank is checked, factored and split once, at its first query.
     """
 
     def __init__(
@@ -276,13 +257,12 @@ class MechSystem:
             raise SystemError(
                 f"origin is not an equilibrium: |dV(0)| = {np.max(np.abs(grad0)):.3e}"
             )
-        self._g_constant = not any(e.variables() for row in G.entries for e in row)
-        # _kept_frame of a constant G, from its first query that passes the
-        # rank check; a rank-deficient one is never kept, so each query raises
-        self._const_frame = None
-        # the gyroscopic derivation map with the kept frame folded in (see
-        # matching._derivation_map), from the first derivation that reads it
-        self.kept_gyro_map = None
+        self.g_constant = not any(e.variables() for row in G.entries for e in row)
+        # a constant G's read-only range basis and annihilator, from its first
+        # query that passes the rank check, so a rank-deficient G always raises
+        self._kept_split = None
+        # GyroMap.fold of the kept frame, from the first derivation (matching._derive)
+        self.kept_fold = None
 
     def mass_matrix(self, q: Sequence[float]) -> np.ndarray:
         m = self.M(q)
@@ -304,39 +284,21 @@ class MechSystem:
     def potential_gradient(self, q: Sequence[float]) -> np.ndarray:
         return self._dv_fn(q)
 
-    def input_svd(self, q: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-        """G(q), its rank checked, and the U factor of its SVD; for a constant
-        G, the read-only factor kept from the first query."""
-        g = self.G(q)
-        if self._const_frame is None:
-            g, u = checked_svd(g, q)
-            if not self._g_constant:
-                return g, u
-            self._const_frame = _kept_frame(u, self.m)
-        return g, self._const_frame[0]
-
-    @property
-    def frame_kept(self) -> bool:
-        """Whether the input frame is kept: G is constant and was queried."""
-        return self._const_frame is not None
-
-    def frame_from(self, g: np.ndarray, u: np.ndarray) -> InputFrame:
-        """The input frame of G from the U factor input_svd returned with it."""
-        if self._const_frame is None:
-            return InputFrame(g, *split_basis(u, self.m))
-        return InputFrame(g, *self._const_frame[1:])
-
     def frame(self, q: Sequence[float]) -> InputFrame:
-        """G(q) with its range basis and annihilator; raises if rank < m."""
-        return self.frame_from(*self.input_svd(q))
+        """G(q), evaluated per query, and its split; raises if its rank is below m."""
+        g = self.G(q)
+        if self._kept_split is not None:
+            return InputFrame(g, *self._kept_split)
+        frame = input_frame(g, q)
+        if self.g_constant:
+            for a in frame[1:]:
+                a.setflags(write=False)
+            self._kept_split = frame[1:]
+        return frame
 
     def input_matrix(self, q: Sequence[float]) -> np.ndarray:
-        """G(q); raises if its rank is below m (singular values only, where G
-        is not constant)."""
-        if self._g_constant:
-            return self.input_svd(q)[0]
-        g = self.G(q)
-        return checked_input(g, linalg.svd(g, compute_uv=False), q)
+        """G(q); raises if its rank is below m."""
+        return self.frame(q).g
 
     def hamiltonian(self, q: Sequence[float], p: Sequence[float]) -> float | np.ndarray:
         """p' M^-1 p / 2 + V at (q, p), or at each row of (N, n) arrays."""

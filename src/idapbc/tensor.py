@@ -356,26 +356,18 @@ class GyroMap:
     The outputs are nine blocks, in the order the checks read them: tp (T in
     the basis), its first-pair asymmetry and its cyclic sums on the unactuated
     block (precondition_defect); the extension cp, its asymmetry and cyclic
-    sums, and then C's (gyro_defect).  The matrices are rotate,
-    gyro_extension, the first-pair swap, cyclic_sum and rotate_back applied to
+    sums, and then C's (gyro_defect).  ``apply`` rotates T by the basis it is
+    given, one matrix takes vec(tp) to the first six blocks, C comes from cp
+    by rotate_back, and a second matrix takes vec(C) to the last three.  The
+    matrices are gyro_extension, the first-pair swap and cyclic_sum applied to
     the n^3 unit tensors, so each formula stays written once.
-
-    With a fixed ``basis``, one matrix takes vec(T) to all nine blocks.
-    Without one, ``apply`` rotates T by the basis it is given, one matrix
-    takes vec(tp) to the first six blocks, C comes from cp by rotate_back,
-    and a second matrix takes vec(C) to the last three.
     """
 
-    def __init__(self, n: int, u: int, basis: np.ndarray | None = None):
+    def __init__(self, n: int, u: int):
         units = np.eye(n ** 3).reshape(-1, n, n, n)
-        tp = units if basis is None else rotate(units, basis)
-        cp = gyro_extension(tp, u)
-        blocks = _blocks(tp, u) + _blocks(cp)
-        tail = _blocks(units if basis is None else rotate_back(cp, basis))
-        if basis is None:
-            self.head, self.tail = np.hstack(blocks), np.hstack(tail)
-        else:
-            self.head, self.tail = np.hstack(blocks + tail), None
+        blocks = _blocks(units, u) + _blocks(gyro_extension(units, u))
+        tail = _blocks(units)
+        self.head, self.tail = np.hstack(blocks), np.hstack(tail)
         sizes = [b.shape[1] for b in blocks + tail]
         self.starts = np.cumsum([0] + sizes[:-1])
         edges = [*self.starts, sum(sizes)]
@@ -385,16 +377,19 @@ class GyroMap:
         # triples a <= b <= c
         self.kinetic = self.cyclic.start + index_triples(u)
 
-    def apply(self, t: np.ndarray, basis: np.ndarray | None = None) -> np.ndarray:
+    def apply(self, t: np.ndarray, basis: np.ndarray) -> np.ndarray:
         """The nine blocks, concatenated, for each T of a C-ordered
-        (..., n, n, n) stack; ``basis`` holds the adapted basis of each T
-        unless the map has one folded in."""
+        (..., n, n, n) stack, with ``basis`` the adapted basis of each T."""
         lead = t.shape[:-3]
-        if self.tail is None:
-            return t.reshape(lead + (-1,)) @ self.head
         y = rotate(t, basis).reshape(lead + (-1,)) @ self.head
         c = rotate_back(y[..., self.cp].reshape(t.shape), basis)
         return np.concatenate((y, c.reshape(lead + (-1,)) @ self.tail), axis=-1)
+
+    def fold(self, basis: np.ndarray) -> np.ndarray:
+        """apply's map for one fixed (n, n) basis as one matrix: apply is
+        linear in T, so vec(T) @ fold(basis) is apply(T, basis)."""
+        n = len(basis)
+        return self.apply(np.eye(n ** 3).reshape(-1, n, n, n), basis)
 
     def peaks(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The largest |entry| of each block of apply's output; ``out``
@@ -534,8 +529,8 @@ def selfcheck(seed: int = 0, dims_max: int = 5, draws: int = 50) -> list[SelfChe
         basis = np.linalg.qr(rng.standard_normal((n, n)))[0]
         t = rotate_back(random_admissible_t(n, u, rng).entries, basis)
         expect = rotate_back(extend_to_gyro(Tensor3(rotate(t, basis)), u).entries, basis)
-        for gmap, rows in ((GyroMap(n, u, basis), None), (GyroMap(n, u), basis)):
-            y = gmap.apply(t, rows)
+        gmap = GyroMap(n, u)
+        for y in (gmap.apply(t, basis), t.reshape(-1) @ gmap.fold(basis)):
             if derivation_failed(gmap.peaks(y)[None])[0]:
                 worst = np.inf
             c = y[gmap.c].reshape(n, n, n)

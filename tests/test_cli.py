@@ -582,6 +582,14 @@ class TestSelftest:
         assert code == 0
         assert "5/5 suites passed" in out
 
+    @pytest.mark.parametrize(
+        "flag,value", [("--dims-max", "1"), ("--dims-max", "0"), ("--seed", "-1")]
+    )
+    def test_out_of_range_flag_is_a_usage_error(self, capsys, flag, value):
+        code, out, err = run(capsys, "selftest", flag, value)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {flag} must be >= ")
+
 
 class TestUsage:
     def test_unknown_subcommand(self, capsys):

@@ -38,6 +38,16 @@ def random_cases(rng, square=True):
             yield rng.standard_normal(lead + (n, cols))
 
 
+def quiet_subtract(layer):
+    """layer.subtract(a, a') is a - a' bit for bit and warns of nothing."""
+    a = np.array([[np.inf, 1.0], [np.nan, -np.inf]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = layer.subtract(a, a.T)
+    with np.errstate(invalid="ignore"):
+        assert got.tobytes() == (a - a.T).tobytes()
+
+
 class TestBitwise:
     def test_inv(self):
         rng = np.random.default_rng(0)
@@ -89,6 +99,9 @@ BAD = {
 
 
 class TestFailures:
+    def test_subtract_is_quiet(self):
+        quiet_subtract(linalg)
+
     @pytest.mark.parametrize("name", BAD)
     def test_same_errors_and_warnings(self, name):
         a = BAD[name]
@@ -121,7 +134,9 @@ class TestFailures:
                 linalg.svd(BAD["nan"])
             linalg.eigvalsh(BAD["nan"])
             linalg.solve(np.eye(2), np.ones(2))
+            linalg.subtract(BAD["inf"], BAD["inf"])
             assert (np.geterr(), np.geterrcall()) == before
+
 
 
 @pytest.fixture
@@ -141,6 +156,9 @@ class TestFallback:
         assert fallback.svd is np.linalg.svd
         u, s, vh = fallback.svd(np.array([[0.0], [1.0]]))
         assert u.shape == (2, 2) and s.shape == (1,) and vh.shape == (1, 1)
+
+    def test_subtract_is_quiet(self, fallback):
+        quiet_subtract(fallback)
 
     def test_fast_path_by_default(self):
         if linalg._umath_linalg is None:

@@ -843,32 +843,32 @@ class TestDerivationMap:
         assert calls == {"apply": 1, "peaks": 1, "checked": 0}
 
     def test_folded_map_built_once_per_constant_g_system(self, monkeypatch, tmp_path):
-        built = []
+        folds = []
 
-        class Counted(GyroMap):
-            def __init__(self, n, u, basis=None):
-                built.append(basis is not None)
-                super().__init__(n, u, basis)
+        def counted(gmap, basis):
+            folds.append(basis)
+            return fold(gmap, basis)
 
-        monkeypatch.setattr(matching, "GyroMap", Counted)
+        fold = GyroMap.fold
+        monkeypatch.setattr(GyroMap, "fold", counted)
         sys, design = builtin("pendulum_cart", eps=0.55, K=0.25)
         path = tmp_path / "system.json"
         path.write_text(json.dumps(system_to_dict(sys, design)))
         loaded, _ = load_system(str(path))
-        assert True not in built
-        assert sys.kept_gyro_map is None and loaded.kept_gyro_map is None
+        assert folds == []
+        assert sys.kept_fold is None and loaded.kept_fold is None
         field = derive_gyro(sys, design)
         field.at([0.3, -0.2])
-        kept = sys.kept_gyro_map
+        kept = sys.kept_fold
         for q in ([0.1, 0.2], [-0.4, 0.0]):
             field.at(q)
             kinetic_residual(sys, design, q)
-        assert built.count(True) == 1 and sys.kept_gyro_map is kept
+        assert len(folds) == 1 and sys.kept_fold is kept
         # a varying G folds nothing
         g = ExprMatrix.from_strings([["0"], ["q1 - 0.5"]], sys.vars)
         varying = MechSystem(sys.vars, sys.M, sys.V, g)
         derive_gyro(varying, design).at([0.3, -0.2])
-        assert built.count(True) == 1 and varying.kept_gyro_map is None
+        assert len(folds) == 1 and varying.kept_fold is None
 
     def test_synthesize_samples_from_the_sweep(self, monkeypatch, tmp_path, capsys):
         from idapbc.cli import main

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import subprocess
+import warnings
 from pathlib import Path
 from sys import executable
 
@@ -246,7 +247,6 @@ class TestInputFrame:
         plant, _ = builtin("pendulum_cart")
         queries = ([0.3, -0.2], [1.2, 0.7], [np.nan, 0.0])
         expect = [input_frame(plant.G(q), q) for q in queries]
-        u = np.linalg.svd(plant.G(queries[0]))[0]
         svd, calls = linalg.svd, []
 
         def counted_svd(*args, **kwargs):
@@ -261,13 +261,12 @@ class TestInputFrame:
             for got in (sys_.frame(q), MatchPoint(sys_, design, q).frame):
                 for part, ref_part in zip(got, ref):
                     assert part.tobytes() == ref_part.tobytes()
-            assert MatchPoint(sys_, design, q).g_svd[1].tobytes() == u.tobytes()
         assert len(calls) == 1
 
     def test_constant_input_frame_is_read_only(self):
         sys_, _ = builtin("pendulum_cart")
         frame = sys_.frame([0.3, -0.2])
-        for part in (frame.range_basis, frame.annihilator, sys_.input_svd([0.3, 0.0])[1]):
+        for part in (frame.range_basis, frame.annihilator):
             with pytest.raises(ValueError, match="read-only"):
                 part[0, 0] = 5.0
         # G itself is evaluated per query, so a caller may write into it
@@ -561,3 +560,9 @@ class TestSpdCheck:
             a[0, 1] = 1.1e-12 * max(1.0, size)
             assert spd_defect(a) == "is not symmetric"
         assert spd_defect(np.ones(3)) == "is not square (shape (3,))"
+
+    @pytest.mark.parametrize("a", [np.diag([np.inf, 1.0]), [[1.0, np.inf], [np.inf, 1.0]]])
+    def test_infinite_entries_reported_without_a_warning(self, a):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert spd_defect(a) == "is not finite"

@@ -358,9 +358,10 @@ def first_pair_symmetric(n, rng):
 
 
 def both_maps(n, u, basis, t):
-    """The outputs of the map with the basis folded in and of the one without."""
-    folded, adapted = GyroMap(n, u, basis), GyroMap(n, u)
-    return [(gmap, gmap.apply(t, rows)) for gmap, rows in ((folded, None), (adapted, basis))]
+    """The map and its outputs for T: one product with its fold of the basis,
+    and its apply."""
+    gmap = GyroMap(n, u)
+    return [(gmap, t.reshape(-1) @ gmap.fold(basis)), (gmap, gmap.apply(t, basis))]
 
 
 class TestGyroMap:
@@ -403,9 +404,12 @@ class TestGyroMap:
         n, u = 3, 1
         basis = np.linalg.qr(rng.standard_normal((n, n)))[0]
         ts = np.stack([first_pair_symmetric(n, rng) for _ in range(4)])
-        for gmap, rows in ((GyroMap(n, u, basis), None), (GyroMap(n, u), basis)):
-            stacked = gmap.apply(ts, None if rows is None else np.broadcast_to(rows, (4, n, n)))
-            single = [gmap.apply(t, rows) for t in ts]
+        gmap = GyroMap(n, u)
+        fold, bases = gmap.fold(basis), np.broadcast_to(basis, (4, n, n))
+        for stacked, single in (
+            (ts.reshape(4, -1) @ fold, [t.reshape(-1) @ fold for t in ts]),
+            (gmap.apply(ts, bases), [gmap.apply(t, basis) for t in ts]),
+        ):
             np.testing.assert_allclose(stacked, single, rtol=1e-14, atol=1e-14)
 
     def test_failure_flags_follow_the_checks(self):
