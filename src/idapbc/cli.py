@@ -31,12 +31,7 @@ from .control_sim import (
     write_trajectory_csv,
 )
 from .expr import ExprError
-from .matching import (
-    RESIDUAL_TOL,
-    MatchingError,
-    derive_gyro,
-    evaluate_residuals,
-)
+from .matching import RESIDUAL_TOL, GyroField, MatchingError, evaluate_residuals
 from .stability import EXPONENTIAL, NOT_STABILIZABLE, linearize, classify, minimum_check
 from .system import MechSystem, SystemError, load_system, system_to_dict
 from .tensor import TensorError, selfcheck
@@ -172,7 +167,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
         if kin_pd > verify_payload["residuals"]["tolerance"]:
             worst = verify_payload["residuals"]["worst"]
             try:
-                derive_gyro(sys, design).at(np.asarray(worst["point"]))
+                GyroField(sys, design).at(np.asarray(worst["point"]))
                 diagnostic = (
                     f"kinetic residual {kin_pd:.3e} exceeds the tolerance "
                     "although a pointwise extension exists"
@@ -188,16 +183,13 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
         _emit(payload, args.out, "synthesize.json")
         return EXIT_FAIL
     points = report.points[report.in_box_mask]
+    system = system_to_dict(sys, design)
     bundle = {
         "kind": "idapbc-controller-bundle",
         "version": __version__,
-        "system": system_to_dict(sys, design),
+        "system": system,
         "Kv": design.Kv.tolist(),
-        "C_table": [
-            [[str(e) for e in row] for row in plane] for plane in design.C
-        ]
-        if design.C is not None
-        else None,
+        "C_table": system["shaped"].get("C"),
         "C_samples": {
             "points": points,
             "values": report.rows.gyro(report.in_box_mask),

@@ -419,10 +419,6 @@ def parse(text: str, vars: Sequence[str], params: dict[str, float] | None = None
     return _Parser(text, vars, params).parse()
 
 
-def differentiate(e: Expr, index: int) -> Expr:
-    return e.diff(index)
-
-
 # Printing with minimal parentheses: precedence sum=1, product=2, unary=3, power=4.
 
 def _print(e: Expr, parent_prec: int) -> str:

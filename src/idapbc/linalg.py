@@ -11,9 +11,8 @@ LAPACK call itself takes 1-2 µs.  Results are bitwise those of
 
 The functions take float64 arrays of the shapes ``np.linalg`` accepts;
 checking shapes is the caller's part.  ``svd`` returns ``(u, s, vh)`` with
-the full U, or the singular values alone with ``compute_uv=False``.  Where
-numpy's private names are missing (numpy 1.x), the four names are the
-public ``np.linalg`` functions.
+the full U.  Where numpy's private names are missing (numpy 1.x), the four
+names are the public ``np.linalg`` functions.
 """
 from __future__ import annotations
 
@@ -78,14 +77,11 @@ else:
         finally:
             _reset(token)
 
-    def svd(a: np.ndarray, *, compute_uv: bool = True):
-        """np.linalg.svd(a, compute_uv=compute_uv): (u, s, vh) with the full
-        U, or the singular values alone."""
+    def svd(a: np.ndarray):
+        """np.linalg.svd(a): (u, s, vh) with the full U."""
         token = _set(_SVD)
         try:
-            if compute_uv:
-                return _umath_linalg.svd_f(a, signature="d->ddd")
-            return _umath_linalg.svd(a, signature="d->d")
+            return _umath_linalg.svd_f(a, signature="d->ddd")
         finally:
             _reset(token)
 

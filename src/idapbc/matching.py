@@ -24,13 +24,11 @@ from .system import (
     MechSystem,
     ShapedDesign,
     SystemError,
-    full_rank,
     identity_where,
     input_frame,
     lowest_eigenvalue,
     q_text,
     spd_defect,
-    split_basis,
     symmetric,
 )
 from .tensor import (
@@ -141,15 +139,15 @@ def _adapted_map(n: int, d: int) -> GyroMap:
 def _derive(
     sys: MechSystem, frame: InputFrame, t: np.ndarray
 ) -> tuple[GyroMap, np.ndarray]:
-    """The GyroMap for T at a point with this input frame, and its output for
-    T.  For a constant G it is one product with the map's fold of the kept
-    frame, which the system keeps from the first derivation."""
+    """The GyroMap, and its output for each T of a (..., n, n, n) stack with
+    this input frame.  Where the system keeps a constant G's split, that is
+    one product with the map's fold of it, kept from the first derivation."""
     gmap = _adapted_map(sys.n, sys.n - sys.m)
-    if not sys.g_constant:
+    if sys.kept_split is None:
         return gmap, gmap.apply(t, _adapted_basis(frame.annihilator, frame.range_basis))
     if sys.kept_fold is None:
         sys.kept_fold = gmap.fold(_adapted_basis(frame.annihilator, frame.range_basis))
-    return gmap, t.reshape(-1) @ sys.kept_fold
+    return gmap, t.reshape(t.shape[:-3] + (-1,)) @ sys.kept_fold
 
 
 def a_tensor(sys: MechSystem, design: ShapedDesign, q: Sequence[float]) -> np.ndarray:
@@ -289,9 +287,7 @@ class MatchRows:
             return values
 
         # the order of MatchPoint's reads: frame, pair, dM, dV, dVhat, T
-        u, s, _ = linalg.svd(identity_where(rows(sys.G.batch), failed))
-        failed |= ~full_rank(s, sys.n)  # m <= n for a MechSystem
-        range_basis, w = split_basis(u, sys.m)
+        frame = sys.frames(rows(sys.G.batch), failed)
         m = identity_where(rows(sys.M.batch), failed)
         failed |= ~(lowest_eigenvalue(m) > 0.0)  # mass_matrix raises
         minv = _symmetrized_inverse(identity_where(m, failed))
@@ -299,17 +295,17 @@ class MatchRows:
         dm = rows(sys.dm_batch)
         dv, dvhat = rows(sys.dv_batch), rows(design.dvhat_batch)
         with np.errstate(all="ignore"):
-            self.potential = potential_defect(w, pair, dv[..., None], dvhat[..., None])[..., 0]
+            self.potential = potential_defect(
+                frame.annihilator, pair, dv[..., None], dvhat[..., None]
+            )[..., 0]
             # in C order, as Tensor3 copies it: einsum sums in layout order
             t = np.ascontiguousarray(t_entries(pair, dm))
         failed |= ~finite_rows(t)  # Tensor3 raises
         # spd_defect's test; the rows ``failed`` leaves are finite
         mhat = identity_where(pair.mhat, failed)
         self.pd = symmetric(mhat) & (lowest_eigenvalue(mhat) > 0.0)
-        # apply, not the fold: the frame varies from row to row
-        gmap = _adapted_map(sys.n, sys.n - sys.m)
         with np.errstate(all="ignore"):
-            y = gmap.apply(t, _adapted_basis(w, range_basis))
+            gmap, y = _derive(sys, frame, t)
         self.kinetic = y[:, gmap.kinetic]
         self.c = y[:, gmap.c].reshape((-1,) + (sys.n,) * 3).copy()
         self.gyro_failed = failed | derivation_failed(gmap.peaks(y, out=y))
@@ -361,10 +357,6 @@ class GyroField:
         """``at(q).entries`` for each row q of an (N, n) stack, in one batched
         pass (see MatchRows.gyro)."""
         return MatchRows(self.sys, self.design, points).gyro()
-
-
-def derive_gyro(sys: MechSystem, design: ShapedDesign) -> GyroField:
-    return GyroField(sys, design)
 
 
 @dataclass(frozen=True, eq=False)

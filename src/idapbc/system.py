@@ -23,7 +23,6 @@ from .expr import (
     LazyBatch,
     add,
     compile_expr,
-    differentiate,
     div,
     mul,
     neg,
@@ -217,7 +216,8 @@ class MechSystem:
     H = p' M(q)^-1 p / 2 + V(q). Mass-matrix positive definiteness and
     input rank are checked at query time, the equilibrium condition
     dV(0) = 0 at construction.  A G without variables (``g_constant``) that
-    has full rank is checked, factored and split once, at its first query.
+    has full rank is checked, factored and split once, at its first query
+    (frame or frames).
     """
 
     def __init__(
@@ -260,7 +260,7 @@ class MechSystem:
         self.g_constant = not any(e.variables() for row in G.entries for e in row)
         # a constant G's read-only range basis and annihilator, from its first
         # query that passes the rank check, so a rank-deficient G always raises
-        self._kept_split = None
+        self.kept_split = None
         # GyroMap.fold of the kept frame, from the first derivation (matching._derive)
         self.kept_fold = None
 
@@ -284,17 +284,36 @@ class MechSystem:
     def potential_gradient(self, q: Sequence[float]) -> np.ndarray:
         return self._dv_fn(q)
 
+    def _keep(self, split: tuple[np.ndarray, np.ndarray]) -> None:
+        for a in split:
+            a.setflags(write=False)
+        self.kept_split = split
+
     def frame(self, q: Sequence[float]) -> InputFrame:
         """G(q), evaluated per query, and its split; raises if its rank is below m."""
         g = self.G(q)
-        if self._kept_split is not None:
-            return InputFrame(g, *self._kept_split)
-        frame = input_frame(g, q)
-        if self.g_constant:
-            for a in frame[1:]:
-                a.setflags(write=False)
-            self._kept_split = frame[1:]
-        return frame
+        if self.kept_split is None:
+            frame = input_frame(g, q)
+            if not self.g_constant:
+                return frame
+            self._keep(frame[1:])
+        return InputFrame(g, *self.kept_split)
+
+    def frames(self, g: np.ndarray, failed: np.ndarray) -> InputFrame:
+        """frame at each row of an (N, n, m) stack of G's values, which the
+        caller has evaluated.  Rows flagged in ``failed`` hold placeholders,
+        and ``failed`` gains the rows where frame raises.  A constant G gives
+        the kept split, without leading axes, factoring one row to keep it."""
+        if self.kept_split is None:
+            # a constant G holds the same value at every row
+            one = self.g_constant and not failed.all()
+            u, s, _ = linalg.svd(g[failed.argmin()] if one else identity_where(g, failed))
+            ok = full_rank(s, self.n)  # m <= n for a MechSystem
+            failed |= ~ok
+            if not (one and ok):
+                return InputFrame(g, *split_basis(u, self.m))
+            self._keep(split_basis(u, self.m))
+        return InputFrame(g, *self.kept_split)
 
     def input_matrix(self, q: Sequence[float]) -> np.ndarray:
         """G(q); raises if its rank is below m."""
@@ -460,7 +479,7 @@ def _pendulum_gyro_table(
         [neg(m.entries[1][0]), m.entries[0][0]],
     ]
     minv = [[div(adj[r][s], det) for s in range(2)] for r in range(2)]
-    dminv1 = [[differentiate(minv[r][s], 0) for s in range(2)] for r in range(2)]
+    dminv1 = [[minv[r][s].diff(0) for s in range(2)] for r in range(2)]
 
     def s_value(col: int) -> Expr:
         # target column of Mhat whose derivative enters the first sum
@@ -468,7 +487,7 @@ def _pendulum_gyro_table(
         second = Const(0.0)
         for r in range(2):
             for s in range(2):
-                d_target = differentiate(mhat.entries[1][col], s)
+                d_target = mhat.entries[1][col].diff(s)
                 first = add(first, mul(mul(mhat.entries[0][r], minv[r][s]), d_target))
                 second = add(
                     second, mul(mul(dminv1[r][s], mhat.entries[r][col]), mhat.entries[s][1])

@@ -21,8 +21,8 @@ from idapbc.control_sim import (
 )
 from idapbc.expr import parse
 from idapbc.matching import (
+    GyroField,
     LinearMatch,
-    derive_gyro,
     evaluate_residuals,
     pde_counts,
     solve_kinetic_characteristics,
@@ -188,7 +188,7 @@ def pendulum_gyro_oracle(sys, design, q):
 def test_gyro_table_matches_derivation():
     t0 = time.perf_counter()
     sys, design = builtin("pendulum_cart", eps=1.0, K=1.0)
-    field = derive_gyro(sys, design)
+    field = GyroField(sys, design)
     worst_derived = 0.0
     worst_table = 0.0
     for q1 in GRID_41x11[0][1]:

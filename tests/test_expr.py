@@ -8,7 +8,6 @@ from idapbc.expr import (
     ExprError,
     ParseError,
     compile_expr,
-    differentiate,
     parse,
     to_string,
 )
@@ -87,14 +86,14 @@ class TestParse:
 class TestDifferentiate:
     def test_elementary(self):
         e = parse("10*cos(q1)", VARS2)
-        d = differentiate(e, 0)
+        d = e.diff(0)
         for x in (0.0, 0.3, -1.2):
             assert d.eval([x, 0.0]) == pytest.approx(-10 * math.sin(x), abs=1e-12)
 
     def test_chain_rule_vs_fd(self):
         # derivative of 2cos^2(q1) - 0.5 is -4 cos(q1) sin(q1)
         e = parse("2*cos(q1)^2 - 0.5", VARS2)
-        d = differentiate(e, 0)
+        d = e.diff(0)
         for x in (0.1, 0.7, -0.4):
             expect = -4 * math.cos(x) * math.sin(x)
             assert d.eval([x, 0.0]) == pytest.approx(expect, abs=1e-12)
@@ -103,13 +102,13 @@ class TestDifferentiate:
             )
 
     def test_constant_in_other_var(self):
-        d = differentiate(parse("cos(q1)", VARS2), 1)
+        d = parse("cos(q1)", VARS2).diff(1)
         assert isinstance(d, Const)
         assert d.value == 0.0
 
     def test_quotient_rule(self):
         e = parse("(4-0.5)^2*cos(q1)^2/(2*cos(q1)^2-0.5)", VARS2)
-        d = differentiate(e, 0)
+        d = e.diff(0)
         for x in (0.2, -0.6, 1.0):
             assert d.eval([x, 0.0]) == pytest.approx(
                 fd(lambda p: e.eval(p), [x, 0.0], 0), rel=1e-6, abs=1e-6
@@ -118,8 +117,8 @@ class TestDifferentiate:
     def test_mixed_partials_commute(self):
         rng = np.random.default_rng(3)
         e = parse("sin(q1*q2) + q1^3*cos(q2) - q2/(1+q1^2)", VARS2)
-        d12 = differentiate(differentiate(e, 0), 1)
-        d21 = differentiate(differentiate(e, 1), 0)
+        d12 = e.diff(0).diff(1)
+        d21 = e.diff(1).diff(0)
         for _ in range(20):
             pt = rng.uniform(-2, 2, size=2)
             a, b = d12.eval(pt), d21.eval(pt)
@@ -155,7 +154,7 @@ class TestProperties:
             text = random_expr(rng)
             e = parse(text, VARS2)
             idx = int(rng.integers(0, 2))
-            d = differentiate(e, idx)
+            d = e.diff(idx)
             pt = rng.uniform(-1.5, 1.5, size=2)
             val = d.eval(pt)
             approx = fd(lambda p: e.eval(p), pt, idx)
@@ -175,7 +174,7 @@ class TestProperties:
     def test_derivative_round_trip_through_print(self):
         rng = np.random.default_rng(2)
         for _ in range(25):
-            e = differentiate(parse(random_expr(rng), VARS2), 0)
+            e = parse(random_expr(rng), VARS2).diff(0)
             back = parse(to_string(e), VARS2)
             for _ in range(5):
                 pt = rng.uniform(-2, 2, size=2)

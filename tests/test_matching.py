@@ -8,11 +8,11 @@ from idapbc import matching
 from idapbc.expr import ExprError, add, parse
 from idapbc.matching import (
     CharacteristicsSolution,
+    GyroField,
     LinearMatch,
     MatchingError,
     MatchPoint,
     a_tensor,
-    derive_gyro,
     evaluate_residuals,
     kinetic_residual,
     linear_match_residual,
@@ -315,7 +315,7 @@ def s_values_fd(sys, design, q, h=1e-6):
 class TestDeriveGyro:
     def test_pendulum_closed_forms(self):
         sys, design = builtin("pendulum_cart")
-        field = derive_gyro(sys, design)
+        field = GyroField(sys, design)
         for q1 in np.linspace(-0.7, 0.7, 9):
             for q2 in (-1.0, 0.0, 1.0):
                 q = [q1, q2]
@@ -332,12 +332,12 @@ class TestDeriveGyro:
 
     def test_constant_metric_zero(self):
         sys, design = constant_pair()
-        c = derive_gyro(sys, design).at([0.5, -0.5]).entries
+        c = GyroField(sys, design).at([0.5, -0.5]).entries
         assert np.max(np.abs(c)) <= 1e-14
 
     def test_third_slot_restriction_reproduces_t(self):
         sys, design = builtin("pendulum_cart")
-        field = derive_gyro(sys, design)
+        field = GyroField(sys, design)
         for q1 in np.linspace(-0.7, 0.7, 15):
             q = [q1, 0.2]
             c = field.at(q).entries
@@ -346,7 +346,7 @@ class TestDeriveGyro:
 
     def test_constant_shaped_three_dof(self):
         sys, design = three_dof_constant_shaped()
-        field = derive_gyro(sys, design)
+        field = GyroField(sys, design)
         rng = np.random.default_rng(5)
         q = [0.3, -0.2, 0.5]
         c = field.at(q)
@@ -362,7 +362,7 @@ class TestDeriveGyro:
     def test_identity_design_nonintegrable_inputs(self):
         sys, _ = builtin("three_dof")
         design = identity_design(sys)
-        field = derive_gyro(sys, design)
+        field = GyroField(sys, design)
         rng = np.random.default_rng(6)
         for _ in range(10):
             q = rng.uniform(-0.8, 0.8, size=3)
@@ -376,11 +376,11 @@ class TestDeriveGyro:
             np.eye(1),
         )
         with pytest.raises(MatchingError, match="cannot extend"):
-            derive_gyro(sys, broken).at([0.3, 0.0])
+            GyroField(sys, broken).at([0.3, 0.0])
 
     def test_full_kinetic_matching_chain(self):
         sys, design = builtin("pendulum_cart")
-        field = derive_gyro(sys, design)
+        field = GyroField(sys, design)
         rng = np.random.default_rng(8)
         for _ in range(20):
             q = rng.uniform(-0.7, 0.7, size=2)
@@ -615,6 +615,16 @@ class TestEvaluateResiduals:
         assert [line for line in lines if line.startswith("0.5,")] == [
             f"0.5,{q2},nan,nan,0" for q2 in (-1, 0, 1)
         ]
+        # a constant G that is rank-deficient, or that cannot evaluate, fails
+        # at every point as it does point by point
+        axes = [(name, np.linspace(-0.5, 0.5, 3)) for name in sys.vars]
+        for g, error in (("0", "SystemError"), ("1/0", "ExprError")):
+            g = ExprMatrix.from_strings([["0"], [g]], sys.vars)
+            rep = evaluate_residuals(MechSystem(sys.vars, sys.M, sys.V, g), design, axes)
+            assert rep.failed_points == {error: 9}
+            assert np.isnan(rep.potential_res).all()
+            assert np.isnan(rep.kinetic_res).all()
+            assert not rep.pd_mask.any()
 
     def test_potential_kept_where_kinetic_fails(self):
         # Mhat of order 1e200 keeps the potential defect finite, but T
@@ -704,7 +714,7 @@ class TestBatchedSweep:
         np.testing.assert_allclose(rep.potential_res, pot, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(rep.kinetic_res, kin, rtol=1e-12, atol=1e-12)
         np.testing.assert_array_equal(rep.pd_mask, pd)
-        field = derive_gyro(sys, design)
+        field = GyroField(sys, design)
         expect = np.stack([field.at(q).entries for q in rep.points])
         np.testing.assert_allclose(field.sample(rep.points), expect, rtol=1e-12, atol=1e-12)
 
@@ -718,7 +728,7 @@ class TestBatchedSweep:
         axes = [("q1", np.linspace(-0.2, 0.2, 5)), ("q2", np.linspace(-1.0, 1.0, 3))]
         rep = evaluate_residuals(sys, design, axes)
         np.testing.assert_array_equal(rep.kinetic_res, reference_sweep(sys, design, rep.points)[1])
-        field = derive_gyro(sys, design)
+        field = GyroField(sys, design)
         expect = np.stack([field.at(q).entries for q in rep.points])
         np.testing.assert_array_equal(field.sample(rep.points), expect)
 
@@ -732,7 +742,7 @@ class TestBatchedSweep:
             sys.vars, ExprMatrix.from_strings(rows, sys.vars), design.Vhat, design.Kv
         )
         points = np.array([[0.0, 0.0], [0.3, 0.1], [0.6, 0.1]])
-        field = derive_gyro(sys, bent)
+        field = GyroField(sys, bent)
         with pytest.raises(MatchingError) as batched:
             field.sample(points)
         with pytest.raises(MatchingError) as single:
@@ -814,7 +824,7 @@ class TestDerivationMap:
         with pytest.raises((MatchingError, TensorError)) as want:
             reference_gyro(MatchPoint(sys, design, q))
         for call in (lambda: MatchPoint(sys, design, q).gyro(),
-                     lambda: derive_gyro(sys, design).sample(np.array([q, [0.1, 0.1]]))):
+                     lambda: GyroField(sys, design).sample(np.array([q, [0.1, 0.1]]))):
             with pytest.raises((MatchingError, TensorError)) as got:
                 call()
             assert type(got.value) is type(want.value)
@@ -857,7 +867,7 @@ class TestDerivationMap:
         loaded, _ = load_system(str(path))
         assert folds == []
         assert sys.kept_fold is None and loaded.kept_fold is None
-        field = derive_gyro(sys, design)
+        field = GyroField(sys, design)
         field.at([0.3, -0.2])
         kept = sys.kept_fold
         for q in ([0.1, 0.2], [-0.4, 0.0]):
@@ -867,7 +877,7 @@ class TestDerivationMap:
         # a varying G folds nothing
         g = ExprMatrix.from_strings([["0"], ["q1 - 0.5"]], sys.vars)
         varying = MechSystem(sys.vars, sys.M, sys.V, g)
-        derive_gyro(varying, design).at([0.3, -0.2])
+        GyroField(varying, design).at([0.3, -0.2])
         assert len(folds) == 1 and varying.kept_fold is None
 
     def test_synthesize_samples_from_the_sweep(self, monkeypatch, tmp_path, capsys):
@@ -888,5 +898,5 @@ class TestDerivationMap:
         assert code == 0 and made == [45]
         samples = json.loads((out / "controller.json").read_text())["C_samples"]
         sys, design = builtin("pendulum_cart")
-        expect = derive_gyro(sys, design).sample(np.array(samples["points"]))
+        expect = GyroField(sys, design).sample(np.array(samples["points"]))
         assert np.array_equal(np.array(samples["values"]), expect)

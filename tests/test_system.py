@@ -12,7 +12,13 @@ import pytest
 from idapbc import linalg
 from idapbc.control_sim import Controller
 from idapbc.expr import ExprError, parse
-from idapbc.matching import LinearMatch, MatchingError, MatchPoint
+from idapbc.matching import (
+    GyroField,
+    LinearMatch,
+    MatchingError,
+    MatchPoint,
+    evaluate_residuals,
+)
 from idapbc.stability import minimum_check
 from idapbc.system import (
     ExprMatrix,
@@ -254,6 +260,13 @@ class TestInputFrame:
             return svd(*args, **kwargs)
 
         monkeypatch.setattr(linalg, "svd", counted_svd)
+        frames, swept = MechSystem.frames, []
+
+        def recorded_frames(*args):
+            swept.append(frames(*args))
+            return swept[-1]
+
+        monkeypatch.setattr(MechSystem, "frames", recorded_frames)
         sys_, design = builtin("pendulum_cart")
         assert calls == []  # a system that is never queried is never factored
         for q, ref in zip(queries, expect):
@@ -261,6 +274,22 @@ class TestInputFrame:
             for got in (sys_.frame(q), MatchPoint(sys_, design, q).frame):
                 for part, ref_part in zip(got, ref):
                     assert part.tobytes() == ref_part.tobytes()
+        assert len(calls) == 1
+        # a sweep and a batched derivation take the kept split too
+        axes = [(name, np.linspace(-0.5, 0.5, 3)) for name in sys_.vars]
+        GyroField(sys_, design).sample(evaluate_residuals(sys_, design, axes).points)
+        assert len(calls) == 1 and len(swept) == 2
+        for frame in swept:
+            for part, ref_part in zip(frame[1:], expect[0][1:]):
+                assert part.shape == ref_part.shape
+                assert part.tobytes() == ref_part.tobytes()
+        # a sweep that comes first keeps the split for the queries after it
+        calls.clear()
+        sys_, design = builtin("pendulum_cart")
+        evaluate_residuals(sys_, design, axes)
+        for q, ref in zip(queries, expect):
+            for part, ref_part in zip(sys_.frame(q), ref):
+                assert part.tobytes() == ref_part.tobytes()
         assert len(calls) == 1
 
     def test_constant_input_frame_is_read_only(self):
