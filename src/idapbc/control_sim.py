@@ -23,7 +23,6 @@ from .system import (
     StateTrajectory,
     SystemError,
     check_kv,
-    hessian_at,
     q_gradient,
     q_text,
     spd_defect,
@@ -150,7 +149,7 @@ def closed_loop_linearization(ctrl: Controller) -> np.ndarray:
     origin = np.zeros(n)
     point = MatchPoint(ctrl.sys, ctrl.design, origin)
     g0, (m0inv, mhat0, _) = point.frame.g, point.pair
-    hess = hessian_at(ctrl.design.Vhat, n, origin)
+    hess = ctrl.design.dVhat.diff(n)(origin).T
     damping = g0 @ ctrl.Kv @ g0.T @ linalg.inv(mhat0)
     out = np.zeros((2 * n, 2 * n))
     out[:n, n:] = m0inv

@@ -620,16 +620,36 @@ def compile_expr(tree, batch: bool = False) -> Callable:
     return namespace["_f"]
 
 
-class LazyBatch:
-    """The batch variant of ``compile_expr(tree)``, compiled on the first call
-    and kept, so that owners which only evaluate single points never build it."""
+def _map(f: Callable, tree):
+    """``f`` applied to each expression of a nested table, as nested lists."""
+    return f(tree) if isinstance(tree, Expr) else [_map(f, t) for t in tree]
 
-    __slots__ = ("_tree", "_fn")
+
+class Compiled:
+    """An expression, or a rectangular nested table of them, with its evaluators.
+
+    Calling it on one point runs ``compile_expr(tree)``, compiled here;
+    ``batch`` runs the batch variant, compiled on its first call and kept, so
+    that owners which only evaluate single points never build it.
+    """
+
+    __slots__ = ("tree", "_fn", "_batch")
 
     def __init__(self, tree):
-        self._tree, self._fn = tree, None
+        self.tree, self._fn, self._batch = tree, compile_expr(tree), None
 
-    def __call__(self, points) -> tuple[np.ndarray, np.ndarray]:
-        if self._fn is None:
-            self._fn = compile_expr(self._tree, batch=True)
-        return self._fn(points)
+    def __call__(self, q: Sequence[float]):
+        return self._fn(q)
+
+    def batch(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """(N, n) stack of points -> ((N, *shape) values, flagged rows)."""
+        if self._batch is None:
+            self._batch = compile_expr(self.tree, batch=True)
+        return self._batch(points)
+
+    def to_strings(self):
+        return _map(str, self.tree)
+
+    def diff(self, n: int) -> "Compiled":
+        """The table of d/dq^k for k < n, with k as the first index."""
+        return Compiled([_map(lambda e: e.diff(k), self.tree) for k in range(n)])

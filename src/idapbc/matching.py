@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from . import linalg
-from .expr import Expr, ExprError, compile_expr, parse
+from .expr import Compiled, Expr, ExprError, parse
 from .stability import NOT_STABILIZABLE, Linearization, classify
 from .system import (
     InputFrame,
@@ -270,7 +270,7 @@ class MatchRows:
     the whole stack by MatchPoint's formulas.
 
     ``failed`` flags each row where MatchPoint would raise, or where the
-    evaluator flags a value (see compile_expr); such rows hold placeholders
+    evaluator flags a value (see Compiled.batch); such rows hold placeholders
     and callers take them from MatchPoint.  ``gyro_failed`` adds the rows
     where MatchPoint.gyro raises.  Flagged matrices are replaced by the
     identity before each stacked linalg call.  Only the results are kept.
@@ -281,19 +281,19 @@ class MatchRows:
         self.points = points = np.asarray(points, dtype=float)
         self.failed = failed = np.zeros(len(points), dtype=bool)
 
-        def rows(batch):
-            values, flagged = batch(points)
+        def rows(table):
+            values, flagged = table.batch(points)
             np.logical_or(failed, flagged, out=failed)
             return values
 
         # the order of MatchPoint's reads: frame, pair, dM, dV, dVhat, T
-        frame = sys.frames(rows(sys.G.batch), failed)
-        m = identity_where(rows(sys.M.batch), failed)
+        frame = sys.frames(rows(sys.G), failed)
+        m = identity_where(rows(sys.M), failed)
         failed |= ~(lowest_eigenvalue(m) > 0.0)  # mass_matrix raises
         minv = _symmetrized_inverse(identity_where(m, failed))
-        pair = MetricPair(minv, rows(design.Mhat.batch), rows(design.dmhat_batch))
-        dm = rows(sys.dm_batch)
-        dv, dvhat = rows(sys.dv_batch), rows(design.dvhat_batch)
+        pair = MetricPair(minv, rows(design.Mhat), rows(design.dMhat))
+        dm = rows(sys.dM)
+        dv, dvhat = rows(sys.dV), rows(design.dVhat)
         with np.errstate(all="ignore"):
             self.potential = potential_defect(
                 frame.annihilator, pair, dv[..., None], dvhat[..., None]
@@ -494,7 +494,7 @@ def solve_kinetic_characteristics(
     if not (lo < 0 < hi) or num < 2:
         raise MatchingError("grid must straddle 0 with at least two points")
 
-    for row in sys.M.entries:
+    for row in sys.M.tree:
         for e in row:
             if not e.variables() <= {0}:
                 raise MatchingError(
@@ -510,7 +510,7 @@ def solve_kinetic_characteristics(
                 "unknown only"
             )
         exprs.append(e)
-    ansatz_fn = compile_expr(exprs)
+    ansatz_fn = Compiled(exprs)
 
     def pieces(q1: float, u: float):
         qvec = np.zeros(n)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import linalg
 from .expr import ExprError
-from .system import MechSystem, ShapedDesign, SystemError, hessian_at, spd_defect
+from .system import MechSystem, ShapedDesign, SystemError, spd_defect
 
 RANK_RTOL = 1e-9
 REAL_PART_TOL = 1e-9
@@ -96,7 +96,7 @@ def linearize(sys: MechSystem) -> Linearization:
     n = sys.n
     origin = np.zeros(n)
     m0 = sys.mass_matrix(origin)
-    hess = hessian_at(sys.V, n, origin)
+    hess = sys.dV.diff(n)(origin).T
     g0 = sys.input_matrix(origin)
     alin = np.zeros((2 * n, 2 * n))
     alin[:n, n:] = linalg.inv(m0)
@@ -105,12 +105,12 @@ def linearize(sys: MechSystem) -> Linearization:
     return Linearization(alin, blin, m0, hess)
 
 
-def _staircase(lin: Linearization, rtol: float) -> tuple[int, list[complex], bool]:
+def _staircase(lin: Linearization) -> tuple[int, list[complex], bool]:
     """Controllable-subspace dimension, uncontrollable modes, oscillatory flag.
 
     Orthogonal staircase (Paige, IEEE TAC 26(1), 1981): each step keeps the
     singular directions of the newest block (B, then A times the directions
-    added last) projected onto the rest of Q, above rtol times |B| or |A|;
+    added last) projected onto the rest of Q, above RANK_RTOL times |B| or |A|;
     the modes are those of A on the complement of the first r columns.
     """
     a, b = lin.alin, lin.blin
@@ -118,7 +118,7 @@ def _staircase(lin: Linearization, rtol: float) -> tuple[int, list[complex], boo
     block, scale = b, np.linalg.norm(b, 2)
     while r < a.shape[0]:
         u, sv, _ = linalg.svd(q[:, r:].T @ block)
-        k = int(np.count_nonzero(sv > rtol * scale))
+        k = int(np.count_nonzero(sv > RANK_RTOL * scale))
         if k == 0:
             break
         q[:, r:] = q[:, r:] @ u
@@ -134,22 +134,11 @@ def _staircase(lin: Linearization, rtol: float) -> tuple[int, list[complex], boo
     return r, list(eigvals), oscillatory
 
 
-def controllability(lin: Linearization, rtol: float = RANK_RTOL) -> tuple[int, bool]:
-    """Controllable-subspace dimension; controllable iff it is 2n."""
-    r = _staircase(lin, rtol)[0]
-    return r, r == 2 * lin.n
-
-
-def uncontrollable_modes(
-    lin: Linearization, rtol: float = RANK_RTOL
-) -> tuple[list[complex], bool]:
-    """Eigenvalues of the uncontrollable block (the dynamics on the orthogonal
-    complement of the controllable subspace) and whether they are oscillatory."""
-    return _staircase(lin, rtol)[1:]
-
-
 def classify(lin: Linearization) -> StabilizabilityReport:
-    rank, eigs, oscillatory = _staircase(lin, RANK_RTOL)
+    """The staircase's controllable-subspace dimension (``kalman_rank``, 2n iff
+    controllable), the modes of the uncontrollable block, whether they are
+    oscillatory, and the verdict."""
+    rank, eigs, oscillatory = _staircase(lin)
     controllable = rank == 2 * lin.n
     if controllable:
         v = EXPONENTIAL
@@ -208,7 +197,7 @@ def minimum_check(design: ShapedDesign) -> MinimumCheckReport:
         failures.append(f"shaped potential gradient undefined at 0: {exc}")
 
     try:
-        hess = hessian_at(design.Vhat, n, origin)
+        hess = design.dVhat.diff(n)(origin).T
         eigs = linalg.eigvalsh(hess)
         hess_eigs = tuple(float(e) for e in eigs)
         if eigs[0] < MIN_EIG_TOL:

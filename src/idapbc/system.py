@@ -17,12 +17,11 @@ import numpy as np
 
 from . import linalg, writer
 from .expr import (
+    Compiled,
     Const,
     Expr,
     ExprError,
-    LazyBatch,
     add,
-    compile_expr,
     div,
     mul,
     neg,
@@ -35,8 +34,8 @@ class SystemError(ValueError):
     pass
 
 
-class ExprMatrix:
-    """Rectangular grid of expressions with compiled evaluation."""
+class ExprMatrix(Compiled):
+    """Rectangular, non-empty grid of expressions, compiled."""
 
     def __init__(self, entries: Sequence[Sequence[Expr]]):
         if not entries or not entries[0]:
@@ -44,12 +43,9 @@ class ExprMatrix:
         cols = len(entries[0])
         if any(len(row) != cols for row in entries):
             raise SystemError("matrix rows must have equal length")
-        self.entries: tuple[tuple[Expr, ...], ...] = tuple(tuple(row) for row in entries)
+        super().__init__(tuple(tuple(row) for row in entries))
         self.rows = len(entries)
         self.cols = cols
-        self._fn = compile_expr(self.entries)
-        # (N, n) stack of points -> ((N, rows, cols) values, flagged rows)
-        self.batch = LazyBatch(self.entries)
 
     @classmethod
     def from_strings(
@@ -63,32 +59,10 @@ class ExprMatrix:
     def is_symmetric(self) -> bool:
         """Structural symmetry: printed entry (i, j) equals entry (j, i)."""
         return self.rows == self.cols and all(
-            str(self.entries[i][j]) == str(self.entries[j][i])
+            str(self.tree[i][j]) == str(self.tree[j][i])
             for i in range(self.rows)
             for j in range(i + 1, self.cols)
         )
-
-    def __call__(self, q: Sequence[float]) -> np.ndarray:
-        return self._fn(q)
-
-    def diff(self, index: int) -> "ExprMatrix":
-        return ExprMatrix([[e.diff(index) for e in row] for row in self.entries])
-
-    def to_strings(self) -> list[list[str]]:
-        return [[str(e) for e in row] for row in self.entries]
-
-
-def gradient(e: Expr, n: int) -> list[Expr]:
-    return [e.diff(i) for i in range(n)]
-
-
-def hessian_at(e: Expr, n: int, q: Sequence[float]) -> np.ndarray:
-    return compile_expr([gradient(d, n) for d in gradient(e, n)])(q)
-
-
-def derivative_stack(m: ExprMatrix, n: int) -> list[list[list[Expr]]]:
-    """dm/dq^k for k < n, nested [k][i][j]."""
-    return [[[e.diff(k) for e in row] for row in m.entries] for k in range(n)]
 
 
 def identity_where(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -215,9 +189,10 @@ class MechSystem:
     State is (q, p); dynamics qdot = dH/dp, pdot = -dH/dq + G(q) u with
     H = p' M(q)^-1 p / 2 + V(q). Mass-matrix positive definiteness and
     input rank are checked at query time, the equilibrium condition
-    dV(0) = 0 at construction.  A G without variables (``g_constant``) that
-    has full rank is checked, factored and split once, at its first query
-    (frame or frames).
+    dV(0) = 0 at construction.  ``potential``, ``dV`` ([k]) and ``dM``
+    ([k, i, j]) are V, dV/dq^k and dM/dq^k, compiled.  A G without
+    variables (``g_constant``) that has full rank is checked, factored and
+    split once, at its first query (frame or frames).
     """
 
     def __init__(
@@ -235,6 +210,8 @@ class MechSystem:
             raise SystemError(f"input matrix must be {n}xm with 1 <= m <= {n}")
         if not M.is_symmetric():
             raise SystemError("mass matrix must be structurally symmetric")
+        if len(set(vars)) != n:
+            raise SystemError(f"vars must be distinct, got {list(vars)}")
         self.vars = tuple(vars)
         self.n = n
         self.m = G.cols
@@ -242,22 +219,15 @@ class MechSystem:
         self.V = V
         self.G = G
         self.name = name
-
-        grad, dm = gradient(V, n), derivative_stack(M, n)
-        self._v_fn = compile_expr(V)
-        self._dv_fn = compile_expr(grad)
-        self._dm_fn = compile_expr(dm)
-        # batch variants (see compile_expr), compiled on first use
-        self.v_batch = LazyBatch(V)
-        self.dv_batch = LazyBatch(grad)
-        self.dm_batch = LazyBatch(dm)
-        origin = np.zeros(n)
-        grad0 = self._dv_fn(origin)
+        self.potential = Compiled(V)
+        self.dV = self.potential.diff(n)
+        self.dM = M.diff(n)
+        grad0 = self.dV(np.zeros(n))
         if np.max(np.abs(grad0)) > EQUILIBRIUM_TOL:
             raise SystemError(
                 f"origin is not an equilibrium: |dV(0)| = {np.max(np.abs(grad0)):.3e}"
             )
-        self.g_constant = not any(e.variables() for row in G.entries for e in row)
+        self.g_constant = not any(e.variables() for row in G.tree for e in row)
         # a constant G's read-only range basis and annihilator, from its first
         # query that passes the rank check, so a rank-deficient G always raises
         self.kept_split = None
@@ -276,13 +246,10 @@ class MechSystem:
 
     def mass_derivatives(self, q: Sequence[float]) -> np.ndarray:
         """Stack dM/dq^k, shape (n, n, n) indexed [k, i, j]."""
-        return self._dm_fn(q)
-
-    def potential(self, q: Sequence[float]) -> float:
-        return self._v_fn(q)
+        return self.dM(q)
 
     def potential_gradient(self, q: Sequence[float]) -> np.ndarray:
-        return self._dv_fn(q)
+        return self.dV(q)
 
     def _keep(self, split: tuple[np.ndarray, np.ndarray]) -> None:
         for a in split:
@@ -323,7 +290,7 @@ class MechSystem:
         """p' M^-1 p / 2 + V at (q, p), or at each row of (N, n) arrays."""
         p = np.asarray(p, dtype=float)
         if isinstance(q, np.ndarray) and q.ndim == 2:
-            return _energy_rows(self.hamiltonian, self.M.batch, self.v_batch, q, p, True)
+            return _energy_rows(self.hamiltonian, self.M, self.potential, q, p, True)
         return 0.5 * float(p @ linalg.solve(self.mass_matrix(q), p)) + self.potential(q)
 
     def annihilator(self, q: Sequence[float]) -> np.ndarray:
@@ -348,7 +315,9 @@ class ShapedDesign:
     Construction checks structure only (shapes, symmetry, Kv SPD); the
     minimum conditions at the origin are the stability module's
     minimum_check, so that failing candidates can still be built and
-    diagnosed.
+    diagnosed.  ``shaped_potential``, ``dVhat`` and ``dMhat`` are the
+    compiled twins of MechSystem's tables; ``C`` is the compiled C table or
+    None.
     """
 
     def __init__(
@@ -370,36 +339,26 @@ class ShapedDesign:
         self.Mhat = Mhat
         self.Vhat = Vhat
         self.Kv = check_kv(Kv, len(Kv) if np.ndim(Kv) else 1)
-        self.C = C
         self.params = dict(params or {})
-
-        grad, dmhat = gradient(Vhat, n), derivative_stack(Mhat, n)
-        self._vhat_fn = compile_expr(Vhat)
-        self._dvhat_fn = compile_expr(grad)
-        self._dmhat_fn = compile_expr(dmhat)
-        # batch variants (see compile_expr), compiled on first use
-        self.vhat_batch = LazyBatch(Vhat)
-        self.dvhat_batch = LazyBatch(grad)
-        self.dmhat_batch = LazyBatch(dmhat)
-        self._c_fn = None
+        self.shaped_potential = Compiled(Vhat)
+        self.dVhat = self.shaped_potential.diff(n)
+        self.dMhat = Mhat.diff(n)
+        self.C = None
         if C is not None:
             if len(C) != n or any(len(r) != n for r in C) or any(
                 len(e) != n for r in C for e in r
             ):
                 raise SystemError(f"C table must be {n}x{n}x{n}")
-            self._c_fn = compile_expr(C)
+            self.C = Compiled(C)
 
     def shaped_mass(self, q: Sequence[float]) -> np.ndarray:
         return self.Mhat(q)
 
     def shaped_mass_derivatives(self, q: Sequence[float]) -> np.ndarray:
-        return self._dmhat_fn(q)
-
-    def shaped_potential(self, q: Sequence[float]) -> float:
-        return self._vhat_fn(q)
+        return self.dMhat(q)
 
     def shaped_potential_gradient(self, q: Sequence[float]) -> np.ndarray:
-        return self._dvhat_fn(q)
+        return self.dVhat(q)
 
     def shaped_hamiltonian(
         self, q: Sequence[float], p: Sequence[float]
@@ -408,24 +367,22 @@ class ShapedDesign:
         p = np.asarray(p, dtype=float)
         if isinstance(q, np.ndarray) and q.ndim == 2:
             return _energy_rows(
-                self.shaped_hamiltonian, self.Mhat.batch, self.vhat_batch, q, p, False
+                self.shaped_hamiltonian, self.Mhat, self.shaped_potential, q, p, False
             )
         return 0.5 * float(p @ linalg.solve(self.Mhat(q), p)) + self.shaped_potential(q)
 
     def c_table_at(self, q: Sequence[float]) -> np.ndarray | None:
-        if self._c_fn is None:
-            return None
-        return self._c_fn(q)
+        return None if self.C is None else self.C(q)
 
 
 def _energy_rows(per_point, metric, potential, q, p, check_pd: bool) -> np.ndarray:
     """p' X^-1 p / 2 + U at each row of (N, n) stacks, from the batch variants
-    of the metric X and the potential U.  Rows the evaluator flags, and with
+    of the compiled metric X and potential U.  Rows the evaluator flags, and with
     ``check_pd`` rows where X is not positive definite, take ``per_point``,
     which raises at the first one it raised at; a singular metric sends every
     row there, as a stacked solve raises for the whole stack."""
-    x, flagged = metric(q)
-    u, flagged_u = potential(q)
+    x, flagged = metric.batch(q)
+    u, flagged_u = potential.batch(q)
     flagged |= flagged_u
     if check_pd:
         flagged |= ~(lowest_eigenvalue(identity_where(x, flagged)) > 0.0)
@@ -472,11 +429,11 @@ def _pendulum_gyro_table(
     which determine every entry in dimension two.
     """
     det = sub(
-        mul(m.entries[0][0], m.entries[1][1]), mul(m.entries[0][1], m.entries[1][0])
+        mul(m.tree[0][0], m.tree[1][1]), mul(m.tree[0][1], m.tree[1][0])
     )
     adj = [
-        [m.entries[1][1], neg(m.entries[0][1])],
-        [neg(m.entries[1][0]), m.entries[0][0]],
+        [m.tree[1][1], neg(m.tree[0][1])],
+        [neg(m.tree[1][0]), m.tree[0][0]],
     ]
     minv = [[div(adj[r][s], det) for s in range(2)] for r in range(2)]
     dminv1 = [[minv[r][s].diff(0) for s in range(2)] for r in range(2)]
@@ -487,10 +444,10 @@ def _pendulum_gyro_table(
         second = Const(0.0)
         for r in range(2):
             for s in range(2):
-                d_target = mhat.entries[1][col].diff(s)
-                first = add(first, mul(mul(mhat.entries[0][r], minv[r][s]), d_target))
+                d_target = mhat.tree[1][col].diff(s)
+                first = add(first, mul(mul(mhat.tree[0][r], minv[r][s]), d_target))
                 second = add(
-                    second, mul(mul(dminv1[r][s], mhat.entries[r][col]), mhat.entries[s][1])
+                    second, mul(mul(dminv1[r][s], mhat.tree[r][col]), mhat.tree[s][1])
                 )
         return mul(Const(-0.5), add(first, second))
 
@@ -503,16 +460,28 @@ def _pendulum_gyro_table(
     ]
 
 
-def _finite_params(params: dict[str, float]) -> dict[str, float]:
-    """params; raises for a non-finite value, which no design can be built from."""
+def _finite_params(params, **overrides) -> dict[str, float]:
+    """A dict's values, with the overrides that are not None, as finite floats;
+    raises for any other value, which no design can be built from."""
+    if not isinstance(params, dict):
+        raise SystemError(f"shaped params must be an object, got {params!r}")
+    params = {**params, **{k: v for k, v in overrides.items() if v is not None}}
     for key, value in params.items():
-        if not math.isfinite(value):
-            raise SystemError(f"shaped parameter {key} must be finite, got {value!r}")
+        try:
+            params[key] = float(value)
+        except (TypeError, ValueError):
+            raise SystemError(
+                f"shaped parameter {key} must be a number, got {value!r}"
+            ) from None
+        if not math.isfinite(params[key]):
+            raise SystemError(
+                f"shaped parameter {key} must be finite, got {params[key]!r}"
+            )
     return params
 
 
 def builtin(
-    name: str, eps: float = 1.0, K: float = 1.0, Kv: np.ndarray | None = None
+    name: str, eps: float = 1.0, K: float = 1.0
 ) -> tuple[MechSystem, ShapedDesign | None]:
     """Bundled example systems.
 
@@ -521,7 +490,7 @@ def builtin(
     design and returns None for it.
     """
     if name == "pendulum_cart":
-        params = _finite_params({"eps": float(eps), "K": float(K)})
+        params = _finite_params({"eps": eps, "K": K})
         m = ExprMatrix.from_strings(
             [["1", "cos(q1)"], ["cos(q1)", "2"]], PENDULUM_VARS
         )
@@ -539,12 +508,11 @@ def builtin(
         vhat = parse(
             "-(10/eps)*cos(q1) + (q2 + 2*sin(q1)/eps)^2", PENDULUM_VARS, params
         )
-        kv = np.eye(1) if Kv is None else np.asarray(Kv, dtype=float)
         design = ShapedDesign(
             PENDULUM_VARS,
             mhat,
             vhat,
-            kv,
+            np.eye(1),
             C=_pendulum_gyro_table(m, mhat),
             params=params,
         )
@@ -593,9 +561,9 @@ def load_system(
         bundle_kv = data.get("Kv")
         data = data["system"]
     try:
-        vars = list(data["vars"])
-        n = int(data["n"])
-        m = int(data["m"])
+        vars, n, m = list(data["vars"]), data["n"], data["m"]
+        if type(n) is not int or type(m) is not int:
+            raise SystemError(f"n and m must be integers, got n={n!r}, m={m!r}")
         if len(vars) != n:
             raise SystemError(f"vars length {len(vars)} does not match n={n}")
         M = ExprMatrix.from_strings(data["M"], vars)
@@ -610,13 +578,10 @@ def load_system(
     shaped = data.get("shaped")
     if shaped is None:
         return sys, None
+    if not isinstance(shaped, dict):
+        raise SystemError(f"invalid shaped design: expected an object, got {shaped!r}")
     try:
-        params = {k: float(v) for k, v in shaped.get("params", {}).items()}
-        if eps is not None:
-            params["eps"] = float(eps)
-        if K is not None:
-            params["K"] = float(K)
-        _finite_params(params)
+        params = _finite_params(shaped.get("params", {}), eps=eps, K=K)
         mhat = ExprMatrix.from_strings(shaped["Mhat"], vars, params)
         vhat = parse(shaped["Vhat"], vars, params)
         kv = shaped.get("Kv", np.eye(sys.m)) if bundle_kv is None else bundle_kv
@@ -653,9 +618,7 @@ def system_to_dict(sys: MechSystem, design: ShapedDesign | None = None) -> dict:
         if design.params:
             shaped["params"] = design.params
         if design.C is not None:
-            shaped["C"] = [
-                [[str(e) for e in row] for row in plane] for plane in design.C
-            ]
+            shaped["C"] = design.C.to_strings()
         data["shaped"] = shaped
     return data
 

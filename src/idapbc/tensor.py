@@ -231,26 +231,25 @@ def gyro_force(c, mhat: np.ndarray, p: np.ndarray) -> np.ndarray:
     return entries.T @ u @ u
 
 
-def space_dims(n: int, verify: bool = True) -> tuple[int, int, int]:
+def space_dims(n: int) -> tuple[int, int, int]:
     """(dim B, dim C, dim ker psi) for dimension n.
 
-    With ``verify`` the closed forms are cross-checked constructively:
-    a spanning set of the skew-pair space is built, psi is applied to it,
-    and the defining linear constraints of the gyroscopic space are
-    assembled; matrix ranks must reproduce all three numbers.
+    The closed forms are cross-checked constructively: a spanning set of the
+    skew-pair space is built, psi is applied to it, and the defining linear
+    constraints of the gyroscopic space are assembled; matrix ranks must
+    reproduce all three numbers.
     """
     if n < 1:
         raise TensorError("dimension must be >= 1")
     dim_b = n * n * (n - 1) // 2
     dim_c = n * (n * n - 1) // 3
     dim_ker = n * (n - 1) * (n - 2) // 6
-    if verify:
-        constructed = _constructive_dims(n)
-        if constructed != (dim_b, dim_c, dim_ker):
-            raise TensorError(
-                f"constructive dimensions {constructed} disagree with closed forms "
-                f"{(dim_b, dim_c, dim_ker)} for n={n}"
-            )
+    constructed = _constructive_dims(n)
+    if constructed != (dim_b, dim_c, dim_ker):
+        raise TensorError(
+            f"constructive dimensions {constructed} disagree with closed forms "
+            f"{(dim_b, dim_c, dim_ker)} for n={n}"
+        )
     return dim_b, dim_c, dim_ker
 
 

@@ -70,7 +70,7 @@ def test_tensor_space_dimensions():
     t0 = time.perf_counter()
     ok = True
     for n in range(2, 7):
-        got = space_dims(n)  # verify=True cross-checks the constructive count
+        got = space_dims(n)  # cross-checks the constructive count
         expect = (
             n * n * (n - 1) // 2,
             n * (n * n - 1) // 3,

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+from pathlib import Path
+from sys import executable
 
 import numpy as np
 import pytest
@@ -600,6 +604,21 @@ class TestUsage:
     def test_no_subcommand(self, capsys):
         code, _, err = run(capsys)
         assert code == 1
+
+    def test_malformed_description_is_an_input_error(self, tmp_path):
+        data = pendulum_dict()
+        data["shaped"]["params"] = {"eps": "abc"}
+        path = write_json(tmp_path / "bad.json", data)
+        src = str(Path(__import__("idapbc").__file__).resolve().parents[1])
+        out = subprocess.run(
+            [executable, "-m", "idapbc.cli", "check", "--system", path],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+        )
+        assert out.returncode == 1
+        assert out.stderr == "error: shaped parameter eps must be a number, got 'abc'\n"
+        assert "Traceback" not in out.stderr
 
     def test_missing_system_flag(self, capsys):
         code, _, err = run(capsys, "check")

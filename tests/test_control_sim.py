@@ -17,7 +17,15 @@ from idapbc.control_sim import (
 from idapbc.expr import parse
 from idapbc import matching
 from idapbc.matching import GyroField, evaluate_residuals, kinetic_residual
-from idapbc.system import ExprMatrix, MechSystem, ShapedDesign, SystemError, builtin
+from idapbc.system import (
+    ExprMatrix,
+    MechSystem,
+    ShapedDesign,
+    SystemError,
+    builtin,
+    load_system,
+    system_to_dict,
+)
 from idapbc.tensor import (
     GyroTensor,
     TensorError,
@@ -102,8 +110,9 @@ class TestGyroForce:
 
 class TestController:
     def test_kv_defaults_to_design(self):
-        sys, design = builtin("pendulum_cart", Kv=np.array([[2.5]]))
-        ctrl = Controller(sys, design)
+        data = system_to_dict(*builtin("pendulum_cart"))
+        data["shaped"]["Kv"] = [[2.5]]
+        ctrl = Controller(*load_system(data))
         np.testing.assert_array_equal(ctrl.Kv, [[2.5]])
 
     def test_scalar_kv_promoted(self):
@@ -380,8 +389,8 @@ class TestClosedLoopField:
             design = ShapedDesign(sys.vars, design.Mhat, design.Vhat, design.Kv)
         ctrl = Controller(sys, design)
         calls = []
-        dm_fn = sys._dm_fn
-        sys._dm_fn = lambda q: calls.append(1) or dm_fn(q)
+        dm_fn = sys.dM._fn
+        sys.dM._fn = lambda q: calls.append(1) or dm_fn(q)
         q, p = [0.3, -0.2], [0.4, 0.1]
         closed_loop_field(ctrl, q, p)
         assert len(calls) == (0 if with_table else 1)

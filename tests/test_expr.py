@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from idapbc.expr import (
 )
 from idapbc import expr
 from idapbc.matching import evaluate_residuals
-from idapbc.system import builtin, derivative_stack
+from idapbc.system import builtin
 
 VARS2 = ["q1", "q2"]
 
@@ -192,10 +194,10 @@ class TestProperties:
         pend, shaped = builtin("pendulum_cart", eps=0.55, K=0.25)
         three, _ = builtin("three_dof")
         tables = [
-            (shaped.C, 2),
-            (derivative_stack(pend.M, 2), 2),
-            (derivative_stack(shaped.Mhat, 2), 2),
-            (derivative_stack(three.M, 3), 3),
+            (shaped.C.tree, 2),
+            (pend.M.diff(2).tree, 2),
+            (shaped.Mhat.diff(2).tree, 2),
+            (three.M.diff(3).tree, 3),
         ]
         for table, n in tables:
             f = compile_expr(table)
@@ -223,13 +225,13 @@ class TestBatch:
         pend, shaped = builtin("pendulum_cart", eps=0.55, K=0.25)
         three, _ = builtin("three_dof")
         tables = [
-            (pend.M.entries, 2),
-            (shaped.Mhat.entries, 2),
-            (three.M.entries, 3),
-            (derivative_stack(pend.M, 2), 2),
-            (derivative_stack(shaped.Mhat, 2), 2),
-            (derivative_stack(three.M, 3), 3),
-            (shaped.C, 2),
+            (pend.M.tree, 2),
+            (shaped.Mhat.tree, 2),
+            (three.M.tree, 3),
+            (pend.M.diff(2).tree, 2),
+            (shaped.Mhat.diff(2).tree, 2),
+            (three.M.diff(3).tree, 3),
+            (shaped.C.tree, 2),
             # numpy's power rounds unlike Python's in a few percent of cases
             ([parse("q1^3*q2^-2 + (q1 + q2)^5 - q1^2", VARS2)], 2),
         ]
@@ -289,3 +291,37 @@ class TestBatch:
         assert compiled.count(True) == 7
         evaluate_residuals(sys, design, axes)
         assert compiled.count(True) == 7
+
+
+def compile_references(path: Path) -> list[str]:
+    """Names, attributes and imports that refer to ``compile_expr`` in a module."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name
+        else:
+            continue
+        if name == "compile_expr":
+            found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_one_way_to_compile_expressions():
+    src = Path(expr.__file__).resolve().parent
+    modules = sorted(p for p in src.glob("*.py") if p.name != "expr.py")
+    assert modules
+    refs = [r for p in modules for r in compile_references(p)]
+    assert refs == [], "compile through idapbc.expr.Compiled: " + ", ".join(refs)
+
+
+def test_guard_sees_a_reference(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from idapbc.expr import compile_expr\nexpr.compile_expr(t)\n"
+        "f = compile_expr\nCompiled(t)\n"
+    )
+    assert sorted(compile_references(probe)) == ["probe.py:1", "probe.py:2", "probe.py:3"]

@@ -11,10 +11,8 @@ from idapbc.stability import (
     NOT_STABILIZABLE,
     Linearization,
     classify,
-    controllability,
     linearize,
     minimum_check,
-    uncontrollable_modes,
     verdict,
 )
 from idapbc.system import ExprMatrix, MechSystem, ShapedDesign, SystemError, builtin
@@ -100,24 +98,24 @@ class TestLinearize:
 class TestControllability:
     def test_pendulum_full_rank(self):
         sys, _ = builtin("pendulum_cart")
-        rank, ok = controllability(linearize(sys))
-        assert (rank, ok) == (4, True)
+        rep = classify(linearize(sys))
+        assert (rep.kalman_rank, rep.controllable) == (4, True)
 
     def test_three_dof_full_rank(self):
         sys, _ = builtin("three_dof")
-        rank, ok = controllability(linearize(sys))
-        assert (rank, ok) == (6, True)
+        rep = classify(linearize(sys))
+        assert (rep.kalman_rank, rep.controllable) == (6, True)
 
     def test_zero_input(self):
         sys = oscillator_appended()
         lin = linearize(sys)
         dead = Linearization(lin.alin, np.zeros((4, 1)), lin.mlin, lin.hess)
-        rank, ok = controllability(dead)
-        assert (rank, ok) == (0, False)
+        rep = classify(dead)
+        assert (rep.kalman_rank, rep.controllable) == (0, False)
 
     def test_appended_rank_two(self):
-        rank, ok = controllability(linearize(oscillator_appended()))
-        assert (rank, ok) == (2, False)
+        rep = classify(linearize(oscillator_appended()))
+        assert (rep.kalman_rank, rep.controllable) == (2, False)
 
 
     @pytest.mark.parametrize("n, k", [(6, 100), (8, 10), (10, 10)])
@@ -132,21 +130,21 @@ class TestControllability:
 class TestUncontrollableModes:
     def test_controllable_vacuous(self):
         sys, _ = builtin("pendulum_cart")
-        eigs, osc = uncontrollable_modes(linearize(sys))
-        assert eigs == []
-        assert osc
+        rep = classify(linearize(sys))
+        assert rep.uncontrollable_eigs == ()
+        assert rep.oscillatory
 
     def test_oscillator_modes(self):
-        eigs, osc = uncontrollable_modes(linearize(oscillator_appended()))
-        assert osc
-        got = sorted(z.imag for z in eigs)
+        rep = classify(linearize(oscillator_appended()))
+        assert rep.oscillatory
+        got = sorted(z.imag for z in rep.uncontrollable_eigs)
         assert got == pytest.approx([-2.0, 2.0], abs=1e-9)
-        assert max(abs(z.real) for z in eigs) <= 1e-9
+        assert max(abs(z.real) for z in rep.uncontrollable_eigs) <= 1e-9
 
     def test_unstable_modes(self):
-        eigs, osc = uncontrollable_modes(linearize(unstable_appended()))
-        assert not osc
-        got = sorted(z.real for z in eigs)
+        rep = classify(linearize(unstable_appended()))
+        assert not rep.oscillatory
+        got = sorted(z.real for z in rep.uncontrollable_eigs)
         assert got == pytest.approx([-1.0, 1.0], abs=1e-9)
 
 

@@ -27,7 +27,6 @@ from idapbc.system import (
     StateTrajectory,
     SystemError,
     builtin,
-    hessian_at,
     input_frame,
     load_system,
     save_system,
@@ -71,8 +70,8 @@ class TestExprMatrix:
 
     def test_diff(self):
         m = ExprMatrix.from_strings([["cos(q1)"]], VARS2)
-        d = m.diff(0)
-        assert d([0.5, 0.0])[0, 0] == pytest.approx(-math.sin(0.5))
+        d = m.diff(2)
+        assert d([0.5, 0.0])[0, 0, 0] == pytest.approx(-math.sin(0.5))
 
 
 class TestMechSystem:
@@ -330,7 +329,7 @@ class TestBuiltins:
 
     def test_pendulum_shaped_hessian(self):
         _, design = builtin("pendulum_cart")
-        hess = hessian_at(design.Vhat, 2, [0.0, 0.0])
+        hess = design.dVhat.diff(2)([0.0, 0.0]).T
         assert np.allclose(hess, [[18, 4], [4, 2]])
         assert np.linalg.det(hess) == pytest.approx(20.0)
         # finite-difference oracle
@@ -510,6 +509,24 @@ class TestJsonIO:
         for source in ("builtin:pendulum_cart", system_to_dict(*builtin("pendulum_cart"))):
             with pytest.raises(SystemError, match="must be finite"):
                 load_system(source, **override)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("params", {"eps": "abc"}, "^shaped parameter eps must be a number, got 'abc'$"),
+            ("params", [1, 2], "^shaped params must be an object, got \\[1, 2\\]$"),
+            ("shaped", [1, 2], "^invalid shaped design: expected an object"),
+            ("n", 2.7, "^n and m must be integers, got n=2.7, m=1$"),
+            ("m", True, "^n and m must be integers, got n=2, m=True$"),
+            ("vars", ["q1", "q1"], "^vars must be distinct, got \\['q1', 'q1'\\]$"),
+        ],
+        ids=["eps-text", "params-list", "shaped-list", "n-float", "m-bool", "vars-repeated"],
+    )
+    def test_malformed_description_rejected(self, key, value, message):
+        data = system_to_dict(*builtin("pendulum_cart"))
+        (data["shaped"] if key == "params" else data)[key] = value
+        with pytest.raises(SystemError, match=message):
+            load_system(data)
 
     @pytest.mark.parametrize("kv", ["x", [[1], [1, 2]], {"a": 1}])
     def test_non_numeric_kv_rejected(self, kv):

@@ -166,7 +166,7 @@ class TestSpaceDims:
 
     def test_closed_forms_match_constructive(self):
         for n in range(2, 7):
-            dims = space_dims(n, verify=True)
+            dims = space_dims(n)
             assert dims == (
                 n * n * (n - 1) // 2,
                 n * (n * n - 1) // 3,
