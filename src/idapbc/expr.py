@@ -416,6 +416,8 @@ def parse(text: str, vars: Sequence[str], params: dict[str, float] | None = None
     ``params`` maps extra identifiers (design constants) to numeric values,
     folded into the tree at parse time.
     """
+    if not isinstance(text, str):
+        raise ExprError(f"expected an expression string, got {text!r}")
     return _Parser(text, vars, params).parse()
 
 

@@ -32,18 +32,16 @@ from .system import (
     symmetric,
 )
 from .tensor import (
+    NOT_FINITE,
     GyroMap,
     GyroTensor,
     Tensor3,
     TensorError,
-    cyclic_sum,
     derivation_failed,
     finite_rows,
     gyro_defect,
-    index_triples,
     precondition_defect,
     random_spd,
-    rotate,
 )
 from .writer import write_table
 
@@ -56,22 +54,6 @@ CHARACTERISTIC_ATOL = 1e-13
 
 class MatchingError(ValueError):
     pass
-
-
-@dataclass(frozen=True, eq=False)
-class MatchTensors:
-    """Pointwise values a[i, j, k] = A^{ij}_k and t[i, j, k] = T_ijk."""
-
-    a: np.ndarray
-    t: Tensor3
-
-    def __post_init__(self):
-        a = np.array(self.a, dtype=float)
-        for name, e in (("A", a), ("T", self.t.entries)):
-            if not symmetric(np.moveaxis(e, -1, 0)).all():
-                raise MatchingError(f"{name} must be symmetric in its first index pair")
-        a.setflags(write=False)
-        object.__setattr__(self, "a", a)
 
 
 # The per-point formulas below take arrays with any leading axes: MatchPoint
@@ -119,12 +101,6 @@ def potential_defect(
     return w @ (dv - mhat @ minv @ dvhat)
 
 
-def cyclic_defects(tp: np.ndarray) -> np.ndarray:
-    """Cyclic sums of tp over its index triples a <= b <= c."""
-    cyc = cyclic_sum(tp)
-    return cyc.reshape(cyc.shape[:-3] + (-1,)).take(index_triples(tp.shape[-1]), axis=-1)
-
-
 def _adapted_basis(w: np.ndarray, range_basis: np.ndarray) -> np.ndarray:
     """The rows [W; U'], an orthonormal basis adapted to the split by G."""
     return np.concatenate([w, range_basis.swapaxes(-1, -2)], axis=-2)
@@ -166,11 +142,7 @@ def a_tensor(sys: MechSystem, design: ShapedDesign, q: Sequence[float]) -> np.nd
 
 def t_tensor(sys: MechSystem, design: ShapedDesign, q: Sequence[float]) -> Tensor3:
     """T_ijk; requires no inversion of the shaped mass."""
-    return MatchPoint(sys, design, q).t
-
-
-def match_tensors(sys: MechSystem, design: ShapedDesign, q: Sequence[float]) -> MatchTensors:
-    return MatchTensors(a_tensor(sys, design, q), t_tensor(sys, design, q))
+    return Tensor3(MatchPoint(sys, design, q).t)
 
 
 def potential_residual(
@@ -223,25 +195,28 @@ class MatchPoint:
         return self.design.shaped_potential_gradient(self.q)
 
     @_Kept
-    def t(self) -> Tensor3:
-        return Tensor3(t_entries(self.pair, self.dm))
+    def t(self) -> np.ndarray:
+        """T_ijk, C-ordered and read-only; raises where an entry is not finite."""
+        t = np.ascontiguousarray(t_entries(self.pair, self.dm))
+        if not finite_rows(t):
+            raise TensorError(NOT_FINITE)
+        t.setflags(write=False)
+        return t
 
     @_Kept
     def derivation(self) -> tuple[GyroMap, np.ndarray]:
         """The GyroMap at the point and its output for T: one product for a
         constant G."""
-        return _derive(self.sys, self.frame, self.t.entries)
+        return _derive(self.sys, self.frame, self.t)
 
     def potential(self) -> np.ndarray:
         """W (dV - Mhat M^-1 dVhat)."""
         return potential_defect(self.frame.annihilator, self.pair, self.dv, self.dvhat)
 
-    def kinetic(self, w: Optional[np.ndarray] = None) -> np.ndarray:
-        """Cyclic sums of T(w_a, w_b, w_c) over rows a <= b <= c of w (default W)."""
-        if w is None:
-            gmap, y = self.derivation
-            return y[gmap.kinetic]
-        return cyclic_defects(rotate(self.t.entries, w))
+    def kinetic(self) -> np.ndarray:
+        """Cyclic sums of T(w_a, w_b, w_c) over the rows a <= b <= c of W."""
+        gmap, y = self.derivation
+        return y[gmap.kinetic]
 
     def residual(self) -> float:
         """Largest matching-condition violation at the point."""
@@ -298,9 +273,9 @@ class MatchRows:
             self.potential = potential_defect(
                 frame.annihilator, pair, dv[..., None], dvhat[..., None]
             )[..., 0]
-            # in C order, as Tensor3 copies it: einsum sums in layout order
+            # in C order, as MatchPoint.t keeps it: einsum sums in layout order
             t = np.ascontiguousarray(t_entries(pair, dm))
-        failed |= ~finite_rows(t)  # Tensor3 raises
+        failed |= ~finite_rows(t)  # MatchPoint.t raises
         # spd_defect's test; the rows ``failed`` leaves are finite
         mhat = identity_where(pair.mhat, failed)
         self.pd = symmetric(mhat) & (lowest_eigenvalue(mhat) > 0.0)
@@ -322,17 +297,10 @@ class MatchRows:
 
 
 def kinetic_residual(
-    sys: MechSystem,
-    design: ShapedDesign,
-    q: Sequence[float],
-    w: Optional[np.ndarray] = None,
+    sys: MechSystem, design: ShapedDesign, q: Sequence[float]
 ) -> np.ndarray:
-    """Cyclic sums of T over unordered triples of annihilator rows.
-
-    Passing ``w`` overrides the computed annihilator basis (rows must be
-    orthonormal and span the same space for the result to be meaningful).
-    """
-    return MatchPoint(sys, design, q).kinetic(w)
+    """Cyclic sums of T over unordered triples of annihilator rows."""
+    return MatchPoint(sys, design, q).kinetic()
 
 
 def pde_counts(n: int, m: int) -> tuple[int, int]:

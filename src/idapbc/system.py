@@ -115,9 +115,18 @@ def spd_defect(a) -> str | None:
     return None
 
 
+def _holds_bool(value) -> bool:
+    """Whether a JSON value is a boolean or a list holding one."""
+    if isinstance(value, list):
+        return any(map(_holds_bool, value))
+    return isinstance(value, bool)
+
+
 def check_kv(kv, m: int) -> np.ndarray:
     """Kv as an m x m float array; raises unless spd_defect passes it."""
     try:
+        if _holds_bool(kv):
+            raise TypeError(f"boolean entry in {kv!r}")
         kv = np.asarray(kv, dtype=float)
     except (TypeError, ValueError) as exc:
         raise SystemError(f"Kv is not a numeric matrix: {exc}") from exc
@@ -468,6 +477,8 @@ def _finite_params(params, **overrides) -> dict[str, float]:
     params = {**params, **{k: v for k, v in overrides.items() if v is not None}}
     for key, value in params.items():
         try:
+            if isinstance(value, bool):
+                raise TypeError
             params[key] = float(value)
         except (TypeError, ValueError):
             raise SystemError(
@@ -571,7 +582,10 @@ def load_system(
         G = ExprMatrix.from_strings(data["G"], vars)
     except (KeyError, TypeError, ExprError) as exc:
         raise SystemError(f"invalid system description: {exc}") from exc
-    sys = MechSystem(vars, M, V, G, name=str(data.get("name", "")))
+    name = data.get("name", "")
+    if not isinstance(name, str):
+        raise SystemError(f"name must be a string, got {name!r}")
+    sys = MechSystem(vars, M, V, G, name=name)
     if sys.m != m:
         raise SystemError(f"declared m={m} does not match G columns {sys.m}")
 

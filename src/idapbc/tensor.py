@@ -160,25 +160,15 @@ class SkewPairTensor(Tensor3):
 
 
 @dataclass(frozen=True, eq=False)
-class Interconnection:
-    """Skew matrix family linear in momentum; coeffs[i, j, k] = J^k_ij."""
-
-    coeffs: np.ndarray
+class Interconnection(Tensor3):
+    """Skew matrix family linear in momentum; entries[i, j, k] = J^k_ij."""
 
     def __post_init__(self):
-        arr = np.asarray(self.coeffs, dtype=float)
-        if arr.ndim != 3 or len(set(arr.shape)) != 1:
-            raise TensorError(f"expected cubic array, got shape {arr.shape}")
-        skew_err = np.max(np.abs(arr + arr.transpose(1, 0, 2)))
-        if skew_err > INVARIANT_TOL * scale_of(arr):
+        super().__post_init__()
+        j = self.entries
+        skew_err = np.max(np.abs(j + j.transpose(1, 0, 2)))
+        if skew_err > INVARIANT_TOL * scale_of(j):
             raise TensorError(f"J^k_ij skewness violated by {skew_err:.3e}")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "coeffs", arr)
-
-    @property
-    def n(self) -> int:
-        return self.coeffs.shape[0]
 
 
 def sym(t: Tensor3) -> Tensor3:
@@ -198,7 +188,7 @@ def j_to_b(j: Interconnection, mhat: np.ndarray) -> SkewPairTensor:
     """B_kij = J^l_ji Mhat_lk (a bijection for fixed positive definite Mhat)."""
     if defect := spd_defect(mhat):
         raise TensorError(f"Mhat {defect}")
-    b = np.einsum("jil,lk->kij", j.coeffs, mhat)
+    b = np.einsum("jil,lk->kij", j.entries, mhat)
     return SkewPairTensor(b)
 
 
@@ -217,7 +207,7 @@ def force_from_j(j: Interconnection, mhat: np.ndarray, p: np.ndarray) -> np.ndar
         raise TensorError(f"Mhat {defect}")
     mhat_inv = linalg.inv(mhat)
     p = np.asarray(p, dtype=float)
-    return np.einsum("ijk,jl,l,k->i", j.coeffs, mhat_inv, p, p)
+    return np.einsum("ijk,jl,l,k->i", j.entries, mhat_inv, p, p)
 
 
 def gyro_force(c, mhat: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -514,7 +504,7 @@ def selfcheck(seed: int = 0, dims_max: int = 5, draws: int = 50) -> list[SelfChe
         mhat = random_spd(n, rng)
         p = rng.standard_normal(n)
         back = b_to_j(j_to_b(j, mhat), mhat)
-        worst = max(worst, float(np.max(np.abs(back.coeffs - j.coeffs))))
+        worst = max(worst, float(np.max(np.abs(back.entries - j.entries))))
         f_direct = force_from_j(j, mhat, p)
         f_gyro = gyro_force(psi(j_to_b(j, mhat)), mhat, p)
         worst = max(worst, float(np.max(np.abs(f_direct - f_gyro))))

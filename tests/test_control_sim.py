@@ -16,7 +16,7 @@ from idapbc.control_sim import (
 )
 from idapbc.expr import parse
 from idapbc import matching
-from idapbc.matching import GyroField, evaluate_residuals, kinetic_residual
+from idapbc.matching import GyroField, evaluate_residuals
 from idapbc.system import (
     ExprMatrix,
     MechSystem,
@@ -357,15 +357,6 @@ class TestOneEvaluationPerCall:
         override.gyro_at(q)
         Controller(sys, design).gyro_at(q)
         assert counts == [0, 0, 0]
-
-    def test_given_rows_build_no_frame(self):
-        sys, design = builtin("pendulum_cart", eps=0.55, K=0.25)
-        q = [0.3, -0.2]
-        w = sys.annihilator(q)
-        counts = count_evaluations(sys.M, sys.G, design.Mhat)
-        given = kinetic_residual(sys, design, q, w=w)
-        assert counts == [1, 0, 1]
-        assert np.array_equal(given, kinetic_residual(sys, design, q))
 
     def test_non_finite_t_stays_a_tensor_error(self):
         # T is quadratic in Mhat and overflows; that is not a missing extension

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from idapbc import matching
+from idapbc.control_sim import Controller, feedback
 from idapbc.expr import ExprError, add, parse
 from idapbc.matching import (
     CharacteristicsSolution,
@@ -16,7 +17,6 @@ from idapbc.matching import (
     evaluate_residuals,
     kinetic_residual,
     linear_match_residual,
-    match_tensors,
     pde_counts,
     potential_residual,
     solve_kinetic_characteristics,
@@ -41,6 +41,8 @@ from idapbc.tensor import (
     TensorError,
     cyclic_sum,
     extend_to_gyro,
+    index_triples,
+    rotate,
 )
 
 VARS2 = ["q1", "q2"]
@@ -149,10 +151,9 @@ class TestTTensor:
     def test_agrees_with_contracted_a(self):
         sys, design = builtin("pendulum_cart")
         q = [0.3, 0.0]
-        mt = match_tensors(sys, design, q)
         mhat = design.shaped_mass(q)
-        expect = np.einsum("rsk,ri,sj->ijk", mt.a, mhat, mhat)
-        assert np.allclose(mt.t.entries, expect, atol=1e-10)
+        expect = np.einsum("rsk,ri,sj->ijk", a_tensor(sys, design, q), mhat, mhat)
+        assert np.allclose(t_tensor(sys, design, q).entries, expect, atol=1e-10)
 
     def test_first_pair_symmetry(self):
         sys, design = builtin("pendulum_cart")
@@ -202,6 +203,12 @@ class TestPotentialResidual:
         assert res[0] == pytest.approx(0.1, abs=1e-9)
 
 
+def cyclic_sums_in(sys, design, q, w):
+    """Cyclic sums of T(w_a, w_b, w_c) over the rows a <= b <= c of w."""
+    cyc = cyclic_sum(rotate(t_tensor(sys, design, q).entries, w))
+    return cyc.ravel()[index_triples(len(w))]
+
+
 class TestKineticResidual:
     def test_pendulum_grid(self):
         sys, design = builtin("pendulum_cart")
@@ -246,8 +253,8 @@ class TestKineticResidual:
         )
         q = [0.3, 0.0]
         w = sys.annihilator(q)
-        r1 = np.abs(kinetic_residual(sys, broken, q, w=w))
-        r2 = np.abs(kinetic_residual(sys, broken, q, w=-w))
+        r1 = np.abs(cyclic_sums_in(sys, broken, q, w))
+        r2 = np.abs(cyclic_sums_in(sys, broken, q, -w))
         assert np.max(np.abs(r1 - r2)) <= 1e-12
 
     def test_rotation_invariance_on_matching_design(self):
@@ -269,8 +276,8 @@ class TestKineticResidual:
         q = [0.2, -0.3, 0.4]
         w = sys2.annihilator(q)
         rot, _ = np.linalg.qr(rng.normal(size=(2, 2)))
-        r1 = kinetic_residual(sys2, design2, q, w=w)
-        r2 = kinetic_residual(sys2, design2, q, w=rot @ w)
+        r1 = cyclic_sums_in(sys2, design2, q, w)
+        r2 = cyclic_sums_in(sys2, design2, q, rot @ w)
         assert abs(np.max(np.abs(r1)) - np.max(np.abs(r2))) <= 1e-12
 
 
@@ -755,7 +762,7 @@ def reference_gyro(point):
     extend_to_gyro there (its failures as a MatchingError), rotated back."""
     w, u, t = point.frame.annihilator, point.frame.range_basis, point.t
     basis = np.concatenate([w, u.T])
-    tp = np.einsum("ijk,ai,bj,ck->abc", t.entries, basis, basis, basis)
+    tp = np.einsum("ijk,ai,bj,ck->abc", t, basis, basis, basis)
     try:
         cp = extend_to_gyro(Tensor3(tp), len(w)).entries
     except TensorError as exc:
@@ -797,7 +804,7 @@ class TestDerivationMap:
         for q in rng.uniform(-0.4, 0.4, (50, 2)):
             point, ref = MatchPoint(sys, design, q), MatchPoint(sys, design, q)
             w = ref.frame.annihilator
-            kin = cyclic_sum(np.einsum("ijk,ai,bj,ck->abc", ref.t.entries, w, w, w)).ravel()
+            kin = cyclic_sum(np.einsum("ijk,ai,bj,ck->abc", ref.t, w, w, w)).ravel()
             try:
                 expect = reference_gyro(ref).entries
             except MatchingError as exc:
@@ -835,7 +842,7 @@ class TestDerivationMap:
     def test_kinetic_and_gyro_from_one_product(self, monkeypatch):
         sys, design = builtin("pendulum_cart", eps=0.55, K=0.25)
         design = ShapedDesign(sys.vars, design.Mhat, design.Vhat, design.Kv)
-        calls = {"apply": 0, "peaks": 0, "checked": 0}
+        calls = {"apply": 0, "peaks": 0, "checked": 0, "built": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -847,10 +854,17 @@ class TestDerivationMap:
         monkeypatch.setattr(GyroMap, "peaks", counted("peaks", GyroMap.peaks))
         monkeypatch.setattr(GyroTensor, "__post_init__",
                             counted("checked", GyroTensor.__post_init__))
-        point = MatchPoint(sys, design, np.array([0.3, -0.2]))
+        monkeypatch.setattr(Tensor3, "__post_init__",
+                            counted("built", Tensor3.__post_init__))
+        q = np.array([0.3, -0.2])
+        point = MatchPoint(sys, design, q)
         point.residual()
         point.gyro()
-        assert calls == {"apply": 1, "peaks": 1, "checked": 0}
+        assert calls == {"apply": 1, "peaks": 1, "checked": 0, "built": 0}
+        assert not point.t.flags.writeable
+        # the C-less feedback derives C from the kept fold, through no Tensor3
+        feedback(Controller(sys, design), q, [0.4, 0.1])
+        assert calls == {"apply": 1, "peaks": 2, "checked": 0, "built": 0}
 
     def test_folded_map_built_once_per_constant_g_system(self, monkeypatch, tmp_path):
         folds = []

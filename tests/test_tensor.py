@@ -69,6 +69,12 @@ class TestConstruction:
         bad[0, 0, 0] = 1.0
         with pytest.raises(TensorError, match="skew"):
             Interconnection(bad)
+        skew_nan = np.zeros((2, 2, 2))
+        skew_nan[0, 1, 0], skew_nan[1, 0, 0] = np.nan, -np.nan
+        with pytest.raises(TensorError, match="finite"):
+            Interconnection(skew_nan)
+        with pytest.raises(TensorError, match="dimension"):
+            Interconnection(np.zeros((0, 0, 0)))
 
     def test_entries_immutable(self):
         t = Tensor3(np.zeros((2, 2, 2)))
@@ -258,7 +264,7 @@ class TestInterconnection:
         for i in range(3):
             for j_ in range(3):
                 for k in range(3):
-                    assert b.entries[k, i, j_] == pytest.approx(j.coeffs[j_, i, k])
+                    assert b.entries[k, i, j_] == pytest.approx(j.entries[j_, i, k])
 
     def test_round_trip(self):
         rng = np.random.default_rng(11)
@@ -267,7 +273,7 @@ class TestInterconnection:
             j = random_interconnection(n, rng)
             mhat = random_spd(n, rng)
             back = b_to_j(j_to_b(j, mhat), mhat)
-            assert np.allclose(back.coeffs, j.coeffs, atol=1e-12)
+            assert np.allclose(back.entries, j.entries, atol=1e-12)
 
     def test_non_pd_rejected(self):
         j = random_interconnection(2, np.random.default_rng(12))
