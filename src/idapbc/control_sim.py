@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import linalg
-from .matching import RESIDUAL_TOL, MatchingError, MatchPoint
+from .matching import RESIDUAL_TOL, MatchPoint
 from .system import (
     MechSystem,
     ShapedDesign,
@@ -27,7 +27,6 @@ from .system import (
     q_text,
     spd_defect,
 )
-from .tensor import Tensor3
 from .writer import write_table
 
 DIVERGENCE_NORM = 1e6
@@ -45,12 +44,11 @@ class DivergenceError(RuntimeError):
 
 
 class Controller:
-    """Plant, shaped design, damping gain, and gyroscopic tensor field.
+    """Plant, shaped design, and damping gain.
 
     kv defaults to the design's damping matrix; a positive scalar is
-    promoted to that multiple of the identity.  gyro overrides the tensor
-    field with a callable q -> (n,n,n) values; by default the design's
-    stored closed-form table is used when present, otherwise the tensor is
+    promoted to that multiple of the identity.  The gyroscopic tensor is the
+    design's stored closed-form table when present, otherwise the tensor
     derived pointwise from the matching data.
     """
 
@@ -59,36 +57,24 @@ class Controller:
         sys: MechSystem,
         design: ShapedDesign,
         kv: float | np.ndarray | None = None,
-        gyro: Callable[[Sequence[float]], np.ndarray] | None = None,
     ):
         if tuple(sys.vars) != tuple(design.vars):
             raise SystemError("system and design use different coordinates")
         self.sys = sys
         self.design = design
-        kv = design.Kv if kv is None else np.asarray(kv, dtype=float)
-        if kv.ndim == 0:
-            kv = float(kv) * np.eye(sys.m)
+        kv = design.Kv if kv is None else kv
+        if np.ndim(kv) == 0:
+            kv = np.diag([kv] * sys.m)
         self.Kv = check_kv(kv, sys.m)
-        self._gyro = gyro
 
     def gyro_at(self, q: Sequence[float]) -> np.ndarray:
-        """Tensor values at q; zero with a warning where no extension exists."""
+        """Tensor values at q; raises MatchingError where no extension exists."""
         return self._gyro_from(MatchPoint(self.sys, self.design, q))
 
     def _gyro_from(self, point: MatchPoint) -> np.ndarray:
-        if self._gyro is not None:
-            c = self._gyro(point.q)
-            return c.entries if isinstance(c, Tensor3) else np.asarray(c, dtype=float)
         if self.design.C is not None:
             return self.design.c_table_at(point.q)
-        try:
-            return point.gyro().entries
-        except MatchingError as exc:
-            warnings.warn(
-                f"no gyroscopic extension at q={q_text(point.q)}; "
-                f"using zero gyroscopic force ({exc})"
-            )
-            return np.zeros((self.sys.n,) * 3)
+        return point.gyro().entries
 
     def matching_residual(self, q: Sequence[float]) -> float:
         """Largest matching-condition violation of the design at q."""

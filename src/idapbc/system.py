@@ -116,10 +116,11 @@ def spd_defect(a) -> str | None:
 
 
 def _holds_bool(value) -> bool:
-    """Whether a JSON value is a boolean or a list holding one."""
-    if isinstance(value, list):
+    """Whether a value is a boolean (Python or numpy), a boolean array, or a
+    list or tuple holding one."""
+    if isinstance(value, (list, tuple)):
         return any(map(_holds_bool, value))
-    return isinstance(value, bool)
+    return np.asarray(value).dtype == bool
 
 
 def check_kv(kv, m: int) -> np.ndarray:
@@ -477,7 +478,7 @@ def _finite_params(params, **overrides) -> dict[str, float]:
     params = {**params, **{k: v for k, v in overrides.items() if v is not None}}
     for key, value in params.items():
         try:
-            if isinstance(value, bool):
+            if _holds_bool(value):
                 raise TypeError
             params[key] = float(value)
         except (TypeError, ValueError):

@@ -18,7 +18,7 @@ import pytest
 
 from idapbc.control_sim import Controller, decay_metrics, feedback
 from idapbc.expr import parse
-from idapbc.system import ExprMatrix, ShapedDesign, StateTrajectory, builtin
+from idapbc.system import ShapedDesign, StateTrajectory, builtin
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -64,17 +64,6 @@ def test_child_call_binds(module, path, nargs):
     inspect.signature(resolve(module, path)).bind(*[None] * nargs)
 
 
-def _no_extension():
-    sys, _ = builtin("pendulum_cart")
-    broken = ShapedDesign(
-        sys.vars,
-        ExprMatrix.from_strings([["2", "0"], ["0", "1"]], sys.vars),
-        parse("q1^2 + q2^2", sys.vars),
-        np.eye(1),
-    )
-    Controller(sys, broken).gyro_at([0.3, 0.0])
-
-
 def _residual_over_tol():
     sys, good = builtin("pendulum_cart")
     spoiled = ShapedDesign(sys.vars, good.Mhat, parse("q2^2 + q1/10", sys.vars), np.eye(1))
@@ -88,7 +77,6 @@ def _decay_clamp():
 @pytest.mark.parametrize(
     "trigger,kind",
     [
-        (_no_extension, "zero_gyro"),
         (_residual_over_tol, "residual_over_tol"),
         (_decay_clamp, "decay_clamp"),
     ],

@@ -548,6 +548,35 @@ class TestSimulate:
         assert code == 1
         assert "rank-deficient at q=[0.2, -0.1]" in err
 
+    def test_missing_extension_is_an_error(self, capsys, tmp_path):
+        # Mhat = diag(2, 1) admits no gyroscopic tensor at any q: no closed
+        # loop exists to simulate
+        data = pendulum_dict()
+        data["shaped"] = {
+            "Mhat": [["2", "0"], ["0", "1"]],
+            "Vhat": "q1^2 + q2^2",
+            "Kv": [[1.0]],
+        }
+        code, _, err = run(
+            capsys,
+            "simulate",
+            "--system",
+            write_json(tmp_path / "no_extension.json", data),
+            "--t-end",
+            "0.01",
+            "--dt",
+            "0.001",
+            "--out",
+            str(tmp_path),
+        )
+        assert code == 1
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(
+            "error: cannot extend to a gyroscopic tensor at q=[0.3, 0.0]"
+        )
+        assert not (tmp_path / "metrics.json").exists()
+
     def test_wrong_state_length(self, capsys):
         code, _, err = run(
             capsys,

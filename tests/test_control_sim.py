@@ -16,7 +16,7 @@ from idapbc.control_sim import (
 )
 from idapbc.expr import parse
 from idapbc import matching
-from idapbc.matching import GyroField, evaluate_residuals
+from idapbc.matching import GyroField, MatchingError, evaluate_residuals
 from idapbc.system import (
     ExprMatrix,
     MechSystem,
@@ -47,6 +47,14 @@ def random_spd(n, rng):
 def pendulum_controller(eps=1.0, K=1.0, kv=None):
     sys, design = builtin("pendulum_cart", eps=eps, K=K)
     return sys, design, Controller(sys, design, kv=kv)
+
+
+def muted(design):
+    """The design with a zero C table: its shaped law without the gyroscopic
+    force."""
+    n = len(design.vars)
+    zero = [[[parse("0", design.vars)] * n for _ in range(n)] for _ in range(n)]
+    return ShapedDesign(design.vars, design.Mhat, design.Vhat, design.Kv, C=zero)
 
 
 def random_pendulum_states(rng, count):
@@ -136,6 +144,14 @@ class TestController:
         with pytest.raises(SystemError, match="is not finite"):
             Controller(sys, design, kv=kv)
 
+    @pytest.mark.parametrize(
+        "kv", [True, np.bool_(True), np.array([[True]])], ids=["bool", "numpy-bool", "bool-array"]
+    )
+    def test_boolean_kv_rejected(self, kv):
+        sys, design = builtin("pendulum_cart")
+        with pytest.raises(SystemError, match="^Kv is not a numeric matrix: boolean entry in "):
+            Controller(sys, design, kv=kv)
+
     def test_asymmetric_kv_rejected(self):
         sys, _ = builtin("three_dof")
         design = ShapedDesign(sys.vars, sys.M, sys.V, np.eye(2))
@@ -163,25 +179,6 @@ class TestController:
         q = [0.4, -0.2]
         np.testing.assert_array_equal(ctrl.gyro_at(q), design.c_table_at(q))
 
-    def test_gyro_override_honored(self):
-        sys, design = builtin("pendulum_cart")
-        calls = []
-
-        def custom(q):
-            calls.append(tuple(q))
-            return np.zeros((2, 2, 2))
-
-        ctrl = Controller(sys, design, gyro=custom)
-        assert np.all(ctrl.gyro_at([0.1, 0.2]) == 0.0)
-        assert calls == [(0.1, 0.2)]
-
-    def test_gyro_override_accepts_tensor_objects(self):
-        sys, design = builtin("pendulum_cart")
-        rng = np.random.default_rng(5)
-        c = random_gyro(2, rng)
-        ctrl = Controller(sys, design, gyro=lambda q: c)
-        np.testing.assert_array_equal(ctrl.gyro_at([0.0, 0.0]), c.entries)
-
     def test_table_free_design_derives_pointwise(self):
         # identity shaping of the three-dof system has a vanishing tensor
         sys, _ = builtin("three_dof")
@@ -191,7 +188,8 @@ class TestController:
         assert c.shape == (3, 3, 3)
         assert np.max(np.abs(c)) <= 1e-12
 
-    def test_failed_extension_warns_and_zeroes(self):
+    def test_failed_extension_raises(self):
+        # no closed loop with this Mhat exists, so there is no force to apply
         sys, _ = builtin("pendulum_cart")
         broken = ShapedDesign(
             sys.vars,
@@ -200,9 +198,15 @@ class TestController:
             np.eye(1),
         )
         ctrl = Controller(sys, broken)
-        with pytest.warns(UserWarning, match="zero gyroscopic force"):
-            c = ctrl.gyro_at([0.3, 0.0])
-        assert np.all(c == 0.0)
+        q, p = [0.3, 0.0], [0.1, 0.1]
+        match = r"cannot extend to a gyroscopic tensor at q=\[0.3, 0.0\]"
+        with pytest.raises(MatchingError, match=match):
+            ctrl.gyro_at(q)
+        with pytest.raises(MatchingError, match=match):
+            closed_loop_field(ctrl, q, p)
+        with pytest.warns(UserWarning, match="matching residual"):
+            with pytest.raises(MatchingError, match=match):
+                feedback(ctrl, q, p)
 
     def test_matching_residual_small_for_builtin(self):
         _, _, ctrl = pendulum_controller()
@@ -265,7 +269,7 @@ class TestFeedback:
             ExprMatrix.from_strings([["q1"], ["0"]], VARS2),
         )
         design = ShapedDesign(sys.vars, sys.M, sys.V, np.eye(1))
-        ctrl = Controller(sys, design, gyro=lambda q: np.zeros((2, 2, 2)))
+        ctrl = Controller(sys, design)
         with pytest.raises(SystemError, match="rank-deficient"):
             feedback(ctrl, [0.0, 0.0], [0.0, 0.0])
 
@@ -352,9 +356,7 @@ class TestOneEvaluationPerCall:
         sys, design = builtin("pendulum_cart", eps=0.55, K=0.25)
         q, p = [0.3, -0.2], [0.4, 0.1]
         closed_loop_field(Controller(sys, design), q, p)
-        override = Controller(sys, design, gyro=lambda q: np.zeros((2, 2, 2)))
         counts = count_evaluations(sys.M, sys.G, design.Mhat)
-        override.gyro_at(q)
         Controller(sys, design).gyro_at(q)
         assert counts == [0, 0, 0]
 
@@ -436,18 +438,18 @@ class TestClosedLoopField:
         # at every sampled state of the converging run
         sys, design = builtin("pendulum_cart", eps=0.55, K=0.25)
         ctrl = Controller(sys, design, kv=1.0)
-        muted = Controller(sys, design, gyro=lambda q: np.zeros((2, 2, 2)))
+        ctrl0 = Controller(sys, muted(design))
         for state in damped_run.states[::10]:
             q, p = state[:2], state[2:]
             _, pdot = closed_loop_field(ctrl, q, p)
-            _, pdot0 = closed_loop_field(muted, q, p)
+            _, pdot0 = closed_loop_field(ctrl0, q, p)
             uhat = np.linalg.solve(design.shaped_mass(q), p)
             assert abs(uhat @ (pdot - pdot0)) <= 1e-12
 
     def test_j_matrix_route_gives_same_field(self):
         # rebuild the force through the interconnection-matrix formulation
         sys, design, ctrl = pendulum_controller()
-        muted = Controller(sys, design, gyro=lambda q: np.zeros((2, 2, 2)))
+        ctrl0 = Controller(sys, muted(design))
         rng = np.random.default_rng(10)
         for state in random_pendulum_states(rng, 25):
             q, p = state[:2], state[2:]
@@ -455,7 +457,7 @@ class TestClosedLoopField:
             c = GyroTensor(ctrl.gyro_at(q))
             j = b_to_j(b_from_gyro(c), mhat)
             _, pdot = closed_loop_field(ctrl, q, p)
-            _, pdot0 = closed_loop_field(muted, q, p)
+            _, pdot0 = closed_loop_field(ctrl0, q, p)
             via_j = pdot0 + force_from_j(j, mhat, p)
             np.testing.assert_allclose(pdot, via_j, rtol=0.0, atol=1e-10)
 

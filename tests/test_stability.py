@@ -15,7 +15,7 @@ from idapbc.stability import (
     minimum_check,
     verdict,
 )
-from idapbc.system import ExprMatrix, MechSystem, ShapedDesign, SystemError, builtin
+from idapbc.system import ExprMatrix, MechSystem, ShapedDesign, builtin
 
 VARS2 = ["q1", "q2"]
 
@@ -88,12 +88,6 @@ class TestLinearize:
         assert np.allclose(lin.hess, expect)
         assert np.allclose(lin.hess, fd_hessian(sys.potential, 3), atol=1e-4)
 
-    def test_block_structure_enforced(self):
-        with pytest.raises(SystemError, match="block structure"):
-            Linearization(
-                np.eye(4), np.zeros((4, 1)), np.eye(2), np.zeros((2, 2))
-            )
-
 
 class TestControllability:
     def test_pendulum_full_rank(self):
@@ -109,7 +103,7 @@ class TestControllability:
     def test_zero_input(self):
         sys = oscillator_appended()
         lin = linearize(sys)
-        dead = Linearization(lin.alin, np.zeros((4, 1)), lin.mlin, lin.hess)
+        dead = Linearization(lin.mlin, lin.hess, np.zeros((2, 1)))
         rep = classify(dead)
         assert (rep.kalman_rank, rep.controllable) == (0, False)
 

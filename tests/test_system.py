@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import warnings
 from pathlib import Path
@@ -522,12 +523,14 @@ class TestJsonIO:
             ("vars", ["q1", "q1"], "^vars must be distinct, got \\['q1', 'q1'\\]$"),
             ("params", {"eps": True}, "^shaped parameter eps must be a number, got True$"),
             ("Kv", [[True]], "^Kv is not a numeric matrix: boolean entry in \\[\\[True\\]\\]$"),
+            ("params", {"eps": np.bool_(True)},
+             f"^shaped parameter eps must be a number, got {re.escape(repr(np.bool_(True)))}$"),
             ("name", {"a": 1}, "^name must be a string, got \\{'a': 1\\}$"),
             ("Mhat", [[["1"]]],
              "^invalid shaped design: expected an expression string, got \\['1'\\]$"),
         ],
         ids=["eps-text", "params-list", "shaped-list", "n-float", "m-bool", "vars-repeated",
-             "eps-bool", "kv-bool", "name-object", "mhat-nested"],
+             "eps-bool", "kv-bool", "eps-numpy-bool", "name-object", "mhat-nested"],
     )
     def test_malformed_description_rejected(self, key, value, message):
         data = system_to_dict(*builtin("pendulum_cart"))
