@@ -30,11 +30,16 @@ from .control_sim import (
     simulate,
     write_trajectory_csv,
 )
-from .expr import ExprError
-from .matching import RESIDUAL_TOL, GyroField, MatchingError, evaluate_residuals
+from .matching import (
+    POINT_ERRORS,
+    RESIDUAL_TOL,
+    MatchingError,
+    MatchPoint,
+    evaluate_residuals,
+)
 from .stability import EXPONENTIAL, NOT_STABILIZABLE, linearize, classify, minimum_check
-from .system import MechSystem, SystemError, load_system, system_to_dict
-from .tensor import TensorError, selfcheck
+from .system import MechSystem, load_system, system_to_dict
+from .tensor import selfcheck
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -167,7 +172,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
         if kin_pd > verify_payload["residuals"]["tolerance"]:
             worst = verify_payload["residuals"]["worst"]
             try:
-                GyroField(sys, design).at(np.asarray(worst["point"]))
+                MatchPoint(sys, design, np.asarray(worst["point"])).gyro()
                 diagnostic = (
                     f"kinetic residual {kin_pd:.3e} exceeds the tolerance "
                     "although a pointwise extension exists"
@@ -362,16 +367,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         if tol is not None and not tol > 0.0:
             raise CliError("tolerance must be positive")
         return _COMMANDS[args.command](args)
-    except (
-        CliError,
-        SystemError,
-        MatchingError,
-        TensorError,
-        ExprError,
-        OSError,
-        json.JSONDecodeError,
-    ) as exc:
-        print(f"error: {exc}", file=_sys.stderr)
+    except (CliError, OSError, json.JSONDecodeError, *POINT_ERRORS) as exc:
+        # numpy's and Python's arithmetic errors do not say what they are
+        plain = not isinstance(exc, (ArithmeticError, np.linalg.LinAlgError))
+        print(f"error: {'' if plain else type(exc).__name__ + ': '}{exc}", file=_sys.stderr)
         return EXIT_ERROR
 
 

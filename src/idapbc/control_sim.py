@@ -74,7 +74,7 @@ class Controller:
     def _gyro_from(self, point: MatchPoint) -> np.ndarray:
         if self.design.C is not None:
             return self.design.c_table_at(point.q)
-        return point.gyro().entries
+        return point.gyro()
 
     def matching_residual(self, q: Sequence[float]) -> float:
         """Largest matching-condition violation of the design at q."""

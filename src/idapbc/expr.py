@@ -155,7 +155,7 @@ class Sin(Expr):
     arg: Expr
 
     def eval(self, point: Sequence[float]) -> float:
-        return math.sin(self.arg.eval(point))
+        return _trig(math.sin, self, point)
 
     def diff(self, index: int) -> Expr:
         return mul(cos(self.arg), self.arg.diff(index))
@@ -166,7 +166,7 @@ class Cos(Expr):
     arg: Expr
 
     def eval(self, point: Sequence[float]) -> float:
-        return math.cos(self.arg.eval(point))
+        return _trig(math.cos, self, point)
 
     def diff(self, index: int) -> Expr:
         return neg(mul(sin(self.arg), self.arg.diff(index)))
@@ -181,6 +181,14 @@ class Neg(Expr):
 
     def diff(self, index: int) -> Expr:
         return neg(self.arg.diff(index))
+
+
+def _trig(fn: Callable[[float], float], node: Sin | Cos, point: Sequence[float]) -> float:
+    """fn of the node's argument; an ExprError where that is infinite."""
+    x = node.arg.eval(point)
+    if math.isinf(x):
+        raise ExprError(f"infinite argument in {to_string(node)}")
+    return fn(x)
 
 
 def _collect_vars(e: Expr, out: set[int]) -> None:
@@ -250,7 +258,7 @@ def powi(base: Expr, exponent: int) -> Expr:
     if exponent == 1:
         return base
     if _is_const(base) and (base.value != 0.0 or exponent > 0):
-        return Const(base.value ** exponent)
+        return Const(_pow_or_nan(base.value, exponent))
     return Pow(base, exponent)
 
 
@@ -342,6 +350,12 @@ class _Parser:
         if val != value:
             raise ParseError(f"expected {value!r}, found {val or 'end of input'!r}", self.text, at)
 
+    def finite(self, e: Expr, at: int) -> Expr:
+        """e; a ParseError at ``at`` where it is a constant that is not finite."""
+        if isinstance(e, Const) and not math.isfinite(e.value):
+            raise ParseError("constant is not finite", self.text, at)
+        return e
+
     def parse(self) -> Expr:
         e = self.sum()
         kind, val, at = self.peek()
@@ -352,17 +366,15 @@ class _Parser:
     def sum(self) -> Expr:
         e = self.term()
         while self.peek()[1] in ("+", "-"):
-            op = self.next()[1]
-            rhs = self.term()
-            e = add(e, rhs) if op == "+" else sub(e, rhs)
+            op, at = self.next()[1:]
+            e = self.finite((add if op == "+" else sub)(e, self.term()), at)
         return e
 
     def term(self) -> Expr:
         e = self.unary()
         while self.peek()[1] in ("*", "/"):
-            op = self.next()[1]
-            rhs = self.unary()
-            e = mul(e, rhs) if op == "*" else div(e, rhs)
+            op, at = self.next()[1:]
+            e = self.finite((mul if op == "*" else div)(e, self.unary()), at)
         return e
 
     def unary(self) -> Expr:
@@ -386,12 +398,12 @@ class _Parser:
         kind, val, at = self.next()
         if kind != "num" or not val.isdigit():
             raise ParseError("exponent must be a constant integer", self.text, at)
-        return powi(base, sign * int(val))
+        return self.finite(powi(base, sign * int(val)), at)
 
     def atom(self) -> Expr:
         kind, val, at = self.next()
         if kind == "num":
-            return Const(float(val))
+            return self.finite(Const(float(val)), at)
         if val == "(":
             e = self.sum()
             self.expect(")")
@@ -405,7 +417,7 @@ class _Parser:
             if val in self.vars:
                 return Var(val, self.vars[val])
             if val in self.params:
-                return Const(float(self.params[val]))
+                return self.finite(Const(float(self.params[val])), at)
             raise ParseError(f"undeclared identifier {val!r}", self.text, at)
         raise ParseError(f"unexpected {val or 'end of input'!r}", self.text, at)
 
@@ -514,11 +526,12 @@ def _flatten(tree, leaves: list[Expr]) -> tuple[int, ...]:
     return (len(tree),) + (shapes.pop() if shapes else ())
 
 
-def _division_error(exc: ZeroDivisionError, nodes: list[Expr | None]) -> ExprError:
+def _node_error(exc: ArithmeticError | ValueError, nodes: list[Expr | None]) -> ExprError:
     # the generated function holds one statement per line, so the line that
-    # raised names the dividing node
+    # raised names the node: a divisor, or a sin or cos of an infinite value
     node = nodes[exc.__traceback__.tb_lineno - 1]
-    return ExprError(f"division by zero in {to_string(node)}")
+    what = "division by zero" if isinstance(exc, ZeroDivisionError) else "infinite argument"
+    return ExprError(f"{what} in {to_string(node)}")
 
 
 def _pow_or_nan(v: float, k: int) -> float:
@@ -552,9 +565,9 @@ def compile_expr(tree, batch: bool = False) -> Callable:
 
     The generated function converts the coordinates it reads to float,
     evaluates every unique subtree once, and returns a float for a single
-    expression or an ndarray of the nesting's shape.  Division by zero
-    raises :class:`ExprError` naming the dividing subexpression, as
-    :meth:`Expr.eval` does.
+    expression or an ndarray of the nesting's shape.  Division by zero, and
+    sin or cos of an infinite value, raise :class:`ExprError` naming the
+    subexpression, as :meth:`Expr.eval` does.
 
     With ``batch`` the same generated statements run on numpy arrays: the
     function maps an (N, n) stack of points to ``(values, flagged)``, values
@@ -574,6 +587,7 @@ def compile_expr(tree, batch: bool = False) -> Callable:
     used: set[int] = set()
     for e in leaves:
         _collect_vars(e, used)
+    # differentiation still folds to inf: d(q1*1e200*1e200)/dq1
     namespace = {"inf": math.inf, "nan": math.nan}
     if batch:
         checked = [
@@ -606,16 +620,16 @@ def compile_expr(tree, batch: bool = False) -> Callable:
                 result += f".reshape({shape})"
         else:
             result = outs[0]
-        head = ["def _f(_q):", "    try:"]
-        head += [f"        _x{i} = float(_q[{i}])" for i in sorted(used)]
+        head = ["def _f(_q):"] + [f"    _x{i} = float(_q[{i}])" for i in sorted(used)]
+        head += ["    try:"]
         lines = head + [f"        {code}" for code, _ in body] + [
             f"        return {result}",
-            "    except ZeroDivisionError as exc:",
-            "        raise _division_error(exc, _nodes) from None",
+            "    except (ZeroDivisionError, ValueError) as exc:",
+            "        raise _node_error(exc, _nodes) from None",
         ]
         namespace.update(
             _sin=math.sin, _cos=math.cos, _array=np.array,
-            _division_error=_division_error,
+            _node_error=_node_error,
             _nodes=[None] * len(head) + [node for _, node in body],
         )
     exec(compile("\n".join(lines), "<expr>", "exec"), namespace)

@@ -34,8 +34,6 @@ from .system import (
 from .tensor import (
     NOT_FINITE,
     GyroMap,
-    GyroTensor,
-    Tensor3,
     TensorError,
     derivation_failed,
     finite_rows,
@@ -54,6 +52,11 @@ CHARACTERISTIC_ATOL = 1e-13
 
 class MatchingError(ValueError):
     pass
+
+
+# what evaluating the design at one point raises where it fails there
+POINT_ERRORS = (SystemError, MatchingError, TensorError, ExprError, ArithmeticError,
+                np.linalg.LinAlgError)
 
 
 # The per-point formulas below take arrays with any leading axes: MatchPoint
@@ -140,11 +143,6 @@ def a_tensor(sys: MechSystem, design: ShapedDesign, q: Sequence[float]) -> np.nd
     return first - 0.5 * dminv.transpose(1, 2, 0)
 
 
-def t_tensor(sys: MechSystem, design: ShapedDesign, q: Sequence[float]) -> Tensor3:
-    """T_ijk; requires no inversion of the shaped mass."""
-    return Tensor3(MatchPoint(sys, design, q).t)
-
-
 def potential_residual(
     sys: MechSystem, design: ShapedDesign, q: Sequence[float]
 ) -> np.ndarray:
@@ -223,20 +221,22 @@ class MatchPoint:
         defects = np.concatenate([self.potential(), self.kinetic()])
         return float(np.max(np.abs(defects), initial=0.0))
 
-    def gyro(self) -> GyroTensor:
-        """T rotated into the adapted basis [W; U'], extended to a gyroscopic
-        tensor there, and rotated back; independent of the basis choice within
-        each subspace.  Raises what extend_to_gyro (as a MatchingError) and
-        GyroTensor would, from the peaks of the derivation's blocks."""
+    def gyro(self) -> np.ndarray:
+        """C, read-only: T rotated into the adapted basis [W; U'], extended to a
+        gyroscopic tensor there, and rotated back; independent of the basis
+        choice within each subspace.  Raises extend_to_gyro's defects as a
+        MatchingError and C's gyro_defect as a TensorError."""
         gmap, y = self.derivation
         peaks = gmap.peaks(y).tolist()
         if defect := precondition_defect(*peaks[:3]) or gyro_defect(*peaks[3:6]):
             raise MatchingError(
                 f"cannot extend to a gyroscopic tensor at q={q_text(self.q)}: {defect}"
-            ) from TensorError(defect)
+            )
         if defect := gyro_defect(*peaks[6:]):
             raise TensorError(defect)
-        return GyroTensor.derived(y[gmap.c].reshape((self.sys.n,) * 3))
+        c = y[gmap.c].reshape((self.sys.n,) * 3)
+        c.setflags(write=False)
+        return c
 
 
 class MatchRows:
@@ -286,13 +286,12 @@ class MatchRows:
         self.gyro_failed = failed | derivation_failed(gmap.peaks(y, out=y))
 
     def gyro(self, select=slice(None)) -> np.ndarray:
-        """MatchPoint.gyro's entries at each selected row, those of the rows
-        in ``gyro_failed`` taken from GyroField.at, which raises at the
+        """MatchPoint.gyro at each selected row, that of the rows in
+        ``gyro_failed`` taken from MatchPoint itself, which raises at the
         first point it raises at."""
         c, points = self.c[select].copy(), self.points[select]
-        at = GyroField(self.sys, self.design).at
         for i in np.flatnonzero(self.gyro_failed[select]):
-            c[i] = at(points[i]).entries
+            c[i] = MatchPoint(self.sys, self.design, points[i]).gyro()
         return c
 
 
@@ -312,19 +311,15 @@ def pde_counts(n: int, m: int) -> tuple[int, int]:
 
 
 class GyroField:
-    """Per-point gyroscopic tensor derived from a verified design."""
+    """Per-point gyroscopic tensor derived from a verified design.  ``at``, like
+    potential_residual and kinetic_residual, stays because the benchmark names it."""
 
     def __init__(self, sys: MechSystem, design: ShapedDesign):
         self.sys = sys
         self.design = design
 
-    def at(self, q: Sequence[float]) -> GyroTensor:
+    def at(self, q: Sequence[float]) -> np.ndarray:
         return MatchPoint(self.sys, self.design, q).gyro()
-
-    def sample(self, points: np.ndarray) -> np.ndarray:
-        """``at(q).entries`` for each row q of an (N, n) stack, in one batched
-        pass (see MatchRows.gyro)."""
-        return MatchRows(self.sys, self.design, points).gyro()
 
 
 @dataclass(frozen=True, eq=False)
@@ -651,46 +646,31 @@ class ResidualReport:
         )
 
 
-def _pd_box(axes, pd_grid: np.ndarray) -> dict:
+def _pd_box(values, pd_grid: np.ndarray) -> list:
     """Largest symmetric box around 0 (per axis, on grid values) staying PD.
 
     Axes are grown one grid ring at a time in round-robin order until no
     axis can extend without including a non-PD point.
     """
-    names = [name for name, _ in axes]
-    values = [np.asarray(v, dtype=float) for _, v in axes]
-    radii_options = [np.unique(np.abs(v)) for v in values]
-    current = [0.0 for _ in axes]
-    next_idx = []
-    for opts, cur in zip(radii_options, current):
-        i = int(np.searchsorted(opts, cur + 1e-12))
-        next_idx.append(i)
-    locked = [False] * len(axes)
-
     def box_ok(radii):
-        masks = [np.abs(v) <= r + 1e-12 for v, r in zip(values, radii)]
         region = pd_grid
-        for axis, m in enumerate(masks):
-            region = np.compress(m, region, axis=axis)
+        for axis, (v, r) in enumerate(zip(values, radii)):
+            region = np.compress(np.abs(v) <= r + 1e-12, region, axis=axis)
         return bool(region.all())
 
-    if not box_ok(current):
-        return {name: 0.0 for name in names}
-    while not all(locked):
-        for i in range(len(axes)):
-            if locked[i]:
-                continue
-            if next_idx[i] >= len(radii_options[i]):
-                locked[i] = True
-                continue
-            tentative = list(current)
-            tentative[i] = float(radii_options[i][next_idx[i]])
-            if box_ok(tentative):
-                current = tentative
-                next_idx[i] += 1
-            else:
-                locked[i] = True
-    return dict(zip(names, current))
+    radii = [0.0] * len(values)
+    # each axis's radii beyond 0, largest first: pop takes the next one out
+    queues = [[r for r in np.unique(np.abs(v))[::-1].tolist() if r >= 1e-12]
+              for v in values]
+    while any(queues):
+        for i, queue in enumerate(queues):
+            if queue:
+                grown = radii[:i] + [queue.pop()] + radii[i + 1:]
+                if box_ok(grown):
+                    radii = grown
+                else:
+                    queue.clear()
+    return radii
 
 
 def evaluate_residuals(
@@ -722,20 +702,18 @@ def evaluate_residuals(
         try:
             pot[i] = point.potential()  # kept where the kinetic defect fails
             kin[i] = point.kinetic()
-        except (SystemError, MatchingError, TensorError, ExprError, ArithmeticError,
-                np.linalg.LinAlgError) as exc:
+        except POINT_ERRORS as exc:
             failed[type(exc).__name__] = failed.get(type(exc).__name__, 0) + 1
             continue
         pd_mask[i] = spd_defect(point.pair.mhat) is None
-    axes_t = tuple((name, vals) for name, vals in zip(names, values))
-    box = _pd_box(axes_t, pd_mask.reshape([len(v) for v in values]))
+    box = _pd_box(values, pd_mask.reshape([len(v) for v in values]))
     return ResidualReport(
-        axes=axes_t,
+        axes=tuple(zip(names, values)),
         points=points,
         potential_res=pot,
         kinetic_res=kin,
         pd_mask=pd_mask,
-        pd_box=box,
+        pd_box=dict(zip(names, box)),
         tolerance=tol,
         failed_points=failed,
         rows=rows,

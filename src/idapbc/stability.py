@@ -178,7 +178,7 @@ def minimum_check(design: ShapedDesign) -> MinimumCheckReport:
     try:
         g = design.shaped_potential_gradient(origin)
         grad_norm = float(np.linalg.norm(g))
-        if grad_norm > GRAD_TOL:
+        if not grad_norm <= GRAD_TOL:
             failures.append(f"shaped potential gradient at 0 has norm {grad_norm:.3e}")
     except (ArithmeticError, ExprError) as exc:
         failures.append(f"shaped potential gradient undefined at 0: {exc}")
@@ -187,7 +187,7 @@ def minimum_check(design: ShapedDesign) -> MinimumCheckReport:
         hess = design.dVhat.diff(n)(origin).T
         eigs = linalg.eigvalsh(hess)
         hess_eigs = tuple(float(e) for e in eigs)
-        if eigs[0] < MIN_EIG_TOL:
+        if not eigs[0] >= MIN_EIG_TOL:
             failures.append(
                 f"shaped potential Hessian at 0 has min eigenvalue {eigs[0]:.3e}"
             )

@@ -232,11 +232,9 @@ class MechSystem:
         self.potential = Compiled(V)
         self.dV = self.potential.diff(n)
         self.dM = M.diff(n)
-        grad0 = self.dV(np.zeros(n))
-        if np.max(np.abs(grad0)) > EQUILIBRIUM_TOL:
-            raise SystemError(
-                f"origin is not an equilibrium: |dV(0)| = {np.max(np.abs(grad0)):.3e}"
-            )
+        grad0 = np.max(np.abs(self.dV(np.zeros(n))))
+        if not grad0 <= EQUILIBRIUM_TOL:
+            raise SystemError(f"origin is not an equilibrium: |dV(0)| = {grad0:.3e}")
         self.g_constant = not any(e.variables() for row in G.tree for e in row)
         # a constant G's read-only range basis and annihilator, from its first
         # query that passes the rank check, so a rank-deficient G always raises

@@ -137,15 +137,6 @@ class GyroTensor(Tensor3):
         if defect := gyro_defect(*_peaks(self.entries)):
             raise TensorError(defect)
 
-    @classmethod
-    def derived(cls, entries: np.ndarray) -> "GyroTensor":
-        """A GyroTensor of a C-ordered (n, n, n) array that every check of
-        the constructor has passed already (see GyroMap); made read-only."""
-        c = object.__new__(cls)
-        entries.setflags(write=False)
-        object.__setattr__(c, "entries", entries)
-        return c
-
 
 @dataclass(frozen=True, eq=False)
 class SkewPairTensor(Tensor3):

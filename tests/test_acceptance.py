@@ -196,7 +196,7 @@ def test_gyro_table_matches_derivation():
             q = np.array([q1, q2])
             oracle = pendulum_gyro_oracle(sys, design, q)
             worst_derived = max(
-                worst_derived, float(np.max(np.abs(field.at(q).entries - oracle)))
+                worst_derived, float(np.max(np.abs(field.at(q) - oracle)))
             )
             worst_table = max(
                 worst_table, float(np.max(np.abs(design.c_table_at(q) - oracle)))

@@ -32,6 +32,20 @@ def pendulum_dict(eps=1.0, K=1.0):
     return system_to_dict(sys, design)
 
 
+# pendulum_cart variants, without the C table, that fail at every q1 != 0:
+# sin of an infinite argument, an overflowing power, a NaN entry of G
+def failing_design(case):
+    data = pendulum_dict(eps=0.55, K=0.25)
+    del data["shaped"]["C"]
+    if case == "sin":
+        data["shaped"]["Mhat"] = [["3 + sin(q1*1e200*1e200)", "0"], ["0", "1"]]
+    elif case == "overflow":
+        data["shaped"]["Mhat"][0][0] = "3 + (q1*1e200)^2"
+    else:
+        data["G"] = [["0"], ["1 + (q1*1e200*1e200 - q1*1e200*1e200)"]]
+    return data
+
+
 SADDLE = {
     "name": "saddle",
     "n": 2,
@@ -175,6 +189,23 @@ class TestCheck:
         on_disk = json.loads((tmp_path / "check.json").read_text())
         assert on_disk == payload
 
+    @pytest.mark.parametrize(
+        "entry, value, text",
+        [("M", "cos(q1) + 1e400*q1^2", "cos(q1) + 1e400*q1^2"),
+         ("V", "10*cos(q1) + q2^2/10^400", "10*cos(q1) + q2^2/10^400")],
+    )
+    def test_non_finite_constant_is_an_input_error(self, capsys, tmp_path, entry, value, text):
+        data = pendulum_dict()
+        if entry == "M":
+            data["M"][0][1] = data["M"][1][0] = value
+        else:
+            data["V"] = value
+        path = write_json(tmp_path / "huge.json", data)
+        code, out, err = run(capsys, "check", "--system", path)
+        assert code == 1 and out == ""
+        assert err.startswith("error: invalid system description: constant is not finite")
+        assert err.endswith(f": {text!r}\n") and len(err.splitlines()) == 1
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "check", "--system", "/nowhere/missing.json")
         assert code == 1
@@ -282,6 +313,23 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--system", str(path))
         assert code == 1
         assert err == f"error: shaped parameter eps must be finite, got {float(value)!r}\n"
+
+    @pytest.mark.parametrize(
+        "case, failed",
+        [
+            # dMhat holds cos(...)*inf, infinite at q1 = 0, so T is not finite there
+            ("sin", {"ExprError": 6, "TensorError": 3}),
+            ("overflow", {"OverflowError": 6}),
+            ("nan-g", {"LinAlgError": 6}),
+        ],
+    )
+    def test_failing_points_counted(self, capsys, tmp_path, case, failed):
+        path = write_json(tmp_path / "failing.json", failing_design(case))
+        code, payload, err = run_json(
+            capsys, "verify", "--system", path, "--grid", "q1=-1:1:3,q2=-1:1:3"
+        )
+        assert code == (0 if payload["passed"] else 2) and err == ""
+        assert payload["residuals"]["failed_points"] == failed
 
     def test_grid_axis_mismatch(self, capsys):
         code, _, err = run(
@@ -576,6 +624,24 @@ class TestSimulate:
             "error: cannot extend to a gyroscopic tensor at q=[0.3, 0.0]"
         )
         assert not (tmp_path / "metrics.json").exists()
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("sin", "error: infinite argument in sin(q1*1e+200*1e+200)"),
+            ("overflow", "error: OverflowError: "),
+            ("nan-g", "error: LinAlgError: SVD did not converge"),
+        ],
+    )
+    def test_evaluation_error_is_one_line(self, capsys, tmp_path, case, message):
+        path = write_json(tmp_path / "failing.json", failing_design(case))
+        code, _, err = run(
+            capsys, "simulate", "--system", path, "--x0", "0.3,0,0,0",
+            "--t-end", "0.01", "--dt", "0.001", "--out", str(tmp_path),
+        )
+        assert code == 1
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(message)
 
     def test_wrong_state_length(self, capsys):
         code, _, err = run(

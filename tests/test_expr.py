@@ -207,12 +207,25 @@ class TestProperties:
                 expect = np.vectorize(lambda e: e.eval(pt), otypes=[float])(exprs)
                 assert np.array_equal(f(pt), expect)
 
-    def test_non_finite_constant_compiles(self):
-        for text in ("1e400*q1", "1e200*1e200*q1"):
+    @pytest.mark.parametrize(
+        "text, pos", [("1e400*q1", 0), ("1e200*1e200*q1", 5), ("10^400*q1", 3), ("-1e400", 1)]
+    )
+    def test_non_finite_constant_rejected(self, text, pos):
+        # a literal that is not finite, a fold to infinity, a fold that overflows
+        with pytest.raises(ParseError, match="constant is not finite") as err:
+            parse(text, VARS2)
+        assert err.value.pos == pos
+
+    def test_infinite_trig_argument_names_the_node(self):
+        for text in ("sin(q1*1e200*1e200)", "1 + cos(q1*1e200*1e200)"):
             e = parse(text, VARS2)
-            f = compile_expr(e)
-            assert f([2.0, 0.0]) == e.eval([2.0, 0.0]) == math.inf
-            assert math.isnan(f([0.0, 0.0])) and math.isnan(e.eval([0.0, 0.0]))
+            node = "sin" if text.startswith("sin") else "cos"
+            want = f"infinite argument in {node}(q1*1e+200*1e+200)"
+            for f in (compile_expr(e), e.eval, compile_expr([[e]])):
+                with pytest.raises(ExprError) as err:
+                    f([2.0, 0.0])
+                assert str(err.value) == want
+            assert compile_expr(e)([0.0, 0.0]) == e.eval([0.0, 0.0])
 
     def test_variables_reported(self):
         assert parse("sin(q2)*q1", VARS2).variables() == {0, 1}
@@ -250,6 +263,7 @@ class TestBatch:
             "q1^-2",
             "(1e200*q1)^2",
             "sin(q2) + q2/(q1*q1 - 0.25)",
+            "sin(q1*1e200*1e200)",
         ],
     )
     def test_flags_rows_where_scalar_raises(self, text):

@@ -13,6 +13,7 @@ from idapbc.matching import (
     LinearMatch,
     MatchingError,
     MatchPoint,
+    MatchRows,
     a_tensor,
     evaluate_residuals,
     kinetic_residual,
@@ -21,7 +22,6 @@ from idapbc.matching import (
     potential_residual,
     solve_kinetic_characteristics,
     solve_linear_matching,
-    t_tensor,
 )
 from idapbc.stability import linearize
 from idapbc.system import (
@@ -146,21 +146,21 @@ class TestATensor:
 class TestTTensor:
     def test_constant_metrics_zero(self):
         sys, design = constant_pair()
-        assert np.max(np.abs(t_tensor(sys, design, [0.1, 0.9]).entries)) == 0.0
+        assert np.max(np.abs(MatchPoint(sys, design, [0.1, 0.9]).t)) == 0.0
 
     def test_agrees_with_contracted_a(self):
         sys, design = builtin("pendulum_cart")
         q = [0.3, 0.0]
         mhat = design.shaped_mass(q)
         expect = np.einsum("rsk,ri,sj->ijk", a_tensor(sys, design, q), mhat, mhat)
-        assert np.allclose(t_tensor(sys, design, q).entries, expect, atol=1e-10)
+        assert np.allclose(MatchPoint(sys, design, q).t, expect, atol=1e-10)
 
     def test_first_pair_symmetry(self):
         sys, design = builtin("pendulum_cart")
         rng = np.random.default_rng(4)
         for _ in range(20):
             q = rng.uniform(-0.7, 0.7, size=2)
-            t = t_tensor(sys, design, q).entries
+            t = MatchPoint(sys, design, q).t
             assert np.max(np.abs(t - t.transpose(1, 0, 2))) <= 1e-12
 
     def test_finite_difference_oracle(self):
@@ -173,7 +173,7 @@ class TestTTensor:
         expect = -0.5 * np.einsum(
             "kl,lt,tij->ijk", mhat, minv, dmhat
         ) - 0.5 * np.einsum("krs,ri,sj->ijk", dminv, mhat, mhat)
-        assert np.allclose(t_tensor(sys, design, q).entries, expect, atol=1e-5)
+        assert np.allclose(MatchPoint(sys, design, q).t, expect, atol=1e-5)
 
 
 class TestPotentialResidual:
@@ -205,7 +205,7 @@ class TestPotentialResidual:
 
 def cyclic_sums_in(sys, design, q, w):
     """Cyclic sums of T(w_a, w_b, w_c) over the rows a <= b <= c of w."""
-    cyc = cyclic_sum(rotate(t_tensor(sys, design, q).entries, w))
+    cyc = cyclic_sum(rotate(MatchPoint(sys, design, q).t, w))
     return cyc.ravel()[index_triples(len(w))]
 
 
@@ -326,7 +326,7 @@ class TestDeriveGyro:
         for q1 in np.linspace(-0.7, 0.7, 9):
             for q2 in (-1.0, 0.0, 1.0):
                 q = [q1, q2]
-                c = field.at(q).entries
+                c = field.at(q)
                 s121, s221 = s_values_fd(sys, design, q)
                 assert c[0, 0, 0] == pytest.approx(0.0, abs=1e-9)
                 assert c[1, 1, 1] == pytest.approx(0.0, abs=1e-9)
@@ -339,7 +339,7 @@ class TestDeriveGyro:
 
     def test_constant_metric_zero(self):
         sys, design = constant_pair()
-        c = GyroField(sys, design).at([0.5, -0.5]).entries
+        c = GyroField(sys, design).at([0.5, -0.5])
         assert np.max(np.abs(c)) <= 1e-14
 
     def test_third_slot_restriction_reproduces_t(self):
@@ -347,8 +347,8 @@ class TestDeriveGyro:
         field = GyroField(sys, design)
         for q1 in np.linspace(-0.7, 0.7, 15):
             q = [q1, 0.2]
-            c = field.at(q).entries
-            t = t_tensor(sys, design, q).entries
+            c = field.at(q)
+            t = MatchPoint(sys, design, q).t
             assert np.max(np.abs(c[:, :, 0] - t[:, :, 0])) <= 1e-12
 
     def test_constant_shaped_three_dof(self):
@@ -356,8 +356,8 @@ class TestDeriveGyro:
         field = GyroField(sys, design)
         rng = np.random.default_rng(5)
         q = [0.3, -0.2, 0.5]
-        c = field.at(q)
-        t = t_tensor(sys, design, q)
+        c = GyroTensor(field.at(q))
+        t = Tensor3(MatchPoint(sys, design, q).t)
         for _ in range(100):
             v = rng.normal(size=3)
             assert abs(c.contract(v, v, v)) <= 1e-10
@@ -373,7 +373,7 @@ class TestDeriveGyro:
         rng = np.random.default_rng(6)
         for _ in range(10):
             q = rng.uniform(-0.8, 0.8, size=3)
-            assert np.max(np.abs(field.at(q).entries)) <= 1e-12
+            assert np.max(np.abs(field.at(q))) <= 1e-12
 
     def test_unmatched_design_refused(self):
         sys, _ = builtin("pendulum_cart")
@@ -408,7 +408,7 @@ class TestDeriveGyro:
             grad_kin = np.einsum("kij,i,j->k", dminv, p, p)
             grad_kin_hat = np.einsum("kij,i,j->k", dmhatinv, p, p)
             u = mhat_inv @ p
-            force = np.einsum("ijk,i,j->k", field.at(q).entries, u, u)
+            force = np.einsum("ijk,i,j->k", field.at(q), u, u)
             res = w @ (grad_kin - mhat @ minv @ grad_kin_hat + 2 * force)
             assert np.max(np.abs(res)) <= 1e-8
 
@@ -569,6 +569,25 @@ class TestEvaluateResiduals:
         assert rep.pd_box["q1"] == pytest.approx(0.2)
         assert rep.pd_box["q2"] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("case", ["three-axis", "no-zero", "origin-not-pd"])
+    def test_pd_box_round_robin(self, case):
+        if case == "three-axis":
+            values = [np.linspace(-1, 1, 5), np.linspace(-2, 2, 9), np.linspace(-1, 1, 3)]
+            x, y, z = np.meshgrid(*values, indexing="ij")
+            pd = np.abs(x) + np.abs(y) / 2 + np.abs(z) <= 1.75
+            expect = [0.5, 0.5, 1.0]
+        elif case == "no-zero":
+            values = [np.linspace(0.2, 1.4, 13), np.linspace(-1, 1, 5)]
+            x, y = np.meshgrid(*values, indexing="ij")
+            pd = (x <= 0.9) | (np.abs(y) < 0.6)
+            expect = [0.8999999999999999, 1.0]
+        else:
+            values = [np.linspace(-1, 1, 5), np.linspace(-1, 1, 3)]
+            pd = np.ones((5, 3), dtype=bool)
+            pd[2, 1] = False
+            expect = [0.0, 0.0]
+        assert matching._pd_box(values, pd) == expect
+
     def test_perturbed_design_fails_with_location(self):
         sys, design = builtin("pendulum_cart")
         bumped = ShapedDesign(
@@ -722,8 +741,9 @@ class TestBatchedSweep:
         np.testing.assert_allclose(rep.kinetic_res, kin, rtol=1e-12, atol=1e-12)
         np.testing.assert_array_equal(rep.pd_mask, pd)
         field = GyroField(sys, design)
-        expect = np.stack([field.at(q).entries for q in rep.points])
-        np.testing.assert_allclose(field.sample(rep.points), expect, rtol=1e-12, atol=1e-12)
+        expect = np.stack([field.at(q) for q in rep.points])
+        batched = MatchRows(sys, design, rep.points).gyro()
+        np.testing.assert_allclose(batched, expect, rtol=1e-12, atol=1e-12)
 
     def test_sums_in_point_order(self):
         # with G = [[0], [q1 - 0.5]], W has an entry of order 1e-16 at
@@ -736,8 +756,8 @@ class TestBatchedSweep:
         rep = evaluate_residuals(sys, design, axes)
         np.testing.assert_array_equal(rep.kinetic_res, reference_sweep(sys, design, rep.points)[1])
         field = GyroField(sys, design)
-        expect = np.stack([field.at(q).entries for q in rep.points])
-        np.testing.assert_array_equal(field.sample(rep.points), expect)
+        expect = np.stack([field.at(q) for q in rep.points])
+        np.testing.assert_array_equal(MatchRows(sys, design, rep.points).gyro(), expect)
 
     def test_sample_raises_where_at_raises(self):
         # a design off the kinetic matching: no extension anywhere off q1 = 0
@@ -749,11 +769,10 @@ class TestBatchedSweep:
             sys.vars, ExprMatrix.from_strings(rows, sys.vars), design.Vhat, design.Kv
         )
         points = np.array([[0.0, 0.0], [0.3, 0.1], [0.6, 0.1]])
-        field = GyroField(sys, bent)
         with pytest.raises(MatchingError) as batched:
-            field.sample(points)
+            MatchRows(sys, bent, points).gyro()
         with pytest.raises(MatchingError) as single:
-            field.at(points[1])
+            GyroField(sys, bent).at(points[1])
         assert str(batched.value) == str(single.value)
 
 
@@ -814,7 +833,7 @@ class TestDerivationMap:
                     assert str(got.value) == str(exc)
                 expect = None
             else:
-                c = point.gyro().entries
+                c = point.gyro()
                 if permutation:
                     assert c.tobytes() == expect.tobytes()
                 np.testing.assert_allclose(c, expect, rtol=0, atol=1e-13 * np.abs(expect).max())
@@ -831,7 +850,7 @@ class TestDerivationMap:
         with pytest.raises((MatchingError, TensorError)) as want:
             reference_gyro(MatchPoint(sys, design, q))
         for call in (lambda: MatchPoint(sys, design, q).gyro(),
-                     lambda: GyroField(sys, design).sample(np.array([q, [0.1, 0.1]]))):
+                     lambda: MatchRows(sys, design, np.array([q, [0.1, 0.1]])).gyro()):
             with pytest.raises((MatchingError, TensorError)) as got:
                 call()
             assert type(got.value) is type(want.value)
@@ -865,6 +884,24 @@ class TestDerivationMap:
         # the C-less feedback derives C from the kept fold, through no Tensor3
         feedback(Controller(sys, design), q, [0.4, 0.1])
         assert calls == {"apply": 1, "peaks": 2, "checked": 0, "built": 0}
+
+    @pytest.mark.parametrize("g", [[["0"], ["1"]], [["0"], ["q1 - 0.5"]]])
+    def test_gyro_is_a_read_only_array(self, g):
+        sys, design = builtin("pendulum_cart", eps=0.55, K=0.25)
+        sys = MechSystem(sys.vars, sys.M, sys.V, ExprMatrix.from_strings(g, sys.vars))
+        q = np.array([0.3, -0.2])
+        point = MatchPoint(sys, design, q)
+        gmap, y = point.derivation
+        # the C block of the kept derivation
+        expect = y[gmap.c].reshape(2, 2, 2).copy()
+        for c in (point.gyro(), GyroField(sys, design).at(q)):
+            assert type(c) is np.ndarray and c.shape == (2, 2, 2)
+            assert c.flags.c_contiguous and not c.flags.writeable
+            assert c.tobytes() == expect.tobytes()
+            assert c.tobytes() == MatchRows(sys, design, q[None]).gyro()[0].tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                c[0, 0, 1] = 1.0
+        assert point.gyro().tobytes() == expect.tobytes()
 
     def test_folded_map_built_once_per_constant_g_system(self, monkeypatch, tmp_path):
         folds = []
@@ -912,5 +949,5 @@ class TestDerivationMap:
         assert code == 0 and made == [45]
         samples = json.loads((out / "controller.json").read_text())["C_samples"]
         sys, design = builtin("pendulum_cart")
-        expect = GyroField(sys, design).sample(np.array(samples["points"]))
+        expect = MatchRows(sys, design, np.array(samples["points"])).gyro()
         assert np.array_equal(np.array(samples["values"]), expect)

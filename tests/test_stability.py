@@ -220,6 +220,22 @@ class TestMinimumCheck:
         assert rep.mhat_min_eig is None
         assert any("shaped mass" in f for f in rep.failures)
 
+    @pytest.mark.parametrize(
+        "vhat, failure",
+        [
+            # B^3 - B^3 with B = q1 + 1e200: inf - inf in the gradient at 0
+            ("B*B*B - B*B*B + q1^2 + q2^2", "gradient at 0 has norm nan"),
+            # gradient 0, Hessian entry 2e400 = inf, whose eigenvalues are NaN
+            ("q1^2*1e200*1e200 + q2^2", "Hessian at 0 has min eigenvalue nan"),
+        ],
+    )
+    def test_non_finite_value_fails(self, vhat, failure):
+        sys, design = builtin("pendulum_cart")
+        vhat = parse(vhat.replace("B", "(q1 + 1e200)"), sys.vars)
+        rep = minimum_check(ShapedDesign(sys.vars, design.Mhat, vhat, np.eye(1)))
+        assert not rep.passed
+        assert any(failure in f for f in rep.failures)
+
     def test_report_serializes(self):
         _, design = builtin("pendulum_cart")
         json.dumps(minimum_check(design).to_dict())

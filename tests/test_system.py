@@ -14,10 +14,10 @@ from idapbc import linalg
 from idapbc.control_sim import Controller
 from idapbc.expr import ExprError, parse
 from idapbc.matching import (
-    GyroField,
     LinearMatch,
     MatchingError,
     MatchPoint,
+    MatchRows,
     evaluate_residuals,
 )
 from idapbc.stability import minimum_check
@@ -79,6 +79,12 @@ class TestMechSystem:
     def test_equilibrium_enforced(self):
         with pytest.raises(SystemError, match="equilibrium"):
             make_system([["1", "0"], ["0", "1"]], "sin(q1)", [["0"], ["1"]])
+
+    def test_nan_gradient_is_not_an_equilibrium(self):
+        # B^3 - B^3 with B = q1 + 1e200: dV(0) = [inf - inf, 0]
+        v = "B*B*B - B*B*B + 10*cos(q1)".replace("B", "(q1 + 1e200)")
+        with pytest.raises(SystemError, match=r"equilibrium: \|dV\(0\)\| = nan$"):
+            make_system([["1", "cos(q1)"], ["cos(q1)", "2"]], v, [["0"], ["1"]])
 
     def test_pendulum_hamiltonian_at_origin(self):
         sys, _ = builtin("pendulum_cart")
@@ -277,7 +283,7 @@ class TestInputFrame:
         assert len(calls) == 1
         # a sweep and a batched derivation take the kept split too
         axes = [(name, np.linspace(-0.5, 0.5, 3)) for name in sys_.vars]
-        GyroField(sys_, design).sample(evaluate_residuals(sys_, design, axes).points)
+        MatchRows(sys_, design, evaluate_residuals(sys_, design, axes).points).gyro()
         assert len(calls) == 1 and len(swept) == 2
         for frame in swept:
             for part, ref_part in zip(frame[1:], expect[0][1:]):
