@@ -67,7 +67,8 @@ class Var(Expr):
     index: int
 
     def eval(self, point: Sequence[float]) -> float:
-        return point[self.index]
+        # a Python float, so that overflow raises whatever the input type
+        return float(point[self.index])
 
     def diff(self, index: int) -> Expr:
         return Const(1.0 if index == self.index else 0.0)
@@ -124,11 +125,13 @@ class Div(Expr):
         return self.left.eval(point) / denom
 
     def diff(self, index: int) -> Expr:
-        # (u/v)' = u'/v - u v'/v^2
-        return sub(
-            div(self.left.diff(index), self.right),
-            div(mul(self.left, self.right.diff(index)), mul(self.right, self.right)),
-        )
+        # (u/v)' = u'/v - u v'/v^2; for a constant v the second term goes
+        # before v*v is formed, which can underflow to 0
+        quotient = div(self.left.diff(index), self.right)
+        dv = self.right.diff(index)
+        if _is_const(dv, 0.0):
+            return quotient
+        return sub(quotient, div(mul(self.left, dv), mul(self.right, self.right)))
 
 
 @dataclass(frozen=True, slots=True)

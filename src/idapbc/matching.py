@@ -35,10 +35,8 @@ from .tensor import (
     NOT_FINITE,
     GyroMap,
     TensorError,
-    derivation_failed,
+    derivation_defect,
     finite_rows,
-    gyro_defect,
-    precondition_defect,
     random_spd,
 )
 from .writer import write_table
@@ -224,16 +222,13 @@ class MatchPoint:
     def gyro(self) -> np.ndarray:
         """C, read-only: T rotated into the adapted basis [W; U'], extended to a
         gyroscopic tensor there, and rotated back; independent of the basis
-        choice within each subspace.  Raises extend_to_gyro's defects as a
-        MatchingError and C's gyro_defect as a TensorError."""
+        choice within each subspace.  Raises derivation_defect as a
+        MatchingError."""
         gmap, y = self.derivation
-        peaks = gmap.peaks(y).tolist()
-        if defect := precondition_defect(*peaks[:3]) or gyro_defect(*peaks[3:6]):
+        if defect := derivation_defect(gmap.peaks(y).tolist()):
             raise MatchingError(
                 f"cannot extend to a gyroscopic tensor at q={q_text(self.q)}: {defect}"
             )
-        if defect := gyro_defect(*peaks[6:]):
-            raise TensorError(defect)
         c = y[gmap.c].reshape((self.sys.n,) * 3)
         c.setflags(write=False)
         return c
@@ -246,8 +241,8 @@ class MatchRows:
 
     ``failed`` flags each row where MatchPoint would raise, or where the
     evaluator flags a value (see Compiled.batch); such rows hold placeholders
-    and callers take them from MatchPoint.  ``gyro_failed`` adds the rows
-    where MatchPoint.gyro raises.  Flagged matrices are replaced by the
+    and callers take them from MatchPoint.  ``peaks`` holds each row's
+    GyroMap.peaks, which gyro judges.  Flagged matrices are replaced by the
     identity before each stacked linalg call.  Only the results are kept.
     """
 
@@ -283,15 +278,17 @@ class MatchRows:
             gmap, y = _derive(sys, frame, t)
         self.kinetic = y[:, gmap.kinetic]
         self.c = y[:, gmap.c].reshape((-1,) + (sys.n,) * 3).copy()
-        self.gyro_failed = failed | derivation_failed(gmap.peaks(y, out=y))
+        self.peaks = gmap.peaks(y, out=y)
 
     def gyro(self, select=slice(None)) -> np.ndarray:
-        """MatchPoint.gyro at each selected row, that of the rows in
-        ``gyro_failed`` taken from MatchPoint itself, which raises at the
-        first point it raises at."""
+        """MatchPoint.gyro at each selected row, that of the rows in ``failed``
+        or with a derivation_defect taken from MatchPoint itself, which raises
+        at the first point it raises at."""
         c, points = self.c[select].copy(), self.points[select]
-        for i in np.flatnonzero(self.gyro_failed[select]):
-            c[i] = MatchPoint(self.sys, self.design, points[i]).gyro()
+        failed = self.failed[select]
+        for i, peaks in enumerate(self.peaks[select].tolist()):
+            if failed[i] or derivation_defect(peaks):
+                c[i] = MatchPoint(self.sys, self.design, points[i]).gyro()
         return c
 
 
@@ -553,7 +550,8 @@ class ResidualReport:
     Residuals are recorded everywhere they evaluate; the pass verdict is
     taken over the largest symmetric box around the origin on which both
     metrics stay positive definite, since that is the domain on which the
-    design is usable.  ``failed_points`` counts the points that raised, by type.
+    design is usable.  ``failed_points`` counts the points that raised, by
+    type; any of them fails the verdict, wherever it lies.
     """
 
     axes: tuple
@@ -592,7 +590,7 @@ class ResidualReport:
 
     @property
     def passed(self) -> bool:
-        if not np.any(self.in_box_mask & self.pd_mask):
+        if self.failed_points or not np.any(self.in_box_mask & self.pd_mask):
             return False
         pot, kin = self.max_abs_pd
         return bool(

@@ -245,7 +245,7 @@ class MechSystem:
     def mass_matrix(self, q: Sequence[float]) -> np.ndarray:
         m = self.M(q)
         low = lowest_eigenvalue(m)
-        if low <= 0.0:
+        if not low > 0.0:
             raise SystemError(
                 f"mass matrix not positive definite at q={q_text(q)} "
                 f"(eigenvalue {low:.6e})"

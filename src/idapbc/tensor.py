@@ -301,7 +301,10 @@ def extend_to_gyro(t: Tensor3, n_unactuated: int) -> GyroTensor:
     Indices split into unactuated 0..n_unactuated-1 and actuated rest.
     Requires the cyclic sum of T to vanish on the unactuated block; the
     output C agrees with T whenever the third slot is unactuated, and the
-    free fully-actuated block is set to zero.
+    free fully-actuated block is set to zero.  C's cyclic sum on that block
+    is T's, and the GyroTensor check of C (1e-12 relative) is stricter than
+    the precondition (1e-9): a T between the two is refused here, though
+    GyroMap's derivation, which judges the precondition alone, extends it.
     """
     if not 0 <= n_unactuated <= t.n:
         raise TensorError(f"invalid split {n_unactuated} of {t.n}")
@@ -331,39 +334,37 @@ def rotate_back(tp: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 class GyroMap:
     """extend_to_gyro of T in an adapted basis, C rotated back out of it, and
-    every check on the way, as linear maps of T.
+    the extension's precondition, as linear maps of T.
 
-    The outputs are nine blocks, in the order the checks read them: tp (T in
-    the basis), its first-pair asymmetry and its cyclic sums on the unactuated
-    block (precondition_defect); the extension cp, its asymmetry and cyclic
-    sums, and then C's (gyro_defect).  ``apply`` rotates T by the basis it is
-    given, one matrix takes vec(tp) to the first six blocks, C comes from cp
-    by rotate_back, and a second matrix takes vec(C) to the last three.  The
-    matrices are gyro_extension, the first-pair swap and cyclic_sum applied to
-    the n^3 unit tensors, so each formula stays written once.
+    The outputs are four blocks: tp (T in the basis), its first-pair
+    asymmetry, its cyclic sums on the unactuated block (the kinetic defects),
+    and C.  ``apply`` rotates T by the basis it is given, one matrix takes
+    vec(tp) to the first three blocks and to the extension cp, and C comes
+    from cp by rotate_back.  The matrix is the first-pair swap, cyclic_sum
+    and gyro_extension applied to the n^3 unit tensors, so each formula stays
+    written once.  derivation_defect judges the result.
     """
 
     def __init__(self, n: int, u: int):
         units = np.eye(n ** 3).reshape(-1, n, n, n)
-        blocks = _blocks(units, u) + _blocks(gyro_extension(units, u))
-        tail = _blocks(units)
-        self.head, self.tail = np.hstack(blocks), np.hstack(tail)
-        sizes = [b.shape[1] for b in blocks + tail]
-        self.starts = np.cumsum([0] + sizes[:-1])
-        edges = [*self.starts, sum(sizes)]
-        # tp's cyclic sums on the unactuated block, cp and C
-        self.cyclic, self.cp, self.c = (slice(edges[i], edges[i + 1]) for i in (2, 3, 6))
-        # the kinetic defects: tp's cyclic sums over the unactuated index
+        blocks = _blocks(units, u) + [gyro_extension(units, u).reshape(n ** 3, -1)]
+        self.head = np.hstack(blocks)
+        self.starts = np.cumsum([0] + [b.shape[1] for b in blocks[:-1]])
+        # tp's cyclic sums on the unactuated block, and C
+        self.cyclic = slice(self.starts[2], self.starts[3])
+        self.c = slice(self.starts[3], None)
+        # the kinetic defects: the cyclic sums over the unactuated index
         # triples a <= b <= c
         self.kinetic = self.cyclic.start + index_triples(u)
 
     def apply(self, t: np.ndarray, basis: np.ndarray) -> np.ndarray:
-        """The nine blocks, concatenated, for each T of a C-ordered
+        """The four blocks, concatenated, for each T of a C-ordered
         (..., n, n, n) stack, with ``basis`` the adapted basis of each T."""
         lead = t.shape[:-3]
         y = rotate(t, basis).reshape(lead + (-1,)) @ self.head
-        c = rotate_back(y[..., self.cp].reshape(t.shape), basis)
-        return np.concatenate((y, c.reshape(lead + (-1,)) @ self.tail), axis=-1)
+        c = rotate_back(y[..., self.c].reshape(t.shape), basis)
+        y[..., self.c] = c.reshape(lead + (-1,))
+        return y
 
     def fold(self, basis: np.ndarray) -> np.ndarray:
         """apply's map for one fixed (n, n) basis as one matrix: apply is
@@ -377,18 +378,13 @@ class GyroMap:
         return np.maximum.reduceat(np.abs(y, out=out), self.starts, axis=-1)
 
 
-def derivation_failed(peaks: np.ndarray) -> np.ndarray:
-    """Whether precondition_defect (on tp) or gyro_defect (on cp or C) finds
-    a defect, for each row of an (N, 9) stack of GyroMap peaks."""
-    failed = np.zeros(len(peaks), dtype=bool)
-    triples = peaks.T.reshape(3, 3, -1)
-    for (peak, sym_err, cyc_err), cyc_tol in zip(
-        triples, (CYCLIC_PRECONDITION_TOL, INVARIANT_TOL, INVARIANT_TOL)
-    ):
-        scale = np.maximum(peak, 1.0)
-        failed |= ~np.isfinite(peak) | (sym_err > INVARIANT_TOL * scale)
-        failed |= cyc_err > cyc_tol * scale
-    return failed
+def derivation_defect(peaks) -> str | None:
+    """Why the derivation whose GyroMap.peaks are ``peaks`` yields no C, or
+    None: tp's precondition_defect, or NOT_FINITE where C overflowed."""
+    peak, sym_err, residual, c_peak = peaks
+    if defect := precondition_defect(peak, sym_err, residual):
+        return defect
+    return None if math.isfinite(c_peak) else NOT_FINITE
 
 
 def b_from_gyro(c: GyroTensor) -> SkewPairTensor:
@@ -511,7 +507,7 @@ def selfcheck(seed: int = 0, dims_max: int = 5, draws: int = 50) -> list[SelfChe
         expect = rotate_back(extend_to_gyro(Tensor3(rotate(t, basis)), u).entries, basis)
         gmap = GyroMap(n, u)
         for y in (gmap.apply(t, basis), t.reshape(-1) @ gmap.fold(basis)):
-            if derivation_failed(gmap.peaks(y)[None])[0]:
+            if derivation_defect(gmap.peaks(y).tolist()):
                 worst = np.inf
             c = y[gmap.c].reshape(n, n, n)
             worst = max(worst, float(np.max(np.abs(c - expect)) / scale_of(expect)))

@@ -33,16 +33,29 @@ def pendulum_dict(eps=1.0, K=1.0):
 
 
 # pendulum_cart variants, without the C table, that fail at every q1 != 0:
-# sin of an infinite argument, an overflowing power, a NaN entry of G
+# sin of an infinite argument, an overflowing power, a NaN entry of G or M
 def failing_design(case):
     data = pendulum_dict(eps=0.55, K=0.25)
     del data["shaped"]["C"]
+    nan = "(q1*1e200*1e200 - q1*1e200*1e200)"
     if case == "sin":
         data["shaped"]["Mhat"] = [["3 + sin(q1*1e200*1e200)", "0"], ["0", "1"]]
     elif case == "overflow":
         data["shaped"]["Mhat"][0][0] = "3 + (q1*1e200)^2"
+    elif case == "nan-m":
+        data["M"][0][1] = data["M"][1][0] = f"cos(q1) + {nan}"
     else:
-        data["G"] = [["0"], ["1 + (q1*1e200*1e200 - q1*1e200*1e200)"]]
+        data["G"] = [["0"], ["1 + " + nan]]
+    return data
+
+
+def kinetic_defect_design(coefficient):
+    """pendulum_cart (eps 0.55, K 0.25) without the C table, its Mhat bent
+    so that the kinetic residual is about 0.5 * coefficient: inside the
+    derivation's relative 1e-9 and verify's 1e-8."""
+    data = pendulum_dict(eps=0.55, K=0.25)
+    del data["shaped"]["C"]
+    data["shaped"]["Mhat"][0][0] += f" + {coefficient}*q1^3"
     return data
 
 
@@ -175,6 +188,15 @@ class TestCheck:
         assert any(
             abs(e["re"] - 1.0) < 1e-9 for e in payload["uncontrollable_eigs"]
         )
+
+    def test_potential_divided_by_a_tiny_constant_gets_a_verdict(self, capsys, tmp_path):
+        # its derivative once folded to 0/0; the verdict itself is scale-dependent
+        data = pendulum_dict()
+        data["V"] = "10*cos(q1) + q2^2/1e-200"
+        code, payload, err = run_json(
+            capsys, "check", "--system", write_json(tmp_path / "tiny.json", data)
+        )
+        assert err == "" and code == (0 if payload["verdict"] != "NotStabilizable" else 2)
 
     def test_out_writes_report(self, capsys, tmp_path):
         code, payload, _ = run_json(
@@ -328,7 +350,9 @@ class TestVerify:
         code, payload, err = run_json(
             capsys, "verify", "--system", path, "--grid", "q1=-1:1:3,q2=-1:1:3"
         )
-        assert code == (0 if payload["passed"] else 2) and err == ""
+        # a point that fails to evaluate fails the verdict
+        assert code == 2 and err == ""
+        assert not payload["passed"] and not payload["residuals"]["passed"]
         assert payload["residuals"]["failed_points"] == failed
 
     def test_grid_axis_mismatch(self, capsys):
@@ -456,6 +480,19 @@ class TestSynthesize:
         vals = np.asarray(bundle["C_samples"]["values"])
         assert vals.shape == (25, 2, 2, 2)
         assert np.max(np.abs(vals)) <= 1e-12
+
+    @pytest.mark.parametrize("coefficient", ["1e-10", "1e-9"])
+    def test_small_kinetic_defect_is_synthesized(self, capsys, tmp_path, coefficient):
+        path = write_json(tmp_path / "design.json", kinetic_defect_design(coefficient))
+        code, payload, err = run_json(
+            capsys, "synthesize", "--system", path,
+            "--grid", "q1=-0.5:0.5:5,q2=-0.5:0.5:3", "--out", str(tmp_path),
+        )
+        assert code == 0 and err == "" and not payload["refused"]
+        kinetic = payload["verify"]["residuals"]["max_abs"]["kinetic"]
+        assert 1e-12 < kinetic < 1e-8
+        bundle = json.loads((tmp_path / "controller.json").read_text())
+        assert len(bundle["C_samples"]["values"]) == payload["sampled_points"] == 15
 
 
 class TestSimulate:
@@ -642,6 +679,27 @@ class TestSimulate:
         assert code == 1
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(message)
+
+    @pytest.mark.parametrize("extra", [[], ["--open-loop"]])
+    def test_nan_mass_matrix_is_not_positive_definite(self, capsys, tmp_path, extra):
+        path = write_json(tmp_path / "failing.json", failing_design("nan-m"))
+        code, out, err = run(
+            capsys, "simulate", "--system", path, "--x0", "0.3,0,0,0",
+            "--t-end", "0.01", "--dt", "0.001", "--out", str(tmp_path), *extra,
+        )
+        assert code == 1 and out == ""
+        assert err == (
+            "error: mass matrix not positive definite at q=[0.3, 0.0] (eigenvalue nan)\n"
+        )
+
+    @pytest.mark.parametrize("coefficient", ["1e-10", "1e-9"])
+    def test_small_kinetic_defect_closes_the_loop(self, capsys, tmp_path, coefficient):
+        path = write_json(tmp_path / "design.json", kinetic_defect_design(coefficient))
+        code, metrics, err = run_json(
+            capsys, "simulate", "--system", path, "--t-end", "0.05", "--dt", "0.01",
+            "--out", str(tmp_path),
+        )
+        assert code == 0 and err == "" and metrics["passed"]
 
     def test_wrong_state_length(self, capsys):
         code, _, err = run(

@@ -116,6 +116,12 @@ class TestDifferentiate:
                 fd(lambda p: e.eval(p), [x, 0.0], 0), rel=1e-6, abs=1e-6
             )
 
+    def test_quotient_by_a_tiny_constant(self):
+        # v*v = 1e-400 would fold to 0, and u*v'/(v*v) to 0/0
+        d = parse("q1^2/1e-200", VARS2).diff(0)
+        assert to_string(d) == "2*q1/1e-200"
+        assert d.eval([0.5, 0.0]) == 1e200
+
     def test_mixed_partials_commute(self):
         rng = np.random.default_rng(3)
         e = parse("sin(q1*q2) + q1^3*cos(q2) - q2/(1+q1^2)", VARS2)
@@ -226,6 +232,17 @@ class TestProperties:
                     f([2.0, 0.0])
                 assert str(err.value) == want
             assert compile_expr(e)([0.0, 0.0]) == e.eval([0.0, 0.0])
+
+    def test_overflow_raises_whatever_the_input_type(self):
+        # the scalar evaluators raise OverflowError; the batch one flags the row
+        e = parse("((q2 - 1e200) - sin(2))^3 - 0.5^2", VARS2)
+        point = [-1.41, 0.087]
+        for q in (point, tuple(point), np.array(point)):
+            for f in (e.eval, compile_expr(e)):
+                with pytest.raises(OverflowError):
+                    f(q)
+        _, flagged = compile_expr(e, batch=True)(np.array([point]))
+        assert flagged.tolist() == [True]
 
     def test_variables_reported(self):
         assert parse("sin(q2)*q1", VARS2).variables() == {0, 1}

@@ -636,6 +636,8 @@ class TestEvaluateResiduals:
         assert not rep.pd_mask[bad].any()
         assert np.isfinite(rep.potential_res[~bad]).all()
         assert rep.to_summary_dict()["failed_points"] == {"ExprError": 3}
+        # outside the PD box, but a point that fails still fails the verdict
+        assert not rep.passed
         rep.write_csv(tmp_path / "residuals.csv")
         lines = (tmp_path / "residuals.csv").read_text().splitlines()[1:]
         assert [line for line in lines if line.startswith("0.5,")] == [

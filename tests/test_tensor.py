@@ -1,6 +1,9 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 
+from idapbc.system import INVARIANT_TOL, scale_of
 from idapbc.tensor import (
     GyroMap,
     GyroTensor,
@@ -11,10 +14,10 @@ from idapbc.tensor import (
     b_from_gyro,
     b_to_j,
     cyclic_residual,
-    derivation_failed,
+    cyclic_sum,
+    derivation_defect,
     extend_to_gyro,
     force_from_j,
-    gyro_defect,
     gyro_extension,
     j_to_b,
     precondition_defect,
@@ -24,6 +27,8 @@ from idapbc.tensor import (
     random_interconnection,
     random_skew_pair,
     random_spd,
+    rotate,
+    rotate_back,
     skew_pair_basis,
     space_dims,
     sym,
@@ -340,22 +345,17 @@ class TestSelfCheck:
 
 def chain_reference(t: np.ndarray, basis: np.ndarray, u: int):
     """The derivation as an einsum chain: T rotated into the basis, extended
-    there, rotated back.  Returns the peaks GyroMap reads (max |e|, first-pair
-    asymmetry, cyclic sum, for tp on its unactuated block, cp and C), C and
-    tp's cyclic sums on the unactuated block."""
+    there, rotated back.  Returns the peaks GyroMap reads (tp's max |e|,
+    first-pair asymmetry and largest cyclic sum on its unactuated block, and
+    C's max |e|), C and tp's cyclic sums on the unactuated block."""
     tp = np.einsum("ijk,ai,bj,ck->abc", t, basis, basis, basis)
     cp = gyro_extension(tp, u)
     c = np.einsum("rst,ri,sj,tk->ijk", cp, basis, basis, basis)
-
-    def cyclic(e):
-        return e + e.transpose(2, 0, 1) + e.transpose(1, 2, 0)
-
-    def peaks(e, block):
-        return [np.abs(e).max(), np.abs(e - e.transpose(1, 0, 2)).max(),
-                np.abs(cyclic(block)).max(initial=0.0)]
-
     block = tp[:u, :u, :u]
-    return peaks(tp, block) + peaks(cp, cp) + peaks(c, c), c, cyclic(block).ravel()
+    cyc = block + block.transpose(2, 0, 1) + block.transpose(1, 2, 0)
+    peaks = [np.abs(tp).max(), np.abs(tp - tp.transpose(1, 0, 2)).max(),
+             np.abs(cyc).max(initial=0.0), np.abs(c).max()]
+    return peaks, c, cyc.ravel()
 
 
 def first_pair_symmetric(n, rng):
@@ -388,6 +388,37 @@ class TestGyroMap:
                     got = y[gmap.cyclic][: cyc.size]
                     np.testing.assert_allclose(got, cyc, rtol=0, atol=1e-13 * scale)
 
+    def test_precondition_alone_decides_the_derivation(self):
+        # T whose unactuated cyclic residual is about 1e-11 of its scale:
+        # below the precondition's 1e-9 and, for a scale of 1 or more, above
+        # GyroTensor's 1e-12
+        rng = np.random.default_rng(50)
+        for n in (2, 3, 4):
+            for u in range(n + 1):
+                for _ in range(5):
+                    basis = np.linalg.qr(rng.standard_normal((n, n)))[0]
+                    scale = 10.0 ** rng.uniform(-3, 3)
+                    tp = scale * random_admissible_t(n, u, rng).entries
+                    bump = rng.standard_normal((u, u, u))
+                    bump = sum(bump.transpose(p) for p in permutations((0, 1, 2)))
+                    tp[:u, :u, :u] += 1e-11 * scale * bump
+                    t = rotate_back(tp, basis)
+                    tol = 1e-13 * max(scale, 1.0)
+                    for gmap, y in both_maps(n, u, basis, t):
+                        assert derivation_defect(gmap.peaks(y).tolist()) is None
+                        c = y[gmap.c].reshape(n, n, n)
+                        assert np.abs(c - c.transpose(1, 0, 2)).max() <= (
+                            INVARIANT_TOL * scale_of(c)
+                        )
+                        cyc = cyclic_sum(rotate(c, basis))
+                        tp_cyc = y[gmap.cyclic][: u ** 3].reshape(u, u, u)
+                        np.testing.assert_allclose(cyc[:u, :u, :u], tp_cyc, rtol=0, atol=tol)
+                        cyc[:u, :u, :u] = 0.0
+                        assert np.abs(cyc).max() <= tol
+                    if u and scale >= 1.0:
+                        with pytest.raises(TensorError, match="cyclic sum violated"):
+                            extend_to_gyro(Tensor3(rotate(t, basis)), u)
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_bitwise_on_signed_permutation_frames(self, n):
         # every entry of C is one entry of cp, itself at most two terms of tp
@@ -412,6 +443,8 @@ class TestGyroMap:
         ts = np.stack([first_pair_symmetric(n, rng) for _ in range(4)])
         gmap = GyroMap(n, u)
         fold, bases = gmap.fold(basis), np.broadcast_to(basis, (4, n, n))
+        # tp, its first-pair asymmetry, its one unactuated cyclic sum, and C
+        assert fold.shape == (27, 82)
         for stacked, single in (
             (ts.reshape(4, -1) @ fold, [t.reshape(-1) @ fold for t in ts]),
             (gmap.apply(ts, bases), [gmap.apply(t, basis) for t in ts]),
@@ -423,6 +456,7 @@ class TestGyroMap:
         # non-finite tp, cp overflowing
         n, u = 2, 1
         gmap = GyroMap(n, u)
+        assert gmap.fold(np.eye(n)).shape == (8, 25)
         ts = np.zeros((5, n, n, n))
         ts[:, 1, 1, 0] = 0.3
         ts[1, 0, 1, 1] = 1.0
@@ -431,11 +465,12 @@ class TestGyroMap:
         ts[4, 0, 1, 0] = ts[4, 1, 0, 0] = -1e308
         with np.errstate(all="ignore"):
             peaks = gmap.peaks(gmap.apply(ts, np.broadcast_to(np.eye(n), (5, n, n))))
-        assert derivation_failed(peaks).tolist() == [False, True, True, True, True]
-        assert precondition_defect(*peaks[0, :3]) is None
-        assert gyro_defect(*peaks[0, 3:6]) is None and gyro_defect(*peaks[0, 6:]) is None
-        assert precondition_defect(*peaks[1, :3]).startswith("T must be symmetric")
-        assert precondition_defect(*peaks[2, :3]).startswith("cyclic sum of T")
-        assert precondition_defect(*peaks[3, :3]) == "entries must be finite"
+        assert peaks.shape == (5, 4)
+        defects = [derivation_defect(row) for row in peaks.tolist()]
+        assert defects[0] is None
+        assert defects[1].startswith("T must be symmetric")
+        assert defects[2].startswith("cyclic sum of T")
+        assert defects[3] == defects[4] == "entries must be finite"
+        # the overflow is C's, after tp passed its precondition
         assert precondition_defect(*peaks[4, :3]) is None
-        assert gyro_defect(*peaks[4, 3:6]) == "entries must be finite"
+
