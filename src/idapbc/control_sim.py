@@ -8,6 +8,7 @@ energy-decay diagnostics close the loop numerically.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,7 +26,6 @@ from .system import (
     check_kv,
     q_gradient,
     q_text,
-    spd_defect,
 )
 from .writer import write_table
 
@@ -72,9 +72,7 @@ class Controller:
         return self._gyro_from(MatchPoint(self.sys, self.design, q))
 
     def _gyro_from(self, point: MatchPoint) -> np.ndarray:
-        if self.design.C is not None:
-            return self.design.c_table_at(point.q)
-        return point.gyro()
+        return point.gyro() if self.design.C is None else point.c_table()
 
     def matching_residual(self, q: Sequence[float]) -> float:
         """Largest matching-condition violation of the design at q."""
@@ -87,7 +85,7 @@ def _shaped_law(
     """(qdot, pdot) of the shaped dynamics at (point.q, p), the damped Hamiltonian
     flow of the design plus the gyroscopic force; raises where Mhat is not PD."""
     g, (minv, mhat, dmhat) = point.frame.g, point.pair
-    if defect := spd_defect(mhat):
+    if defect := point.shaped_mass_defect():
         raise SystemError(f"shaped mass {defect} at q={q_text(point.q)}")
     uhat = linalg.solve(mhat, p)
     dqhhat = q_gradient(point.dvhat, dmhat, uhat)
@@ -144,9 +142,15 @@ def closed_loop_linearization(ctrl: Controller) -> np.ndarray:
     return out
 
 
+# the largest byte count numpy lets an array hold
+_MAX_ARRAY_BYTES = np.iinfo(np.intp).max
+
+
 @dataclass(frozen=True, eq=False)
 class SimConfig:
-    """Fixed-step integration window: horizon, step, initial (q, p)."""
+    """Fixed-step integration window: horizon, step, initial (q, p).  The
+    horizon must take a step count whose (steps + 1, 2n) state array numpy
+    can shape."""
 
     t_end: float
     dt: float
@@ -160,6 +164,15 @@ class SimConfig:
             raise SystemError("dt must be positive")
         if not self.dt <= self.t_end < np.inf:
             raise SystemError("t_end must be finite and cover at least one step")
+        count = self.t_end / self.dt
+        if not (
+            math.isfinite(count)
+            and (self.steps + 1) * self.x0.size * self.x0.itemsize <= _MAX_ARRAY_BYTES
+        ):
+            raise SystemError(
+                f"t_end={self.t_end:.6g} at dt={self.dt:.6g} takes {count:.6g} steps, "
+                "more than a trajectory array can hold"
+            )
 
     @property
     def steps(self) -> int:
@@ -177,11 +190,15 @@ def simulate(
     Records energy per sample when given (zeros otherwise), from one call
     ``energy(qs, ps)`` on the (steps + 1, n) stacks of samples.  Raises
     DivergenceError as soon as the state norm passes the guard, so runs
-    started outside the basin of attraction terminate early.
+    started outside the basin of attraction terminate early; at t = 0 where
+    x0 is already past it.
     """
     n = cfg.x0.size // 2
     dt = cfg.dt
     steps = cfg.steps
+    norm = math.hypot(*cfg.x0)  # without the overflow of the norm's dot product
+    if not norm <= DIVERGENCE_NORM:
+        raise DivergenceError(0.0, norm)
 
     def f(x: np.ndarray) -> np.ndarray:
         qdot, pdot = field(x[:n], x[n:])

@@ -563,13 +563,30 @@ def _operand_of(e: Expr, temps: dict[Expr, str]) -> str | None:
     return f"_x{e.index}" if isinstance(e, Var) else temps[e]
 
 
+class Tables(tuple):
+    """Trees, each an expression or a nested sequence of them, that
+    compile_expr turns into one function returning a tuple of their values."""
+
+    __slots__ = ()
+
+
+def _value_code(outs: list[str], shape: tuple[int, ...]) -> str:
+    """Generated code for the value of one tree from its outputs' operands."""
+    if not shape:
+        return outs[0]
+    code = f"_array([{', '.join(outs)}])"
+    return code + (f".reshape({shape})" if len(shape) > 1 else "")
+
+
 def compile_expr(tree, batch: bool = False) -> Callable:
     """Compile an expression, or a nested sequence of them, to one evaluator.
 
     The generated function converts the coordinates it reads to float,
     evaluates every unique subtree once, and returns a float for a single
-    expression or an ndarray of the nesting's shape.  Division by zero, and
-    sin or cos of an infinite value, raise :class:`ExprError` naming the
+    expression or an ndarray of the nesting's shape; for :class:`Tables`, a
+    tuple with each tree's value, computed as for that tree alone, with the
+    subtrees the trees share evaluated once.  Division by zero, and sin or
+    cos of an infinite value, raise :class:`ExprError` naming the
     subexpression, as :meth:`Expr.eval` does.
 
     With ``batch`` the same generated statements run on numpy arrays: the
@@ -582,8 +599,11 @@ def compile_expr(tree, batch: bool = False) -> Callable:
     the base of a non-positive power, so only those and the outputs are
     checked.  Values in flagged rows are placeholders.
     """
+    if batch and isinstance(tree, Tables):
+        raise ExprError("the batch variant evaluates one table")
     leaves: list[Expr] = []
-    shape = _flatten(tree, leaves)
+    shapes = [_flatten(t, leaves) for t in tree] if isinstance(tree, Tables) else []
+    shape = () if shapes else _flatten(tree, leaves)
     temps: dict[Expr, str] = {}
     body: list[tuple[str, Expr]] = []
     outs = [_emit(e, temps, body, batch) for e in leaves]
@@ -617,12 +637,15 @@ def compile_expr(tree, batch: bool = False) -> Callable:
             _isfinite=np.isfinite,
         )
     else:
-        if shape:
-            result = f"_array([{', '.join(outs)}])"
-            if len(shape) > 1:
-                result += f".reshape({shape})"
+        if shapes:
+            parts, start = [], 0
+            for part_shape in shapes:
+                size = math.prod(part_shape)
+                parts.append(_value_code(outs[start:start + size], part_shape))
+                start += size
+            result = f"({', '.join(parts)},)"
         else:
-            result = outs[0]
+            result = _value_code(outs, shape)
         head = ["def _f(_q):"] + [f"    _x{i} = float(_q[{i}])" for i in sorted(used)]
         head += ["    try:"]
         lines = head + [f"        {code}" for code, _ in body] + [
@@ -645,7 +668,8 @@ def _map(f: Callable, tree):
 
 
 class Compiled:
-    """An expression, or a rectangular nested table of them, with its evaluators.
+    """An expression, a rectangular nested table of them, or :class:`Tables`
+    of either, with its evaluators.
 
     Calling it on one point runs ``compile_expr(tree)``, compiled here;
     ``batch`` runs the batch variant, compiled on its first call and kept, so

@@ -10,6 +10,7 @@ single quasi-linear kinetic PDE.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import NamedTuple, Optional, Sequence, Union
@@ -17,7 +18,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from . import linalg
-from .expr import Compiled, Expr, ExprError, parse
+from .expr import Compiled, Expr, ExprError, Tables, parse
 from .stability import NOT_STABILIZABLE, Linearization, classify
 from .system import (
     InputFrame,
@@ -120,7 +121,7 @@ def _derive(
     this input frame.  Where the system keeps a constant G's split, that is
     one product with the map's fold of it, kept from the first derivation."""
     gmap = _adapted_map(sys.n, sys.n - sys.m)
-    if sys.kept_split is None:
+    if sys.kept_frame is None:
         return gmap, gmap.apply(t, _adapted_basis(frame.annihilator, frame.range_basis))
     if sys.kept_fold is None:
         sys.kept_fold = gmap.fold(_adapted_basis(frame.annihilator, frame.range_basis))
@@ -158,10 +159,42 @@ class _Kept(cached_property):
         return value
 
 
+class PairFunction(NamedTuple):
+    """One compiled function of q for a system and a design: its values are M
+    and Mhat as one (2, n, n) stack, dMhat, dVhat and, where the design stores
+    one, the C table.  ``mirrored`` says that each entry of Mhat and its
+    mirror image are one expression, so one temporary: the evaluated Mhat is
+    then exactly symmetric."""
+
+    tables: Compiled
+    mirrored: bool
+
+
+def pair_function(sys: MechSystem, design: ShapedDesign) -> PairFunction:
+    """The design's PairFunction with sys, built at its first use and kept on
+    the design (for the system it was last built for)."""
+    kept = design.kept_pair
+    if kept is None or kept[0] is not sys:
+        trees = ((sys.M.tree, design.Mhat.tree), design.dMhat.tree, design.dVhat.tree)
+        if design.C is not None:
+            trees += (design.C.tree,)
+        mhat = design.Mhat.tree
+        mirrored = all(mhat[i][j] == mhat[j][i] for i in range(sys.n) for j in range(i))
+        kept = design.kept_pair = (sys, PairFunction(Compiled(Tables(trees)), mirrored))
+    return kept[1]
+
+
 class MatchPoint:
     """The input frame, metric pair, dM, dV, dVhat, T and T's derivation at
     one q, each evaluated on first read and kept.  Readers take the frame
-    first, so a rank-deficient G is reported ahead of a failing metric."""
+    first, so a rank-deficient G is reported ahead of a failing metric.
+
+    The metric pair, dVhat and the C table come from one call of the
+    PairFunction (``tables``), and M's and Mhat's positive definite tests from
+    one eigvalsh of its stack (``lows``).  Where the call raises, each read
+    evaluates its own table, and where a fast test fails, mass_matrix and
+    spd_defect decide: so every read raises what, and in the order, it would
+    raise alone."""
 
     def __init__(self, sys: MechSystem, design: ShapedDesign, q: Sequence[float]):
         self.sys, self.design, self.q = sys, design, q
@@ -171,12 +204,50 @@ class MatchPoint:
         return self.sys.frame(self.q)
 
     @_Kept
+    def tables(self) -> tuple | None:
+        """The PairFunction's values at q, or None where evaluating it raises."""
+        try:
+            return pair_function(self.sys, self.design).tables(self.q)
+        except (ExprError, ArithmeticError):
+            return None
+
+    @_Kept
+    def lows(self) -> list[float]:
+        """The lowest eigenvalues of M and Mhat from one eigvalsh of their
+        stack; NaN, which fails every test, where the stack is not evaluated
+        or not finite (eigvalsh takes no non-finite matrix)."""
+        tables = self.tables
+        # a finite sum has finite terms; one that overflows only sends M and
+        # Mhat to the tests of mass_matrix and spd_defect
+        if tables is None or not math.isfinite(sum(tables[0].ravel().tolist())):
+            return [math.nan, math.nan]
+        return lowest_eigenvalue(tables[0]).tolist()
+
+    @_Kept
     def pair(self) -> MetricPair:
-        return MetricPair(
-            _symmetrized_inverse(self.sys.mass_matrix(self.q)),
-            self.design.shaped_mass(self.q),
-            self.design.shaped_mass_derivatives(self.q),
-        )
+        tables = self.tables
+        if tables is None:
+            m = self.sys.mass_matrix(self.q)
+            mhat = self.design.shaped_mass(self.q)
+            dmhat = self.design.shaped_mass_derivatives(self.q)
+        else:
+            (m, mhat), dmhat = tables[0], tables[1]
+            if not self.lows[0] > 0.0:
+                self.sys.mass_matrix(self.q)  # raises where M is not positive definite
+        return MetricPair(_symmetrized_inverse(m), mhat, dmhat)
+
+    def shaped_mass_defect(self) -> str | None:
+        """spd_defect of Mhat, taken from ``lows`` where Mhat is exactly
+        symmetric and positive definite there."""
+        mhat = self.pair.mhat
+        if self.lows[1] > 0.0 and pair_function(self.sys, self.design).mirrored:
+            return None
+        return spd_defect(mhat)
+
+    def c_table(self) -> np.ndarray:
+        """The design's C table at q."""
+        tables = self.tables
+        return self.design.c_table_at(self.q) if tables is None else tables[3]
 
     @_Kept
     def dm(self) -> np.ndarray:
@@ -188,7 +259,8 @@ class MatchPoint:
 
     @_Kept
     def dvhat(self) -> np.ndarray:
-        return self.design.shaped_potential_gradient(self.q)
+        tables = self.tables
+        return self.design.shaped_potential_gradient(self.q) if tables is None else tables[2]
 
     @_Kept
     def t(self) -> np.ndarray:

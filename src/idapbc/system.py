@@ -201,8 +201,8 @@ class MechSystem:
     input rank are checked at query time, the equilibrium condition
     dV(0) = 0 at construction.  ``potential``, ``dV`` ([k]) and ``dM``
     ([k, i, j]) are V, dV/dq^k and dM/dq^k, compiled.  A G without
-    variables (``g_constant``) that has full rank is checked, factored and
-    split once, at its first query (frame or frames).
+    variables (``g_constant``) that has full rank is evaluated, checked,
+    factored and split once, at its first query (frame or frames).
     """
 
     def __init__(
@@ -236,9 +236,9 @@ class MechSystem:
         if not grad0 <= EQUILIBRIUM_TOL:
             raise SystemError(f"origin is not an equilibrium: |dV(0)| = {grad0:.3e}")
         self.g_constant = not any(e.variables() for row in G.tree for e in row)
-        # a constant G's read-only range basis and annihilator, from its first
-        # query that passes the rank check, so a rank-deficient G always raises
-        self.kept_split = None
+        # a constant G's frame, read-only, from its first query that passes
+        # the rank check, so a rank-deficient G always raises
+        self.kept_frame = None
         # GyroMap.fold of the kept frame, from the first derivation (matching._derive)
         self.kept_fold = None
 
@@ -259,27 +259,26 @@ class MechSystem:
     def potential_gradient(self, q: Sequence[float]) -> np.ndarray:
         return self.dV(q)
 
-    def _keep(self, split: tuple[np.ndarray, np.ndarray]) -> None:
-        for a in split:
+    def _keep(self, frame: InputFrame) -> InputFrame:
+        for a in frame:
             a.setflags(write=False)
-        self.kept_split = split
+        self.kept_frame = frame
+        return frame
 
     def frame(self, q: Sequence[float]) -> InputFrame:
-        """G(q), evaluated per query, and its split; raises if its rank is below m."""
-        g = self.G(q)
-        if self.kept_split is None:
-            frame = input_frame(g, q)
-            if not self.g_constant:
-                return frame
-            self._keep(frame[1:])
-        return InputFrame(g, *self.kept_split)
+        """G(q) and its split; raises if its rank is below m.  A constant G's
+        is the kept frame, which the query does not evaluate."""
+        if self.kept_frame is not None:
+            return self.kept_frame
+        frame = input_frame(self.G(q), q)
+        return self._keep(frame) if self.g_constant else frame
 
     def frames(self, g: np.ndarray, failed: np.ndarray) -> InputFrame:
         """frame at each row of an (N, n, m) stack of G's values, which the
         caller has evaluated.  Rows flagged in ``failed`` hold placeholders,
         and ``failed`` gains the rows where frame raises.  A constant G gives
         the kept split, without leading axes, factoring one row to keep it."""
-        if self.kept_split is None:
+        if self.kept_frame is None:
             # a constant G holds the same value at every row
             one = self.g_constant and not failed.all()
             u, s, _ = linalg.svd(g[failed.argmin()] if one else identity_where(g, failed))
@@ -287,8 +286,8 @@ class MechSystem:
             failed |= ~ok
             if not (one and ok):
                 return InputFrame(g, *split_basis(u, self.m))
-            self._keep(split_basis(u, self.m))
-        return InputFrame(g, *self.kept_split)
+            self._keep(InputFrame(g[failed.argmin()].copy(), *split_basis(u, self.m)))
+        return InputFrame(g, *self.kept_frame[1:])
 
     def input_matrix(self, q: Sequence[float]) -> np.ndarray:
         """G(q); raises if its rank is below m."""
@@ -351,6 +350,9 @@ class ShapedDesign:
         self.shaped_potential = Compiled(Vhat)
         self.dVhat = self.shaped_potential.diff(n)
         self.dMhat = Mhat.diff(n)
+        # (system, its pair function with this design), built at the first
+        # per-point read (matching.pair_function)
+        self.kept_pair = None
         self.C = None
         if C is not None:
             if len(C) != n or any(len(r) != n for r in C) or any(

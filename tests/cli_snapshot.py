@@ -5,16 +5,23 @@
 The runs use the package in this tree's ``src``.  Each run gets a
 directory under OUT holding its stdout, stderr, exit code and every file
 it wrote under ``--out``.  The output directory and the
-source tree are replaced by ``<OUT>`` and ``<ROOT>`` in every file, so
-snapshots taken from two trees compare with one ``diff -r``.  The runs
+source tree are replaced by ``<OUT>`` and ``<ROOT>`` in every file, and
+the source line a warning names by ``<LINE>``, so snapshots taken from two
+trees compare with one ``diff -r``.  The runs
 cover pendulum_cart's ``verify``, ``synthesize`` and ``simulate`` with
-and without the closed-form C table, and ``selftest``; the last three
-(``repro-*``) take a design whose kinetic residual is 5.5e-11.
+and without the closed-form C table, and ``selftest``.  ``simulate-bundle``
+simulates the controller bundle that ``synthesize-bundle`` writes, 3000 RK4
+steps of dt 1e-3 on its C table.  The ``repro-*`` runs take a design whose
+kinetic residual is 5.5e-11 (verify, synthesize, simulate), a step count no
+array can hold (``repro-steps-*``) and an initial state beyond the
+divergence guard (``repro-x0-*``).  A run whose system is not one of the
+inputs names a file an earlier run wrote.
 """
 from __future__ import annotations
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -48,6 +55,7 @@ GRID_41 = "q1=-1:1:41,q2=-1:1:11"
 GRID_81 = "q1=-1:1:81,q2=-1:1:41"
 GRID_21 = "q1=-1:1:21,q2=-1:1:11"
 SIM = ["--t-end", "1", "--dt", "0.01"]
+BUNDLE = "synthesize-bundle/files/controller.json"
 
 RUNS = {
     "verify-c": ["verify", "c", "--grid", GRID_41],
@@ -58,10 +66,19 @@ RUNS = {
     "simulate-c": ["simulate", "c", *SIM],
     "simulate-noc": ["simulate", "noc", *SIM],
     "simulate-noc-0.3-0.9": ["simulate", "noc-0.3-0.9", *SIM],
+    "simulate-noc-1ms": ["simulate", "noc", "--t-end", "1", "--dt", "1e-3"],
+    "synthesize-bundle": ["synthesize", "c", "--grid", "q1=-1:1:5,q2=-1:1:5"],
+    "simulate-bundle": ["simulate", BUNDLE, "--x0=0.2,-0.1,0,0", "--t-end", "3", "--dt", "1e-3"],
     "selftest": ["selftest", "--seed", "3", "--dims-max", "4"],
     "repro-verify": ["verify", "repro", "--grid", GRID_41],
     "repro-synthesize": ["synthesize", "repro", "--grid", GRID_41],
     "repro-simulate": ["simulate", "repro", *SIM],
+    "repro-steps-dt-1e-300": ["simulate", "c", "--t-end", "1", "--dt", "1e-300"],
+    "repro-steps-t-end-1e300": ["simulate", "c", "--t-end", "1e300", "--dt", "1"],
+    "repro-steps-dt-1e-320": ["simulate", "c", "--t-end", "1", "--dt", "1e-320"],
+    "repro-x0-2e6": ["simulate", "c", "--x0=0.2,-0.1,2e6,0"],
+    "repro-x0-1e100": ["simulate", "c", "--x0=0.2,-0.1,1e100,0"],
+    "repro-x0-open-loop-1e200": ["simulate", "c", "--x0=0.2,-0.1,1e200,0", "--open-loop"],
 }
 
 
@@ -78,7 +95,8 @@ def main(out: Path) -> None:
         files = run_dir / "files"
         argv = [command]
         if command != "selftest":
-            argv += ["--system", str(inputs / f"{rest[0]}.json"), "--out", str(files)]
+            system = inputs / f"{rest[0]}.json" if rest[0] in INPUTS else out / rest[0]
+            argv += ["--system", str(system), "--out", str(files)]
             rest = rest[1:]
         proc = subprocess.run(
             [sys.executable, "-m", "idapbc.cli", *argv, *rest],
@@ -91,8 +109,8 @@ def main(out: Path) -> None:
         (run_dir / "exit.txt").write_text(f"{proc.returncode}\n")
         print(f"{name}: exit {proc.returncode}")
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
-        text = path.read_text()
-        path.write_text(text.replace(str(out), "<OUT>").replace(str(ROOT), "<ROOT>"))
+        text = path.read_text().replace(str(out), "<OUT>").replace(str(ROOT), "<ROOT>")
+        path.write_text(re.sub(r"(<ROOT>/src/\S+\.py):\d+: ", r"\1:<LINE>: ", text))
 
 
 if __name__ == "__main__":

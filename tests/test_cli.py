@@ -7,6 +7,7 @@ from sys import executable
 import numpy as np
 import pytest
 
+from idapbc import cli
 from idapbc.cli import CliError, main, parse_grid, parse_x0
 from idapbc.system import builtin, load_system, system_to_dict
 
@@ -601,6 +602,40 @@ class TestSimulate:
         metrics = json.loads((tmp_path / "metrics.json").read_text())
         assert metrics["diverged"] is True
         assert 10.0 < metrics["divergence_time"] < 20.0
+
+    @pytest.mark.parametrize("x0, extra", [
+        ("0.2,-0.1,2e6,0", []), ("0.2,-0.1,1e100,0", []), ("0.2,-0.1,1e200,0", ["--open-loop"]),
+    ])
+    def test_start_beyond_the_divergence_guard(self, capsys, tmp_path, x0, extra):
+        # no field evaluation, so no overflow warning and no error naming q
+        code, out, err = run(
+            capsys, "simulate", "--system", "builtin:pendulum_cart", "--eps", "0.55",
+            "--K", "0.25", f"--x0={x0}", "--out", str(tmp_path), *extra,
+        )
+        assert code == 3 and err == "simulation diverged at t=0\n"
+        metrics = json.loads((tmp_path / "metrics.json").read_text())
+        assert json.loads(out) == metrics
+        assert metrics["diverged"] is True and metrics["divergence_time"] == 0.0
+        assert not (tmp_path / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize("t_end, dt, count", [
+        ("1", "1e-300", "1e+300"), ("1e300", "1", "1e+300"), ("1", "1e-320", "inf"),
+    ])
+    def test_unrepresentable_step_count_is_an_error(
+        self, capsys, tmp_path, monkeypatch, t_end, dt, count
+    ):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the state array was allocated")
+
+        monkeypatch.setattr(cli, "simulate", no_run)
+        code, out, err = run(
+            capsys, "simulate", "--system", "builtin:pendulum_cart", "--t-end", t_end,
+            "--dt", dt, "--out", str(tmp_path / "out"),
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: t_end=") and err.count("\n") == 1
+        assert f"takes {count} steps, more than a trajectory array can hold" in err
+        assert not (tmp_path / "out").exists()
 
     def test_start_outside_pd_region_is_an_error(self, capsys, tmp_path):
         code, _, err = run(

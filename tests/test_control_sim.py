@@ -1,4 +1,6 @@
 import csv
+import math
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from idapbc.control_sim import (
 )
 from idapbc.expr import parse
 from idapbc import matching
-from idapbc.matching import GyroField, MatchingError, evaluate_residuals
+from idapbc.matching import GyroField, MatchingError, evaluate_residuals, pair_function
 from idapbc.system import (
     ExprMatrix,
     MechSystem,
@@ -317,7 +319,22 @@ def count_evaluations(*matrices):
     return counts
 
 
+def count_pair_calls(sys, design):
+    """Wrap the compiled pair function of (sys, design); return its call counter."""
+    tables, calls = pair_function(sys, design).tables, [0]
+    fn = tables._fn
+
+    def counted(q):
+        calls[0] += 1
+        return fn(q)
+
+    tables._fn = counted
+    return calls
+
+
 class TestOneEvaluationPerCall:
+    # M, Mhat, dMhat, dVhat and a stored C come from one call of the pair
+    # function, and a constant G from the kept frame
     @pytest.mark.parametrize("with_table", [False, True])
     def test_each_matrix_once(self, with_table):
         sys, design = builtin("pendulum_cart", eps=0.55, K=0.25)
@@ -325,20 +342,37 @@ class TestOneEvaluationPerCall:
             design = ShapedDesign(sys.vars, design.Mhat, design.Vhat, design.Kv)
         ctrl = Controller(sys, design)
         q, p = [0.3, -0.2], [0.4, 0.1]
-        for call in (feedback, closed_loop_field):
+        sys.frame(q)  # a constant G is evaluated once, at its first query
+        for call in (feedback, closed_loop_field, lambda ctrl, q, p: ctrl.gyro_at(q)):
             counts = count_evaluations(sys.M, sys.G, design.Mhat)
+            pair_calls = count_pair_calls(sys, design)
             call(ctrl, q, p)
-            assert counts == [1, 1, 1], call.__name__
+            assert counts == [0, 0, 0] and pair_calls == [1], call
+
+    def test_varying_input_matrix_once(self):
+        sys, design = builtin("pendulum_cart", eps=0.55, K=0.25)
+        g = ExprMatrix.from_strings([["0"], ["2 + cos(q1)"]], sys.vars)
+        sys = MechSystem(sys.vars, sys.M, sys.V, g)
+        design = ShapedDesign(sys.vars, design.Mhat, design.Vhat, design.Kv)
+        ctrl = Controller(sys, design)
+        q, p = [0.3, -0.2], [0.4, 0.1]
+        for call in (feedback, closed_loop_field, lambda ctrl, q, p: ctrl.gyro_at(q)):
+            counts = count_evaluations(sys.M, sys.G, design.Mhat)
+            pair_calls = count_pair_calls(sys, design)
+            call(ctrl, q, p)
+            assert counts == [0, 1, 0] and pair_calls == [1], call
 
     def test_each_matrix_once_per_query(self):
         sys, design = builtin("pendulum_cart", eps=0.55, K=0.25)
         design = ShapedDesign(sys.vars, design.Mhat, design.Vhat, design.Kv)
         ctrl = Controller(sys, design)
         q = [0.3, -0.2]
+        sys.frame(q)
         for call in (GyroField(sys, design).at, ctrl.gyro_at, ctrl.matching_residual):
             counts = count_evaluations(sys.M, sys.G, design.Mhat)
+            pair_calls = count_pair_calls(sys, design)
             call(q)
-            assert counts == [1, 1, 1], call.__name__
+            assert counts == [0, 0, 0] and pair_calls == [1], call.__name__
 
     def test_each_matrix_once_per_sweep_point(self):
         sys, design = builtin("pendulum_cart", eps=0.55, K=0.25)
@@ -514,6 +548,17 @@ class TestSimConfig:
         cfg = SimConfig(t_end=1.0, dt=0.3, x0=[0.0, 0.0])
         assert cfg.steps == 3
 
+    def test_step_count_must_fit_an_array(self):
+        # the (steps + 1, 2n) state array at numpy's limit: 1e17 steps fit in
+        # its byte count, 1e18 do not (checked without allocating)
+        SimConfig(t_end=1e17, dt=1.0, x0=[0.0] * 4)
+        with pytest.raises(ValueError, match="too big"):
+            np.empty((10**18 + 1, 4))
+        for t_end, dt, count in ((1e18, 1.0, "1e+18"), (1.0, 1e-300, "1e+300"),
+                                 (1.0, 1e-320, "inf")):
+            with pytest.raises(SystemError, match=f"takes {re.escape(count)} steps"):
+                SimConfig(t_end=t_end, dt=dt, x0=[0.0] * 4)
+
 
 @pytest.fixture(scope="module")
 def damped_run():
@@ -588,6 +633,16 @@ class TestSimulate:
         with pytest.raises(DivergenceError, match="exceeded") as err:
             simulate(unstable, cfg)
         assert 13.0 < err.value.time < 15.0
+
+    @pytest.mark.parametrize("x0", [[0.0, 2e6], [0.0, 1e200], [1e300, 1e300]])
+    def test_start_beyond_the_guard_diverges_at_zero(self, x0):
+        def unused(q, p):
+            raise AssertionError("field evaluated")
+
+        cfg = SimConfig(t_end=1.0, dt=0.1, x0=x0)
+        with pytest.raises(DivergenceError, match="at t=0$") as err:
+            simulate(unused, cfg)
+        assert err.value.time == 0.0 and err.value.norm == math.hypot(*x0)
 
     def test_energy_defaults_to_zero(self):
         cfg = SimConfig(t_end=0.1, dt=0.01, x0=[0.0, 0.0])

@@ -9,6 +9,7 @@ from idapbc.expr import (
     Const,
     ExprError,
     ParseError,
+    Tables,
     compile_expr,
     parse,
     to_string,
@@ -212,6 +213,31 @@ class TestProperties:
                 pt = rng.uniform(-1, 1, size=n)
                 expect = np.vectorize(lambda e: e.eval(pt), otypes=[float])(exprs)
                 assert np.array_equal(f(pt), expect)
+
+    def test_tables_compile_to_one_function(self):
+        # each value is its tree's, bitwise; cos(q1) and the subtrees over it
+        # that M, Mhat, dMhat and C share are evaluated once
+        sys, design = builtin("pendulum_cart", eps=0.55, K=0.25)
+        trees = [(sys.M.tree, design.Mhat.tree), design.dMhat.tree, design.dVhat.tree,
+                 design.C.tree, design.Vhat]
+        f = compile_expr(Tables(trees))
+        alone = [compile_expr(t) for t in trees]
+
+        def temporaries(fn):
+            return sum(name.startswith("_t") for name in fn.__code__.co_varnames)
+
+        assert temporaries(f) < sum(map(temporaries, alone))
+        for pt in np.random.default_rng(6).uniform(-1, 1, (20, 2)):
+            values = f(pt)
+            assert type(values) is tuple and len(values) == len(trees)
+            for got, fn in zip(values, alone):
+                expect = fn(pt)
+                assert type(got) is type(expect) and np.shape(got) == np.shape(expect)
+                assert np.asarray(got).tobytes() == np.asarray(expect).tobytes()
+        with pytest.raises(ExprError, match="division by zero in 1/q2"):
+            compile_expr(Tables([parse("q1", VARS2), [parse("1/q2", VARS2)]]))([1.0, 0.0])
+        with pytest.raises(ExprError, match="one table"):
+            compile_expr(Tables(trees), batch=True)
 
     @pytest.mark.parametrize(
         "text, pos", [("1e400*q1", 0), ("1e200*1e200*q1", 5), ("10^400*q1", 3), ("-1e400", 1)]

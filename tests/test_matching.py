@@ -1,11 +1,13 @@
 import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 
-from idapbc import matching
-from idapbc.control_sim import Controller, feedback
+from idapbc import linalg, matching
+from idapbc.control_sim import Controller, closed_loop_field, feedback
 from idapbc.expr import ExprError, add, parse
 from idapbc.matching import (
     CharacteristicsSolution,
@@ -14,10 +16,13 @@ from idapbc.matching import (
     MatchingError,
     MatchPoint,
     MatchRows,
+    POINT_ERRORS,
+    RESIDUAL_TOL,
     a_tensor,
     evaluate_residuals,
     kinetic_residual,
     linear_match_residual,
+    pair_function,
     pde_counts,
     potential_residual,
     solve_kinetic_characteristics,
@@ -30,17 +35,23 @@ from idapbc.system import (
     ShapedDesign,
     SystemError,
     builtin,
+    input_frame,
     load_system,
+    q_gradient,
     q_text,
+    spd_defect,
     system_to_dict,
 )
 from idapbc.tensor import (
+    NOT_FINITE,
     GyroMap,
     GyroTensor,
     Tensor3,
     TensorError,
     cyclic_sum,
+    derivation_defect,
     extend_to_gyro,
+    finite_rows,
     index_triples,
     rotate,
 )
@@ -953,3 +964,310 @@ class TestDerivationMap:
         sys, design = builtin("pendulum_cart")
         expect = MatchRows(sys, design, np.array(samples["points"])).gyro()
         assert np.array_equal(np.array(samples["values"]), expect)
+
+
+class PerTable:
+    """MatchPoint's reads at q, each table evaluated on its own in the order a
+    first read takes them, with M's and Mhat's tests those of mass_matrix and
+    spd_defect: the reference for the pair function."""
+
+    def __init__(self, sys, design, q):
+        self.sys, self.design, self.q = sys, design, q
+        self.kept = {}
+
+    def read(self, name, fn):
+        if name not in self.kept:
+            self.kept[name] = fn()
+        return self.kept[name]
+
+    def frame(self):
+        return self.read("frame", lambda: input_frame(self.sys.G(self.q), self.q))
+
+    def pair(self):
+        def build():
+            inv = np.linalg.inv(self.sys.mass_matrix(self.q))
+            return matching.MetricPair(
+                (inv + inv.T) / 2.0,
+                self.design.shaped_mass(self.q),
+                self.design.shaped_mass_derivatives(self.q),
+            )
+        return self.read("pair", build)
+
+    def dm(self):
+        return self.read("dm", lambda: self.sys.mass_derivatives(self.q))
+
+    def dv(self):
+        return self.read("dv", lambda: self.sys.potential_gradient(self.q))
+
+    def dvhat(self):
+        return self.read("dvhat", lambda: self.design.shaped_potential_gradient(self.q))
+
+    def derivation(self):
+        def build():
+            t = np.ascontiguousarray(matching.t_entries(self.pair(), self.dm()))
+            if not finite_rows(t):
+                raise TensorError(NOT_FINITE)
+            return matching._derive(self.sys, self.frame(), t)
+        return self.read("derivation", build)
+
+    def residual(self):
+        minv, mhat, _ = self.pair()
+        w = self.frame().annihilator
+        potential = w @ (self.dv() - mhat @ minv @ self.dvhat())
+        gmap, y = self.derivation()
+        return float(np.max(np.abs(np.concatenate([potential, y[gmap.kinetic]])), initial=0.0))
+
+    def gyro(self):
+        gmap, y = self.derivation()
+        if defect := derivation_defect(gmap.peaks(y).tolist()):
+            raise MatchingError(
+                f"cannot extend to a gyroscopic tensor at q={q_text(self.q)}: {defect}"
+            )
+        return y[gmap.c].reshape((self.sys.n,) * 3)
+
+
+def per_table_call(ctrl, name, q, p):
+    """closed_loop_field ("field"), feedback, GyroField.at ("derive"),
+    Controller.gyro_at or Controller.matching_residual ("residual") at (q, p)
+    from PerTable, with the shaped law's and the feedback's formulas."""
+    sys, design = ctrl.sys, ctrl.design
+    q, p = np.asarray(q, dtype=float), np.asarray(p, dtype=float)
+    point = PerTable(sys, design, q)
+    if name == "derive":
+        return point.gyro()
+    if name == "residual":
+        return point.residual()
+    if name == "gyro_at":
+        return point.gyro() if design.C is None else design.c_table_at(q)
+    if name == "feedback" and (res := point.residual()) > RESIDUAL_TOL:
+        warnings.warn(f"matching residual {res:.3e} exceeds {RESIDUAL_TOL:.1e} at q={q_text(q)}")
+    g, (minv, mhat, dmhat) = point.frame().g, point.pair()
+    if defect := spd_defect(mhat):
+        raise SystemError(f"shaped mass {defect} at q={q_text(q)}")
+    uhat = np.linalg.solve(mhat, p)
+    dqhhat = q_gradient(point.dvhat(), dmhat, uhat)
+    c = point.gyro() if design.C is None else design.c_table_at(q)
+    qdot = minv @ (mhat @ uhat)
+    pdot = -mhat @ (minv @ dqhhat) - g @ (ctrl.Kv @ (g.T @ uhat)) + c.T @ uhat @ uhat
+    if name == "field":
+        return qdot, pdot
+    rhs = q_gradient(point.dv(), point.dm(), minv @ p) + pdot
+    return np.linalg.solve(g.T @ g, g.T @ rhs)
+
+
+PAIR_CALLS = {
+    "field": lambda ctrl, q, p: closed_loop_field(ctrl, q, p),
+    "feedback": lambda ctrl, q, p: feedback(ctrl, q, p),
+    "derive": lambda ctrl, q, p: GyroField(ctrl.sys, ctrl.design).at(q),
+    "gyro_at": lambda ctrl, q, p: ctrl.gyro_at(q),
+    "residual": lambda ctrl, q, p: ctrl.matching_residual(q),
+}
+
+
+def outcome(call):
+    """What call() gives: its arrays' shapes and bytes, or its exception's type
+    and message; with the first clause of each warning it raises."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = call()
+        except POINT_ERRORS as exc:
+            result = exc
+    texts = [str(w.message).split(";")[0] for w in caught]
+    if isinstance(result, Exception):
+        return type(result).__name__, str(result), texts
+    arrays = result if isinstance(result, tuple) else (result,)
+    return [(np.shape(a), np.asarray(a, dtype=float).tobytes()) for a in arrays], texts
+
+
+def assert_pair_parity(ctrl, q, p):
+    for name, call in PAIR_CALLS.items():
+        # the call first: a constant G's first query keeps the frame, after
+        # which _derive takes the kept fold
+        got = outcome(lambda: call(ctrl, q, p))
+        assert got == outcome(lambda: per_table_call(ctrl, name, q, p)), (name, q_text(q))
+
+
+def pendulum_data(c_table=True):
+    data = system_to_dict(*builtin("pendulum_cart", eps=0.55, K=0.25))
+    if not c_table:
+        del data["shaped"]["C"]
+    return data
+
+
+def rotated_pendulum():
+    """pendulum_cart (eps 0.55, K 0.25, no C table) in the coordinates x = R q,
+    R = [[0.8, 0.6], [-0.6, 0.8]]: M and Mhat become R M R', and G the
+    constant [0.6, 0.8]'.  The lower triangles mirror the upper ones."""
+    data = pendulum_data(c_table=False)
+    q_of_x = {"q1": "(0.8*q1 - 0.6*q2)", "q2": "(0.6*q1 + 0.8*q2)"}
+
+    def substituted(text):
+        return re.sub(r"q[12]", lambda match: q_of_x[match.group()], text)
+
+    r = [[0.8, 0.6], [-0.6, 0.8]]
+
+    def rotated(rows):
+        out = [[None, None], [None, None]]
+        for i in range(2):
+            for j in range(i, 2):
+                out[i][j] = out[j][i] = " + ".join(
+                    f"{r[i][k] * r[j][l]!r}*({substituted(rows[k][l])})"
+                    for k in range(2) for l in range(2)
+                )
+        return out
+
+    data["M"], data["V"] = rotated(data["M"]), substituted(data["V"])
+    data["G"] = [["0.6"], ["0.8"]]
+    shaped = data["shaped"]
+    shaped["Mhat"], shaped["Vhat"] = rotated(shaped["Mhat"]), substituted(shaped["Vhat"])
+    return load_system(data)
+
+
+def varying_g_pendulum(c_table):
+    """pendulum_cart with G = [0, 2 + cos(q1)]': G varies, its annihilator does
+    not, so the design still matches."""
+    data = pendulum_data(c_table)
+    data["G"] = [["0"], ["2 + cos(q1)"]]
+    return load_system(data)
+
+
+PAIR_DESIGNS = {
+    "pendulum-c": lambda: load_system(pendulum_data()),
+    "pendulum-noc": lambda: load_system(pendulum_data(c_table=False)),
+    "three-dof-constant-shaped": three_dof_constant_shaped,
+    "varying-g-c": lambda: varying_g_pendulum(True),
+    "varying-g-noc": lambda: varying_g_pendulum(False),
+    "rotated": rotated_pendulum,
+}
+
+NAN = "(q1*1e200*1e200 - q1*1e200*1e200)"
+
+
+def failing_pair_design(case):
+    """pendulum_cart variants on which some read fails at the test points; the
+    ``and`` cases fail two reads at one q."""
+    data = pendulum_data(c_table=case.endswith("-c"))
+    shaped = data["shaped"]
+    if case == "nan-m":
+        data["M"][0][1] = data["M"][1][0] = f"cos(q1) + {NAN}"
+    elif case == "nan-mhat":
+        shaped["Mhat"][1][1] += f" + {NAN}"
+    elif case.startswith("big-mhat"):
+        shaped["Mhat"] = [[f"1e200*({e})" for e in row] for row in shaped["Mhat"]]
+    elif case == "zero-over-zero":
+        shaped["Mhat"][1][1] += " + (q1 - q1)/(q1 - q1)"
+    elif case == "overflow":
+        shaped["Mhat"][0][0] = "3 + (q1*1e200)^2"
+    elif case == "rank-deficient":
+        data["G"] = [["0"], ["0"]]
+    elif case == "non-pd-m-and-zero-over-zero":
+        data["M"] = [["1", "2"], ["2", "1"]]
+        shaped["Mhat"][1][1] += " + (q1 - q1)/(q1 - q1)"
+    elif case == "non-pd-mhat-and-dvhat-c":
+        shaped["Mhat"][0][0] = "-1"
+        shaped["Vhat"] += " + q1^2/(q2 - q2)"
+    elif case == "non-pd-mhat-and-c-table-c":
+        shaped["Mhat"][0][0] = "-1"
+        shaped["C"][0][0][0] = "1/(q1 - q1)"
+    return load_system(data)
+
+
+PAIR_POINTS = [[0.3, -0.2], [0.0, 0.1], [-0.6, 0.5]]
+
+
+class TestPairFunction:
+    @pytest.mark.parametrize("case", list(PAIR_DESIGNS))
+    def test_bitwise_equal_to_per_table_reads(self, case):
+        sys, design = PAIR_DESIGNS[case]()
+        ctrl = Controller(sys, design)
+        rng = np.random.default_rng(11)
+        # |q1| up to 1.3 leaves the eps 0.55 shaped mass's PD region
+        for x in rng.uniform(-1.3, 1.3, (60, 2 * sys.n)):
+            assert_pair_parity(ctrl, x[:sys.n], x[sys.n:])
+
+    @pytest.mark.parametrize("case", [
+        "nan-m", "nan-mhat", "big-mhat", "big-mhat-c", "zero-over-zero", "overflow",
+        "rank-deficient",
+        "non-pd-m-and-zero-over-zero", "non-pd-mhat-and-dvhat-c", "non-pd-mhat-and-c-table-c",
+    ])
+    def test_errors_equal_per_table_reads(self, case):
+        sys, design = failing_pair_design(case)
+        ctrl = Controller(sys, design)
+        for q in PAIR_POINTS:
+            assert_pair_parity(ctrl, q, [0.4, 0.1])
+
+    @pytest.mark.parametrize("case", ["nan-m", "nan-mhat"])
+    def test_eigvalsh_takes_no_non_finite_stack(self, case, monkeypatch):
+        # LAPACK may return garbage or raise on NaN input; only mass_matrix
+        # takes a non-finite M to it, as it did on its own
+        seen, eigvalsh = [], linalg.eigvalsh
+
+        def recorded(a):
+            seen.append(a.copy())
+            return eigvalsh(a)
+
+        monkeypatch.setattr(linalg, "eigvalsh", recorded)
+        sys, design = failing_pair_design(case)
+        ctrl = Controller(sys, design)
+        for q in PAIR_POINTS:
+            for call in PAIR_CALLS.values():
+                outcome(lambda: call(ctrl, q, [0.4, 0.1]))
+        non_finite = [a for a in seen if not np.isfinite(a).all()]
+        assert all(a.shape == (2, 2) for a in non_finite)
+        assert len(non_finite) == (0 if case == "nan-mhat" else 2 * len(PAIR_CALLS))
+
+    def test_coinciding_failures_keep_their_order(self):
+        # the pair function evaluates M, Mhat, dMhat, dVhat and C before any
+        # test; a read still raises what it raises on its own, first in order
+        q, p = [0.3, -0.2], [0.4, 0.1]
+        sys, design = failing_pair_design("non-pd-m-and-zero-over-zero")
+        with pytest.raises(SystemError, match=r"^mass matrix not positive definite"):
+            closed_loop_field(Controller(sys, design), q, p)
+        sys, design = failing_pair_design("non-pd-mhat-and-dvhat-c")
+        ctrl = Controller(sys, design)
+        with pytest.raises(SystemError, match=r"^shaped mass is not positive definite"):
+            closed_loop_field(ctrl, q, p)
+        with pytest.raises(ExprError, match=r"^division by zero"):
+            feedback(ctrl, q, p)  # its residual reads dVhat before the shaped law
+        sys, design = failing_pair_design("non-pd-mhat-and-c-table-c")
+        ctrl = Controller(sys, design)
+        with pytest.raises(SystemError, match=r"^shaped mass is not positive definite"):
+            closed_loop_field(ctrl, q, p)
+        with pytest.raises(ExprError, match=r"^division by zero in 1/\(q1 - q1\)"):
+            ctrl.gyro_at(q)
+
+    @pytest.mark.parametrize("case", list(PAIR_DESIGNS))
+    def test_mirrored_entries_are_one_temporary(self, case):
+        # equal mirrored expressions give one temporary, so Mhat is exactly
+        # symmetric and the shaped law can skip spd_defect's symmetry test
+        sys, design = PAIR_DESIGNS[case]()
+        tables = pair_function(sys, design)
+        assert tables.mirrored
+        for q in np.random.default_rng(2).uniform(-1.0, 1.0, (20, sys.n)):
+            mhat = MatchPoint(sys, design, q).pair.mhat
+            assert mhat.tobytes() == mhat.T.copy().tobytes()
+
+    def test_mirror_printed_alike_is_tested_by_spd_defect(self):
+        # q2 + (1e20*q1 - 1e20*q1) prints as (q2 + 1e20*q1) - 1e20*q1 does, so
+        # the design is structurally symmetric, but the second loses q2
+        sys, design = builtin("pendulum_cart", eps=0.55, K=0.25)
+        rows = design.Mhat.to_strings()
+        rows[0][1] += " + (q2 + (1e20*q1 - 1e20*q1))"
+        rows[1][0] += " + (q2 + 1e20*q1 - 1e20*q1)"
+        bent = ShapedDesign(sys.vars, ExprMatrix.from_strings(rows, sys.vars),
+                            design.Vhat, design.Kv)
+        assert bent.Mhat.is_symmetric() and not pair_function(sys, bent).mirrored
+        ctrl = Controller(sys, bent)
+        with pytest.raises(SystemError, match=r"^shaped mass is not symmetric"):
+            closed_loop_field(ctrl, [0.3, -0.2], [0.4, 0.1])
+        for x in np.random.default_rng(4).uniform(-1.3, 1.3, (40, 4)):
+            assert_pair_parity(ctrl, x[:2], x[2:])
+
+    def test_kept_per_system(self):
+        sys, design = builtin("pendulum_cart", eps=0.55, K=0.25)
+        assert design.kept_pair is None  # built at the first per-point read
+        kept = pair_function(sys, design)
+        assert pair_function(sys, design) is kept
+        other, _ = builtin("pendulum_cart", eps=0.55, K=0.25)
+        assert pair_function(other, design) is not kept

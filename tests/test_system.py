@@ -301,12 +301,12 @@ class TestInputFrame:
     def test_constant_input_frame_is_read_only(self):
         sys_, _ = builtin("pendulum_cart")
         frame = sys_.frame([0.3, -0.2])
-        for part in (frame.range_basis, frame.annihilator):
+        # G too is kept, so a query evaluates nothing
+        for part in (frame.g, frame.range_basis, frame.annihilator, sys_.input_matrix([0.1, 0.0])):
             with pytest.raises(ValueError, match="read-only"):
                 part[0, 0] = 5.0
-        # G itself is evaluated per query, so a caller may write into it
-        sys_.input_matrix([0.3, -0.2])[:] = 5.0
-        assert np.array_equal(sys_.frame([0.3, -0.2]).g, [[0.0], [1.0]])
+        assert sys_.frame([0.5, 0.2]) is frame
+        assert np.array_equal(frame.g, [[0.0], [1.0]])
 
     def test_constant_rank_deficient_input_names_the_query(self):
         sys_ = make_system([["1", "0"], ["0", "1"]], "q1^2", [["0"], ["0"]])
