@@ -599,11 +599,11 @@ def compile_expr(tree, batch: bool = False) -> Callable:
     the base of a non-positive power, so only those and the outputs are
     checked.  Values in flagged rows are placeholders.
     """
-    if batch and isinstance(tree, Tables):
+    tables = isinstance(tree, Tables)
+    if batch and tables:
         raise ExprError("the batch variant evaluates one table")
     leaves: list[Expr] = []
-    shapes = [_flatten(t, leaves) for t in tree] if isinstance(tree, Tables) else []
-    shape = () if shapes else _flatten(tree, leaves)
+    shapes = [_flatten(t, leaves) for t in (tree if tables else (tree,))]
     temps: dict[Expr, str] = {}
     body: list[tuple[str, Expr]] = []
     outs = [_emit(e, temps, body, batch) for e in leaves]
@@ -613,6 +613,7 @@ def compile_expr(tree, batch: bool = False) -> Callable:
     # differentiation still folds to inf: d(q1*1e200*1e200)/dq1
     namespace = {"inf": math.inf, "nan": math.nan}
     if batch:
+        (shape,) = shapes
         checked = [
             _operand_of(node.right if isinstance(node, Div) else node.base, temps)
             for _, node in body
@@ -637,15 +638,12 @@ def compile_expr(tree, batch: bool = False) -> Callable:
             _isfinite=np.isfinite,
         )
     else:
-        if shapes:
-            parts, start = [], 0
-            for part_shape in shapes:
-                size = math.prod(part_shape)
-                parts.append(_value_code(outs[start:start + size], part_shape))
-                start += size
-            result = f"({', '.join(parts)},)"
-        else:
-            result = _value_code(outs, shape)
+        parts, start = [], 0
+        for shape in shapes:
+            size = math.prod(shape)
+            parts.append(_value_code(outs[start:start + size], shape))
+            start += size
+        result = f"({', '.join(parts)},)" if tables else parts[0]
         head = ["def _f(_q):"] + [f"    _x{i} = float(_q[{i}])" for i in sorted(used)]
         head += ["    try:"]
         lines = head + [f"        {code}" for code, _ in body] + [

@@ -179,7 +179,7 @@ def pair_function(sys: MechSystem, design: ShapedDesign) -> PairFunction:
         if design.C is not None:
             trees += (design.C.tree,)
         mhat = design.Mhat.tree
-        mirrored = all(mhat[i][j] == mhat[j][i] for i in range(sys.n) for j in range(i))
+        mirrored = all(mhat[i][j] == mhat[j][i] for i in range(design.n) for j in range(i))
         kept = design.kept_pair = (sys, PairFunction(Compiled(Tables(trees)), mirrored))
     return kept[1]
 
