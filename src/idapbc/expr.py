@@ -1,9 +1,9 @@
 """Symbolic scalar expressions in configuration variables.
 
 Supports the grammar +, -, *, /, integer powers, sin, cos and unary
-negation, closed under exact differentiation. Equality of expressions is
-a value-level notion (test by evaluation); the only simplification
-performed is constant folding.
+negation, closed under exact differentiation. Expressions compare as
+trees, and a tree of finite constants prints to text that parses back to
+it; the only simplification performed is constant folding.
 """
 from __future__ import annotations
 
@@ -436,33 +436,39 @@ def parse(text: str, vars: Sequence[str], params: dict[str, float] | None = None
     return _Parser(text, vars, params).parse()
 
 
-# Printing with minimal parentheses: precedence sum=1, product=2, unary=3, power=4.
+# Printing with minimal parentheses: precedence sum=1, product=2, unary=3,
+# power=4.  The parser groups chains of + and - (and of * and /) to the left,
+# so a right operand of the same kind keeps its parentheses: str(e) parses
+# back to e.
 
-def _print(e: Expr, parent_prec: int) -> str:
+def _print(e: Expr, parent_prec: int, grouped: tuple[type, ...] = ()) -> str:
+    """e as an operand at ``parent_prec``, parenthesized also where it is a
+    sum or product of a kind in ``grouped``."""
     if isinstance(e, Const):
         v = e.value
-        s = repr(int(v)) if v == int(v) and abs(v) < 1e16 else repr(v)
+        # abs first: int() raises on the inf or nan that differentiation folds
+        s = repr(int(v)) if abs(v) < 1e16 and v == int(v) else repr(v)
         return f"({s})" if v < 0 and parent_prec > 1 else s
     if isinstance(e, Var):
         return e.name
     if isinstance(e, Add):
-        s = f"{_print(e.left, 1)} + {_print(e.right, 1)}"
-        return f"({s})" if parent_prec > 1 else s
+        s = f"{_print(e.left, 1)} + {_print(e.right, 1, (Add, Sub))}"
+        return f"({s})" if parent_prec > 1 or isinstance(e, grouped) else s
     if isinstance(e, Sub):
         s = f"{_print(e.left, 1)} - {_print(e.right, 2)}"
-        return f"({s})" if parent_prec > 1 else s
+        return f"({s})" if parent_prec > 1 or isinstance(e, grouped) else s
     if isinstance(e, Mul):
-        s = f"{_print(e.left, 2)}*{_print(e.right, 2)}"
-        return f"({s})" if parent_prec > 2 else s
+        s = f"{_print(e.left, 2)}*{_print(e.right, 2, (Mul, Div))}"
+        return f"({s})" if parent_prec > 2 or isinstance(e, grouped) else s
     if isinstance(e, Div):
         s = f"{_print(e.left, 2)}/{_print(e.right, 3)}"
-        return f"({s})" if parent_prec > 2 else s
+        return f"({s})" if parent_prec > 2 or isinstance(e, grouped) else s
     if isinstance(e, Neg):
         s = f"-{_print(e.arg, 3)}"
         return f"({s})" if parent_prec > 2 else s
     if isinstance(e, Pow):
-        exp = str(e.exponent) if e.exponent >= 0 else f"(-{-e.exponent})"
-        return f"{_print(e.base, 5)}^{exp}"
+        s = f"{_print(e.base, 5)}^{e.exponent}"
+        return f"({s})" if parent_prec > 4 else s
     if isinstance(e, Sin):
         return f"sin({_print(e.arg, 0)})"
     if isinstance(e, Cos):

@@ -33,11 +33,6 @@ if _umath_linalg is None:
     inv, solve, eigvalsh, svd = (
         np.linalg.inv, np.linalg.solve, np.linalg.eigvalsh, np.linalg.svd
     )
-
-    def subtract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """a - b, without numpy's warning for a NaN that inf - inf makes."""
-        with np.errstate(invalid="ignore"):
-            return a - b
 else:
     def _error_state(handler):
         """numpy's error context as ``np.linalg`` enters it around a gufunc."""
@@ -48,8 +43,6 @@ else:
     _SINGULAR = _error_state(_raise_linalgerror_singular)
     _EIGENVALUES = _error_state(_raise_linalgerror_eigenvalues_nonconvergence)
     _SVD = _error_state(_raise_linalgerror_svd_nonconvergence)
-    with np.errstate(invalid="ignore"):
-        _QUIET = _extobj_contextvar.get()
     _set, _reset = _extobj_contextvar.set, _extobj_contextvar.reset
 
     def inv(a: np.ndarray) -> np.ndarray:
@@ -82,13 +75,5 @@ else:
         token = _set(_SVD)
         try:
             return _umath_linalg.svd_f(a, signature="d->ddd")
-        finally:
-            _reset(token)
-
-    def subtract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """a - b, without numpy's warning for a NaN that inf - inf makes."""
-        token = _set(_QUIET)
-        try:
-            return np.subtract(a, b)
         finally:
             _reset(token)

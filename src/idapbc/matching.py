@@ -30,7 +30,6 @@ from .system import (
     lowest_eigenvalue,
     q_text,
     spd_defect,
-    symmetric,
 )
 from .tensor import (
     NOT_FINITE,
@@ -159,28 +158,17 @@ class _Kept(cached_property):
         return value
 
 
-class PairFunction(NamedTuple):
+def pair_function(sys: MechSystem, design: ShapedDesign) -> Compiled:
     """One compiled function of q for a system and a design: its values are M
     and Mhat as one (2, n, n) stack, dMhat, dVhat and, where the design stores
-    one, the C table.  ``mirrored`` says that each entry of Mhat and its
-    mirror image are one expression, so one temporary: the evaluated Mhat is
-    then exactly symmetric."""
-
-    tables: Compiled
-    mirrored: bool
-
-
-def pair_function(sys: MechSystem, design: ShapedDesign) -> PairFunction:
-    """The design's PairFunction with sys, built at its first use and kept on
-    the design (for the system it was last built for)."""
+    one, the C table.  Built at its first use and kept on the design (for the
+    system it was last built for)."""
     kept = design.kept_pair
     if kept is None or kept[0] is not sys:
         trees = ((sys.M.tree, design.Mhat.tree), design.dMhat.tree, design.dVhat.tree)
         if design.C is not None:
             trees += (design.C.tree,)
-        mhat = design.Mhat.tree
-        mirrored = all(mhat[i][j] == mhat[j][i] for i in range(design.n) for j in range(i))
-        kept = design.kept_pair = (sys, PairFunction(Compiled(Tables(trees)), mirrored))
+        kept = design.kept_pair = (sys, Compiled(Tables(trees)))
     return kept[1]
 
 
@@ -190,7 +178,7 @@ class MatchPoint:
     first, so a rank-deficient G is reported ahead of a failing metric.
 
     The metric pair, dVhat and the C table come from one call of the
-    PairFunction (``tables``), and M's and Mhat's positive definite tests from
+    pair function (``tables``), and M's and Mhat's positive definite tests from
     one eigvalsh of its stack (``lows``).  Where the call raises, each read
     evaluates its own table, and where a fast test fails, mass_matrix and
     spd_defect decide: so every read raises what, and in the order, it would
@@ -205,9 +193,9 @@ class MatchPoint:
 
     @_Kept
     def tables(self) -> tuple | None:
-        """The PairFunction's values at q, or None where evaluating it raises."""
+        """The pair function's values at q, or None where evaluating it raises."""
         try:
-            return pair_function(self.sys, self.design).tables(self.q)
+            return pair_function(self.sys, self.design)(self.q)
         except (ExprError, ArithmeticError):
             return None
 
@@ -237,12 +225,11 @@ class MatchPoint:
         return MetricPair(_symmetrized_inverse(m), mhat, dmhat)
 
     def shaped_mass_defect(self) -> str | None:
-        """spd_defect of Mhat, taken from ``lows`` where Mhat is exactly
-        symmetric and positive definite there."""
+        """spd_defect of Mhat, None without it where ``lows`` finds Mhat
+        positive definite: an accepted Mhat evaluates bitwise symmetric
+        (ExprMatrix.is_symmetric)."""
         mhat = self.pair.mhat
-        if self.lows[1] > 0.0 and pair_function(self.sys, self.design).mirrored:
-            return None
-        return spd_defect(mhat)
+        return None if self.lows[1] > 0.0 else spd_defect(mhat)
 
     def c_table(self) -> np.ndarray:
         """The design's C table at q."""
@@ -343,9 +330,9 @@ class MatchRows:
             # in C order, as MatchPoint.t keeps it: einsum sums in layout order
             t = np.ascontiguousarray(t_entries(pair, dm))
         failed |= ~finite_rows(t)  # MatchPoint.t raises
-        # spd_defect's test; the rows ``failed`` leaves are finite
-        mhat = identity_where(pair.mhat, failed)
-        self.pd = symmetric(mhat) & (lowest_eigenvalue(mhat) > 0.0)
+        # spd_defect's test on a bitwise symmetric Mhat; the rows ``failed``
+        # leaves are finite
+        self.pd = lowest_eigenvalue(identity_where(pair.mhat, failed)) > 0.0
         with np.errstate(all="ignore"):
             gmap, y = _derive(sys, frame, t)
         self.kinetic = y[:, gmap.kinetic]
@@ -775,7 +762,7 @@ def evaluate_residuals(
         except POINT_ERRORS as exc:
             failed[type(exc).__name__] = failed.get(type(exc).__name__, 0) + 1
             continue
-        pd_mask[i] = spd_defect(point.pair.mhat) is None
+        pd_mask[i] = point.shaped_mass_defect() is None
     box = _pd_box(values, pd_mask.reshape([len(v) for v in values]))
     return ResidualReport(
         axes=tuple(zip(names, values)),

@@ -14,8 +14,10 @@ simulates the controller bundle that ``synthesize-bundle`` writes, 3000 RK4
 steps of dt 1e-3 on its C table.  The ``repro-*`` runs take a design whose
 kinetic residual is 5.5e-11 (verify, synthesize, simulate), a step count no
 array can hold (``repro-steps-*``) and an initial state beyond the
-divergence guard (``repro-x0-*``).  A run whose system is not one of the
-inputs names a file an earlier run wrote.
+divergence guard (``repro-x0-*``).  The ``*-c-pow-pow`` and
+``*-c-neg-exp`` runs synthesize and simulate a C table holding a power of a
+power and a negative exponent, which the bundle prints back.  A run whose
+system is not one of the inputs names a file an earlier run wrote.
 """
 from __future__ import annotations
 
@@ -34,11 +36,15 @@ sys.path.insert(0, SRC)
 from idapbc.system import builtin, system_to_dict  # noqa: E402
 
 
-def design(eps: float, K: float, c_table: bool = True, mhat00: str = "") -> dict:
+def design(
+    eps: float, K: float, c_table: bool = True, mhat00: str = "", c000: str = ""
+) -> dict:
     sys_, shaped = builtin("pendulum_cart", eps=eps, K=K)
     data = system_to_dict(sys_, shaped)
     if not c_table:
         del data["shaped"]["C"]
+    elif c000:
+        data["shaped"]["C"][0][0][0] = c000
     data["shaped"]["Mhat"][0][0] += mhat00
     return data
 
@@ -49,6 +55,8 @@ INPUTS = {
     "noc-0.3-0.9": design(0.3, 0.9, c_table=False),
     "c-1.9": design(1.9, 0.25),
     "repro": design(0.55, 0.25, c_table=False, mhat00=" + 1e-10*q1^3"),
+    "c-pow-pow": design(0.55, 0.25, c000="(q1^2)^2 - (q1^2)^2"),
+    "c-neg-exp": design(0.55, 0.25, c000="cos(q1)^-1 - cos(q1)^-1"),
 }
 
 GRID_41 = "q1=-1:1:41,q2=-1:1:11"
@@ -79,6 +87,10 @@ RUNS = {
     "repro-x0-2e6": ["simulate", "c", "--x0=0.2,-0.1,2e6,0"],
     "repro-x0-1e100": ["simulate", "c", "--x0=0.2,-0.1,1e100,0"],
     "repro-x0-open-loop-1e200": ["simulate", "c", "--x0=0.2,-0.1,1e200,0", "--open-loop"],
+    "synthesize-c-pow-pow": ["synthesize", "c-pow-pow", "--grid", "q1=-1:1:5,q2=-1:1:5"],
+    "simulate-c-pow-pow": ["simulate", "synthesize-c-pow-pow/files/controller.json", *SIM],
+    "synthesize-c-neg-exp": ["synthesize", "c-neg-exp", "--grid", "q1=-1:1:5,q2=-1:1:5"],
+    "simulate-c-neg-exp": ["simulate", "synthesize-c-neg-exp/files/controller.json", *SIM],
 }
 
 

@@ -439,6 +439,40 @@ class TestSynthesize:
         assert metrics["passed"] is True
         assert metrics["Kv"] == [[1.0]]
 
+    def test_bundle_of_printed_powers_simulates(self, capsys, tmp_path):
+        # the bundle prints a power of a power and a negative exponent back
+        # to strings that simulate parses (two entries that are 0 in the table)
+        data = pendulum_dict(eps=0.55, K=0.25)
+        data["shaped"]["C"][0][0][0] = "(q1^2)^2 - (q1^2)^2"
+        data["shaped"]["C"][1][1][1] = "cos(q1)^-1 - cos(q1)^-1"
+        path = write_json(tmp_path / "c.json", data)
+        code, _, _ = run_json(
+            capsys, "synthesize", "--system", path, "--grid", "q1=-1:1:5,q2=-1:1:5",
+            "--out", str(tmp_path),
+        )
+        assert code == 0
+        code, metrics, err = run_json(
+            capsys, "simulate", "--system", str(tmp_path / "controller.json"),
+            "--t-end", "0.1", "--out", str(tmp_path / "sim"),
+        )
+        assert (code, err) == (0, "")
+        assert metrics["passed"] is True
+
+    def test_override_of_a_bundle_rejected(self, capsys, tmp_path):
+        # the bundle's expressions hold eps and K as numbers
+        code, _, _ = self.synth(capsys, tmp_path, "--eps", "0.4", "--K", "0.5")
+        assert code == 0
+        code, out, err = run(
+            capsys, "simulate", "--system", str(tmp_path / "controller.json"),
+            "--eps", "1.5", "--K", "3", "--out", str(tmp_path / "sim"),
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: no expression of the loaded design reads eps or K: "
+            "the override would change nothing\n"
+        )
+        assert not (tmp_path / "sim").exists()
+
     def test_unmatchable_kinetics_refused(self, capsys, tmp_path):
         data = pendulum_dict()
         data["shaped"] = {

@@ -321,7 +321,7 @@ def count_evaluations(*matrices):
 
 def count_pair_calls(sys, design):
     """Wrap the compiled pair function of (sys, design); return its call counter."""
-    tables, calls = pair_function(sys, design).tables, [0]
+    tables, calls = pair_function(sys, design), [0]
     fn = tables._fn
 
     def counted(q):

@@ -155,6 +155,32 @@ def random_expr(rng, depth=0):
     return f"({a})^{rng.integers(1, 4)}"
 
 
+def grouped_expr(rng, depth=0):
+    """Text of a random tree over +, -, *, /, unary minus, sin, cos and powers
+    with exponents -3..3, every operand in parentheses, so that right-nested
+    sums and products and powers of powers are drawn as often as the rest."""
+    choice = rng.integers(0, 11 if depth < 4 else 2)
+    if choice == 0:
+        return repr(round(rng.uniform(-3, 3), 3))
+    if choice == 1:
+        return str(rng.choice(VARS2))
+    a = grouped_expr(rng, depth + 1)
+    if choice < 6:
+        return f"({a}{'+-*/'[choice - 2]}{grouped_expr(rng, depth + 1)})"
+    if choice == 6:
+        return f"-({a})"
+    if choice == 7:
+        return f"sin({a})"
+    if choice == 8:
+        return f"cos({a})"
+    power = f"({a})^{rng.integers(-3, 4)}"
+    return power if choice == 9 else f"({power})^{rng.integers(-3, 4)}"
+
+
+# the seeded draw of the print/parse round trip on trees
+ROUND_TRIP_SEED, ROUND_TRIP_COUNT = 19, 400
+
+
 class TestProperties:
     def test_derivative_matches_finite_difference(self):
         rng = np.random.default_rng(0)
@@ -188,6 +214,19 @@ class TestProperties:
             for _ in range(5):
                 pt = rng.uniform(-2, 2, size=2)
                 assert back.eval(pt) == pytest.approx(e.eval(pt), rel=1e-12, abs=1e-12)
+
+    def test_print_parses_to_the_same_tree(self):
+        rng = np.random.default_rng(ROUND_TRIP_SEED)
+        for _ in range(ROUND_TRIP_COUNT):
+            e = parse(grouped_expr(rng), VARS2)
+            for tree in (e, e.diff(0), e.diff(1)):
+                assert parse(to_string(tree), VARS2) == tree, to_string(tree)
+
+    @pytest.mark.parametrize("text", ["q1 + (q2 + q1*3)", "q1*(q2/q1)", "(q1^2)^3", "q1^-2"])
+    def test_grouping_survives_printing(self, text):
+        e = parse(text, VARS2)
+        assert to_string(e) == text
+        assert parse(text, VARS2) == e
 
     def test_compiled_matches_tree_eval(self):
         rng = np.random.default_rng(4)
@@ -258,6 +297,20 @@ class TestProperties:
                     f([2.0, 0.0])
                 assert str(err.value) == want
             assert compile_expr(e)([0.0, 0.0]) == e.eval([0.0, 0.0])
+
+    def test_non_finite_constant_prints(self):
+        # differentiation folds 1e200*1e200 to inf, which a message then prints
+        d = parse("1/(q1*1e200*1e200)", VARS2).diff(0)
+        for f in (compile_expr(d), d.eval):
+            with pytest.raises(ExprError) as err:
+                f([0.0, 0.0])
+            assert type(err.value) is ExprError
+            assert str(err.value) == (
+                "division by zero in inf/(q1*1e+200*1e+200*(q1*1e+200*1e+200))"
+            )
+        q1 = expr.Var("q1", 0)
+        assert to_string(expr.Mul(q1, Const(-math.inf))) == "q1*(-inf)"
+        assert to_string(expr.Add(q1, Const(math.nan))) == "q1 + nan"
 
     def test_overflow_raises_whatever_the_input_type(self):
         # the scalar evaluators raise OverflowError; the batch one flags the row

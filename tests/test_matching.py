@@ -1239,30 +1239,29 @@ class TestPairFunction:
 
     @pytest.mark.parametrize("case", list(PAIR_DESIGNS))
     def test_mirrored_entries_are_one_temporary(self, case):
-        # equal mirrored expressions give one temporary, so Mhat is exactly
-        # symmetric and the shaped law can skip spd_defect's symmetry test
+        # an accepted M or Mhat has equal mirrored trees, so one temporary:
+        # every path evaluates it exactly symmetric, and the shaped law can
+        # skip spd_defect's symmetry test
         sys, design = PAIR_DESIGNS[case]()
-        tables = pair_function(sys, design)
-        assert tables.mirrored
-        for q in np.random.default_rng(2).uniform(-1.0, 1.0, (20, sys.n)):
-            mhat = MatchPoint(sys, design, q).pair.mhat
-            assert mhat.tobytes() == mhat.T.copy().tobytes()
+        points = np.random.default_rng(2).uniform(-1.0, 1.0, (20, sys.n))
+        stacks = [sys.M.batch(points)[0], design.Mhat.batch(points)[0]]
+        for q in points:
+            stacks.append(pair_function(sys, design)(q)[0])
+            stacks += [sys.M(q)[None], design.Mhat(q)[None]]
+        for stack in stacks:
+            assert stack.tobytes() == stack.swapaxes(-1, -2).copy().tobytes()
 
-    def test_mirror_printed_alike_is_tested_by_spd_defect(self):
-        # q2 + (1e20*q1 - 1e20*q1) prints as (q2 + 1e20*q1) - 1e20*q1 does, so
-        # the design is structurally symmetric, but the second loses q2
+    def test_mirror_grouped_apart_is_refused(self):
+        # q2 + (1e20*q1 - 1e20*q1) and (q2 + 1e20*q1) - 1e20*q1 are different
+        # trees, which evaluate apart: the second loses q2
         sys, design = builtin("pendulum_cart", eps=0.55, K=0.25)
         rows = design.Mhat.to_strings()
         rows[0][1] += " + (q2 + (1e20*q1 - 1e20*q1))"
         rows[1][0] += " + (q2 + 1e20*q1 - 1e20*q1)"
-        bent = ShapedDesign(sys.vars, ExprMatrix.from_strings(rows, sys.vars),
-                            design.Vhat, design.Kv)
-        assert bent.Mhat.is_symmetric() and not pair_function(sys, bent).mirrored
-        ctrl = Controller(sys, bent)
-        with pytest.raises(SystemError, match=r"^shaped mass is not symmetric"):
-            closed_loop_field(ctrl, [0.3, -0.2], [0.4, 0.1])
-        for x in np.random.default_rng(4).uniform(-1.3, 1.3, (40, 4)):
-            assert_pair_parity(ctrl, x[:2], x[2:])
+        bent = ExprMatrix.from_strings(rows, sys.vars)
+        assert not bent.is_symmetric()
+        with pytest.raises(SystemError, match=r"^shaped mass matrix must be structurally symmetric"):
+            ShapedDesign(sys.vars, bent, design.Vhat, design.Kv)
 
     def test_kept_per_system(self):
         sys, design = builtin("pendulum_cart", eps=0.55, K=0.25)

@@ -58,6 +58,9 @@ class TestExprMatrix:
         assert m.is_symmetric()
         m2 = ExprMatrix.from_strings([["1", "q1"], ["q2", "2"]], VARS2)
         assert not m2.is_symmetric()
+        # equal in value, but different trees
+        m3 = ExprMatrix.from_strings([["1", "q1*(q2*3)"], ["q1*q2*3", "2"]], VARS2)
+        assert not m3.is_symmetric()
 
     def test_ragged_rejected(self):
         with pytest.raises(SystemError):
@@ -430,6 +433,43 @@ class TestJsonIO:
             assert design2.shaped_potential(q) == pytest.approx(
                 design.shaped_potential(q), abs=1e-12
             )
+
+    @pytest.mark.parametrize("name, eps, K", [
+        ("pendulum_cart", 0.55, 0.25), ("pendulum_cart", 0.4, 0.5), ("three_dof", 1.0, 1.0),
+    ])
+    def test_reload_gives_the_same_trees(self, name, eps, K):
+        sys, design = builtin(name, eps=eps, K=K)
+        sys2, design2 = load_system(system_to_dict(sys, design))
+        assert (sys2.M.tree, sys2.V, sys2.G.tree) == (sys.M.tree, sys.V, sys.G.tree)
+        if design is not None:
+            assert (design2.Mhat.tree, design2.Vhat, design2.C.tree) == (
+                design.Mhat.tree, design.Vhat, design.C.tree)
+
+    @pytest.mark.parametrize("source", ["bundle", "numbers", "no-design", "three-dof"])
+    @pytest.mark.parametrize("key", ["eps", "K"])
+    def test_unread_override_rejected(self, source, key):
+        sys, design = builtin("pendulum_cart", eps=0.4, K=0.5)
+        data = system_to_dict(sys, design)
+        if source == "bundle":
+            data = {"system": data, "Kv": [[1.0]]}
+        elif source == "numbers":
+            del data["shaped"]["params"]
+        elif source == "no-design":
+            del data["shaped"]
+        else:
+            data = "builtin:three_dof"
+        message = f"^no expression of the loaded design reads {key}: the override would"
+        with pytest.raises(SystemError, match=message):
+            load_system(data, **{key: 1.5})
+        load_system(data)
+
+    def test_override_read_by_one_expression(self):
+        data = system_to_dict(*builtin("pendulum_cart", eps=0.4, K=0.5))
+        data["shaped"]["Vhat"] = "-(10/eps)*cos(q1) + (q2 + 2*sin(q1)/eps)^2"
+        _, design = load_system(data, eps=0.5)
+        assert design.shaped_potential([0, 0]) == -20.0
+        with pytest.raises(SystemError, match="^no expression of the loaded design reads K:"):
+            load_system(data, eps=0.5, K=1.0)
 
     def test_symbolic_params_with_override(self, tmp_path):
         data = {
