@@ -26,6 +26,7 @@ from .system import (
     check_kv,
     q_gradient,
     q_text,
+    rk4_step,
 )
 from .writer import write_table
 
@@ -208,11 +209,7 @@ def simulate(
     states[0] = cfg.x0
     x = cfg.x0
     for k in range(steps):
-        k1 = f(x)
-        k2 = f(x + 0.5 * dt * k1)
-        k3 = f(x + 0.5 * dt * k2)
-        k4 = f(x + dt * k3)
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        x = rk4_step(f, x, dt)
         norm = float(np.linalg.norm(x))
         if not norm <= DIVERGENCE_NORM:
             raise DivergenceError((k + 1) * dt, norm)
@@ -225,32 +222,31 @@ def simulate(
     return StateTrajectory(times, states, energies)
 
 
-def decay_metrics(traj: StateTrajectory) -> tuple[float, float]:
-    """(max per-step energy increase, log-excess slope over the tail half).
+def decay_metrics(
+    traj: StateTrajectory, rest_energy: float
+) -> tuple[float, float | None, int]:
+    """(max per-step energy increase, log-excess slope over the tail half,
+    count of tail samples at or below the equilibrium).
 
-    The excess is measured from the trajectory's own energy minimum;
-    samples at or below it (numerical ties) are clamped to the smallest
-    positive excess with a warning before the least-squares fit.
+    The excess is measured from ``rest_energy``, the recorded energy
+    function at (q, p) = 0.  Tail samples with no positive excess are left
+    out of the least-squares fit and counted; where fewer than two remain,
+    the slope is None.
     """
     e = traj.energies
-    t = traj.times
     if e.size == 0:
         raise SystemError("empty trajectory")
     max_increase = float(np.max(np.diff(e))) if e.size > 1 else 0.0
     tail = slice(e.size // 2, None)
-    excess = e[tail] - np.min(e)
+    excess = e[tail] - rest_energy
     if excess.size < 2:
         raise SystemError("trajectory too short to fit a decay rate")
-    if np.any(excess <= 0.0):
-        positive = excess[excess > 0.0]
-        floor = float(np.min(positive)) if positive.size else np.finfo(float).tiny
-        warnings.warn(
-            "energy samples at or below the trajectory minimum; "
-            "clamped for the log fit"
-        )
-        excess = np.maximum(excess, floor)
-    rate = float(np.polyfit(t[tail], np.log(excess), 1)[0])
-    return max_increase, rate
+    above = excess > 0.0
+    at_rest = int(excess.size - np.count_nonzero(above))
+    if excess.size - at_rest < 2:
+        return max_increase, None, at_rest
+    rate = float(np.polyfit(traj.times[tail][above], np.log(excess[above]), 1)[0])
+    return max_increase, rate, at_rest
 
 
 def write_trajectory_csv(

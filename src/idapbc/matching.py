@@ -5,7 +5,8 @@ sum of the T tensor restricted to the annihilator must vanish.  When it
 does, the gyroscopic tensor C is constructed algebraically per point.  Two
 solvers cover underactuation degree one: a certificate for the linearized
 potential matching condition and a characteristics integrator for the
-single quasi-linear kinetic PDE.
+single quasi-linear kinetic PDE, which takes the simulation's RK4 step and
+bisects that step to each event.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .system import (
     input_frame,
     lowest_eigenvalue,
     q_text,
+    rk4_step,
     spd_defect,
 )
 from .tensor import (
@@ -44,8 +46,7 @@ from .writer import write_table
 RESIDUAL_TOL = 1e-8
 LINEAR_MATCH_RESIDUAL_TOL = 1e-9
 LINEAR_MATCH_MIN_EIG = 1e-6
-CHARACTERISTIC_RTOL = 1e-11
-CHARACTERISTIC_ATOL = 1e-13
+CHARACTERISTIC_STEP = 5e-3
 
 
 class MatchingError(ValueError):
@@ -496,22 +497,25 @@ def solve_kinetic_characteristics(
     expressions in the coordinates and the unknown (named ``u``).  The
     problem must be one-dimensional: the mass matrix and the ansatz may
     depend on the first coordinate only.
-    """
-    # scipy.integrate takes most of the package's import time; only this
-    # solver needs it
-    from scipy.integrate import solve_ivp
 
+    The state (q1, u), q1' = 1, takes RK4 steps (system.rk4_step) of at most
+    CHARACTERISTIC_STEP from q1 = 0 to each grid point in turn.  A step in
+    which the speed's leading entry c0 changes sign or the state turns
+    non-finite is bisected until the bracket stops shrinking: the crossing
+    is a singular point, and the grid beyond it stays NaN.  The first loss
+    of positivity of u is bisected the same way and ends pd_interval there.
+    """
     n = sys.n
     if len(ansatz) != n - 1:
         raise MatchingError(f"ansatz must fix {n - 1} first-row entries")
     u0 = float(init.mbar[0, 0]) if isinstance(init, LinearMatch) else float(init)
-    if u0 <= 0.0:
+    if not 0.0 < u0 < math.inf:
         raise MatchingError(
-            f"initial value {u0:.6g} is not positive: no positive definite "
-            "neighborhood exists"
+            f"initial value {u0:.6g} is not positive and finite: no positive "
+            "definite neighborhood exists"
         )
-    if not (lo < 0 < hi) or num < 2:
-        raise MatchingError("grid must straddle 0 with at least two points")
+    if not (-math.inf < lo < 0 < hi < math.inf) or num < 2:
+        raise MatchingError("grid must be finite and straddle 0 with at least two points")
 
     for row in sys.M.tree:
         for e in row:
@@ -531,74 +535,69 @@ def solve_kinetic_characteristics(
         exprs.append(e)
     ansatz_fn = Compiled(exprs)
 
-    def pieces(q1: float, u: float):
+    def pieces(x: np.ndarray):
         qvec = np.zeros(n)
-        qvec[0] = q1
-        x = np.append(qvec, u)
+        qvec[0] = x[0]
         minv = linalg.inv(sys.mass_matrix(qvec))
-        c = np.concatenate(([u], ansatz_fn(x))) @ minv
+        c = np.concatenate((x[1:], ansatz_fn(np.append(qvec, x[1])))) @ minv
         # row' dM^-1/dq1 row with dM^-1 = -M^-1 dM M^-1, as in q_gradient
         return c, -float(c @ sys.mass_derivatives(qvec)[0] @ c)
 
-    def rhs(t, y):
-        c, s = pieces(t, y[0])
-        return [-s / c[0]]
+    def f(x: np.ndarray) -> np.ndarray:
+        c, s = pieces(x)
+        return np.array([1.0, -s / c[0]])
 
-    def ev_singular(t, y):
-        c, _ = pieces(t, y[0])
-        return c[0]
+    # a non-finite state fails both tests: past a blow-up counts as a crossing
+    c0 = pieces(np.array([0.0, u0]))[0][0]
+    singular = lambda x: not pieces(x)[0][0] * c0 > 0.0
+    nonpositive = lambda x: not x[1] > 0.0
 
-    def ev_positive(t, y):
-        return y[0]
-
-    # only a vanishing characteristic speed stops integration; losing
-    # positivity is recorded but the solution continues to exist
-    ev_singular.terminal = True
-    ev_positive.terminal = False
+    def crossing(x: np.ndarray, h: float, crossed) -> tuple[float, float]:
+        """Step lengths (before, at) a crossing within the step h from x."""
+        before, at = 0.0, h
+        while (mid := 0.5 * (before + at)) not in (before, at):
+            if crossed(rk4_step(f, x, mid)):
+                at = mid
+            else:
+                before = mid
+        return before, at
 
     grid = np.linspace(lo, hi, num)
     values = np.full(num, np.nan)
-    zero_idx = np.where(np.isclose(grid, 0.0, atol=1e-15))[0]
-    values[zero_idx] = u0
+    values[np.isclose(grid, 0.0, atol=1e-15)] = u0
 
-    singular = []
-    endpoints = {1: hi, -1: lo}
-    truncated = False
-    for sign in (1, -1):
-        bound = hi if sign == 1 else lo
-        t_eval = grid[grid > 0] if sign == 1 else grid[grid < 0][::-1]
-        if t_eval.size == 0:
-            continue
-        sol = solve_ivp(
-            rhs,
-            (0.0, bound),
-            [u0],
-            method="DOP853",
-            t_eval=t_eval,
-            events=[ev_singular, ev_positive],
-            rtol=CHARACTERISTIC_RTOL,
-            atol=CHARACTERISTIC_ATOL,
-        )
-        if not sol.success and sol.status != 1:
-            raise MatchingError(f"characteristic integration failed: {sol.message}")
-        idx = np.searchsorted(grid, sol.t)
-        values[idx] = sol.y[0]
-        if sol.status == 1 and sol.t_events[0].size:
-            t_star = float(sol.t_events[0][0])
-            singular.append(t_star)
-            endpoints[sign] = t_star
-            truncated = True
-        if sol.t_events[1].size:
-            # first loss of positivity on this side
-            endpoints[sign] = float(sol.t_events[1][0])
-            truncated = True
+    def side(indices: np.ndarray) -> tuple[float | None, float | None]:
+        """Fill values at grid[indices], outward from 0: the side's first loss
+        of positivity and its singular point, each None where there is none."""
+        x, end, star = np.array([0.0, u0]), None, None
+        for i in indices:
+            steps = math.ceil(abs(grid[i] - x[0]) / CHARACTERISTIC_STEP)
+            for k in range(steps, 0, -1):
+                h = (grid[i] - x[0]) / k
+                step = rk4_step(f, x, h)
+                if singular(step):
+                    h, at = crossing(x, h, singular)
+                    star, step = float(x[0] + at), rk4_step(f, x, h)
+                if end is None and nonpositive(step):
+                    end = float(x[0] + crossing(x, h, nonpositive)[1])
+                if star is not None:
+                    return end, star
+                x = step
+            values[i] = x[1]
+        return end, None
 
+    with np.errstate(all="ignore"):
+        events = (side(np.flatnonzero(grid < 0)[::-1]), side(np.flatnonzero(grid > 0)))
     return CharacteristicsSolution(
         q_values=grid,
         u_values=values,
-        pd_interval=(endpoints[-1], endpoints[1]),
-        truncated=truncated,
-        singular_points=tuple(sorted(singular)),
+        # each side ends where positivity is lost, else at its singular point
+        pd_interval=tuple(
+            next(t for t in (*ev, bound) if t is not None)
+            for ev, bound in zip(events, (lo, hi))
+        ),
+        truncated=any(t is not None for ev in events for t in ev),
+        singular_points=tuple(star for _, star in events if star is not None),
     )
 
 

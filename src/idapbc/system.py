@@ -179,6 +179,15 @@ def q_gradient(dv: np.ndarray, dm: np.ndarray, w: np.ndarray) -> np.ndarray:
     return dv - 0.5 * np.einsum("i,kij,j->k", w, dm, w)
 
 
+def rk4_step(f, x: np.ndarray, dt: float) -> np.ndarray:
+    """One classical fourth-order Runge-Kutta step of x' = f(x) from x."""
+    k1 = f(x)
+    k2 = f(x + 0.5 * dt * k1)
+    k3 = f(x + 0.5 * dt * k2)
+    k4 = f(x + dt * k3)
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 EQUILIBRIUM_TOL = 1e-10
 
 
@@ -323,7 +332,6 @@ class ShapedDesign:
         Vhat: Expr,
         Kv: np.ndarray,
         C: Sequence[Sequence[Sequence[Expr]]] | None = None,
-        params: dict[str, float] | None = None,
     ):
         n = len(vars)
         if Mhat.rows != n or Mhat.cols != n:
@@ -335,7 +343,6 @@ class ShapedDesign:
         self.Mhat = Mhat
         self.Vhat = Vhat
         self.Kv = check_kv(Kv, len(Kv) if np.ndim(Kv) else 1)
-        self.params = dict(params or {})
         self.shaped_potential = Compiled(Vhat)
         self.dVhat = self.shaped_potential.diff(n)
         self.dMhat = Mhat.diff(n)
@@ -538,7 +545,6 @@ def builtin(
             vhat,
             np.eye(1),
             C=_pendulum_gyro_table(m, mhat),
-            params=params,
         )
         return sys, design
     if name == "three_dof":
@@ -626,7 +632,7 @@ def load_system(
                 for plane in shaped["C"]
             ]
         _check_overrides(params.read, eps=eps, K=K)
-        design = ShapedDesign(vars, mhat, vhat, kv, C=c_table, params=params)
+        design = ShapedDesign(vars, mhat, vhat, kv, C=c_table)
     except (KeyError, TypeError, ExprError) as exc:
         raise SystemError(f"invalid shaped design: {exc}") from exc
     return sys, design
@@ -649,8 +655,6 @@ def system_to_dict(sys: MechSystem, design: ShapedDesign | None = None) -> dict:
             "Vhat": str(design.Vhat),
             "Kv": design.Kv.tolist(),
         }
-        if design.params:
-            shaped["params"] = design.params
         if design.C is not None:
             shaped["C"] = design.C.to_strings()
         data["shaped"] = shaped

@@ -16,8 +16,10 @@ kinetic residual is 5.5e-11 (verify, synthesize, simulate), a step count no
 array can hold (``repro-steps-*``) and an initial state beyond the
 divergence guard (``repro-x0-*``).  The ``*-c-pow-pow`` and
 ``*-c-neg-exp`` runs synthesize and simulate a C table holding a power of a
-power and a negative exponent, which the bundle prints back.  A run whose
-system is not one of the inputs names a file an earlier run wrote.
+power and a negative exponent, which the bundle prints back.
+``simulate-equilibrium`` starts the builtin closed loop at its equilibrium.
+A run whose system is not one of the inputs or a builtin names a file an
+earlier run wrote.
 """
 from __future__ import annotations
 
@@ -91,6 +93,9 @@ RUNS = {
     "simulate-c-pow-pow": ["simulate", "synthesize-c-pow-pow/files/controller.json", *SIM],
     "synthesize-c-neg-exp": ["synthesize", "c-neg-exp", "--grid", "q1=-1:1:5,q2=-1:1:5"],
     "simulate-c-neg-exp": ["simulate", "synthesize-c-neg-exp/files/controller.json", *SIM],
+    "simulate-equilibrium": [
+        "simulate", "builtin:pendulum_cart", "--eps", "0.4", "--K", "0.5", "--x0=0,0,0,0", *SIM
+    ],
 }
 
 
@@ -107,7 +112,11 @@ def main(out: Path) -> None:
         files = run_dir / "files"
         argv = [command]
         if command != "selftest":
-            system = inputs / f"{rest[0]}.json" if rest[0] in INPUTS else out / rest[0]
+            system = rest[0]
+            if system in INPUTS:
+                system = inputs / f"{system}.json"
+            elif not system.startswith("builtin:"):
+                system = out / system
             argv += ["--system", str(system), "--out", str(files)]
             rest = rest[1:]
         proc = subprocess.run(

@@ -16,9 +16,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from idapbc.control_sim import Controller, decay_metrics, feedback
+from idapbc.control_sim import Controller, feedback
 from idapbc.expr import parse
-from idapbc.system import ShapedDesign, StateTrajectory, builtin
+from idapbc.system import ShapedDesign, builtin
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -70,15 +70,10 @@ def _residual_over_tol():
     feedback(Controller(sys, spoiled), [0.3, 0.0], [0.1, 0.1])
 
 
-def _decay_clamp():
-    decay_metrics(StateTrajectory(np.arange(6.0), np.zeros((6, 2)), np.ones(6)))
-
-
 @pytest.mark.parametrize(
     "trigger,kind",
     [
         (_residual_over_tol, "residual_over_tol"),
-        (_decay_clamp, "decay_clamp"),
     ],
 )
 def test_child_counts_each_warning_kind(trigger, kind):

@@ -330,7 +330,9 @@ class TestVerify:
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity"])
     def test_non_finite_param_is_an_input_error(self, capsys, tmp_path, value):
-        text = json.dumps(pendulum_dict(eps=0.55, K=0.25))
+        data = pendulum_dict(eps=0.55, K=0.25)
+        data["shaped"]["params"] = {"eps": 0.55, "K": 0.25}
+        text = json.dumps(data)
         path = tmp_path / "params.json"
         path.write_text(text.replace('"eps": 0.55', f'"eps": {value}'))
         code, _, err = run(capsys, "verify", "--system", str(path))
@@ -398,7 +400,7 @@ class TestSynthesize:
         bundle = json.loads((tmp_path / "controller.json").read_text())
         assert bundle["kind"] == "idapbc-controller-bundle"
         assert bundle["Kv"] == [[1.0]]
-        assert bundle["C_table"] is not None
+        assert bundle["system"]["shaped"].get("C") is not None
         pts = np.asarray(bundle["C_samples"]["points"])
         vals = np.asarray(bundle["C_samples"]["values"])
         assert pts.shape == (payload["sampled_points"], 2)
@@ -511,7 +513,7 @@ class TestSynthesize:
         )
         assert code == 0
         bundle = json.loads((tmp_path / "controller.json").read_text())
-        assert bundle["C_table"] is None
+        assert bundle["system"]["shaped"].get("C") is None
         vals = np.asarray(bundle["C_samples"]["values"])
         assert vals.shape == (25, 2, 2, 2)
         assert np.max(np.abs(vals)) <= 1e-12
@@ -597,6 +599,32 @@ class TestSimulate:
         assert metrics["open_loop"] is True
         assert metrics["passed"] is True
         assert metrics["energy_drift"] <= 1e-6 * (1 + abs(metrics["energy_initial"]))
+        # the origin is the top of V = 10 cos(q1): every sample lies below it
+        assert metrics["fitted_rate"] is None
+        assert metrics["energy_samples_at_equilibrium"] == 1001
+
+    def test_run_at_the_equilibrium_passes(self, capsys, tmp_path):
+        code, metrics, _ = run_json(
+            capsys,
+            "simulate",
+            "--system",
+            "builtin:pendulum_cart",
+            "--eps",
+            "0.4",
+            "--K",
+            "0.5",
+            "--x0=0,0,0,0",
+            "--t-end",
+            "1",
+            "--dt",
+            "0.01",
+            "--out",
+            str(tmp_path),
+        )
+        assert code == 0 and metrics["passed"] is True
+        assert metrics["fitted_rate"] is None
+        assert metrics["energy_samples_at_equilibrium"] == 51
+        assert metrics["max_energy_increase"] == 0.0
 
     def test_open_loop_three_dof_default_start(self, capsys, tmp_path):
         code, metrics, _ = run_json(

@@ -657,43 +657,52 @@ class TestDecayMetrics:
         traj = StateTrajectory(
             [0.0, 1.0, 2.0, 3.0], np.zeros((4, 2)), [3.0, 1.0, 2.0, 0.0]
         )
-        with pytest.warns(UserWarning, match="clamped"):
-            inc, _ = decay_metrics(traj)
-        assert inc == 1.0
+        assert decay_metrics(traj, 0.0) == (1.0, None, 1)
 
     def test_growth_rate_recovered(self):
-        # growing energy keeps the tail clear of the minimum, so the fit
+        # growing energy keeps the tail above the rest energy 0, so the fit
         # sees a clean exponential
         t = np.linspace(0.0, 20.0, 801)
         e = np.exp(0.3 * t)
         from idapbc.system import StateTrajectory
 
-        _, rate = decay_metrics(StateTrajectory(t, np.zeros((801, 2)), e))
+        _, rate, at_rest = decay_metrics(StateTrajectory(t, np.zeros((801, 2)), e), 0.0)
         assert rate == pytest.approx(0.3, abs=0.05)
         assert rate > 0.0
+        assert at_rest == 0
 
     def test_damped_run_decays(self, damped_run):
-        with pytest.warns(UserWarning, match="clamped"):
-            inc, rate = decay_metrics(damped_run)
+        _, design = builtin("pendulum_cart", eps=0.55, K=0.25)
+        inc, rate, at_rest = decay_metrics(
+            damped_run, design.shaped_hamiltonian([0.0, 0.0], [0.0, 0.0])
+        )
         assert inc <= 1e-8
         assert rate < 0.0
+        assert at_rest == 0
 
-    def test_constant_energy_clamped_with_warning(self):
+    def test_constant_energy_at_equilibrium_has_no_rate(self):
         from idapbc.system import StateTrajectory
 
         traj = StateTrajectory(
             np.arange(6.0), np.zeros((6, 2)), np.ones(6)
         )
-        with pytest.warns(UserWarning, match="clamped"):
-            inc, rate = decay_metrics(traj)
-        assert inc == 0.0
-        assert abs(rate) <= 1e-9
+        assert decay_metrics(traj, 1.0) == (0.0, None, 3)
+
+    def test_samples_at_or_below_equilibrium_left_out_of_the_fit(self):
+        from idapbc.system import StateTrajectory
+
+        t = np.arange(8.0)
+        e = np.exp(-0.5 * t)
+        e[5], e[7] = 0.0, -1e-12
+        _, rate, at_rest = decay_metrics(StateTrajectory(t, np.zeros((8, 2)), e), 0.0)
+        assert rate == pytest.approx(-0.5, abs=1e-12)
+        assert at_rest == 2
 
     def test_too_short_rejected(self):
         from idapbc.system import StateTrajectory
 
         with pytest.raises(SystemError, match="short"):
-            decay_metrics(StateTrajectory([0.0], np.zeros((1, 2)), [1.0]))
+            decay_metrics(StateTrajectory([0.0], np.zeros((1, 2)), [1.0]), 0.0)
 
 
 class TestTrajectoryCsv:

@@ -536,6 +536,23 @@ class TestCharacteristics:
                 sys, ["(4 - eps)*cos(q1)"], 0.0, params={"eps": 2.0}
             )
 
+    @pytest.mark.parametrize(
+        "init,bounds,message",
+        [
+            (math.nan, {}, "initial value nan is not positive"),
+            (math.inf, {}, "initial value inf is not positive"),
+            (1.0, {"hi": math.inf}, "grid must be finite"),
+            (1.0, {"lo": -math.inf}, "grid must be finite"),
+        ],
+        ids=["init-nan", "init-inf", "hi-inf", "lo-inf"],
+    )
+    def test_non_finite_input_refused(self, init, bounds, message):
+        sys, _ = builtin("pendulum_cart")
+        with pytest.raises(MatchingError, match=f"^{message}"):
+            solve_kinetic_characteristics(
+                sys, ["(4 - eps)*cos(q1)"], init, params={"eps": 1.0}, **bounds
+            )
+
     def test_multivariate_mass_refused(self):
         sys = make_system(
             [["1", "0"], ["0", "1 + q2^2/2"]], "q1^2", [["0"], ["1"]]

@@ -317,16 +317,50 @@ class TestInputFrame:
             with pytest.raises(SystemError, match=r"rank-deficient at q=\[0.25, -0.5\]"):
                 call([0.25, -0.5])
 
-    def test_import_leaves_scipy_linalg_out(self):
-        src = str(Path(__import__("idapbc").__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
-        # scipy loads only when solve_kinetic_characteristics runs
-        code = "import sys, idapbc.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
-        out = subprocess.run(
-            [executable, "-c", code], env=env, capture_output=True, text=True
-        )
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "[]"
+
+# a meta-path finder that makes every import of scipy raise
+BLOCK_SCIPY = """
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"import of {name} blocked")
+
+sys.meta_path.insert(0, NoScipy())
+"""
+
+
+def test_numpy_is_the_only_runtime_import(tmp_path):
+    src = str(Path(__import__("idapbc").__file__).resolve().parents[1])
+    code = BLOCK_SCIPY + f"""
+from idapbc.cli import main
+from idapbc.matching import solve_kinetic_characteristics
+from idapbc.system import builtin
+
+out = {str(tmp_path)!r}
+cart = ["--system", "builtin:pendulum_cart", "--eps", "0.55", "--K", "0.25"]
+grid = ["--grid", "q1=-1:1:5,q2=-1:1:5"]
+sim = ["--t-end", "0.05", "--dt", "0.01", "--out", out]
+codes = [
+    main(["check", *cart]),
+    main(["verify", *cart, *grid]),
+    main(["synthesize", *cart, *grid, "--out", out]),
+    main(["simulate", "--system", out + "/controller.json", *sim]),
+    main(["simulate", *cart, "--open-loop", *sim]),
+    main(["selftest", "--dims-max", "2"]),
+]
+sol = solve_kinetic_characteristics(
+    builtin("pendulum_cart")[0], ["(4 - eps)*cos(q1)"], 1.0, params={{"eps": 1.0}}
+)
+print(codes, [round(t, 6) for t in sol.pd_interval])
+"""
+    out = subprocess.run(
+        [executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0] [-0.785398, 0.785398]"
 
 
 class TestBuiltins:
@@ -445,18 +479,21 @@ class TestJsonIO:
             assert (design2.Mhat.tree, design2.Vhat, design2.C.tree) == (
                 design.Mhat.tree, design.Vhat, design.C.tree)
 
-    @pytest.mark.parametrize("source", ["bundle", "numbers", "no-design", "three-dof"])
+    @pytest.mark.parametrize(
+        "source", ["bundle", "numbers", "old-bundle", "no-design", "three-dof"]
+    )
     @pytest.mark.parametrize("key", ["eps", "K"])
     def test_unread_override_rejected(self, source, key):
         sys, design = builtin("pendulum_cart", eps=0.4, K=0.5)
         data = system_to_dict(sys, design)
-        if source == "bundle":
+        if source == "old-bundle":
+            # written before bundles stopped storing the folded parameters
+            data["shaped"]["params"] = {"eps": 0.4, "K": 0.5}
+        if source in ("bundle", "old-bundle"):
             data = {"system": data, "Kv": [[1.0]]}
-        elif source == "numbers":
-            del data["shaped"]["params"]
         elif source == "no-design":
             del data["shaped"]
-        else:
+        elif source == "three-dof":
             data = "builtin:three_dof"
         message = f"^no expression of the loaded design reads {key}: the override would"
         with pytest.raises(SystemError, match=message):
@@ -545,7 +582,9 @@ class TestJsonIO:
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_params_rejected(self, tmp_path, value):
-        text = json.dumps(system_to_dict(*builtin("pendulum_cart", eps=0.55, K=0.25)))
+        data = system_to_dict(*builtin("pendulum_cart", eps=0.55, K=0.25))
+        data["shaped"]["params"] = {"eps": 0.55, "K": 0.25}
+        text = json.dumps(data)
         path = tmp_path / "sys.json"
         path.write_text(text.replace('"eps": 0.55', f'"eps": {value}'))
         message = f"shaped parameter eps must be finite, got {float(value)!r}"
