@@ -26,6 +26,7 @@ from .control_sim import (
     DivergenceError,
     SimConfig,
     closed_loop_field,
+    closed_loop_linearization,
     decay_metrics,
     simulate,
     write_trajectory_csv,
@@ -260,6 +261,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         _emit(metrics, out, "metrics.json")
         print(f"simulation diverged at t={exc.time:.6g}", file=_sys.stderr)
         return EXIT_DIVERGED
+    # the energy's decay rate near the origin: twice the slowest mode's
+    spectral_rate = None if args.open_loop else 2.0 * float(
+        np.max(np.linalg.eigvals(closed_loop_linearization(ctrl)).real)
+    )
     write_trajectory_csv(out / "trajectory.csv", traj, sys.vars)
     rest = np.zeros((1, sys.n))  # the equilibrium, through the samples' batched call
     max_increase, rate, at_rest = decay_metrics(traj, float(energy(rest, rest)[0]))
@@ -271,6 +276,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "energy_final": float(traj.energies[-1]),
             "max_energy_increase": max_increase,
             "fitted_rate": rate,
+            "spectral_rate": spectral_rate,
             "energy_samples_at_equilibrium": at_rest,
             "trajectory": str(out / "trajectory.csv"),
         }

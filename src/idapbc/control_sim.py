@@ -5,6 +5,13 @@ is the input that turns the open-loop dynamics into the shaped Hamiltonian
 system with damping injected through Kv and a momentum-quadratic gyroscopic
 force that does no work on the shaped energy.  A fixed-step integrator and
 energy-decay diagnostics close the loop numerically.
+
+The shaped dynamics have one implementation, the shaped law: a
+straight-line Python function generated per controller (shaped_law) from
+the pair function's statements, which factors M and Mhat as L D L' and
+contracts dMhat, C and the damping unrolled on floats.  Where it gives no
+value (a table that fails to evaluate, an M or Mhat that is not finite and
+positive definite), MatchPoint's reads raise what fails, in their order.
 """
 from __future__ import annotations
 
@@ -17,13 +24,15 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import linalg
-from .matching import RESIDUAL_TOL, MatchPoint
+from .expr import SCALAR_NAMES, straight_line
+from .matching import POINT_ERRORS, RESIDUAL_TOL, MatchPoint, pair_trees
 from .system import (
     MechSystem,
     ShapedDesign,
     StateTrajectory,
     SystemError,
     check_kv,
+    lowest_eigenvalue,
     q_gradient,
     q_text,
     rk4_step,
@@ -50,7 +59,8 @@ class Controller:
     kv defaults to the design's damping matrix; a positive scalar is
     promoted to that multiple of the identity.  The gyroscopic tensor is the
     design's stored closed-form table when present, otherwise the tensor
-    derived pointwise from the matching data.
+    derived pointwise from the matching data.  ``law`` is the shaped law's
+    generated function (shaped_law), built at its first read and kept.
     """
 
     def __init__(
@@ -67,6 +77,13 @@ class Controller:
         if np.ndim(kv) == 0:
             kv = np.diag([kv] * sys.m)
         self.Kv = check_kv(kv, sys.m)
+        self._law = None
+
+    @property
+    def law(self) -> Callable:
+        if self._law is None:
+            self._law = shaped_law(self.sys, self.design, self.Kv)
+        return self._law
 
     def gyro_at(self, q: Sequence[float]) -> np.ndarray:
         """Tensor values at q; raises MatchingError where no extension exists."""
@@ -80,20 +97,164 @@ class Controller:
         return MatchPoint(self.sys, self.design, q).residual()
 
 
+class _Code:
+    """Lines of a generated function, each assigning a new temporary."""
+
+    def __init__(self):
+        self.lines: list[str] = []
+
+    def let(self, value: str) -> str:
+        """A temporary holding value; an operand (no space) is its own name."""
+        if " " not in value:
+            return value
+        name = f"_v{len(self.lines)}"
+        self.lines.append(f"{name} = {value}")
+        return name
+
+
+def _sum(terms: list[str]) -> str:
+    return " + ".join(terms) if terms else "0.0"
+
+
+def _quadratic(a: list[list[str]], u: list[str]) -> str:
+    """sum_ij a_ij u_i u_j, without the terms of constant zero entries."""
+    n = len(u)
+    return _sum([f"{a[i][j]} * {u[i]} * {u[j]}"
+                 for i in range(n) for j in range(n) if a[i][j] != "0.0"])
+
+
+def _ldl(code: _Code, a: list[list[str]]) -> tuple[list[list[str]], list[str]]:
+    """(L, D) with a = L D L', L unit lower triangular (only its entries below
+    the diagonal are named); a is symmetric, read on and below the diagonal."""
+    n = len(a)
+    l = [[""] * n for _ in range(n)]
+    ld = [[""] * n for _ in range(n)]  # L_ij D_j
+    d = [""] * n
+    for j in range(n):
+        d[j] = code.let(" - ".join([a[j][j]] + [f"{ld[j][k]} * {l[j][k]}" for k in range(j)]))
+        for i in range(j + 1, n):
+            ld[i][j] = code.let(
+                " - ".join([a[i][j]] + [f"{ld[i][k]} * {l[j][k]}" for k in range(j)])
+            )
+            l[i][j] = code.let(f"{ld[i][j]} / {d[j]}")
+    return l, d
+
+
+def _solve(code: _Code, l: list[list[str]], d: list[str], b: list[str]) -> list[str]:
+    """x with L D L' x = b."""
+    n = len(b)
+    y = [""] * n
+    for i in range(n):
+        y[i] = code.let(" - ".join([b[i]] + [f"{l[i][k]} * {y[k]}" for k in range(i)]))
+    x = [""] * n
+    for i in reversed(range(n)):
+        x[i] = code.let(
+            " - ".join([f"{y[i]} / {d[i]}"] + [f"{l[k][i]} * {x[k]}" for k in range(i + 1, n)])
+        )
+    return x
+
+
+def shaped_law(sys: MechSystem, design: ShapedDesign, kv: np.ndarray) -> Callable:
+    """The shaped law as one generated function ``law(q, p, g, c)`` of
+    Python floats: (qdot, pdot) of the damped Hamiltonian flow of the design
+    plus the gyroscopic force, or None where M or Mhat is not finite and
+    positive definite, or where evaluating them, dMhat, dVhat or the C table
+    raises.
+
+    It evaluates pair_trees by the pair function's statements, so bitwise to
+    its values; tests M and Mhat by one lowest_eigenvalue of their (2, n, n)
+    stack, as MatchPoint does; then, unrolled for n, factors both as L D L',
+    solves for uhat = Mhat^-1 p, M^-1 dHd/dq and M^-1 p, and contracts dMhat
+    and C with uhat and G Kv G' with it.  ``g`` is G(q), and ``c`` the C
+    values for a design without a C table (None with one).  A pivot that
+    rounds to zero raises ZeroDivisionError.
+    """
+    n, m = sys.n, sys.m
+    reads, body, outs = straight_line(pair_trees(sys, design))
+    values = iter(outs)
+    mats = [[[next(values) for _ in range(n)] for _ in range(n)] for _ in range(2)]
+    dmhat = [[[next(values) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    dvhat = [next(values) for _ in range(n)]
+    if design.C is None:
+        c = [[[f"_c[{i}][{j}][{k}]" for k in range(n)] for j in range(n)] for i in range(n)]
+    else:
+        c = [[[next(values) for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    # the non-constant entries: a parsed constant is finite
+    lower = dict.fromkeys(
+        a[i][j] for a in mats for i in range(n) for j in range(i + 1) if a[i][j][0] == "_"
+    )
+    stack = str(mats).replace("'", "")  # the operands as a nested list
+    p = [f"_p{i}" for i in range(n)]
+    g = [[f"_g[{i}][{a}]" for a in range(m)] for i in range(n)]
+
+    code = _Code()
+    m_factors, mhat_factors = _ldl(code, mats[0]), _ldl(code, mats[1])
+    uhat = _solve(code, *mhat_factors, p)
+    # dHd/dq_k = dVhat_k - uhat' dMhat_k uhat / 2
+    grad = [code.let(f"{dvhat[k]} - 0.5 * ({_quadratic(dmhat[k], uhat)})") for k in range(n)]
+    minv_grad = _solve(code, *m_factors, grad)
+    qdot = _solve(code, *m_factors, p)
+    gu = [code.let(_sum([f"{g[i][a]} * {uhat[i]}" for i in range(n)])) for a in range(m)]
+    gain = [[f"({float(v)!r})" for v in row] for row in kv]
+    kgu = [code.let(_sum([f"{gain[a][b]} * {gu[b]}" for b in range(m)])) for a in range(m)]
+    pdot = [
+        code.let(
+            f"{_quadratic([[c[i][j][k] for j in range(n)] for i in range(n)], uhat)}"
+            f" - ({_sum([f'{mats[1][k][j]} * {minv_grad[j]}' for j in range(n)])})"
+            f" - ({_sum([f'{g[k][a]} * {kgu[a]}' for a in range(m)])})"
+        )
+        for k in range(n)
+    ]
+    lines = ["def _law(_q, _p, _g, _c):"] + [f"    {read}" for read in reads]
+    lines += ["    try:"] + [f"        {line}" for line in body or ["pass"]]
+    lines += [
+        "    except (ArithmeticError, ValueError):",
+        "        return None",
+        f"    if not ({' and '.join(f'_isfinite({v})' for v in lower) or 'True'}):",
+        "        return None",
+        f"    _low = _lowest(_array({stack})).tolist()",
+        "    if not (_low[0] > 0.0 and _low[1] > 0.0):",
+        "        return None",
+        f"    {', '.join(p)}, = _p.tolist()",
+        "    _g = _g.tolist()",
+    ]
+    if design.C is None:
+        lines.append("    _c = _c.tolist()")
+    lines += [f"    {line}" for line in code.lines]
+    lines.append(f"    return _array([{', '.join(qdot)}]), _array([{', '.join(pdot)}])")
+    namespace = {
+        **SCALAR_NAMES, "_isfinite": math.isfinite, "_lowest": lowest_eigenvalue,
+        "_array": np.array,
+    }
+    exec(compile("\n".join(lines), "<shaped law>", "exec"), namespace)
+    return namespace["_law"]
+
+
 def _shaped_law(
     ctrl: Controller, point: MatchPoint, p: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(qdot, pdot) of the shaped dynamics at (point.q, p), the damped Hamiltonian
-    flow of the design plus the gyroscopic force; raises where Mhat is not PD."""
-    g, (minv, mhat, dmhat) = point.frame.g, point.pair
+    """(qdot, pdot) of the shaped dynamics at (point.q, p) from ctrl.law.
+    Where the law takes no value, MatchPoint's reads raise what fails, in
+    the order frame, pair, Mhat's PD test, dVhat, C; an Mhat that passes the
+    test but that LAPACK's LU finds singular raises after the test
+    (LinAlgError, "Singular matrix"), as the numpy law's solve did."""
+    g, derived = point.frame.g, ctrl.design.C is None
+    if derived:
+        point.pair  # read once, ahead of the law and of C's derivation
+    try:
+        field = ctrl.law(point.q, p, g, point.gyro() if derived else None)
+    except POINT_ERRORS as exc:
+        field = exc
+    if type(field) is tuple:
+        return field
+    point.pair
     if defect := point.shaped_mass_defect():
         raise SystemError(f"shaped mass {defect} at q={q_text(point.q)}")
-    uhat = linalg.solve(mhat, p)
-    dqhhat = q_gradient(point.dvhat, dmhat, uhat)
-    force = ctrl._gyro_from(point).T @ uhat @ uhat
-    qdot = minv @ (mhat @ uhat)
-    pdot = -mhat @ (minv @ dqhhat) - g @ (ctrl.Kv @ (g.T @ uhat)) + force
-    return qdot, pdot
+    linalg.solve(point.pair.mhat, p)
+    point.dvhat
+    ctrl._gyro_from(point)
+    # every read passed, but a pivot of the law's L D L' rounded to zero
+    raise np.linalg.LinAlgError("Singular matrix") from field
 
 
 def feedback(ctrl: Controller, q: Sequence[float], p: Sequence[float]) -> np.ndarray:

@@ -569,6 +569,40 @@ def _operand_of(e: Expr, temps: dict[Expr, str]) -> str | None:
     return f"_x{e.index}" if isinstance(e, Var) else temps[e]
 
 
+def _generate(trees, batch: bool = False):
+    """(shapes, temps, body, outs, used) of the trees: each tree's shape, the
+    temporaries and statements of _emit, the operand of each expression in
+    order, and the indices of the variables read."""
+    leaves: list[Expr] = []
+    shapes = [_flatten(t, leaves) for t in trees]
+    temps: dict[Expr, str] = {}
+    body: list[tuple[str, Expr]] = []
+    outs = [_emit(e, temps, body, batch) for e in leaves]
+    used: set[int] = set()
+    for e in leaves:
+        _collect_vars(e, used)
+    return shapes, temps, body, outs, used
+
+
+def straight_line(trees: Sequence) -> tuple[list[str], list[str], list[str]]:
+    """The statements compile_expr's scalar function runs for ``Tables(trees)``:
+    the reads of the variables from ``_q``, then one assignment per unique
+    non-leaf subtree; and the operand naming each expression of the trees, in
+    order.  Run with SCALAR_NAMES bound, their values are bitwise those the
+    compiled function returns."""
+    _, _, body, outs, used = _generate(trees)
+    return _reads(used), [code for code, _ in body], outs
+
+
+# the names the scalar variant's statements call or read
+SCALAR_NAMES = {"_sin": math.sin, "_cos": math.cos, "inf": math.inf, "nan": math.nan}
+
+
+def _reads(used: set[int]) -> list[str]:
+    """The scalar variant's statements reading the used variables as floats."""
+    return [f"_x{i} = float(_q[{i}])" for i in sorted(used)]
+
+
 class Tables(tuple):
     """Trees, each an expression or a nested sequence of them, that
     compile_expr turns into one function returning a tuple of their values."""
@@ -608,14 +642,7 @@ def compile_expr(tree, batch: bool = False) -> Callable:
     tables = isinstance(tree, Tables)
     if batch and tables:
         raise ExprError("the batch variant evaluates one table")
-    leaves: list[Expr] = []
-    shapes = [_flatten(t, leaves) for t in (tree if tables else (tree,))]
-    temps: dict[Expr, str] = {}
-    body: list[tuple[str, Expr]] = []
-    outs = [_emit(e, temps, body, batch) for e in leaves]
-    used: set[int] = set()
-    for e in leaves:
-        _collect_vars(e, used)
+    shapes, temps, body, outs, used = _generate(tree if tables else (tree,), batch)
     # differentiation still folds to inf: d(q1*1e200*1e200)/dq1
     namespace = {"inf": math.inf, "nan": math.nan}
     if batch:
@@ -650,7 +677,7 @@ def compile_expr(tree, batch: bool = False) -> Callable:
             parts.append(_value_code(outs[start:start + size], shape))
             start += size
         result = f"({', '.join(parts)},)" if tables else parts[0]
-        head = ["def _f(_q):"] + [f"    _x{i} = float(_q[{i}])" for i in sorted(used)]
+        head = ["def _f(_q):"] + [f"    {read}" for read in _reads(used)]
         head += ["    try:"]
         lines = head + [f"        {code}" for code, _ in body] + [
             f"        return {result}",
@@ -658,7 +685,7 @@ def compile_expr(tree, batch: bool = False) -> Callable:
             "        raise _node_error(exc, _nodes) from None",
         ]
         namespace.update(
-            _sin=math.sin, _cos=math.cos, _array=np.array,
+            SCALAR_NAMES, _array=np.array,
             _node_error=_node_error,
             _nodes=[None] * len(head) + [node for _, node in body],
         )

@@ -159,17 +159,20 @@ class _Kept(cached_property):
         return value
 
 
+def pair_trees(sys: MechSystem, design: ShapedDesign) -> tuple:
+    """The trees of the pair function: M and Mhat as one (2, n, n) table,
+    dMhat, dVhat and, where the design stores one, the C table."""
+    trees = ((sys.M.tree, design.Mhat.tree), design.dMhat.tree, design.dVhat.tree)
+    return trees + ((design.C.tree,) if design.C is not None else ())
+
+
 def pair_function(sys: MechSystem, design: ShapedDesign) -> Compiled:
-    """One compiled function of q for a system and a design: its values are M
-    and Mhat as one (2, n, n) stack, dMhat, dVhat and, where the design stores
-    one, the C table.  Built at its first use and kept on the design (for the
+    """One compiled function of q for a system and a design, with the values
+    of pair_trees.  Built at its first use and kept on the design (for the
     system it was last built for)."""
     kept = design.kept_pair
     if kept is None or kept[0] is not sys:
-        trees = ((sys.M.tree, design.Mhat.tree), design.dMhat.tree, design.dVhat.tree)
-        if design.C is not None:
-            trees += (design.C.tree,)
-        kept = design.kept_pair = (sys, Compiled(Tables(trees)))
+        kept = design.kept_pair = (sys, Compiled(Tables(pair_trees(sys, design))))
     return kept[1]
 
 
@@ -543,20 +546,24 @@ def solve_kinetic_characteristics(
         # row' dM^-1/dq1 row with dM^-1 = -M^-1 dM M^-1, as in q_gradient
         return c, -float(c @ sys.mass_derivatives(qvec)[0] @ c)
 
-    def f(x: np.ndarray) -> np.ndarray:
-        c, s = pieces(x)
+    def speed(c: np.ndarray, s: float) -> np.ndarray:
         return np.array([1.0, -s / c[0]])
 
+    f = lambda x: speed(*pieces(x))
+    x0 = np.array([0.0, u0])
+    c, s = pieces(x0)
+    c0, f0 = c[0], speed(c, s)
     # a non-finite state fails both tests: past a blow-up counts as a crossing
-    c0 = pieces(np.array([0.0, u0]))[0][0]
-    singular = lambda x: not pieces(x)[0][0] * c0 > 0.0
+    sign_changed = lambda c: not c[0] * c0 > 0.0
+    singular = lambda x: sign_changed(pieces(x)[0])
     nonpositive = lambda x: not x[1] > 0.0
 
-    def crossing(x: np.ndarray, h: float, crossed) -> tuple[float, float]:
-        """Step lengths (before, at) a crossing within the step h from x."""
+    def crossing(x, fx, h: float, crossed) -> tuple[float, float]:
+        """Step lengths (before, at) a crossing within the step h from x, at
+        which f is fx."""
         before, at = 0.0, h
         while (mid := 0.5 * (before + at)) not in (before, at):
-            if crossed(rk4_step(f, x, mid)):
+            if crossed(rk4_step(f, x, mid, fx)):
                 at = mid
             else:
                 before = mid
@@ -569,20 +576,22 @@ def solve_kinetic_characteristics(
     def side(indices: np.ndarray) -> tuple[float | None, float | None]:
         """Fill values at grid[indices], outward from 0: the side's first loss
         of positivity and its singular point, each None where there is none."""
-        x, end, star = np.array([0.0, u0]), None, None
+        # f at x, from the evaluation that tested x for a singular point
+        x, fx, end, star = x0, f0, None, None
         for i in indices:
             steps = math.ceil(abs(grid[i] - x[0]) / CHARACTERISTIC_STEP)
             for k in range(steps, 0, -1):
                 h = (grid[i] - x[0]) / k
-                step = rk4_step(f, x, h)
-                if singular(step):
-                    h, at = crossing(x, h, singular)
-                    star, step = float(x[0] + at), rk4_step(f, x, h)
+                step = rk4_step(f, x, h, fx)
+                c, s = pieces(step)
+                if sign_changed(c):
+                    h, at = crossing(x, fx, h, singular)
+                    star, step = float(x[0] + at), rk4_step(f, x, h, fx)
                 if end is None and nonpositive(step):
-                    end = float(x[0] + crossing(x, h, nonpositive)[1])
+                    end = float(x[0] + crossing(x, fx, h, nonpositive)[1])
                 if star is not None:
                     return end, star
-                x = step
+                x, fx = step, speed(c, s)
             values[i] = x[1]
         return end, None
 

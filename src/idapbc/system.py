@@ -179,9 +179,10 @@ def q_gradient(dv: np.ndarray, dm: np.ndarray, w: np.ndarray) -> np.ndarray:
     return dv - 0.5 * np.einsum("i,kij,j->k", w, dm, w)
 
 
-def rk4_step(f, x: np.ndarray, dt: float) -> np.ndarray:
-    """One classical fourth-order Runge-Kutta step of x' = f(x) from x."""
-    k1 = f(x)
+def rk4_step(f, x: np.ndarray, dt: float, k1: np.ndarray | None = None) -> np.ndarray:
+    """One classical fourth-order Runge-Kutta step of x' = f(x) from x; k1 is
+    f(x) where the caller has it."""
+    k1 = f(x) if k1 is None else k1
     k2 = f(x + 0.5 * dt * k1)
     k3 = f(x + 0.5 * dt * k2)
     k4 = f(x + dt * k3)

@@ -1,6 +1,8 @@
-"""Write the outputs of a fixed list of CLI runs to a directory.
+"""Write the outputs of a fixed list of CLI runs to a directory, or compare
+two such directories.
 
     python tests/cli_snapshot.py OUT
+    python tests/cli_snapshot.py --compare OLD NEW
 
 The runs use the package in this tree's ``src``.  Each run gets a
 directory under OUT holding its stdout, stderr, exit code and every file
@@ -20,10 +22,20 @@ power and a negative exponent, which the bundle prints back.
 ``simulate-equilibrium`` starts the builtin closed loop at its equilibrium.
 A run whose system is not one of the inputs or a builtin names a file an
 earlier run wrote.
+
+``--compare`` reads every file of two snapshots.  Exit codes, stderr and
+every non-numeric part must match exactly: a file or JSON field present on
+one side only, a changed string, boolean or null, a changed CSV header or
+row count, a NaN or infinity that moved, or a changed text file.  Numbers
+are compared by group, a CSV column or a JSON field (array indices folded
+into ``[]``): the report prints, for each group that differs, the largest
+absolute difference and that difference relative to the largest magnitude
+of the group in OLD.  The exit code is 1 if anything mismatched, else 0.
 """
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import shutil
@@ -134,7 +146,105 @@ def main(out: Path) -> None:
         path.write_text(re.sub(r"(<ROOT>/src/\S+\.py):\d+: ", r"\1:<LINE>: ", text))
 
 
+def _leaves(value, path: str, out: dict) -> None:
+    """The leaves of a JSON value by path, array indices folded into ``[]``."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _leaves(item, f"{path}.{key}" if path else key, out)
+    elif isinstance(value, list):
+        for item in value:
+            _leaves(item, f"{path}[]", out)
+    else:
+        out.setdefault(path, []).append(value)
+
+
+def _json_groups(text: str) -> dict | None:
+    try:
+        value = json.loads(text)
+    except json.JSONDecodeError:
+        return None
+    out: dict = {}
+    _leaves(value, "", out)
+    return out
+
+
+def _csv_groups(text: str) -> dict:
+    rows = [line.split(",") for line in text.splitlines()]
+    out = {"<header>": [",".join(rows[0])], "<rows>": [len(rows)]}
+    for k, name in enumerate(rows[0]):
+        out[name] = [float(row[k]) for row in rows[1:]]
+    return out
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _compare_group(old: list, new: list) -> tuple[float, float] | None:
+    """(largest absolute difference, it relative to the largest |old|) of two
+    lists of numbers, or None where they differ other than in finite values."""
+    if len(old) != len(new):
+        return None
+    diff = scale = 0.0
+    for a, b in zip(old, new):
+        if not (_is_number(a) and _is_number(b)):
+            if a != b:
+                return None
+            continue
+        if not (math.isfinite(a) and math.isfinite(b)):
+            if not (a == b or (math.isnan(a) and math.isnan(b))):
+                return None
+            continue
+        diff, scale = max(diff, abs(a - b)), max(scale, abs(a))
+    return diff, (diff / scale if scale else 0.0 if diff == 0.0 else math.inf)
+
+
+def compare(old: Path, new: Path) -> int:
+    """Print how snapshot NEW differs from OLD; 1 if anything mismatched."""
+    files = sorted(
+        {p.relative_to(root) for root in (old, new) for p in root.rglob("*") if p.is_file()}
+    )
+    mismatches, differing, worst = [], 0, (0.0, "")
+    for rel in files:
+        if not (old / rel).is_file() or not (new / rel).is_file():
+            mismatches.append(f"{rel}: only in {'NEW' if (new / rel).is_file() else 'OLD'}")
+            continue
+        a, b = (old / rel).read_text(), (new / rel).read_text()
+        if a == b:
+            continue
+        if rel.suffix == ".csv":
+            groups_a, groups_b = _csv_groups(a), _csv_groups(b)
+        elif rel.name in ("exit.txt", "stderr.txt") or (groups_a := _json_groups(a)) is None:
+            mismatches.append(f"{rel}: text differs")
+            continue
+        else:
+            groups_b = _json_groups(b)
+            if groups_b is None:
+                mismatches.append(f"{rel}: NEW is not JSON")
+                continue
+        for name in sorted(groups_a.keys() | groups_b.keys()):
+            if name not in groups_a or name not in groups_b:
+                side = "NEW" if name in groups_b else "OLD"
+                mismatches.append(f"{rel}: {name} only in {side}")
+                continue
+            result = _compare_group(groups_a[name], groups_b[name])
+            if result is None:
+                mismatches.append(f"{rel}: {name} differs other than in finite numbers")
+            elif result[0] > 0.0:
+                differing += 1
+                worst = max(worst, (result[1], f"{rel}: {name}"))
+                print(f"{rel}: {name} max abs {result[0]:.3g} rel {result[1]:.3g}")
+    for line in mismatches:
+        print(f"MISMATCH {line}")
+    print(f"{len(files)} files, {differing} numeric groups differ"
+          + (f" (largest relative {worst[0]:.3g}, {worst[1]})" if differing else "")
+          + f", {len(mismatches)} mismatches")
+    return 1 if mismatches else 0
+
+
 if __name__ == "__main__":
+    if len(sys.argv) == 4 and sys.argv[1] == "--compare":
+        sys.exit(compare(Path(sys.argv[2]), Path(sys.argv[3])))
     if len(sys.argv) != 2:
-        sys.exit(f"usage: {sys.argv[0]} OUT")
+        sys.exit(f"usage: {sys.argv[0]} OUT | --compare OLD NEW")
     main(Path(sys.argv[1]))

@@ -563,6 +563,21 @@ class TestSimulate:
         on_disk = json.loads((tmp_path / "metrics.json").read_text())
         assert on_disk == metrics
 
+    def test_spectral_rate_beside_fitted_rate(self, capsys, tmp_path):
+        # acceptance 8's run: the linearization's slowest mode decays the
+        # energy at -1.83, the tail's fit reads -2.13, and the pass rule
+        # reads only the fit
+        code, metrics, _ = run_json(
+            capsys, "simulate", "--system", "builtin:pendulum_cart", "--eps", "0.55",
+            "--K", "0.25", "--Kv", "1", "--x0=0.3,0,0,0", "--t-end", "10",
+            "--out", str(tmp_path),
+        )
+        assert code == 0 and metrics["passed"] is True
+        assert metrics["spectral_rate"] == pytest.approx(-1.8262, abs=1e-4)
+        assert metrics["fitted_rate"] == pytest.approx(-2.1323, abs=1e-4)
+        keys = list(metrics)
+        assert keys.index("spectral_rate") == keys.index("fitted_rate") + 1
+
     def test_damping_flag_overrides(self, capsys, tmp_path):
         code, metrics, _ = run_json(
             capsys,
@@ -601,6 +616,7 @@ class TestSimulate:
         assert metrics["energy_drift"] <= 1e-6 * (1 + abs(metrics["energy_initial"]))
         # the origin is the top of V = 10 cos(q1): every sample lies below it
         assert metrics["fitted_rate"] is None
+        assert metrics["spectral_rate"] is None
         assert metrics["energy_samples_at_equilibrium"] == 1001
 
     def test_run_at_the_equilibrium_passes(self, capsys, tmp_path):
@@ -879,3 +895,50 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+
+class TestSnapshotCompare:
+    """tests/cli_snapshot.py --compare on two hand-made snapshots."""
+
+    def snapshot(self, root, energy="1.5", stderr="", extra=None):
+        run = root / "simulate-c"
+        (run / "files").mkdir(parents=True)
+        (run / "exit.txt").write_text("0\n")
+        (run / "stderr.txt").write_text(stderr)
+        metrics = {"system": "pendulum_cart", "passed": True, "fitted_rate": -2.0,
+                   "x0": [0.3, 0.0], **(extra or {})}
+        (run / "stdout.txt").write_text(json.dumps(metrics, indent=2) + "\n")
+        (run / "files" / "trajectory.csv").write_text(f"t,q1,energy\n0,0.3,2\n0.01,0.2,{energy}\n")
+        return root
+
+    def compare(self, old, new):
+        script = Path(__file__).resolve().parent / "cli_snapshot.py"
+        proc = subprocess.run([executable, str(script), "--compare", str(old), str(new)],
+                              capture_output=True, text=True)
+        return proc.returncode, proc.stdout
+
+    def test_numeric_differences_are_reported(self, tmp_path):
+        old = self.snapshot(tmp_path / "old")
+        new = self.snapshot(tmp_path / "new", energy="1.5000000000000004")
+        code, out = self.compare(old, new)
+        assert code == 0
+        assert "simulate-c/files/trajectory.csv: energy max abs 4.44e-16 rel 2.22e-16" in out
+        assert out.splitlines()[-1] == "4 files, 1 numeric groups differ (largest relative " \
+            "2.22e-16, simulate-c/files/trajectory.csv: energy), 0 mismatches"
+
+    @pytest.mark.parametrize("change", ["stderr", "field", "string", "null"])
+    def test_non_numeric_differences_mismatch(self, tmp_path, change):
+        old = self.snapshot(tmp_path / "old")
+        new = self.snapshot(
+            tmp_path / "new",
+            stderr="warning\n" if change == "stderr" else "",
+            extra={"field": {"spectral_rate": 1.0}, "string": {"system": "other"},
+                   "null": {"fitted_rate": None}}.get(change),
+        )
+        code, out = self.compare(old, new)
+        assert code == 1
+        want = {"stderr": "simulate-c/stderr.txt: text differs",
+                "field": "simulate-c/stdout.txt: spectral_rate only in NEW",
+                "string": "simulate-c/stdout.txt: system differs other than in finite numbers",
+                "null": "simulate-c/stdout.txt: fitted_rate differs other than in finite numbers"}
+        assert f"MISMATCH {want[change]}" in out.splitlines()

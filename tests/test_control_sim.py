@@ -332,9 +332,27 @@ def count_pair_calls(sys, design):
     return calls
 
 
+def count_law_calls(ctrl):
+    """Wrap the controller's shaped law; return its call counter."""
+    law, calls = ctrl.law, [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return law(*args)
+
+    ctrl._law = counted
+    return calls
+
+
+def gyro_at(ctrl, q, p):
+    return ctrl.gyro_at(q)
+
+
 class TestOneEvaluationPerCall:
     # M, Mhat, dMhat, dVhat and a stored C come from one call of the pair
-    # function, and a constant G from the kept frame
+    # function or of the shaped law, and a constant G from the kept frame.
+    # The law evaluates the tables it reads itself, so a call that also reads
+    # the matching data (feedback's residual, a derived C) calls both.
     @pytest.mark.parametrize("with_table", [False, True])
     def test_each_matrix_once(self, with_table):
         sys, design = builtin("pendulum_cart", eps=0.55, K=0.25)
@@ -343,11 +361,13 @@ class TestOneEvaluationPerCall:
         ctrl = Controller(sys, design)
         q, p = [0.3, -0.2], [0.4, 0.1]
         sys.frame(q)  # a constant G is evaluated once, at its first query
-        for call in (feedback, closed_loop_field, lambda ctrl, q, p: ctrl.gyro_at(q)):
+        field_calls = [0, 1] if with_table else [1, 1]
+        for call, want in ((feedback, [1, 1]), (closed_loop_field, field_calls),
+                           (gyro_at, [1, 0])):
             counts = count_evaluations(sys.M, sys.G, design.Mhat)
-            pair_calls = count_pair_calls(sys, design)
+            pair_calls, law_calls = count_pair_calls(sys, design), count_law_calls(ctrl)
             call(ctrl, q, p)
-            assert counts == [0, 0, 0] and pair_calls == [1], call
+            assert counts == [0, 0, 0] and pair_calls + law_calls == want, call
 
     def test_varying_input_matrix_once(self):
         sys, design = builtin("pendulum_cart", eps=0.55, K=0.25)
@@ -356,11 +376,11 @@ class TestOneEvaluationPerCall:
         design = ShapedDesign(sys.vars, design.Mhat, design.Vhat, design.Kv)
         ctrl = Controller(sys, design)
         q, p = [0.3, -0.2], [0.4, 0.1]
-        for call in (feedback, closed_loop_field, lambda ctrl, q, p: ctrl.gyro_at(q)):
+        for call, want in ((feedback, [1, 1]), (closed_loop_field, [1, 1]), (gyro_at, [1, 0])):
             counts = count_evaluations(sys.M, sys.G, design.Mhat)
-            pair_calls = count_pair_calls(sys, design)
+            pair_calls, law_calls = count_pair_calls(sys, design), count_law_calls(ctrl)
             call(ctrl, q, p)
-            assert counts == [0, 1, 0] and pair_calls == [1], call
+            assert counts == [0, 1, 0] and pair_calls + law_calls == want, call
 
     def test_each_matrix_once_per_query(self):
         sys, design = builtin("pendulum_cart", eps=0.55, K=0.25)
@@ -432,8 +452,7 @@ class TestClosedLoopField:
         assert np.max(np.abs(pdot)) <= 1e-12
 
     def test_velocity_identity(self):
-        # qdot is assembled as Minv Mhat (Mhat^-1 p); it must collapse to
-        # Minv p for any design
+        # qdot = Minv Mhat (Mhat^-1 p) collapses to Minv p for any design
         sys, _, ctrl = pendulum_controller(eps=0.55, K=0.25)
         rng = np.random.default_rng(7)
         for state in random_pendulum_states(rng, 50):
@@ -466,6 +485,35 @@ class TestClosedLoopField:
             expect = -uhat @ g @ ctrl.Kv @ g.T @ uhat
             assert expect <= 0.0
             assert abs(dhdt - expect) <= 1e-6
+
+    @pytest.mark.parametrize("case", ["pendulum-table", "pendulum-derived", "three-dof"])
+    def test_energy_balance_of_the_law(self, case):
+        # grad Hd . (qdot, pdot) = -uhat' G Kv G' uhat for any gyroscopic C,
+        # matched or not; three-dof takes the law's unrolled 3x3 factorizations
+        sys, design = builtin("pendulum_cart", eps=0.55, K=0.25)
+        if case == "pendulum-derived":
+            design = ShapedDesign(sys.vars, design.Mhat, design.Vhat, design.Kv)
+        elif case == "three-dof":
+            sys, _ = builtin("three_dof")
+            mhat = ExprMatrix.from_strings(
+                [["3 + sin(q1)", "1/2", "cos(q2)/4"], ["1/2", "2", "3/10"],
+                 ["cos(q2)/4", "3/10", "2 + q3^2"]], sys.vars)
+            zero = [[[parse("0", sys.vars)] * 3 for _ in range(3)] for _ in range(3)]
+            vhat = parse("q1^2 + q2^2 + q3^2 + q1*q3", sys.vars)
+            design = ShapedDesign(sys.vars, mhat, vhat, [[2.0, 0.5], [0.5, 1.0]], C=zero)
+        ctrl = Controller(sys, design)
+        n = sys.n
+        rng = np.random.default_rng(12)
+        for state in rng.uniform(-0.5, 0.5, (100, 2 * n)):
+            q, p = state[:n], state[n:]
+            qdot, pdot = closed_loop_field(ctrl, q, p)
+            uhat = np.linalg.solve(design.Mhat(q), p)
+            grad_q = design.dVhat(q) - 0.5 * np.einsum("i,kij,j->k", uhat, design.dMhat(q), uhat)
+            g = sys.input_matrix(q)
+            damping = uhat @ g @ ctrl.Kv @ g.T @ uhat
+            assert damping > 0.0
+            scale = np.linalg.norm(grad_q) * np.linalg.norm(qdot) + np.linalg.norm(uhat) * np.linalg.norm(pdot)
+            assert abs(grad_q @ qdot + uhat @ pdot + damping) <= 1e-12 * scale
 
     def test_gyro_term_does_no_work(self, damped_run):
         # replacing the tensor with zero changes the energy rate by nothing
