@@ -25,7 +25,7 @@ import numpy as np
 
 from . import linalg
 from .expr import SCALAR_NAMES, straight_line
-from .matching import POINT_ERRORS, RESIDUAL_TOL, MatchPoint, pair_trees
+from .matching import POINT_ERRORS, RESIDUAL_TOL, MatchPoint, PairValues, pair_trees
 from .system import (
     MechSystem,
     ShapedDesign,
@@ -170,15 +170,10 @@ def shaped_law(sys: MechSystem, design: ShapedDesign, kv: np.ndarray) -> Callabl
     rounds to zero raises ZeroDivisionError.
     """
     n, m = sys.n, sys.m
-    reads, body, outs = straight_line(pair_trees(sys, design))
-    values = iter(outs)
-    mats = [[[next(values) for _ in range(n)] for _ in range(n)] for _ in range(2)]
-    dmhat = [[[next(values) for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    dvhat = [next(values) for _ in range(n)]
-    if design.C is None:
+    reads, body, values = straight_line(pair_trees(sys, design))
+    mats, dmhat, dvhat, c = PairValues(*values)
+    if c is None:
         c = [[[f"_c[{i}][{j}][{k}]" for k in range(n)] for j in range(n)] for i in range(n)]
-    else:
-        c = [[[next(values) for _ in range(n)] for _ in range(n)] for _ in range(n)]
     # the non-constant entries: a parsed constant is finite
     lower = dict.fromkeys(
         a[i][j] for a in mats for i in range(n) for j in range(i + 1) if a[i][j][0] == "_"

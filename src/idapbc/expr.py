@@ -584,14 +584,27 @@ def _generate(trees, batch: bool = False):
     return shapes, temps, body, outs, used
 
 
-def straight_line(trees: Sequence) -> tuple[list[str], list[str], list[str]]:
+def straight_line(trees: Sequence) -> tuple[list[str], list[str], list]:
     """The statements compile_expr's scalar function runs for ``Tables(trees)``:
     the reads of the variables from ``_q``, then one assignment per unique
-    non-leaf subtree; and the operand naming each expression of the trees, in
-    order.  Run with SCALAR_NAMES bound, their values are bitwise those the
-    compiled function returns."""
-    _, _, body, outs, used = _generate(trees)
-    return _reads(used), [code for code, _ in body], outs
+    non-leaf subtree; and, for each tree, the operands naming its expressions,
+    nested as the tree.  Run with SCALAR_NAMES bound, their values are bitwise
+    those the compiled function returns."""
+    shapes, _, body, outs, used = _generate(trees)
+    values = [
+        np.array(tree_outs, dtype=object).reshape(shape).tolist()
+        for tree_outs, shape in _per_tree(outs, shapes)
+    ]
+    return _reads(used), [code for code, _ in body], values
+
+
+def _per_tree(outs: list[str], shapes: list[tuple[int, ...]]):
+    """(operands, shape) of each tree, from the operands of all in order."""
+    start = 0
+    for shape in shapes:
+        size = math.prod(shape)
+        yield outs[start:start + size], shape
+        start += size
 
 
 # the names the scalar variant's statements call or read
@@ -671,11 +684,7 @@ def compile_expr(tree, batch: bool = False) -> Callable:
             _isfinite=np.isfinite,
         )
     else:
-        parts, start = [], 0
-        for shape in shapes:
-            size = math.prod(shape)
-            parts.append(_value_code(outs[start:start + size], shape))
-            start += size
+        parts = [_value_code(tree_outs, shape) for tree_outs, shape in _per_tree(outs, shapes)]
         result = f"({', '.join(parts)},)" if tables else parts[0]
         head = ["def _f(_q):"] + [f"    {read}" for read in _reads(used)]
         head += ["    try:"]

@@ -160,10 +160,20 @@ class _Kept(cached_property):
 
 
 def pair_trees(sys: MechSystem, design: ShapedDesign) -> tuple:
-    """The trees of the pair function: M and Mhat as one (2, n, n) table,
-    dMhat, dVhat and, where the design stores one, the C table."""
+    """The trees of the pair function, in PairValues' order."""
     trees = ((sys.M.tree, design.Mhat.tree), design.dMhat.tree, design.dVhat.tree)
     return trees + ((design.C.tree,) if design.C is not None else ())
+
+
+class PairValues(NamedTuple):
+    """The values of pair_trees, as arrays from the pair function or as
+    nested operands from straight_line: M and Mhat as one (2, n, n) table,
+    dMhat, dVhat and the C table, None where the design stores none."""
+
+    mats: object
+    dmhat: object
+    dvhat: object
+    c: object = None
 
 
 def pair_function(sys: MechSystem, design: ShapedDesign) -> Compiled:
@@ -196,10 +206,10 @@ class MatchPoint:
         return self.sys.frame(self.q)
 
     @_Kept
-    def tables(self) -> tuple | None:
+    def tables(self) -> PairValues | None:
         """The pair function's values at q, or None where evaluating it raises."""
         try:
-            return pair_function(self.sys, self.design)(self.q)
+            return PairValues(*pair_function(self.sys, self.design)(self.q))
         except (ExprError, ArithmeticError):
             return None
 
@@ -211,9 +221,9 @@ class MatchPoint:
         tables = self.tables
         # a finite sum has finite terms; one that overflows only sends M and
         # Mhat to the tests of mass_matrix and spd_defect
-        if tables is None or not math.isfinite(sum(tables[0].ravel().tolist())):
+        if tables is None or not math.isfinite(sum(tables.mats.ravel().tolist())):
             return [math.nan, math.nan]
-        return lowest_eigenvalue(tables[0]).tolist()
+        return lowest_eigenvalue(tables.mats).tolist()
 
     @_Kept
     def pair(self) -> MetricPair:
@@ -223,7 +233,7 @@ class MatchPoint:
             mhat = self.design.shaped_mass(self.q)
             dmhat = self.design.shaped_mass_derivatives(self.q)
         else:
-            (m, mhat), dmhat = tables[0], tables[1]
+            (m, mhat), dmhat = tables.mats, tables.dmhat
             if not self.lows[0] > 0.0:
                 self.sys.mass_matrix(self.q)  # raises where M is not positive definite
         return MetricPair(_symmetrized_inverse(m), mhat, dmhat)
@@ -238,7 +248,7 @@ class MatchPoint:
     def c_table(self) -> np.ndarray:
         """The design's C table at q."""
         tables = self.tables
-        return self.design.c_table_at(self.q) if tables is None else tables[3]
+        return self.design.c_table_at(self.q) if tables is None else tables.c
 
     @_Kept
     def dm(self) -> np.ndarray:
@@ -251,7 +261,7 @@ class MatchPoint:
     @_Kept
     def dvhat(self) -> np.ndarray:
         tables = self.tables
-        return self.design.shaped_potential_gradient(self.q) if tables is None else tables[2]
+        return self.design.shaped_potential_gradient(self.q) if tables is None else tables.dvhat
 
     @_Kept
     def t(self) -> np.ndarray:
