@@ -6,33 +6,32 @@ system with damping injected through Kv and a momentum-quadratic gyroscopic
 force that does no work on the shaped energy.  A fixed-step integrator and
 energy-decay diagnostics close the loop numerically.
 
-The shaped dynamics have one implementation, the shaped law: a
-straight-line Python function generated per controller (shaped_law) from
-the pair function's statements, which factors M and Mhat as L D L' and
-contracts dMhat, C and the damping unrolled on floats.  Where it gives no
-value (a table that fails to evaluate, an M or Mhat that is not finite and
-positive definite), MatchPoint's reads raise what fails, in their order.
+The shaped dynamics have one implementation, the shaped law: expression
+trees (law_trees) that factor M and Mhat as L D L' and contract dMhat, C
+and the damping, compiled per controller by expr.Compiled (shaped_law).
+Where it gives no value (a table that fails to evaluate, an M or Mhat that
+is not finite and positive definite), MatchPoint's reads raise what fails.
 """
 from __future__ import annotations
 
 import math
 import warnings
 from dataclasses import dataclass
+from functools import reduce
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import linalg
-from .expr import SCALAR_NAMES, straight_line
-from .matching import POINT_ERRORS, RESIDUAL_TOL, MatchPoint, PairValues, pair_trees
+from .expr import Compiled, Const, Expr, Tables, Var, add, div, mul, sub
+from .matching import POINT_ERRORS, RESIDUAL_TOL, MatchPoint, PairValues, pair_trees, stack_lows
 from .system import (
     MechSystem,
     ShapedDesign,
     StateTrajectory,
     SystemError,
     check_kv,
-    lowest_eigenvalue,
     q_gradient,
     q_text,
     rk4_step,
@@ -60,7 +59,7 @@ class Controller:
     promoted to that multiple of the identity.  The gyroscopic tensor is the
     design's stored closed-form table when present, otherwise the tensor
     derived pointwise from the matching data.  ``law`` is the shaped law's
-    generated function (shaped_law), built at its first read and kept.
+    Compiled function (shaped_law), built at its first read and kept.
     """
 
     def __init__(
@@ -80,7 +79,7 @@ class Controller:
         self._law = None
 
     @property
-    def law(self) -> Callable:
+    def law(self) -> Compiled:
         if self._law is None:
             self._law = shaped_law(self.sys, self.design, self.Kv)
         return self._law
@@ -97,132 +96,108 @@ class Controller:
         return MatchPoint(self.sys, self.design, q).residual()
 
 
-class _Code:
-    """Lines of a generated function, each assigning a new temporary."""
-
-    def __init__(self):
-        self.lines: list[str] = []
-
-    def let(self, value: str) -> str:
-        """A temporary holding value; an operand (no space) is its own name."""
-        if " " not in value:
-            return value
-        name = f"_v{len(self.lines)}"
-        self.lines.append(f"{name} = {value}")
-        return name
+def _sum(terms: list[Expr]) -> Expr:
+    """The terms added left to right; 0 for none."""
+    return reduce(add, terms, Const(0.0))
 
 
-def _sum(terms: list[str]) -> str:
-    return " + ".join(terms) if terms else "0.0"
+def _quadratic(a: list[list[Expr]], u: list[Expr]) -> Expr:
+    """sum_ij a_ij u_i u_j; constant folding drops the terms of zero entries."""
+    r = range(len(u))
+    return _sum([mul(mul(a[i][j], u[i]), u[j]) for i in r for j in r])
 
 
-def _quadratic(a: list[list[str]], u: list[str]) -> str:
-    """sum_ij a_ij u_i u_j, without the terms of constant zero entries."""
-    n = len(u)
-    return _sum([f"{a[i][j]} * {u[i]} * {u[j]}"
-                 for i in range(n) for j in range(n) if a[i][j] != "0.0"])
-
-
-def _ldl(code: _Code, a: list[list[str]]) -> tuple[list[list[str]], list[str]]:
+def _ldl(a: list[list[Expr]]) -> tuple[list[list[Expr]], list[Expr]]:
     """(L, D) with a = L D L', L unit lower triangular (only its entries below
-    the diagonal are named); a is symmetric, read on and below the diagonal."""
+    the diagonal are set); a is symmetric, read on and below the diagonal."""
     n = len(a)
-    l = [[""] * n for _ in range(n)]
-    ld = [[""] * n for _ in range(n)]  # L_ij D_j
-    d = [""] * n
-    for j in range(n):
-        d[j] = code.let(" - ".join([a[j][j]] + [f"{ld[j][k]} * {l[j][k]}" for k in range(j)]))
+    l, ld, d = [[None] * n for _ in range(n)], [[None] * n for _ in range(n)], [None] * n
+    for j in range(n):  # ld[i][j] is L_ij D_j
+        d[j] = reduce(sub, [mul(ld[j][k], l[j][k]) for k in range(j)], a[j][j])
         for i in range(j + 1, n):
-            ld[i][j] = code.let(
-                " - ".join([a[i][j]] + [f"{ld[i][k]} * {l[j][k]}" for k in range(j)])
-            )
-            l[i][j] = code.let(f"{ld[i][j]} / {d[j]}")
+            ld[i][j] = reduce(sub, [mul(ld[i][k], l[j][k]) for k in range(j)], a[i][j])
+            l[i][j] = div(ld[i][j], d[j])
     return l, d
 
 
-def _solve(code: _Code, l: list[list[str]], d: list[str], b: list[str]) -> list[str]:
+def _solve(l: list[list[Expr]], d: list[Expr], b: list[Expr]) -> list[Expr]:
     """x with L D L' x = b."""
     n = len(b)
-    y = [""] * n
+    y, x = [None] * n, [None] * n
     for i in range(n):
-        y[i] = code.let(" - ".join([b[i]] + [f"{l[i][k]} * {y[k]}" for k in range(i)]))
-    x = [""] * n
+        y[i] = reduce(sub, [mul(l[i][k], y[k]) for k in range(i)], b[i])
     for i in reversed(range(n)):
-        x[i] = code.let(
-            " - ".join([f"{y[i]} / {d[i]}"] + [f"{l[k][i]} * {x[k]}" for k in range(i + 1, n)])
-        )
+        x[i] = reduce(sub, [mul(l[k][i], x[k]) for k in range(i + 1, n)], div(y[i], d[i]))
     return x
 
 
-def shaped_law(sys: MechSystem, design: ShapedDesign, kv: np.ndarray) -> Callable:
-    """The shaped law as one generated function ``law(q, p, g, c)`` of
-    Python floats: (qdot, pdot) of the damped Hamiltonian flow of the design
-    plus the gyroscopic force, or None where M or Mhat is not finite and
-    positive definite, or where evaluating them, dMhat, dVhat or the C table
-    raises.
-
-    It evaluates pair_trees by the pair function's statements, so bitwise to
-    its values; tests M and Mhat by one lowest_eigenvalue of their (2, n, n)
-    stack, as MatchPoint does; then, unrolled for n, factors both as L D L',
-    solves for uhat = Mhat^-1 p, M^-1 dHd/dq and M^-1 p, and contracts dMhat
-    and C with uhat and G Kv G' with it.  ``g`` is G(q), and ``c`` the C
-    values for a design without a C table (None with one).  A pivot that
-    rounds to zero raises ZeroDivisionError.
-    """
-    n, m = sys.n, sys.m
-    reads, body, values = straight_line(pair_trees(sys, design))
-    mats, dmhat, dvhat, c = PairValues(*values)
-    if c is None:
-        c = [[[f"_c[{i}][{j}][{k}]" for k in range(n)] for j in range(n)] for i in range(n)]
-    # the non-constant entries: a parsed constant is finite
-    lower = dict.fromkeys(
-        a[i][j] for a in mats for i in range(n) for j in range(i + 1) if a[i][j][0] == "_"
-    )
-    stack = str(mats).replace("'", "")  # the operands as a nested list
-    p = [f"_p{i}" for i in range(n)]
-    g = [[f"_g[{i}][{a}]" for a in range(m)] for i in range(n)]
-
-    code = _Code()
-    m_factors, mhat_factors = _ldl(code, mats[0]), _ldl(code, mats[1])
-    uhat = _solve(code, *mhat_factors, p)
+def law_trees(values: PairValues, g, kv: np.ndarray, p: list[Expr]) -> tuple[list, list]:
+    """(qdot, pdot) of the shaped law as trees of the entries of ``values``
+    (M and Mhat, dMhat, dVhat, C), of G, Kv and p: M and Mhat factored as
+    L D L', solved for uhat = Mhat^-1 p, M^-1 dHd/dq and M^-1 p; dMhat and C
+    contracted with uhat, and G Kv G' with it."""
+    (m, mhat), dmhat, dvhat, c = values
+    r, ra = range(len(p)), range(len(kv))
+    m_factors, mhat_factors = _ldl(m), _ldl(mhat)
+    uhat = _solve(*mhat_factors, p)
     # dHd/dq_k = dVhat_k - uhat' dMhat_k uhat / 2
-    grad = [code.let(f"{dvhat[k]} - 0.5 * ({_quadratic(dmhat[k], uhat)})") for k in range(n)]
-    minv_grad = _solve(code, *m_factors, grad)
-    qdot = _solve(code, *m_factors, p)
-    gu = [code.let(_sum([f"{g[i][a]} * {uhat[i]}" for i in range(n)])) for a in range(m)]
-    gain = [[f"({float(v)!r})" for v in row] for row in kv]
-    kgu = [code.let(_sum([f"{gain[a][b]} * {gu[b]}" for b in range(m)])) for a in range(m)]
+    grad = [sub(dvhat[k], mul(Const(0.5), _quadratic(dmhat[k], uhat))) for k in r]
+    minv_grad = _solve(*m_factors, grad)
+    gu = [_sum([mul(g[i][a], uhat[i]) for i in r]) for a in ra]
+    kgu = [_sum([mul(Const(float(kv[a][b])), gu[b]) for b in ra]) for a in ra]
     pdot = [
-        code.let(
-            f"{_quadratic([[c[i][j][k] for j in range(n)] for i in range(n)], uhat)}"
-            f" - ({_sum([f'{mats[1][k][j]} * {minv_grad[j]}' for j in range(n)])})"
-            f" - ({_sum([f'{g[k][a]} * {kgu[a]}' for a in range(m)])})"
-        )
-        for k in range(n)
+        sub(sub(_quadratic([[c[i][j][k] for j in r] for i in r], uhat),
+                _sum([mul(mhat[k][j], minv_grad[j]) for j in r])),
+            _sum([mul(g[k][a], kgu[a]) for a in ra]))
+        for k in r
     ]
-    lines = ["def _law(_q, _p, _g, _c):"] + [f"    {read}" for read in reads]
-    lines += ["    try:"] + [f"        {line}" for line in body or ["pass"]]
-    lines += [
-        "    except (ArithmeticError, ValueError):",
-        "        return None",
-        f"    if not ({' and '.join(f'_isfinite({v})' for v in lower) or 'True'}):",
-        "        return None",
-        f"    _low = _lowest(_array({stack})).tolist()",
-        "    if not (_low[0] > 0.0 and _low[1] > 0.0):",
-        "        return None",
-        f"    {', '.join(p)}, = _p.tolist()",
-        "    _g = _g.tolist()",
-    ]
+    return _solve(*m_factors, p), pdot
+
+
+def _fed(tables: list, start: int) -> list:
+    """The nested tables with each entry that is not a constant (None too)
+    replaced by the variable x[k], k counting from start in flat order."""
+    out = []
+    for table in tables:
+        a = np.array(table, dtype=object)
+        flat = [e if isinstance(e, Const) else Var(f"x{k}", k) for k, e in enumerate(a.flat, start)]
+        out.append(np.array(flat, dtype=object).reshape(a.shape).tolist())
+        start += a.size
+    return out
+
+
+def shaped_law(sys: MechSystem, design: ShapedDesign, kv: np.ndarray) -> Compiled:
+    """The shaped law (law_trees) compiled as one function of x: q, p, then
+    without a C table M and Mhat, dMhat, dVhat and C, and last G where it
+    varies.  With a C table the law evaluates pair_trees itself, bitwise as
+    the pair function, and also returns the (2, n, n) stack of M and Mhat
+    for the PD test.  Constant entries stay constants, so folding drops the
+    terms they zero.  A pivot that is zero raises ExprError."""
+    n, trees = sys.n, pair_trees(sys, design)
     if design.C is None:
-        lines.append("    _c = _c.tolist()")
-    lines += [f"    {line}" for line in code.lines]
-    lines.append(f"    return _array([{', '.join(qdot)}]), _array([{', '.join(pdot)}])")
-    namespace = {
-        **SCALAR_NAMES, "_isfinite": math.isfinite, "_lowest": lowest_eigenvalue,
-        "_array": np.array,
-    }
-    exec(compile("\n".join(lines), "<shaped law>", "exec"), namespace)
-    return namespace["_law"]
+        p, *fed, g = _fed([[None] * n, *trees, np.empty((n,) * 3, dtype=object), sys.G.tree], n)
+        return Compiled(Tables(law_trees(PairValues(*fed), g, kv, p)))
+    p, g = _fed([[None] * n, sys.G.tree], n)
+    return Compiled(Tables(law_trees(PairValues(*trees), g, kv, p) + (trees[0],)))
+
+
+def _law_value(ctrl: Controller, point: MatchPoint, p: np.ndarray):
+    """(qdot, pdot) from ctrl.law at (point.q, p); None where M or Mhat is
+    not finite and PD, or where the pair function that fed it raised."""
+    x = point.q.tolist() + p.tolist()  # floats: the law reads each entry once
+    if derived := ctrl.design.C is None:
+        tables, lows = point.tables, point.lows
+        if tables is None or not (lows[0] > 0.0 and lows[1] > 0.0):
+            return None
+        for table in (tables.mats, tables.dmhat, tables.dvhat, point.gyro()):
+            x += table.ravel().tolist()
+    if not ctrl.sys.g_constant:
+        x += point.frame.g.ravel().tolist()
+    if derived:
+        return ctrl.law(x)
+    qdot, pdot, mats = ctrl.law(x)
+    lows = stack_lows(mats)
+    return (qdot, pdot) if lows[0] > 0.0 and lows[1] > 0.0 else None
 
 
 def _shaped_law(
@@ -231,13 +206,12 @@ def _shaped_law(
     """(qdot, pdot) of the shaped dynamics at (point.q, p) from ctrl.law.
     Where the law takes no value, MatchPoint's reads raise what fails, in
     the order frame, pair, Mhat's PD test, dVhat, C; an Mhat that passes the
-    test but that LAPACK's LU finds singular raises after the test
-    (LinAlgError, "Singular matrix"), as the numpy law's solve did."""
-    g, derived = point.frame.g, ctrl.design.C is None
-    if derived:
-        point.pair  # read once, ahead of the law and of C's derivation
+    test but that LAPACK's LU finds singular, or where a pivot of the law's
+    L D L' is zero (its ExprError the cause), raises LinAlgError "Singular
+    matrix" after the test, as the numpy law's solve did."""
+    point.frame  # the first read: a rank-deficient G raises ahead of the rest
     try:
-        field = ctrl.law(point.q, p, g, point.gyro() if derived else None)
+        field = _law_value(ctrl, point, p)
     except POINT_ERRORS as exc:
         field = exc
     if type(field) is tuple:

@@ -25,9 +25,10 @@ class ParseError(ExprError):
 
 
 class Expr:
-    """Immutable expression node."""
+    """Immutable expression node; its hash is computed once and kept, so a
+    tree's hash takes time linear in its distinct nodes, shared or not."""
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
 
     def eval(self, point: Sequence[float]) -> float:
         """Tree-walk evaluation: the reference :func:`compile_expr` is tested against."""
@@ -39,9 +40,7 @@ class Expr:
 
     def variables(self) -> set[int]:
         """Indices of variables that occur in the tree."""
-        out: set[int] = set()
-        _collect_vars(self, out)
-        return out
+        return _variables([self])
 
     def __str__(self) -> str:
         return to_string(self)
@@ -194,16 +193,43 @@ def _trig(fn: Callable[[float], float], node: Sin | Cos, point: Sequence[float])
     return fn(x)
 
 
-def _collect_vars(e: Expr, out: set[int]) -> None:
-    if isinstance(e, Var):
-        out.add(e.index)
-    elif isinstance(e, (Add, Sub, Mul, Div)):
-        _collect_vars(e.left, out)
-        _collect_vars(e.right, out)
-    elif isinstance(e, Pow):
-        _collect_vars(e.base, out)
-    elif isinstance(e, (Sin, Cos, Neg)):
-        _collect_vars(e.arg, out)
+def _keep_hash(cls: type) -> None:
+    """Make cls's hash of its fields computed at the first call and kept."""
+    fields_hash = cls.__hash__
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", fields_hash(self))
+            return self._hash
+
+    cls.__hash__ = __hash__
+
+
+for _cls in (Const, Var, Add, Sub, Mul, Div, Pow, Sin, Cos, Neg):
+    _keep_hash(_cls)
+
+
+def _operands(e: Expr) -> tuple[Expr, ...]:
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        return e.left, e.right
+    if isinstance(e, Pow):
+        return (e.base,)
+    if isinstance(e, (Sin, Cos, Neg)):
+        return (e.arg,)
+    return ()
+
+
+def _variables(trees: Sequence[Expr]) -> set[int]:
+    """Indices of the variables in the trees, each distinct node visited once."""
+    seen, stack = {}, list(trees)
+    while stack:
+        e = stack.pop()
+        if id(e) not in seen:
+            seen[id(e)] = e
+            stack.extend(_operands(e))
+    return {e.index for e in seen.values() if isinstance(e, Var)}
 
 
 # Smart constructors with constant folding.
@@ -483,7 +509,10 @@ def to_string(e: Expr) -> str:
 # Code generation: one Python function per expression or nested table of
 # expressions, with one temporary per unique non-leaf subtree.
 
-_BINARY_OPS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
+_OP_CODE = {
+    Add: "{} + {}", Sub: "{} - {}", Mul: "{} * {}", Div: "{} / {}",
+    Sin: "_sin({})", Cos: "_cos({})", Neg: "-{}",
+}
 
 
 def _emit(
@@ -504,18 +533,11 @@ def _emit(
     name = temps.get(e)
     if name is not None:
         return name
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        left = _emit(e.left, temps, body, batch)
-        code = f"{left} {_BINARY_OPS[type(e)]} {_emit(e.right, temps, body, batch)}"
-    elif isinstance(e, Pow):
-        base = _emit(e.base, temps, body, batch)
-        code = f"_pow({base}, {e.exponent})" if batch else f"{base} ** {e.exponent}"
-    elif isinstance(e, Sin):
-        code = f"_sin({_emit(e.arg, temps, body, batch)})"
-    elif isinstance(e, Cos):
-        code = f"_cos({_emit(e.arg, temps, body, batch)})"
-    elif isinstance(e, Neg):
-        code = f"-{_emit(e.arg, temps, body, batch)}"
+    args = [_emit(operand, temps, body, batch) for operand in _operands(e)]
+    if isinstance(e, Pow):
+        code = f"_pow({args[0]}, {e.exponent})" if batch else f"{args[0]} ** {e.exponent}"
+    elif type(e) in _OP_CODE:
+        code = _OP_CODE[type(e)].format(*args)
     else:
         raise TypeError(f"unknown node {type(e).__name__}")
     name = f"_t{len(body)}"
@@ -535,10 +557,38 @@ def _flatten(tree, leaves: list[Expr]) -> tuple[int, ...]:
     return (len(tree),) + (shapes.pop() if shapes else ())
 
 
+# a message prints a node whole where its expansion (far larger than the tree
+# where subtrees are shared) has at most _SHOWN nodes, else its top levels
+_SHOWN, _SHOWN_DEPTH = 127, 6
+_ELIDED = Var("...", -1)
+
+
+def _fits(e: Expr, budget: int) -> int:
+    """budget less e's expansion's node count, counted no further than < 0."""
+    budget -= 1
+    for operand in _operands(e):
+        if budget < 0:
+            break
+        budget = _fits(operand, budget)
+    return budget
+
+
+def _clipped(e: Expr, depth: int) -> Expr:
+    """e with each subtree ``depth`` levels below it replaced by '...'."""
+    if not _operands(e):
+        return e
+    if depth == 0:
+        return _ELIDED
+    operands = [_clipped(operand, depth - 1) for operand in _operands(e)]
+    return Pow(*operands, e.exponent) if isinstance(e, Pow) else type(e)(*operands)
+
+
 def _node_error(exc: ArithmeticError | ValueError, nodes: list[Expr | None]) -> ExprError:
     # the generated function holds one statement per line, so the line that
     # raised names the node: a divisor, or a sin or cos of an infinite value
     node = nodes[exc.__traceback__.tb_lineno - 1]
+    if _fits(node, _SHOWN) < 0:
+        node = _clipped(node, _SHOWN_DEPTH)
     what = "division by zero" if isinstance(exc, ZeroDivisionError) else "infinite argument"
     return ExprError(f"{what} in {to_string(node)}")
 
@@ -562,13 +612,6 @@ def _pow_rows(base, k: int):
         return np.array([_pow_or_nan(v, k) for v in values], dtype=float)
 
 
-def _operand_of(e: Expr, temps: dict[Expr, str]) -> str | None:
-    """Name of a non-constant operand in generated code; None for a constant."""
-    if isinstance(e, Const):
-        return None
-    return f"_x{e.index}" if isinstance(e, Var) else temps[e]
-
-
 def _generate(trees, batch: bool = False):
     """(shapes, temps, body, outs, used) of the trees: each tree's shape, the
     temporaries and statements of _emit, the operand of each expression in
@@ -578,24 +621,7 @@ def _generate(trees, batch: bool = False):
     temps: dict[Expr, str] = {}
     body: list[tuple[str, Expr]] = []
     outs = [_emit(e, temps, body, batch) for e in leaves]
-    used: set[int] = set()
-    for e in leaves:
-        _collect_vars(e, used)
-    return shapes, temps, body, outs, used
-
-
-def straight_line(trees: Sequence) -> tuple[list[str], list[str], list]:
-    """The statements compile_expr's scalar function runs for ``Tables(trees)``:
-    the reads of the variables from ``_q``, then one assignment per unique
-    non-leaf subtree; and, for each tree, the operands naming its expressions,
-    nested as the tree.  Run with SCALAR_NAMES bound, their values are bitwise
-    those the compiled function returns."""
-    shapes, _, body, outs, used = _generate(trees)
-    values = [
-        np.array(tree_outs, dtype=object).reshape(shape).tolist()
-        for tree_outs, shape in _per_tree(outs, shapes)
-    ]
-    return _reads(used), [code for code, _ in body], values
+    return shapes, temps, body, outs, _variables(leaves)
 
 
 def _per_tree(outs: list[str], shapes: list[tuple[int, ...]]):
@@ -605,15 +631,6 @@ def _per_tree(outs: list[str], shapes: list[tuple[int, ...]]):
         size = math.prod(shape)
         yield outs[start:start + size], shape
         start += size
-
-
-# the names the scalar variant's statements call or read
-SCALAR_NAMES = {"_sin": math.sin, "_cos": math.cos, "inf": math.inf, "nan": math.nan}
-
-
-def _reads(used: set[int]) -> list[str]:
-    """The scalar variant's statements reading the used variables as floats."""
-    return [f"_x{i} = float(_q[{i}])" for i in sorted(used)]
 
 
 class Tables(tuple):
@@ -632,7 +649,8 @@ def _value_code(outs: list[str], shape: tuple[int, ...]) -> str:
 
 
 def compile_expr(tree, batch: bool = False) -> Callable:
-    """Compile an expression, or a nested sequence of them, to one evaluator.
+    """Compile an expression, or a nested sequence of them, to one evaluator,
+    in time linear in the distinct nodes however often subtrees are shared.
 
     The generated function converts the coordinates it reads to float,
     evaluates every unique subtree once, and returns a float for a single
@@ -640,7 +658,7 @@ def compile_expr(tree, batch: bool = False) -> Callable:
     tuple with each tree's value, computed as for that tree alone, with the
     subtrees the trees share evaluated once.  Division by zero, and sin or
     cos of an infinite value, raise :class:`ExprError` naming the
-    subexpression, as :meth:`Expr.eval` does.
+    subexpression (its top levels only, where it expands to many nodes).
 
     With ``batch`` the same generated statements run on numpy arrays: the
     function maps an (N, n) stack of points to ``(values, flagged)``, values
@@ -661,7 +679,7 @@ def compile_expr(tree, batch: bool = False) -> Callable:
     if batch:
         (shape,) = shapes
         checked = [
-            _operand_of(node.right if isinstance(node, Div) else node.base, temps)
+            node.right if isinstance(node, Div) else node.base
             for _, node in body
             if isinstance(node, Div) or (isinstance(node, Pow) and node.exponent <= 0)
         ]
@@ -676,7 +694,8 @@ def compile_expr(tree, batch: bool = False) -> Callable:
             f"            return _full((_n, *{shape}), nan), _ones(_n, dtype=bool)",
             "    _flagged = ~_isfinite(_out).all(axis=1)",
         ]
-        lines += [f"    _flagged |= ~_isfinite({name})" for name in checked if name]
+        lines += [f"    _flagged |= ~_isfinite({_emit(e, temps, body)})" for e in checked
+                  if not isinstance(e, Const)]  # emitted already: _emit names it
         lines += [f"    return _out.reshape((_n, *{shape})), _flagged"]
         namespace.update(
             _sin=np.sin, _cos=np.cos, _pow=_pow_rows, _asarray=np.asarray,
@@ -686,7 +705,7 @@ def compile_expr(tree, batch: bool = False) -> Callable:
     else:
         parts = [_value_code(tree_outs, shape) for tree_outs, shape in _per_tree(outs, shapes)]
         result = f"({', '.join(parts)},)" if tables else parts[0]
-        head = ["def _f(_q):"] + [f"    {read}" for read in _reads(used)]
+        head = ["def _f(_q):"] + [f"    _x{i} = float(_q[{i}])" for i in sorted(used)]
         head += ["    try:"]
         lines = head + [f"        {code}" for code, _ in body] + [
             f"        return {result}",
@@ -694,7 +713,7 @@ def compile_expr(tree, batch: bool = False) -> Callable:
             "        raise _node_error(exc, _nodes) from None",
         ]
         namespace.update(
-            SCALAR_NAMES, _array=np.array,
+            _sin=math.sin, _cos=math.cos, _array=np.array,
             _node_error=_node_error,
             _nodes=[None] * len(head) + [node for _, node in body],
         )
@@ -709,7 +728,7 @@ def _map(f: Callable, tree):
 
 class Compiled:
     """An expression, a rectangular nested table of them, or :class:`Tables`
-    of either, with its evaluators.
+    of either, with its evaluators (compile_expr: linear in distinct nodes).
 
     Calling it on one point runs ``compile_expr(tree)``, compiled here;
     ``batch`` runs the batch variant, compiled on its first call and kept, so

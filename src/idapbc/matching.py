@@ -167,8 +167,8 @@ def pair_trees(sys: MechSystem, design: ShapedDesign) -> tuple:
 
 class PairValues(NamedTuple):
     """The values of pair_trees, as arrays from the pair function or as
-    nested operands from straight_line: M and Mhat as one (2, n, n) table,
-    dMhat, dVhat and the C table, None where the design stores none."""
+    nested tables of trees for the shaped law: M and Mhat as one (2, n, n)
+    table, dMhat, dVhat and the C table, None where the design stores none."""
 
     mats: object
     dmhat: object
@@ -184,6 +184,16 @@ def pair_function(sys: MechSystem, design: ShapedDesign) -> Compiled:
     if kept is None or kept[0] is not sys:
         kept = design.kept_pair = (sys, Compiled(Tables(pair_trees(sys, design))))
     return kept[1]
+
+
+def stack_lows(mats: np.ndarray) -> list[float]:
+    """The lowest eigenvalues of M and Mhat from one eigvalsh of their
+    (2, n, n) stack; NaN, which fails every test, where the stack's sum is not
+    finite (eigvalsh takes no non-finite matrix): a finite sum has finite
+    terms; one that overflows only sends them to mass_matrix and spd_defect."""
+    if not math.isfinite(sum(mats.ravel().tolist())):
+        return [math.nan, math.nan]
+    return linalg.eigvalsh(mats)[:, 0].tolist()
 
 
 class MatchPoint:
@@ -215,15 +225,10 @@ class MatchPoint:
 
     @_Kept
     def lows(self) -> list[float]:
-        """The lowest eigenvalues of M and Mhat from one eigvalsh of their
-        stack; NaN, which fails every test, where the stack is not evaluated
-        or not finite (eigvalsh takes no non-finite matrix)."""
+        """stack_lows of the pair function's M and Mhat; NaN where the pair
+        function raised."""
         tables = self.tables
-        # a finite sum has finite terms; one that overflows only sends M and
-        # Mhat to the tests of mass_matrix and spd_defect
-        if tables is None or not math.isfinite(sum(tables.mats.ravel().tolist())):
-            return [math.nan, math.nan]
-        return lowest_eigenvalue(tables.mats).tolist()
+        return [math.nan, math.nan] if tables is None else stack_lows(tables.mats)
 
     @_Kept
     def pair(self) -> MetricPair:

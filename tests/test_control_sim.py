@@ -351,8 +351,10 @@ def gyro_at(ctrl, q, p):
 class TestOneEvaluationPerCall:
     # M, Mhat, dMhat, dVhat and a stored C come from one call of the pair
     # function or of the shaped law, and a constant G from the kept frame.
-    # The law evaluates the tables it reads itself, so a call that also reads
-    # the matching data (feedback's residual, a derived C) calls both.
+    # With a stored C the law evaluates the tables itself, so feedback, whose
+    # residual reads the matching data, calls both.  Without one the law
+    # takes the tables that C's derivation read from the pair function: both
+    # are called, and each table is still evaluated once per call.
     @pytest.mark.parametrize("with_table", [False, True])
     def test_each_matrix_once(self, with_table):
         sys, design = builtin("pendulum_cart", eps=0.55, K=0.25)

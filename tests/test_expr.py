@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from idapbc.expr import (
+    Compiled,
     Const,
     ExprError,
     ParseError,
@@ -435,3 +436,49 @@ def test_guard_sees_a_reference(tmp_path):
         "f = compile_expr\nCompiled(t)\n"
     )
     assert sorted(compile_references(probe)) == ["probe.py:1", "probe.py:2", "probe.py:3"]
+
+
+def source_runs(path: Path) -> list[str]:
+    """Calls of the builtins exec and compile in a module."""
+    return [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id in ("exec", "compile")
+    ]
+
+
+def test_one_module_generates_code():
+    # expr.py is the one code generator: no other module runs Python source
+    src = Path(expr.__file__).resolve().parent
+    modules = sorted(p for p in src.glob("*.py") if p.name != "expr.py")
+    runs = [r for p in modules for r in source_runs(p)]
+    assert runs == [], "generate code through idapbc.expr.Compiled: " + ", ".join(runs)
+    assert source_runs(src / "expr.py")  # the guard sees expr's own
+
+
+def shared_tree(rounds):
+    """e = e*e + e from e = q1, ``rounds`` times: 2 rounds + 1 distinct nodes,
+    whose expansion has about 3^rounds nodes; 0 at q1 = 0 and q1 = -1."""
+    e = parse("q1", VARS2)
+    for _ in range(rounds):
+        e = expr.add(expr.mul(e, e), e)
+    return e
+
+
+class TestSharedSubtrees:
+    # a walk or a code generator that expands the tree does not finish
+    def test_walks_and_evaluators_finish(self):
+        e = shared_tree(40)
+        assert e.variables() == {0}
+        compiled = Compiled(e)
+        points = np.array([[0.0, 0.5], [-1.0, 0.5]])
+        assert [compiled(q) for q in points] == [0.0, 0.0]
+        values, flagged = compiled.batch(points)
+        assert values.tolist() == [0.0, 0.0] and not flagged.any()
+
+    def test_division_by_zero_at_a_shared_node_has_a_bounded_message(self):
+        compiled = Compiled(expr.div(Const(1.0), shared_tree(40)))
+        with pytest.raises(ExprError, match=r"^division by zero in 1/\(\(") as info:
+            compiled([0.0, 0.5])
+        assert "..." in str(info.value) and len(str(info.value)) < 2000

@@ -1238,6 +1238,75 @@ def varying_g_pendulum(c_table):
     return load_system(data)
 
 
+# the chart of mixed_pendulums: I + 0.2 B, B with entries in {-1, 0, 1}
+MIX = (np.eye(4) + 0.2 * np.array(
+    [[0, 1, 0, -1], [1, 0, 1, 0], [0, -1, 0, 1], [1, 0, -1, 0]]
+)).tolist()
+
+
+def mixed_pendulums(c_table):
+    """Two pendulum_carts with G = [0, 2 + cos(angle)]' (eps 0.55, K 0.25 on
+    (q1, q2); eps 0.4, K 0.5 on (q3, q4)) as one n = 4, m = 2 design, pulled
+    back through the linear chart q -> MIX q: M, Mhat and G vary with all four
+    coordinates, and the design still matches.  Its C table, with c_table, is
+    C_ijk = 0.1 (i - k) cos(q_j), zero where i = k and gyroscopic, but not the
+    derived C."""
+    n, r = 4, range(4)
+    m, mhat = [["0"] * n for _ in r], [["0"] * n for _ in r]
+    g, v, vhat = [["0", "0"] for _ in r], [], []
+    for b, (eps, k) in enumerate([(0.55, 0.25), (0.4, 0.5)]):
+        data = system_to_dict(*builtin("pendulum_cart", eps=eps, K=k))
+        names = {"q1": f"q{2 * b + 1}", "q2": f"q{2 * b + 2}"}
+
+        def block(text, names=names):
+            return re.sub(r"q[12]", lambda match: names[match.group()], text)
+
+        for i in range(2):
+            for j in range(2):
+                m[2 * b + i][2 * b + j] = block(data["M"][i][j])
+                mhat[2 * b + i][2 * b + j] = block(data["shaped"]["Mhat"][i][j])
+        g[2 * b + 1][b] = block("2 + cos(q1)")
+        v.append(block(data["V"]))
+        vhat.append(f"({block(data['shaped']['Vhat'])})")
+    chart = {
+        f"q{i + 1}": "(" + " + ".join(f"{a!r}*q{j + 1}" for j, a in enumerate(row) if a) + ")"
+        for i, row in enumerate(MIX)
+    }
+
+    def at(text):
+        return re.sub(r"q[1-4]", lambda match: chart[match.group()], text)
+
+    def combination(terms):
+        """sum of coefficient * text(MIX q) over the terms."""
+        return " + ".join(f"{c!r}*({at(text)})" for c, text in terms if c and text != "0") or "0"
+
+    def pulled(rows):
+        """MIX' rows(MIX q) MIX, its lower triangle mirroring the upper."""
+        out = [[None] * n for _ in r]
+        for a in r:
+            for b in range(a, n):
+                out[a][b] = out[b][a] = combination(
+                    (MIX[i][a] * MIX[j][b], rows[i][j]) for i in r for j in r
+                )
+        return out
+
+    data = {
+        "n": n, "m": 2, "vars": ["q1", "q2", "q3", "q4"], "M": pulled(m),
+        "V": at(" + ".join(v)),
+        "G": [[combination((MIX[i][a], g[i][c]) for i in r) for c in range(2)] for a in r],
+        "shaped": {
+            "Mhat": pulled(mhat), "Vhat": at(" + ".join(vhat)),
+            "Kv": [[1.0, 0.2], [0.2, 0.5]],
+        },
+    }
+    if c_table:
+        data["shaped"]["C"] = [
+            [[f"{0.1 * (i - k):.1f}*cos(q{j + 1})" if i != k else "0" for k in r] for j in r]
+            for i in r
+        ]
+    return load_system(data)
+
+
 PAIR_DESIGNS = {
     "pendulum-c": lambda: load_system(pendulum_data()),
     "pendulum-noc": lambda: load_system(pendulum_data(c_table=False)),
@@ -1245,6 +1314,8 @@ PAIR_DESIGNS = {
     "varying-g-c": lambda: varying_g_pendulum(True),
     "varying-g-noc": lambda: varying_g_pendulum(False),
     "rotated": rotated_pendulum,
+    "mixed-n4-c": lambda: mixed_pendulums(True),
+    "mixed-n4-noc": lambda: mixed_pendulums(False),
 }
 
 NAN = "(q1*1e200*1e200 - q1*1e200*1e200)"
