@@ -25,7 +25,7 @@ import numpy as np
 
 from . import linalg
 from .expr import Compiled, Const, Expr, Tables, Var, add, div, mul, sub
-from .matching import POINT_ERRORS, RESIDUAL_TOL, MatchPoint, PairValues, pair_trees, stack_lows
+from .matching import POINT_ERRORS, RESIDUAL_TOL, MatchPoint, pair_trees, stack_lows
 from .system import (
     MechSystem,
     ShapedDesign,
@@ -89,7 +89,7 @@ class Controller:
         return self._gyro_from(MatchPoint(self.sys, self.design, q))
 
     def _gyro_from(self, point: MatchPoint) -> np.ndarray:
-        return point.gyro() if self.design.C is None else point.c_table()
+        return point.gyro() if self.design.C is None else self.design.c_table_at(point.q)
 
     def matching_residual(self, q: Sequence[float]) -> float:
         """Largest matching-condition violation of the design at q."""
@@ -131,12 +131,12 @@ def _solve(l: list[list[Expr]], d: list[Expr], b: list[Expr]) -> list[Expr]:
     return x
 
 
-def law_trees(values: PairValues, g, kv: np.ndarray, p: list[Expr]) -> tuple[list, list]:
-    """(qdot, pdot) of the shaped law as trees of the entries of ``values``
+def law_trees(mats, dmhat, dvhat, c, g, kv: np.ndarray, p: list[Expr]) -> tuple[list, list]:
+    """(qdot, pdot) of the shaped law as trees of the entries of the tables
     (M and Mhat, dMhat, dVhat, C), of G, Kv and p: M and Mhat factored as
     L D L', solved for uhat = Mhat^-1 p, M^-1 dHd/dq and M^-1 p; dMhat and C
     contracted with uhat, and G Kv G' with it."""
-    (m, mhat), dmhat, dvhat, c = values
+    m, mhat = mats
     r, ra = range(len(p)), range(len(kv))
     m_factors, mhat_factors = _ldl(m), _ldl(mhat)
     uhat = _solve(*mhat_factors, p)
@@ -168,26 +168,27 @@ def _fed(tables: list, start: int) -> list:
 
 def shaped_law(sys: MechSystem, design: ShapedDesign, kv: np.ndarray) -> Compiled:
     """The shaped law (law_trees) compiled as one function of x: q, p, then
-    without a C table M and Mhat, dMhat, dVhat and C, and last G where it
-    varies.  With a C table the law evaluates pair_trees itself, bitwise as
-    the pair function, and also returns the (2, n, n) stack of M and Mhat
-    for the PD test.  Constant entries stay constants, so folding drops the
-    terms they zero.  A pivot that is zero raises ExprError."""
-    n, trees = sys.n, pair_trees(sys, design)
+    without a C table M and Mhat, dMhat, dVhat (the pair function's first
+    three tables) and C, and last G where it varies.  With a C table the law
+    evaluates those trees, bitwise as the pair function, and C itself, and
+    also returns the (2, n, n) stack of M and Mhat for the PD test.
+    Constant entries stay constants, so folding drops the terms they zero.
+    A pivot that is zero raises ExprError."""
+    n, trees = sys.n, pair_trees(sys, design)[:3]
     if design.C is None:
         p, *fed, g = _fed([[None] * n, *trees, np.empty((n,) * 3, dtype=object), sys.G.tree], n)
-        return Compiled(Tables(law_trees(PairValues(*fed), g, kv, p)))
+        return Compiled(Tables(law_trees(*fed, g, kv, p)))
     p, g = _fed([[None] * n, sys.G.tree], n)
-    return Compiled(Tables(law_trees(PairValues(*trees), g, kv, p) + (trees[0],)))
+    return Compiled(Tables(law_trees(*trees, design.C.tree, g, kv, p) + (trees[0],)))
 
 
 def _law_value(ctrl: Controller, point: MatchPoint, p: np.ndarray):
     """(qdot, pdot) from ctrl.law at (point.q, p); None where M or Mhat is
-    not finite and PD, or where the pair function that fed it raised."""
+    not finite and PD."""
     x = point.q.tolist() + p.tolist()  # floats: the law reads each entry once
     if derived := ctrl.design.C is None:
         tables, lows = point.tables, point.lows
-        if tables is None or not (lows[0] > 0.0 and lows[1] > 0.0):
+        if not (lows[0] > 0.0 and lows[1] > 0.0):
             return None
         for table in (tables.mats, tables.dmhat, tables.dvhat, point.gyro()):
             x += table.ravel().tolist()
@@ -205,10 +206,10 @@ def _shaped_law(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(qdot, pdot) of the shaped dynamics at (point.q, p) from ctrl.law.
     Where the law takes no value, MatchPoint's reads raise what fails, in
-    the order frame, pair, Mhat's PD test, dVhat, C; an Mhat that passes the
-    test but that LAPACK's LU finds singular, or where a pivot of the law's
-    L D L' is zero (its ExprError the cause), raises LinAlgError "Singular
-    matrix" after the test, as the numpy law's solve did."""
+    MatchPoint's order: frame, the pair function, M's and Mhat's PD tests,
+    LAPACK's LU (LinAlgError "Singular matrix", as the numpy law's solve
+    raised), C.  Where a pivot of the law's L D L' is zero (its ExprError
+    the cause), that LinAlgError comes last."""
     point.frame  # the first read: a rank-deficient G raises ahead of the rest
     try:
         field = _law_value(ctrl, point, p)
@@ -216,11 +217,9 @@ def _shaped_law(
         field = exc
     if type(field) is tuple:
         return field
-    point.pair
     if defect := point.shaped_mass_defect():
         raise SystemError(f"shaped mass {defect} at q={q_text(point.q)}")
     linalg.solve(point.pair.mhat, p)
-    point.dvhat
     ctrl._gyro_from(point)
     # every read passed, but a pivot of the law's L D L' rounded to zero
     raise np.linalg.LinAlgError("Singular matrix") from field
@@ -246,7 +245,7 @@ def feedback(ctrl: Controller, q: Sequence[float], p: Sequence[float]) -> np.nda
         )
     _, pdot = _shaped_law(ctrl, point, p)
     g, minv = point.frame.g, point.pair.minv
-    rhs = q_gradient(point.dv, point.dm, minv @ p) + pdot
+    rhs = q_gradient(point.tables.dv, point.tables.dm, minv @ p) + pdot
     return linalg.solve(g.T @ g, g.T @ rhs)
 
 

@@ -46,10 +46,12 @@ class Expr:
         return to_string(self)
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({to_string(self)})"
+        # the nodes' dataclasses take repr=False to keep it; clipped as
+        # _node_error's messages are: an expansion can be exponentially long
+        return f"{type(self).__name__}({to_string(_shown(self))})"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class Const(Expr):
     value: float
 
@@ -60,7 +62,7 @@ class Const(Expr):
         return Const(0.0)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class Var(Expr):
     name: str
     index: int
@@ -73,7 +75,7 @@ class Var(Expr):
         return Const(1.0 if index == self.index else 0.0)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class Add(Expr):
     left: Expr
     right: Expr
@@ -85,7 +87,7 @@ class Add(Expr):
         return add(self.left.diff(index), self.right.diff(index))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class Sub(Expr):
     left: Expr
     right: Expr
@@ -97,7 +99,7 @@ class Sub(Expr):
         return sub(self.left.diff(index), self.right.diff(index))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class Mul(Expr):
     left: Expr
     right: Expr
@@ -112,7 +114,7 @@ class Mul(Expr):
         )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class Div(Expr):
     left: Expr
     right: Expr
@@ -133,7 +135,7 @@ class Div(Expr):
         return sub(quotient, div(mul(self.left, dv), mul(self.right, self.right)))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class Pow(Expr):
     base: Expr
     exponent: int
@@ -152,7 +154,7 @@ class Pow(Expr):
         )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class Sin(Expr):
     arg: Expr
 
@@ -163,7 +165,7 @@ class Sin(Expr):
         return mul(cos(self.arg), self.arg.diff(index))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class Cos(Expr):
     arg: Expr
 
@@ -174,7 +176,7 @@ class Cos(Expr):
         return neg(mul(sin(self.arg), self.arg.diff(index)))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class Neg(Expr):
     arg: Expr
 
@@ -583,12 +585,15 @@ def _clipped(e: Expr, depth: int) -> Expr:
     return Pow(*operands, e.exponent) if isinstance(e, Pow) else type(e)(*operands)
 
 
+def _shown(e: Expr) -> Expr:
+    """e, or its top levels where its expansion has more than _SHOWN nodes."""
+    return e if _fits(e, _SHOWN) >= 0 else _clipped(e, _SHOWN_DEPTH)
+
+
 def _node_error(exc: ArithmeticError | ValueError, nodes: list[Expr | None]) -> ExprError:
     # the generated function holds one statement per line, so the line that
     # raised names the node: a divisor, or a sin or cos of an infinite value
-    node = nodes[exc.__traceback__.tb_lineno - 1]
-    if _fits(node, _SHOWN) < 0:
-        node = _clipped(node, _SHOWN_DEPTH)
+    node = _shown(nodes[exc.__traceback__.tb_lineno - 1])
     what = "division by zero" if isinstance(exc, ZeroDivisionError) else "infinite argument"
     return ExprError(f"{what} in {to_string(node)}")
 
@@ -648,6 +653,11 @@ def _value_code(outs: list[str], shape: tuple[int, ...]) -> str:
     return code + (f".reshape({shape})" if len(shape) > 1 else "")
 
 
+def _result(parts: list[str], tables: bool) -> str:
+    """Generated code for the tuple of the parts, or for the one part."""
+    return f"({', '.join(parts)},)" if tables else parts[0]
+
+
 def compile_expr(tree, batch: bool = False) -> Callable:
     """Compile an expression, or a nested sequence of them, to one evaluator,
     in time linear in the distinct nodes however often subtrees are shared.
@@ -662,22 +672,21 @@ def compile_expr(tree, batch: bool = False) -> Callable:
 
     With ``batch`` the same generated statements run on numpy arrays: the
     function maps an (N, n) stack of points to ``(values, flagged)``, values
-    of shape (N, *shape) and a boolean row mask.  A row is flagged where a
-    temporary is not finite, which includes every zero denominator (its
-    quotient is infinite) and every power the scalar variant overflows on;
-    those are the rows where the scalar function raises or carries inf or
-    NaN.  A non-finite value reaches an output unless it is a denominator or
-    the base of a non-positive power, so only those and the outputs are
-    checked.  Values in flagged rows are placeholders.
+    of shape (N, *shape) (for :class:`Tables`, a tuple with each tree's) and
+    one boolean row mask.  A row is flagged where a temporary is not finite,
+    which includes every zero denominator (its quotient is infinite) and
+    every power the scalar variant overflows on; those are the rows where
+    the scalar function raises or carries inf or NaN.  A non-finite value
+    reaches an output unless it is a denominator or the base of a
+    non-positive power, so only those and the outputs are checked: for
+    Tables, the union of what each tree alone checks, so the mask is the OR
+    of their masks.  Values in flagged rows are placeholders.
     """
     tables = isinstance(tree, Tables)
-    if batch and tables:
-        raise ExprError("the batch variant evaluates one table")
     shapes, temps, body, outs, used = _generate(tree if tables else (tree,), batch)
     # differentiation still folds to inf: d(q1*1e200*1e200)/dq1
     namespace = {"inf": math.inf, "nan": math.nan}
     if batch:
-        (shape,) = shapes
         checked = [
             node.right if isinstance(node, Div) else node.base
             for _, node in body
@@ -687,16 +696,21 @@ def compile_expr(tree, batch: bool = False) -> Callable:
         lines += [f"    _x{i} = _q[:, {i}]" for i in sorted(used)]
         lines += ["    with _errstate(all='ignore'):", "        try:"]
         lines += [f"            {code}" for code, _ in body]
-        lines += [f"            _out = _empty((_n, {len(outs)}))"]
-        lines += [f"            _out[:, {k}] = {out}" for k, out in enumerate(outs)]
+        # one array per tree, each C-contiguous as that tree's own would be
+        for j, (tree_outs, _) in enumerate(_per_tree(outs, shapes)):
+            lines += [f"            _o{j} = _empty((_n, {len(tree_outs)}))"]
+            lines += [f"            _o{j}[:, {k}] = {out}" for k, out in enumerate(tree_outs)]
+        values = [f"_o{j}.reshape((_n, *{shape}))" for j, shape in enumerate(shapes)]
+        placeholders = [f"_full((_n, *{shape}), nan)" for shape in shapes]
         lines += [
             "        except ArithmeticError:",  # a constant subtree divides by zero
-            f"            return _full((_n, *{shape}), nan), _ones(_n, dtype=bool)",
-            "    _flagged = ~_isfinite(_out).all(axis=1)",
+            f"            return {_result(placeholders, tables)}, _ones(_n, dtype=bool)",
+            "    _flagged = ~(" + " & ".join(
+                f"_isfinite(_o{j}).all(axis=1)" for j in range(len(shapes))) + ")",
         ]
         lines += [f"    _flagged |= ~_isfinite({_emit(e, temps, body)})" for e in checked
                   if not isinstance(e, Const)]  # emitted already: _emit names it
-        lines += [f"    return _out.reshape((_n, *{shape})), _flagged"]
+        lines += [f"    return {_result(values, tables)}, _flagged"]
         namespace.update(
             _sin=np.sin, _cos=np.cos, _pow=_pow_rows, _asarray=np.asarray,
             _errstate=np.errstate, _empty=np.empty, _full=np.full, _ones=np.ones,
@@ -704,11 +718,10 @@ def compile_expr(tree, batch: bool = False) -> Callable:
         )
     else:
         parts = [_value_code(tree_outs, shape) for tree_outs, shape in _per_tree(outs, shapes)]
-        result = f"({', '.join(parts)},)" if tables else parts[0]
         head = ["def _f(_q):"] + [f"    _x{i} = float(_q[{i}])" for i in sorted(used)]
         head += ["    try:"]
         lines = head + [f"        {code}" for code, _ in body] + [
-            f"        return {result}",
+            f"        return {_result(parts, tables)}",
             "    except (ZeroDivisionError, ValueError) as exc:",
             "        raise _node_error(exc, _nodes) from None",
         ]
@@ -744,7 +757,8 @@ class Compiled:
         return self._fn(q)
 
     def batch(self, points) -> tuple[np.ndarray, np.ndarray]:
-        """(N, n) stack of points -> ((N, *shape) values, flagged rows)."""
+        """(N, n) stack of points -> ((N, *shape) values, or a tuple of each
+        tree's for Tables; flagged rows)."""
         if self._batch is None:
             self._batch = compile_expr(self.tree, batch=True)
         return self._batch(points)

@@ -131,7 +131,7 @@ def _derive(
 def a_tensor(sys: MechSystem, design: ShapedDesign, q: Sequence[float]) -> np.ndarray:
     """A^{ij}_k built from the metric pair and their inverse derivatives."""
     point = MatchPoint(sys, design, q)
-    (minv, mhat, dmhat), dm = point.pair, point.dm
+    (minv, mhat, dmhat), dm = point.pair, point.tables.dm
     try:
         mhat_inv = _symmetrized_inverse(mhat)
     except np.linalg.LinAlgError as exc:
@@ -159,21 +159,22 @@ class _Kept(cached_property):
         return value
 
 
-def pair_trees(sys: MechSystem, design: ShapedDesign) -> tuple:
-    """The trees of the pair function, in PairValues' order."""
-    trees = ((sys.M.tree, design.Mhat.tree), design.dMhat.tree, design.dVhat.tree)
-    return trees + ((design.C.tree,) if design.C is not None else ())
+def pair_trees(sys: MechSystem, design: ShapedDesign) -> PairValues:
+    """The trees of the pair function."""
+    return PairValues((sys.M.tree, design.Mhat.tree), design.dMhat.tree, design.dVhat.tree,
+                      sys.dM.tree, sys.dV.tree)
 
 
 class PairValues(NamedTuple):
-    """The values of pair_trees, as arrays from the pair function or as
-    nested tables of trees for the shaped law: M and Mhat as one (2, n, n)
-    table, dMhat, dVhat and the C table, None where the design stores none."""
+    """The values of pair_trees, as arrays from the pair function (with a
+    leading axis of rows from its batch variant) or as nested tables of
+    trees: M and Mhat as one (2, n, n) table, dMhat, dVhat, dM and dV."""
 
     mats: object
     dmhat: object
     dvhat: object
-    c: object = None
+    dm: object
+    dv: object
 
 
 def pair_function(sys: MechSystem, design: ShapedDesign) -> Compiled:
@@ -197,16 +198,18 @@ def stack_lows(mats: np.ndarray) -> list[float]:
 
 
 class MatchPoint:
-    """The input frame, metric pair, dM, dV, dVhat, T and T's derivation at
-    one q, each evaluated on first read and kept.  Readers take the frame
-    first, so a rank-deficient G is reported ahead of a failing metric.
+    """The input frame, the pair function's tables, the metric pair, T and
+    T's derivation at one q, each evaluated on first read and kept.
 
-    The metric pair, dVhat and the C table come from one call of the
-    pair function (``tables``), and M's and Mhat's positive definite tests from
-    one eigvalsh of its stack (``lows``).  Where the call raises, each read
-    evaluates its own table, and where a fast test fails, mass_matrix and
-    spd_defect decide: so every read raises what, and in the order, it would
-    raise alone."""
+    M, Mhat, dMhat, dVhat, dM and dV come from one call of the pair
+    function (``tables``), and M's and Mhat's positive definite tests from
+    one eigvalsh of its stack (``lows``); where a fast test fails,
+    mass_matrix and spd_defect decide and write the message.  A read raises
+    the first failure in this order: the frame (G's rank), since readers
+    take it first; the pair function's own exception, which is its first
+    failing statement, M's, Mhat's, dMhat's, dVhat's, dM's then dV's;
+    M's positive definite test; and then, for the shaped law, Mhat's test,
+    LAPACK's LU and C."""
 
     def __init__(self, sys: MechSystem, design: ShapedDesign, q: Sequence[float]):
         self.sys, self.design, self.q = sys, design, q
@@ -216,31 +219,20 @@ class MatchPoint:
         return self.sys.frame(self.q)
 
     @_Kept
-    def tables(self) -> PairValues | None:
-        """The pair function's values at q, or None where evaluating it raises."""
-        try:
-            return PairValues(*pair_function(self.sys, self.design)(self.q))
-        except (ExprError, ArithmeticError):
-            return None
+    def tables(self) -> PairValues:
+        """The pair function's values at q."""
+        return PairValues(*pair_function(self.sys, self.design)(self.q))
 
     @_Kept
     def lows(self) -> list[float]:
-        """stack_lows of the pair function's M and Mhat; NaN where the pair
-        function raised."""
-        tables = self.tables
-        return [math.nan, math.nan] if tables is None else stack_lows(tables.mats)
+        """stack_lows of the pair function's M and Mhat."""
+        return stack_lows(self.tables.mats)
 
     @_Kept
     def pair(self) -> MetricPair:
-        tables = self.tables
-        if tables is None:
-            m = self.sys.mass_matrix(self.q)
-            mhat = self.design.shaped_mass(self.q)
-            dmhat = self.design.shaped_mass_derivatives(self.q)
-        else:
-            (m, mhat), dmhat = tables.mats, tables.dmhat
-            if not self.lows[0] > 0.0:
-                self.sys.mass_matrix(self.q)  # raises where M is not positive definite
+        (m, mhat), dmhat = self.tables.mats, self.tables.dmhat
+        if not self.lows[0] > 0.0:
+            self.sys.mass_matrix(self.q)  # raises where M is not positive definite
         return MetricPair(_symmetrized_inverse(m), mhat, dmhat)
 
     def shaped_mass_defect(self) -> str | None:
@@ -250,28 +242,10 @@ class MatchPoint:
         mhat = self.pair.mhat
         return None if self.lows[1] > 0.0 else spd_defect(mhat)
 
-    def c_table(self) -> np.ndarray:
-        """The design's C table at q."""
-        tables = self.tables
-        return self.design.c_table_at(self.q) if tables is None else tables.c
-
-    @_Kept
-    def dm(self) -> np.ndarray:
-        return self.sys.mass_derivatives(self.q)
-
-    @_Kept
-    def dv(self) -> np.ndarray:
-        return self.sys.potential_gradient(self.q)
-
-    @_Kept
-    def dvhat(self) -> np.ndarray:
-        tables = self.tables
-        return self.design.shaped_potential_gradient(self.q) if tables is None else tables.dvhat
-
     @_Kept
     def t(self) -> np.ndarray:
         """T_ijk, C-ordered and read-only; raises where an entry is not finite."""
-        t = np.ascontiguousarray(t_entries(self.pair, self.dm))
+        t = np.ascontiguousarray(t_entries(self.pair, self.tables.dm))
         if not finite_rows(t):
             raise TensorError(NOT_FINITE)
         t.setflags(write=False)
@@ -285,7 +259,8 @@ class MatchPoint:
 
     def potential(self) -> np.ndarray:
         """W (dV - Mhat M^-1 dVhat)."""
-        return potential_defect(self.frame.annihilator, self.pair, self.dv, self.dvhat)
+        frame, pair = self.frame, self.pair  # in read order
+        return potential_defect(frame.annihilator, pair, self.tables.dv, self.tables.dvhat)
 
     def kinetic(self) -> np.ndarray:
         """Cyclic sums of T(w_a, w_b, w_c) over the rows a <= b <= c of W."""
@@ -315,7 +290,8 @@ class MatchPoint:
 class MatchRows:
     """MatchPoint's potential and kinetic defects, Mhat PD test and gyroscopic
     tensor at each row of an (N, n) stack of points, each evaluated once for
-    the whole stack by MatchPoint's formulas.
+    the whole stack by MatchPoint's formulas, from one batch call of G and
+    one of the pair function.
 
     ``failed`` flags each row where MatchPoint would raise, or where the
     evaluator flags a value (see Compiled.batch); such rows hold placeholders
@@ -327,27 +303,24 @@ class MatchRows:
     def __init__(self, sys: MechSystem, design: ShapedDesign, points: np.ndarray):
         self.sys, self.design = sys, design
         self.points = points = np.asarray(points, dtype=float)
-        self.failed = failed = np.zeros(len(points), dtype=bool)
-
-        def rows(table):
-            values, flagged = table.batch(points)
-            np.logical_or(failed, flagged, out=failed)
-            return values
-
-        # the order of MatchPoint's reads: frame, pair, dM, dV, dVhat, T
-        frame = sys.frames(rows(sys.G), failed)
-        m = identity_where(rows(sys.M), failed)
+        # the order of MatchPoint's reads: frame, the pair function, M's test, T
+        g, failed = sys.G.batch(points)
+        frame = sys.frames(g, failed)
+        values, flagged = pair_function(sys, design).batch(points)
+        tables = PairValues(*values)
+        self.failed = failed = failed | flagged
+        # each (N, n, n) and C-contiguous, as einsum's sums keep layout order
+        m, mhat = tables.mats.swapaxes(0, 1).copy()
+        m = identity_where(m, failed)
         failed |= ~(lowest_eigenvalue(m) > 0.0)  # mass_matrix raises
         minv = _symmetrized_inverse(identity_where(m, failed))
-        pair = MetricPair(minv, rows(design.Mhat), rows(design.dMhat))
-        dm = rows(sys.dM)
-        dv, dvhat = rows(sys.dV), rows(design.dVhat)
+        pair = MetricPair(minv, mhat, tables.dmhat)
         with np.errstate(all="ignore"):
             self.potential = potential_defect(
-                frame.annihilator, pair, dv[..., None], dvhat[..., None]
+                frame.annihilator, pair, tables.dv[..., None], tables.dvhat[..., None]
             )[..., 0]
             # in C order, as MatchPoint.t keeps it: einsum sums in layout order
-            t = np.ascontiguousarray(t_entries(pair, dm))
+            t = np.ascontiguousarray(t_entries(pair, tables.dm))
         failed |= ~finite_rows(t)  # MatchPoint.t raises
         # spd_defect's test on a bitwise symmetric Mhat; the rows ``failed``
         # leaves are finite
@@ -559,7 +532,7 @@ def solve_kinetic_characteristics(
         minv = linalg.inv(sys.mass_matrix(qvec))
         c = np.concatenate((x[1:], ansatz_fn(np.append(qvec, x[1])))) @ minv
         # row' dM^-1/dq1 row with dM^-1 = -M^-1 dM M^-1, as in q_gradient
-        return c, -float(c @ sys.mass_derivatives(qvec)[0] @ c)
+        return c, -float(c @ sys.dM(qvec)[0] @ c)
 
     def speed(c: np.ndarray, s: float) -> np.ndarray:
         return np.array([1.0, -s / c[0]])

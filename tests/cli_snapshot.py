@@ -20,6 +20,10 @@ divergence guard (``repro-x0-*``).  The ``*-c-pow-pow`` and
 ``*-c-neg-exp`` runs synthesize and simulate a C table holding a power of a
 power and a negative exponent, which the bundle prints back.
 ``simulate-equilibrium`` starts the builtin closed loop at its equilibrium.
+The ``*-mhat-0-over-0`` runs take a design whose Mhat[0][0] holds q1/q1,
+which divides by zero along q1 = 0: ``verify`` counts those grid points in
+``failed_points``, and ``simulate`` from q1 = 0, with and without the C
+table, exits 1 with one ``error:`` line.
 A run whose system is not one of the inputs or a builtin names a file an
 earlier run wrote.
 
@@ -71,6 +75,8 @@ INPUTS = {
     "repro": design(0.55, 0.25, c_table=False, mhat00=" + 1e-10*q1^3"),
     "c-pow-pow": design(0.55, 0.25, c000="(q1^2)^2 - (q1^2)^2"),
     "c-neg-exp": design(0.55, 0.25, c000="cos(q1)^-1 - cos(q1)^-1"),
+    "mhat-0-over-0": design(0.55, 0.25, c_table=False, mhat00=" + q1/q1 - 1"),
+    "c-mhat-0-over-0": design(0.55, 0.25, mhat00=" + q1/q1 - 1"),
 }
 
 GRID_41 = "q1=-1:1:41,q2=-1:1:11"
@@ -108,6 +114,9 @@ RUNS = {
     "simulate-equilibrium": [
         "simulate", "builtin:pendulum_cart", "--eps", "0.4", "--K", "0.5", "--x0=0,0,0,0", *SIM
     ],
+    "verify-mhat-0-over-0": ["verify", "mhat-0-over-0", "--grid", GRID_41],
+    "simulate-mhat-0-over-0": ["simulate", "mhat-0-over-0", "--x0=0,0.1,0,0", *SIM],
+    "simulate-c-mhat-0-over-0": ["simulate", "c-mhat-0-over-0", "--x0=0,0.1,0,0", *SIM],
 }
 
 

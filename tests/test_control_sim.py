@@ -16,7 +16,7 @@ from idapbc.control_sim import (
     simulate,
     write_trajectory_csv,
 )
-from idapbc.expr import parse
+from idapbc.expr import Compiled, parse
 from idapbc import matching
 from idapbc.matching import GyroField, MatchingError, evaluate_residuals, pair_function
 from idapbc.system import (
@@ -349,12 +349,13 @@ def gyro_at(ctrl, q, p):
 
 
 class TestOneEvaluationPerCall:
-    # M, Mhat, dMhat, dVhat and a stored C come from one call of the pair
-    # function or of the shaped law, and a constant G from the kept frame.
-    # With a stored C the law evaluates the tables itself, so feedback, whose
-    # residual reads the matching data, calls both.  Without one the law
-    # takes the tables that C's derivation read from the pair function: both
-    # are called, and each table is still evaluated once per call.
+    # M, Mhat, dMhat, dVhat, dM and dV come from one call of the pair
+    # function, a stored C from its own table, and a constant G from the kept
+    # frame.  With a stored C the law evaluates M, Mhat, dMhat, dVhat and C
+    # itself, so feedback, whose residual reads the matching data, calls
+    # both, and gyro_at neither.  Without one the law takes the tables that
+    # C's derivation read from the pair function: both are called, and each
+    # table is still evaluated once per call.
     @pytest.mark.parametrize("with_table", [False, True])
     def test_each_matrix_once(self, with_table):
         sys, design = builtin("pendulum_cart", eps=0.55, K=0.25)
@@ -364,8 +365,9 @@ class TestOneEvaluationPerCall:
         q, p = [0.3, -0.2], [0.4, 0.1]
         sys.frame(q)  # a constant G is evaluated once, at its first query
         field_calls = [0, 1] if with_table else [1, 1]
+        gyro_calls = [0, 0] if with_table else [1, 0]
         for call, want in ((feedback, [1, 1]), (closed_loop_field, field_calls),
-                           (gyro_at, [1, 0])):
+                           (gyro_at, gyro_calls)):
             counts = count_evaluations(sys.M, sys.G, design.Mhat)
             pair_calls, law_calls = count_pair_calls(sys, design), count_law_calls(ctrl)
             call(ctrl, q, p)
@@ -396,12 +398,19 @@ class TestOneEvaluationPerCall:
             call(q)
             assert counts == [0, 0, 0] and pair_calls == [1], call.__name__
 
-    def test_each_matrix_once_per_sweep_point(self):
+    def test_each_matrix_once_per_sweep_point(self, monkeypatch):
+        # one batch call of G and one of the pair function, each over all 9
+        # points, and no other evaluation of M or Mhat
         sys, design = builtin("pendulum_cart", eps=0.55, K=0.25)
-        counts = count_evaluations(sys.M, sys.G, design.Mhat)
+        batches, batch = [], Compiled.batch
+        monkeypatch.setattr(Compiled, "batch", lambda table, points: (
+            batches.append((table, len(points))) or batch(table, points)))
+        counts = count_evaluations(sys.M, design.Mhat)
+        pair_calls = count_pair_calls(sys, design)
         axes = [(name, np.linspace(-0.5, 0.5, 3)) for name in sys.vars]
         evaluate_residuals(sys, design, axes)
-        assert counts == [9, 9, 9]
+        assert batches == [(sys.G, 9), (pair_function(sys, design), 9)]
+        assert counts == [0, 0] and pair_calls == [0]
 
     def test_stored_tensor_builds_no_t(self, monkeypatch):
         def no_t(*args):
@@ -432,20 +441,21 @@ class TestOneEvaluationPerCall:
 class TestClosedLoopField:
     @pytest.mark.parametrize("with_table", [False, True])
     def test_reads_dm_only_for_feedback(self, with_table):
-        # the shaped law needs no dM/dq; the feedback's dH/dq does (and T)
+        # the shaped law needs no dM/dq; the feedback's dH/dq does (and T).
+        # dM comes from the pair function, which a C-table law does not call
         sys, design = builtin("pendulum_cart", eps=0.55, K=0.25)
         if not with_table:
             design = ShapedDesign(sys.vars, design.Mhat, design.Vhat, design.Kv)
         ctrl = Controller(sys, design)
-        calls = []
-        dm_fn = sys.dM._fn
-        sys.dM._fn = lambda q: calls.append(1) or dm_fn(q)
+        alone, dm_fn = [], sys.dM._fn
+        sys.dM._fn = lambda q: alone.append(1) or dm_fn(q)
+        calls = count_pair_calls(sys, design)
         q, p = [0.3, -0.2], [0.4, 0.1]
         closed_loop_field(ctrl, q, p)
-        assert len(calls) == (0 if with_table else 1)
-        del calls[:]
+        assert calls == [0 if with_table else 1]
+        calls[0] = 0
         feedback(ctrl, q, p)
-        assert len(calls) == 1
+        assert calls == [1] and alone == []
 
     def test_equilibrium_is_fixed_point(self):
         _, _, ctrl = pendulum_controller()

@@ -276,8 +276,6 @@ class TestProperties:
                 assert np.asarray(got).tobytes() == np.asarray(expect).tobytes()
         with pytest.raises(ExprError, match="division by zero in 1/q2"):
             compile_expr(Tables([parse("q1", VARS2), [parse("1/q2", VARS2)]]))([1.0, 0.0])
-        with pytest.raises(ExprError, match="one table"):
-            compile_expr(Tables(trees), batch=True)
 
     @pytest.mark.parametrize(
         "text, pos", [("1e400*q1", 0), ("1e200*1e200*q1", 5), ("10^400*q1", 3), ("-1e400", 1)]
@@ -384,6 +382,26 @@ class TestBatch:
         values, flagged = compile_expr(parse("q1 + 1/0", VARS2), batch=True)(np.ones((3, 2)))
         assert values.shape == (3,) and flagged.all()
 
+    def test_tables_equal_each_trees_batch(self):
+        # a zero denominator in one tree at q1 = 0.5 and a power overflowing
+        # in another where |q2| > 1e-46, with cos(q1) shared between them
+        trees = [
+            [parse("cos(q1)/(q1 - 0.5)", VARS2), parse("q2", VARS2)],
+            parse("cos(q1)*q2 + (q2*1e200)^2", VARS2),
+            builtin("pendulum_cart", eps=0.55, K=0.25)[1].Mhat.tree,
+        ]
+        points = np.array([[a, b] for a in (-1.0, 0.0, 0.5, 1.0) for b in (0.0, 1e-100, 0.3)])
+        values, flagged = Compiled(Tables(trees)).batch(points)
+        alone = [Compiled(t).batch(points) for t in trees]
+        masks = [mask for _, mask in alone]
+        assert masks[0].any() and masks[1].any() and not (masks[0] == masks[1]).all()
+        assert type(values) is tuple and len(values) == len(trees)
+        assert flagged.tolist() == (masks[0] | masks[1] | masks[2]).tolist()
+        assert not flagged.all()
+        for got, (expect, _) in zip(values, alone):
+            assert got.shape == expect.shape
+            assert got[~flagged].tobytes() == expect[~flagged].tobytes()
+
     def test_compiled_on_first_batched_call(self, monkeypatch):
         compiled = []
         plain = expr.compile_expr
@@ -398,10 +416,10 @@ class TestBatch:
         assert True not in compiled
         axes = [(name, np.linspace(-0.5, 0.5, 3)) for name in sys.vars]
         evaluate_residuals(sys, design, axes)
-        # G, M, dM, dV, Mhat, dMhat and dVhat, once each
-        assert compiled.count(True) == 7
+        # G and the pair function, once each
+        assert compiled.count(True) == 2
         evaluate_residuals(sys, design, axes)
-        assert compiled.count(True) == 7
+        assert compiled.count(True) == 2
 
 
 def compile_references(path: Path) -> list[str]:
@@ -476,6 +494,11 @@ class TestSharedSubtrees:
         assert [compiled(q) for q in points] == [0.0, 0.0]
         values, flagged = compiled.batch(points)
         assert values.tolist() == [0.0, 0.0] and not flagged.any()
+
+    def test_repr_is_clipped_as_messages_are(self):
+        assert repr(parse("q1*cos(q2) + 1", VARS2)) == "Add(q1*cos(q2) + 1)"
+        text = repr(shared_tree(40))
+        assert "..." in text and len(text) < 2000
 
     def test_division_by_zero_at_a_shared_node_has_a_bounded_message(self):
         compiled = Compiled(expr.div(Const(1.0), shared_tree(40)))

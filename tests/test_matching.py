@@ -1347,6 +1347,8 @@ def failing_pair_design(case):
     elif case == "non-pd-mhat-and-c-table-c":
         shaped["Mhat"][0][0] = "-1"
         shaped["C"][0][0][0] = "1/(q1 - q1)"
+    elif case == "dvhat-only":
+        shaped["Vhat"] += " + q1^2/(q2 - q2)"
     elif case.startswith("singular-mhat"):
         # eigvalsh finds 1.1e-16 > 0, LAPACK's LU an exactly zero pivot
         shaped["Mhat"] = [["1", "3"], ["3", "9"]]
@@ -1356,6 +1358,20 @@ def failing_pair_design(case):
 
 
 PAIR_POINTS = [[0.3, -0.2], [0.0, 0.1], [-0.6, 0.5]]
+
+# designs on which the one evaluation of the tables raises a division by zero
+# (its first failing statement, named here) at calls where the per-table reads
+# raise another error or none: where M is not PD, ahead of M's test; where Mhat
+# is not PD or LU-singular, ahead of Mhat's tests; where only dVhat fails, in
+# the derivation of C, which reads no dVhat
+ONE_EVALUATION_ERRORS = {
+    "non-pd-m-and-zero-over-zero": (
+        "(q1 - q1)/(q1 - q1)", {"field", "feedback", "derive", "gyro_at", "residual"}
+    ),
+    "non-pd-mhat-and-dvhat-c": ("2*q1/(q2 - q2)", {"field", "derive"}),
+    "singular-mhat-and-dvhat-c": ("2*q1/(q2 - q2)", {"field", "derive"}),
+    "dvhat-only": ("2*q1/(q2 - q2)", {"derive", "gyro_at"}),
+}
 
 
 class TestPairFunction:
@@ -1387,15 +1403,33 @@ class TestPairFunction:
 
     @pytest.mark.parametrize("case", [
         "nan-m", "nan-mhat", "big-mhat", "big-mhat-c", "zero-over-zero", "overflow",
-        "rank-deficient",
-        "non-pd-m-and-zero-over-zero", "non-pd-mhat-and-dvhat-c", "non-pd-mhat-and-c-table-c",
-        "singular-mhat", "singular-mhat-c", "singular-mhat-and-dvhat-c",
+        "rank-deficient", "non-pd-mhat-and-c-table-c", "singular-mhat", "singular-mhat-c",
     ])
     def test_errors_equal_per_table_reads(self, case):
         sys, design = failing_pair_design(case)
         ctrl = Controller(sys, design)
         for q in PAIR_POINTS:
             assert_pair_parity(ctrl, q, [0.4, 0.1])
+
+    @pytest.mark.parametrize("case", list(ONE_EVALUATION_ERRORS))
+    def test_errors_from_the_one_evaluation(self, case):
+        node, changed = ONE_EVALUATION_ERRORS[case]
+        sys, design = failing_pair_design(case)
+        ctrl = Controller(sys, design)
+        p = [0.4, 0.1]
+        for q in PAIR_POINTS:
+            for name, call in PAIR_CALLS.items():
+                got = outcome(lambda: call(ctrl, q, p))
+                if name in changed:
+                    assert got == ("ExprError", f"division by zero in {node}", []), (name, q)
+                else:
+                    assert got == outcome(lambda: per_table_call(ctrl, name, q, p)), (name, q)
+
+    def test_dvhat_failure_counts_as_before_in_the_sweep(self):
+        # the sweep's residual reads dVhat at every point, before and now
+        sys, design = failing_pair_design("dvhat-only")
+        axes = [("q1", np.linspace(-1.0, 1.0, 3)), ("q2", np.linspace(-1.0, 1.0, 3))]
+        assert evaluate_residuals(sys, design, axes).failed_points == {"ExprError": 9}
 
     @pytest.mark.parametrize("case", ["nan-m", "nan-mhat"])
     def test_eigvalsh_takes_no_non_finite_stack(self, case, monkeypatch):
@@ -1418,18 +1452,18 @@ class TestPairFunction:
         assert len(non_finite) == (0 if case == "nan-mhat" else 2 * len(PAIR_CALLS))
 
     def test_coinciding_failures_keep_their_order(self):
-        # the pair function evaluates M, Mhat, dMhat, dVhat and C before any
-        # test; a read still raises what it raises on its own, first in order
+        # the pair function evaluates M, Mhat, dMhat, dVhat, dM and dV before
+        # any test, and raises its first failing statement; C comes after
+        # M's and Mhat's tests
         q, p = [0.3, -0.2], [0.4, 0.1]
         sys, design = failing_pair_design("non-pd-m-and-zero-over-zero")
-        with pytest.raises(SystemError, match=r"^mass matrix not positive definite"):
+        with pytest.raises(ExprError, match=r"^division by zero in \(q1 - q1\)/\(q1 - q1\)$"):
             closed_loop_field(Controller(sys, design), q, p)
         sys, design = failing_pair_design("non-pd-mhat-and-dvhat-c")
         ctrl = Controller(sys, design)
-        with pytest.raises(SystemError, match=r"^shaped mass is not positive definite"):
-            closed_loop_field(ctrl, q, p)
-        with pytest.raises(ExprError, match=r"^division by zero"):
-            feedback(ctrl, q, p)  # its residual reads dVhat before the shaped law
+        for call in (closed_loop_field, feedback):
+            with pytest.raises(ExprError, match=r"^division by zero in 2\*q1/\(q2 - q2\)$"):
+                call(ctrl, q, p)
         sys, design = failing_pair_design("non-pd-mhat-and-c-table-c")
         ctrl = Controller(sys, design)
         with pytest.raises(SystemError, match=r"^shaped mass is not positive definite"):
