@@ -17,15 +17,37 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import reduce
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import linalg
-from .expr import Compiled, Const, Expr, Tables, Var, add, div, mul, sub
-from .matching import POINT_ERRORS, RESIDUAL_TOL, MatchPoint, pair_trees, stack_lows
+from .expr import (
+    Compiled,
+    Const,
+    Expr,
+    Tables,
+    Var,
+    add,
+    constant_product,
+    inputs,
+    ldl,
+    ldl_solve,
+    mul,
+    quadratic,
+    sub,
+    total,
+)
+from .matching import (
+    POINT_ERRORS,
+    RESIDUAL_TOL,
+    MatchPoint,
+    adapted_map,
+    kept_fold,
+    pair_trees,
+    stack_lows,
+)
 from .system import (
     MechSystem,
     ShapedDesign,
@@ -33,9 +55,11 @@ from .system import (
     SystemError,
     check_kv,
     q_gradient,
+    q_gradient_trees,
     q_text,
     rk4_step,
 )
+from .tensor import derivation_defect
 from .writer import write_table
 
 DIVERGENCE_NORM = 1e6
@@ -96,41 +120,6 @@ class Controller:
         return MatchPoint(self.sys, self.design, q).residual()
 
 
-def _sum(terms: list[Expr]) -> Expr:
-    """The terms added left to right; 0 for none."""
-    return reduce(add, terms, Const(0.0))
-
-
-def _quadratic(a: list[list[Expr]], u: list[Expr]) -> Expr:
-    """sum_ij a_ij u_i u_j; constant folding drops the terms of zero entries."""
-    r = range(len(u))
-    return _sum([mul(mul(a[i][j], u[i]), u[j]) for i in r for j in r])
-
-
-def _ldl(a: list[list[Expr]]) -> tuple[list[list[Expr]], list[Expr]]:
-    """(L, D) with a = L D L', L unit lower triangular (only its entries below
-    the diagonal are set); a is symmetric, read on and below the diagonal."""
-    n = len(a)
-    l, ld, d = [[None] * n for _ in range(n)], [[None] * n for _ in range(n)], [None] * n
-    for j in range(n):  # ld[i][j] is L_ij D_j
-        d[j] = reduce(sub, [mul(ld[j][k], l[j][k]) for k in range(j)], a[j][j])
-        for i in range(j + 1, n):
-            ld[i][j] = reduce(sub, [mul(ld[i][k], l[j][k]) for k in range(j)], a[i][j])
-            l[i][j] = div(ld[i][j], d[j])
-    return l, d
-
-
-def _solve(l: list[list[Expr]], d: list[Expr], b: list[Expr]) -> list[Expr]:
-    """x with L D L' x = b."""
-    n = len(b)
-    y, x = [None] * n, [None] * n
-    for i in range(n):
-        y[i] = reduce(sub, [mul(l[i][k], y[k]) for k in range(i)], b[i])
-    for i in reversed(range(n)):
-        x[i] = reduce(sub, [mul(l[k][i], x[k]) for k in range(i + 1, n)], div(y[i], d[i]))
-    return x
-
-
 def law_trees(mats, dmhat, dvhat, c, g, kv: np.ndarray, p: list[Expr]) -> tuple[list, list]:
     """(qdot, pdot) of the shaped law as trees of the entries of the tables
     (M and Mhat, dMhat, dVhat, C), of G, Kv and p: M and Mhat factored as
@@ -138,20 +127,18 @@ def law_trees(mats, dmhat, dvhat, c, g, kv: np.ndarray, p: list[Expr]) -> tuple[
     contracted with uhat, and G Kv G' with it."""
     m, mhat = mats
     r, ra = range(len(p)), range(len(kv))
-    m_factors, mhat_factors = _ldl(m), _ldl(mhat)
-    uhat = _solve(*mhat_factors, p)
-    # dHd/dq_k = dVhat_k - uhat' dMhat_k uhat / 2
-    grad = [sub(dvhat[k], mul(Const(0.5), _quadratic(dmhat[k], uhat))) for k in r]
-    minv_grad = _solve(*m_factors, grad)
-    gu = [_sum([mul(g[i][a], uhat[i]) for i in r]) for a in ra]
-    kgu = [_sum([mul(Const(float(kv[a][b])), gu[b]) for b in ra]) for a in ra]
+    m_factors, mhat_factors = ldl(m), ldl(mhat)
+    uhat = ldl_solve(*mhat_factors, p)
+    minv_grad = ldl_solve(*m_factors, q_gradient_trees(dvhat, dmhat, uhat))  # of Hd
+    gu = [total([mul(g[i][a], uhat[i]) for i in r]) for a in ra]
+    kgu = [total([mul(Const(float(kv[a][b])), gu[b]) for b in ra]) for a in ra]
     pdot = [
-        sub(sub(_quadratic([[c[i][j][k] for j in r] for i in r], uhat),
-                _sum([mul(mhat[k][j], minv_grad[j]) for j in r])),
-            _sum([mul(g[k][a], kgu[a]) for a in ra]))
+        sub(sub(quadratic([[c[i][j][k] for j in r] for i in r], uhat),
+                total([mul(mhat[k][j], minv_grad[j]) for j in r])),
+            total([mul(g[k][a], kgu[a]) for a in ra]))
         for k in r
     ]
-    return _solve(*m_factors, p), pdot
+    return ldl_solve(*m_factors, p), pdot
 
 
 def _fed(tables: list, start: int) -> list:
@@ -166,33 +153,82 @@ def _fed(tables: list, start: int) -> list:
     return out
 
 
+class Tick(NamedTuple):
+    """The values of tick_trees: the shaped law, the (2, n, n) stack of M and
+    Mhat, the derivation's blocks (GyroMap.apply's output), the potential
+    defect and the feedback u."""
+
+    qdot: np.ndarray
+    pdot: np.ndarray
+    mats: np.ndarray
+    y: np.ndarray
+    potential: np.ndarray
+    u: np.ndarray
+
+
+def tick_trees(sys: MechSystem, design: ShapedDesign, kv: np.ndarray) -> Tick:
+    """Tick's trees for a design without a C table and a constant G, of
+    x = (q, p): the pair function's trees, C as the kept fold times T
+    (kept_fold), the law (law_trees), W (dV - Mhat M^-1 dVhat)
+    with W the kept annihilator, and u = (G'G)^-1 G' (dH/dq + pdot) with
+    (G'G)^-1 G' a constant and dH/dq read at M^-1 p (q_gradient_trees)."""
+    n, r = sys.n, range(sys.n)
+    frame = sys.frame(np.zeros(n))  # a constant G's, kept
+    tables = pair_trees(sys, design)
+    (m, mhat), gmap = tables.mats, adapted_map(n, n - sys.m)
+    y = constant_product(kept_fold(sys)[0].T, np.ravel(np.array(tables.t, dtype=object)))
+    c = np.array(y[gmap.c], dtype=object).reshape((n,) * 3).tolist()
+    qdot, pdot = law_trees(tables.mats, tables.dmhat, tables.dvhat, c, sys.G.tree, kv,
+                           inputs(n, n))
+    minv_dvhat = ldl_solve(*ldl(m), tables.dvhat)
+    defect = [sub(tables.dv[k], total([mul(mhat[k][j], minv_dvhat[j]) for j in r])) for k in r]
+    rhs = [add(dh, dp) for dh, dp in zip(q_gradient_trees(tables.dv, tables.dm, qdot), pdot)]
+    g = frame.g
+    return Tick(qdot, pdot, tables.mats, y, constant_product(frame.annihilator, defect),
+                constant_product(linalg.solve(g.T @ g, g.T), rhs))
+
+
 def shaped_law(sys: MechSystem, design: ShapedDesign, kv: np.ndarray) -> Compiled:
     """The shaped law (law_trees) compiled as one function of x: q, p, then
     without a C table M and Mhat, dMhat, dVhat (the pair function's first
     three tables) and C, and last G where it varies.  With a C table the law
     evaluates those trees, bitwise as the pair function, and C itself, and
-    also returns the (2, n, n) stack of M and Mhat for the PD test.
-    Constant entries stay constants, so folding drops the terms they zero.
-    A pivot that is zero raises ExprError."""
-    n, trees = sys.n, pair_trees(sys, design)[:3]
-    if design.C is None:
-        p, *fed, g = _fed([[None] * n, *trees, np.empty((n,) * 3, dtype=object), sys.G.tree], n)
-        return Compiled(Tables(law_trees(*fed, g, kv, p)))
-    p, g = _fed([[None] * n, sys.G.tree], n)
-    return Compiled(Tables(law_trees(*trees, design.C.tree, g, kv, p) + (trees[0],)))
+    also returns the (2, n, n) stack of M and Mhat for the PD test.  Without
+    one and with a constant G, it is tick_trees, of q and p.  Constant
+    entries stay constants, so folding drops the terms they zero.  A pivot
+    that is zero raises ExprError."""
+    n = sys.n
+    if design.C is not None:
+        trees = (sys.M.tree, design.Mhat.tree), design.dMhat.tree, design.dVhat.tree
+        p, g = _fed([[None] * n, sys.G.tree], n)
+        return Compiled(Tables(law_trees(*trees, design.C.tree, g, kv, p) + (trees[0],)))
+    if sys.g_constant:
+        return Compiled(Tables(tick_trees(sys, design, kv)))
+    p, *fed, g = _fed([[None] * n, *pair_trees(sys, design)[:3],
+                       np.empty((n,) * 3, dtype=object), sys.G.tree], n)
+    return Compiled(Tables(law_trees(*fed, g, kv, p)))
 
 
 def _law_value(ctrl: Controller, point: MatchPoint, p: np.ndarray):
-    """(qdot, pdot) from ctrl.law at (point.q, p); None where M or Mhat is
-    not finite and PD."""
+    """ctrl.law's value at (point.q, p): (qdot, pdot), or a Tick; None where
+    M or Mhat is not finite and PD, or where a Tick's derivation_defect is
+    not None."""
+    sys = ctrl.sys
     x = point.q.tolist() + p.tolist()  # floats: the law reads each entry once
+    if ctrl.design.C is None and sys.g_constant:
+        tick = Tick(*ctrl.law(x))
+        lows = stack_lows(tick.mats)
+        if not (lows[0] > 0.0 and lows[1] > 0.0):
+            return None
+        peaks = adapted_map(sys.n, sys.n - sys.m).peaks(tick.y).tolist()
+        return None if derivation_defect(peaks) else tick
     if derived := ctrl.design.C is None:
         tables, lows = point.tables, point.lows
         if not (lows[0] > 0.0 and lows[1] > 0.0):
             return None
         for table in (tables.mats, tables.dmhat, tables.dvhat, point.gyro()):
             x += table.ravel().tolist()
-    if not ctrl.sys.g_constant:
+    if not sys.g_constant:
         x += point.frame.g.ravel().tolist()
     if derived:
         return ctrl.law(x)
@@ -201,28 +237,35 @@ def _law_value(ctrl: Controller, point: MatchPoint, p: np.ndarray):
     return (qdot, pdot) if lows[0] > 0.0 and lows[1] > 0.0 else None
 
 
-def _shaped_law(
-    ctrl: Controller, point: MatchPoint, p: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(qdot, pdot) of the shaped dynamics at (point.q, p) from ctrl.law.
-    Where the law takes no value, MatchPoint's reads raise what fails, in
-    MatchPoint's order: frame, the pair function, M's and Mhat's PD tests,
-    LAPACK's LU (LinAlgError "Singular matrix", as the numpy law's solve
-    raised), C.  Where a pivot of the law's L D L' is zero (its ExprError
-    the cause), that LinAlgError comes last."""
-    point.frame  # the first read: a rank-deficient G raises ahead of the rest
+def _evaluate(ctrl: Controller, point: MatchPoint, p: np.ndarray):
+    """_law_value, or the exception it raised; the frame is read first, so a
+    rank-deficient G raises ahead of the rest."""
+    point.frame
     try:
-        field = _law_value(ctrl, point, p)
+        return _law_value(ctrl, point, p)
     except POINT_ERRORS as exc:
-        field = exc
-    if type(field) is tuple:
-        return field
+        return exc
+
+
+def _replay(ctrl: Controller, point: MatchPoint, p: np.ndarray, cause) -> None:
+    """Raise what fails where the law took no value (``cause``, its exception
+    or None): MatchPoint's reads in MatchPoint's order, frame, the pair
+    function, M's and Mhat's PD tests, LAPACK's LU (LinAlgError "Singular
+    matrix", as the numpy law's solve raised), C.  Where every read passes,
+    a pivot of the law's L D L' was zero (its ExprError the cause), and that
+    LinAlgError comes last."""
     if defect := point.shaped_mass_defect():
         raise SystemError(f"shaped mass {defect} at q={q_text(point.q)}")
     linalg.solve(point.pair.mhat, p)
     ctrl._gyro_from(point)
-    # every read passed, but a pivot of the law's L D L' rounded to zero
-    raise np.linalg.LinAlgError("Singular matrix") from field
+    raise np.linalg.LinAlgError("Singular matrix") from cause
+
+
+def _tick_residual(sys: MechSystem, tick: Tick) -> float:
+    """MatchPoint.residual from a Tick's potential defect and derivation."""
+    gmap = adapted_map(sys.n, sys.n - sys.m)
+    defects = np.concatenate([tick.potential, tick.y[gmap.kinetic]])
+    return float(np.max(np.abs(defects), initial=0.0))
 
 
 def feedback(ctrl: Controller, q: Sequence[float], p: Sequence[float]) -> np.ndarray:
@@ -232,20 +275,28 @@ def feedback(ctrl: Controller, q: Sequence[float], p: Sequence[float]) -> np.nda
     Raises where Mhat is not positive definite, like closed_loop_field.
     Where the design's matching residual exceeds the verification tolerance
     a warning carrying the local residual is attached, since the law
-    realizes the shaped dynamics only up to that residual.
+    realizes the shaped dynamics only up to that residual.  Without a C
+    table and with a constant G, the law's Tick gives u and the residual
+    in the same call.
     """
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
     point = MatchPoint(ctrl.sys, ctrl.design, q)
-    res = point.residual()
+    field = _evaluate(ctrl, point, p)
+    tick = type(field) is Tick
+    # MatchPoint's reads raise here, ahead of the law's replay
+    res = _tick_residual(ctrl.sys, field) if tick else point.residual()
     if res > RESIDUAL_TOL:
         warnings.warn(
             f"matching residual {res:.3e} exceeds {RESIDUAL_TOL:.1e} at "
             f"q={q_text(q)}; the feedback does not realize the shaped dynamics here"
         )
-    _, pdot = _shaped_law(ctrl, point, p)
+    if tick:
+        return field.u
+    if type(field) is not tuple:
+        _replay(ctrl, point, p, field)
     g, minv = point.frame.g, point.pair.minv
-    rhs = q_gradient(point.tables.dv, point.tables.dm, minv @ p) + pdot
+    rhs = q_gradient(point.tables.dv, point.tables.dm, minv @ p) + field[1]
     return linalg.solve(g.T @ g, g.T @ rhs)
 
 
@@ -254,7 +305,13 @@ def closed_loop_field(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Shaped dynamics at (q, p); raises where Mhat is not positive definite."""
     point = MatchPoint(ctrl.sys, ctrl.design, np.asarray(q, dtype=float))
-    return _shaped_law(ctrl, point, np.asarray(p, dtype=float))
+    p = np.asarray(p, dtype=float)
+    field = _evaluate(ctrl, point, p)
+    if type(field) is tuple:
+        return field
+    if type(field) is Tick:
+        return field.qdot, field.pdot
+    _replay(ctrl, point, p, field)
 
 
 def closed_loop_linearization(ctrl: Controller) -> np.ndarray:

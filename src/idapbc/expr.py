@@ -8,14 +8,21 @@ it; the only simplification performed is constant folding.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 
 class ExprError(ValueError):
-    """Problem while parsing or evaluating an expression."""
+    """Problem while parsing or evaluating an expression.  Raised by a
+    compiled function, ``tree`` is the index of the first of its trees (in
+    the order of :class:`Tables`; 0 for one tree) whose value needs the
+    statement that failed."""
+
+    tree: int | None = None
 
 
 class ParseError(ExprError):
@@ -313,6 +320,57 @@ def cos(a: Expr) -> Expr:
     return Cos(a)
 
 
+# Linear algebra on trees, through the smart constructors: the terms of
+# constant zero entries fold away.
+
+def total(terms: Sequence[Expr]) -> Expr:
+    """The terms added left to right; 0 for none."""
+    return reduce(add, terms, Const(0.0))
+
+
+def quadratic(a: Sequence[Sequence[Expr]], u: Sequence[Expr]) -> Expr:
+    """sum_ij a_ij u_i u_j."""
+    r = range(len(u))
+    return total([mul(mul(a[i][j], u[i]), u[j]) for i in r for j in r])
+
+
+def ldl(a: Sequence[Sequence[Expr]]) -> tuple[list[list[Expr]], list[Expr]]:
+    """(L, D) with a = L D L', L unit lower triangular (only its entries below
+    the diagonal are set); a is symmetric, read on and below the diagonal."""
+    n = len(a)
+    l, ld, d = [[None] * n for _ in range(n)], [[None] * n for _ in range(n)], [None] * n
+    for j in range(n):  # ld[i][j] is L_ij D_j
+        d[j] = reduce(sub, [mul(ld[j][k], l[j][k]) for k in range(j)], a[j][j])
+        for i in range(j + 1, n):
+            ld[i][j] = reduce(sub, [mul(ld[i][k], l[j][k]) for k in range(j)], a[i][j])
+            l[i][j] = div(ld[i][j], d[j])
+    return l, d
+
+
+def ldl_solve(l: list[list[Expr]], d: list[Expr], b: Sequence[Expr]) -> list[Expr]:
+    """x with L D L' x = b."""
+    n = len(b)
+    y, x = [None] * n, [None] * n
+    for i in range(n):
+        y[i] = reduce(sub, [mul(l[i][k], y[k]) for k in range(i)], b[i])
+    for i in reversed(range(n)):
+        x[i] = reduce(sub, [mul(l[k][i], x[k]) for k in range(i + 1, n)], div(y[i], d[i]))
+    return x
+
+
+def constant_product(a, v: Sequence[Expr]) -> list[Expr]:
+    """a v for a constant matrix a (an array or nested lists), as trees: each
+    row's terms in column order, those of zero entries folded away."""
+    return [total([mul(Const(float(x)), v[k]) for k, x in enumerate(row)])
+            for row in np.asarray(a).tolist()]
+
+
+def inputs(start: int, count: int) -> list[Var]:
+    """The entries x[start], ..., x[start + count - 1] of a compiled
+    function's input x, as variables."""
+    return [Var(f"x{k}", k) for k in range(start, start + count)]
+
+
 # Tokenizer and recursive-descent parser.
 
 _OPS = set("+-*/^()")
@@ -590,12 +648,17 @@ def _shown(e: Expr) -> Expr:
     return e if _fits(e, _SHOWN) >= 0 else _clipped(e, _SHOWN_DEPTH)
 
 
-def _node_error(exc: ArithmeticError | ValueError, nodes: list[Expr | None]) -> ExprError:
+def _node_error(
+    exc: ArithmeticError | ValueError, nodes: list[tuple[Expr, int] | None]
+) -> ExprError:
     # the generated function holds one statement per line, so the line that
-    # raised names the node: a divisor, or a sin or cos of an infinite value
-    node = _shown(nodes[exc.__traceback__.tb_lineno - 1])
+    # raised names the node, a divisor or a sin or cos of an infinite value,
+    # and the first tree that needs it
+    node, tree = nodes[exc.__traceback__.tb_lineno - 1]
     what = "division by zero" if isinstance(exc, ZeroDivisionError) else "infinite argument"
-    return ExprError(f"{what} in {to_string(node)}")
+    error = ExprError(f"{what} in {to_string(_shown(node))}")
+    error.tree = tree
+    return error
 
 
 def _pow_or_nan(v: float, k: int) -> float:
@@ -618,15 +681,23 @@ def _pow_rows(base, k: int):
 
 
 def _generate(trees, batch: bool = False):
-    """(shapes, temps, body, outs, used) of the trees: each tree's shape, the
-    temporaries and statements of _emit, the operand of each expression in
-    order, and the indices of the variables read."""
+    """(shapes, temps, body, outs, owners, used) of the trees: each tree's
+    shape, the temporaries and statements of _emit, the operand of each
+    expression in order, the index of the tree whose expressions emitted
+    each statement, and the indices of the variables read."""
     leaves: list[Expr] = []
     shapes = [_flatten(t, leaves) for t in trees]
     temps: dict[Expr, str] = {}
     body: list[tuple[str, Expr]] = []
-    outs = [_emit(e, temps, body, batch) for e in leaves]
-    return shapes, temps, body, outs, _variables(leaves)
+    outs: list[str] = []
+    owners: list[int] = []
+    start = 0
+    for j, shape in enumerate(shapes):
+        size = math.prod(shape)
+        outs += [_emit(e, temps, body, batch) for e in leaves[start:start + size]]
+        owners += [j] * (len(body) - len(owners))
+        start += size
+    return shapes, temps, body, outs, owners, _variables(leaves)
 
 
 def _per_tree(outs: list[str], shapes: list[tuple[int, ...]]):
@@ -680,41 +751,59 @@ def compile_expr(tree, batch: bool = False) -> Callable:
     reaches an output unless it is a denominator or the base of a
     non-positive power, so only those and the outputs are checked: for
     Tables, the union of what each tree alone checks, so the mask is the OR
-    of their masks.  Values in flagged rows are placeholders.
+    of their masks.  Values in flagged rows are placeholders.  Each output
+    is written as soon as it is computed, and each temporary deleted after
+    its last use, so a call holds only the live temporaries' arrays.
     """
     tables = isinstance(tree, Tables)
-    shapes, temps, body, outs, used = _generate(tree if tables else (tree,), batch)
+    shapes, temps, body, outs, owners, used = _generate(tree if tables else (tree,), batch)
     # differentiation still folds to inf: d(q1*1e200*1e200)/dq1
     namespace = {"inf": math.inf, "nan": math.nan}
     if batch:
-        checked = [
-            node.right if isinstance(node, Div) else node.base
-            for _, node in body
-            if isinstance(node, Div) or (isinstance(node, Pow) and node.exponent <= 0)
-        ]
         lines = ["def _f(_q):", "    _q = _asarray(_q, dtype=float)", "    _n = len(_q)"]
         lines += [f"    _x{i} = _q[:, {i}]" for i in sorted(used)]
-        lines += ["    with _errstate(all='ignore'):", "        try:"]
-        lines += [f"            {code}" for code, _ in body]
         # one array per tree, each C-contiguous as that tree's own would be
+        lines += [f"    _o{j} = _empty((_n, {len(tree_outs)}))"
+                  for j, (tree_outs, _) in enumerate(_per_tree(outs, shapes))]
+        lines += ["    _flagged = _zeros(_n, dtype=bool)",
+                  "    with _errstate(all='ignore'):", "        try:"]
+        writes, tail = defaultdict(list), []
         for j, (tree_outs, _) in enumerate(_per_tree(outs, shapes)):
-            lines += [f"            _o{j} = _empty((_n, {len(tree_outs)}))"]
-            lines += [f"            _o{j}[:, {k}] = {out}" for k, out in enumerate(tree_outs)]
+            for k, out in enumerate(tree_outs):
+                (writes[out] if out.startswith("_t") else tail).append(f"_o{j}[:, {k}] = {out}")
+        # each temporary is deleted after its last use, an output after it
+        # is written, so that only the live ones hold memory
+        last = {}
+        for i, (_, node) in enumerate(body):
+            for e in (node, *_operands(node)):
+                if e in temps:
+                    last[temps[e]] = i
+        dead = defaultdict(list)
+        for name, i in last.items():
+            dead[i].append(name)
+        for i, (code, node) in enumerate(body):
+            lines.append(f"            {code}")
+            checked = node.right if isinstance(node, Div) else node.base if (
+                isinstance(node, Pow) and node.exponent <= 0) else None
+            if checked is not None and not isinstance(checked, Const):
+                lines.append(f"            _flagged |= ~_isfinite({_emit(checked, temps, body)})")
+            lines += [f"            {write}" for write in writes[temps[node]]]
+            if dead[i]:
+                lines.append(f"            del {', '.join(dead[i])}")
+        lines += [f"            {write}" for write in tail]
         values = [f"_o{j}.reshape((_n, *{shape}))" for j, shape in enumerate(shapes)]
         placeholders = [f"_full((_n, *{shape}), nan)" for shape in shapes]
         lines += [
             "        except ArithmeticError:",  # a constant subtree divides by zero
             f"            return {_result(placeholders, tables)}, _ones(_n, dtype=bool)",
-            "    _flagged = ~(" + " & ".join(
+            "    _flagged |= ~(" + " & ".join(
                 f"_isfinite(_o{j}).all(axis=1)" for j in range(len(shapes))) + ")",
+            f"    return {_result(values, tables)}, _flagged",
         ]
-        lines += [f"    _flagged |= ~_isfinite({_emit(e, temps, body)})" for e in checked
-                  if not isinstance(e, Const)]  # emitted already: _emit names it
-        lines += [f"    return {_result(values, tables)}, _flagged"]
         namespace.update(
             _sin=np.sin, _cos=np.cos, _pow=_pow_rows, _asarray=np.asarray,
             _errstate=np.errstate, _empty=np.empty, _full=np.full, _ones=np.ones,
-            _isfinite=np.isfinite,
+            _zeros=np.zeros, _isfinite=np.isfinite,
         )
     else:
         parts = [_value_code(tree_outs, shape) for tree_outs, shape in _per_tree(outs, shapes)]
@@ -728,7 +817,7 @@ def compile_expr(tree, batch: bool = False) -> Callable:
         namespace.update(
             _sin=math.sin, _cos=math.cos, _array=np.array,
             _node_error=_node_error,
-            _nodes=[None] * len(head) + [node for _, node in body],
+            _nodes=[None] * len(head) + [(node, j) for (_, node), j in zip(body, owners)],
         )
     exec(compile("\n".join(lines), "<expr>", "exec"), namespace)
     return namespace["_f"]

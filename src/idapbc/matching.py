@@ -19,7 +19,21 @@ from typing import NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from . import linalg
-from .expr import Compiled, Expr, ExprError, Tables, parse
+from .expr import (
+    Compiled,
+    Const,
+    Expr,
+    ExprError,
+    Tables,
+    constant_product,
+    inputs,
+    ldl,
+    ldl_solve,
+    mul,
+    parse,
+    sub,
+    total,
+)
 from .stability import NOT_STABILIZABLE, Linearization, classify
 from .system import (
     InputFrame,
@@ -85,14 +99,27 @@ class MetricPair(NamedTuple):
     dmhat: np.ndarray
 
 
-def t_entries(pair: MetricPair, dm: np.ndarray) -> np.ndarray:
-    """T_ijk from the metric pair and dM; requires no inversion of the shaped
-    mass."""
-    minv, mhat, dmhat = pair
-    dminv = _inverse_derivatives(minv, dm)
-    first = -0.5 * np.einsum("...kl,...lt,...tij->...ijk", mhat, minv, dmhat)
-    second = -0.5 * np.einsum("...krs,...ri,...sj->...ijk", dminv, mhat, mhat)
-    return first + second
+def t_trees(m, mhat, dmhat, dm) -> list:
+    """T_ijk as trees of M, Mhat, dMhat and dM, (n, n, n) nested lists.
+
+    T_ijk = -(Mhat M^-1)_kt dMhat_tij / 2 - (dM^-1)_krs Mhat_ri Mhat_sj / 2
+    with dM^-1 = -M^-1 dM M^-1, so with X = M^-1 Mhat (one L D L' solve of M
+    per column of Mhat), T_ijk = ((X' dM_k X)_ij - X_tk dMhat_tij) / 2.
+    T_ijk and T_jik are one tree, so T is first-pair symmetric bitwise; no
+    inversion of Mhat is needed."""
+    r = range(len(m))
+    factors = ldl(m)
+    cols = [ldl_solve(*factors, [mhat[i][j] for i in r]) for j in r]
+    x = [[cols[j][i] for j in r] for i in r]
+    t = [[[None for _ in r] for _ in r] for _ in r]
+    for k in r:
+        dm_x = [[total([mul(dm[k][a][s], x[s][j]) for s in r]) for j in r] for a in r]
+        for i in r:
+            for j in range(i, len(m)):
+                t[i][j][k] = t[j][i][k] = mul(Const(0.5), sub(
+                    total([mul(x[a][i], dm_x[a][j]) for a in r]),
+                    total([mul(x[s][k], dmhat[s][i][j]) for s in r])))
+    return t
 
 
 def potential_defect(
@@ -109,9 +136,22 @@ def _adapted_basis(w: np.ndarray, range_basis: np.ndarray) -> np.ndarray:
 
 
 @cache
-def _adapted_map(n: int, d: int) -> GyroMap:
+def adapted_map(n: int, d: int) -> GyroMap:
     """The GyroMap for n coordinates, d of them unactuated."""
     return GyroMap(n, d)
+
+
+def kept_fold(sys: MechSystem) -> tuple[np.ndarray, Compiled]:
+    """GyroMap.fold of a constant G's kept frame (the system must keep one),
+    and vec(T) @ fold compiled as a function of vec(T), unrolled over the
+    fold's nonzero entries (constant_product).  Built at the first
+    derivation and kept on the system."""
+    if sys.kept_fold is None:
+        frame, n = sys.kept_frame, sys.n
+        fold = adapted_map(n, n - sys.m).fold(
+            _adapted_basis(frame.annihilator, frame.range_basis))
+        sys.kept_fold = fold, Compiled(constant_product(fold.T, inputs(0, n ** 3)))
+    return sys.kept_fold
 
 
 def _derive(
@@ -119,13 +159,12 @@ def _derive(
 ) -> tuple[GyroMap, np.ndarray]:
     """The GyroMap, and its output for each T of a (..., n, n, n) stack with
     this input frame.  Where the system keeps a constant G's split, that is
-    one product with the map's fold of it, kept from the first derivation."""
-    gmap = _adapted_map(sys.n, sys.n - sys.m)
+    the compiled product with the map's fold of it (kept_fold)."""
+    gmap = adapted_map(sys.n, sys.n - sys.m)
     if sys.kept_frame is None:
         return gmap, gmap.apply(t, _adapted_basis(frame.annihilator, frame.range_basis))
-    if sys.kept_fold is None:
-        sys.kept_fold = gmap.fold(_adapted_basis(frame.annihilator, frame.range_basis))
-    return gmap, t.reshape(t.shape[:-3] + (-1,)) @ sys.kept_fold
+    flat, fold = t.reshape(t.shape[:-3] + (-1,)), kept_fold(sys)[1]
+    return gmap, fold(flat.tolist()) if flat.ndim == 1 else fold.batch(flat)[0]
 
 
 def a_tensor(sys: MechSystem, design: ShapedDesign, q: Sequence[float]) -> np.ndarray:
@@ -161,20 +200,26 @@ class _Kept(cached_property):
 
 def pair_trees(sys: MechSystem, design: ShapedDesign) -> PairValues:
     """The trees of the pair function."""
-    return PairValues((sys.M.tree, design.Mhat.tree), design.dMhat.tree, design.dVhat.tree,
-                      sys.dM.tree, sys.dV.tree)
+    mats, dmhat, dm = (sys.M.tree, design.Mhat.tree), design.dMhat.tree, sys.dM.tree
+    return PairValues(mats, dmhat, design.dVhat.tree, dm, sys.dV.tree,
+                      t_trees(*mats, dmhat, dm))
 
 
 class PairValues(NamedTuple):
     """The values of pair_trees, as arrays from the pair function (with a
     leading axis of rows from its batch variant) or as nested tables of
-    trees: M and Mhat as one (2, n, n) table, dMhat, dVhat, dM and dV."""
+    trees: M and Mhat as one (2, n, n) table, dMhat, dVhat, dM, dV and T."""
 
     mats: object
     dmhat: object
     dvhat: object
     dm: object
     dv: object
+    t: object
+
+
+# the index of T among the pair function's trees
+T_TREE = PairValues._fields.index("t")
 
 
 def pair_function(sys: MechSystem, design: ShapedDesign) -> Compiled:
@@ -201,15 +246,17 @@ class MatchPoint:
     """The input frame, the pair function's tables, the metric pair, T and
     T's derivation at one q, each evaluated on first read and kept.
 
-    M, Mhat, dMhat, dVhat, dM and dV come from one call of the pair
-    function (``tables``), and M's and Mhat's positive definite tests from
-    one eigvalsh of its stack (``lows``); where a fast test fails,
-    mass_matrix and spd_defect decide and write the message.  A read raises
-    the first failure in this order: the frame (G's rank), since readers
-    take it first; the pair function's own exception, which is its first
-    failing statement, M's, Mhat's, dMhat's, dVhat's, dM's then dV's;
-    M's positive definite test; and then, for the shaped law, Mhat's test,
-    LAPACK's LU and C."""
+    M, Mhat, dMhat, dVhat, dM, dV and T come from one call of the pair
+    function (``tables``, which keeps its values or its exception), and M's
+    and Mhat's positive definite tests from one eigvalsh of its stack
+    (``lows``); where a fast test fails, mass_matrix and spd_defect decide
+    and write the message.  A read raises the first failure in this order:
+    the frame (G's rank), since readers take it first; the pair function's
+    own exception, which is its first failing statement, M's, Mhat's,
+    dMhat's, dVhat's, dM's then dV's; M's positive definite test; a zero
+    pivot of T's L D L' of M, as LAPACK's LinAlgError "Singular matrix"; T's
+    finiteness; and then, for the shaped law, Mhat's test, LAPACK's LU and
+    C."""
 
     def __init__(self, sys: MechSystem, design: ShapedDesign, q: Sequence[float]):
         self.sys, self.design, self.q = sys, design, q
@@ -219,9 +266,24 @@ class MatchPoint:
         return self.sys.frame(self.q)
 
     @_Kept
+    def evaluation(self) -> tuple[PairValues | None, Exception | None]:
+        """The pair function's values at q, or the exception it raised."""
+        try:
+            return PairValues(*pair_function(self.sys, self.design)(self.q)), None
+        except POINT_ERRORS as exc:
+            return None, exc
+
+    @property
     def tables(self) -> PairValues:
-        """The pair function's values at q."""
-        return PairValues(*pair_function(self.sys, self.design)(self.q))
+        """The pair function's values at q; raises what it raised, but where
+        that is a statement of T alone (a zero pivot of M), after M's test."""
+        values, exc = self.evaluation
+        if exc is None:
+            return values
+        if getattr(exc, "tree", None) == T_TREE:
+            self.sys.mass_matrix(self.q)
+            raise np.linalg.LinAlgError("Singular matrix") from exc
+        raise exc
 
     @_Kept
     def lows(self) -> list[float]:
@@ -245,7 +307,8 @@ class MatchPoint:
     @_Kept
     def t(self) -> np.ndarray:
         """T_ijk, C-ordered and read-only; raises where an entry is not finite."""
-        t = np.ascontiguousarray(t_entries(self.pair, self.tables.dm))
+        self.pair  # M's test first
+        t = self.tables.t
         if not finite_rows(t):
             raise TensorError(NOT_FINITE)
         t.setflags(write=False)
@@ -253,8 +316,8 @@ class MatchPoint:
 
     @_Kept
     def derivation(self) -> tuple[GyroMap, np.ndarray]:
-        """The GyroMap at the point and its output for T: one product for a
-        constant G."""
+        """The GyroMap at the point and its output for T: one compiled product
+        for a constant G."""
         return _derive(self.sys, self.frame, self.t)
 
     def potential(self) -> np.ndarray:
@@ -303,7 +366,8 @@ class MatchRows:
     def __init__(self, sys: MechSystem, design: ShapedDesign, points: np.ndarray):
         self.sys, self.design = sys, design
         self.points = points = np.asarray(points, dtype=float)
-        # the order of MatchPoint's reads: frame, the pair function, M's test, T
+        # the order of MatchPoint's reads: frame, the pair function (which
+        # flags a T that is not finite), M's test
         g, failed = sys.G.batch(points)
         frame = sys.frames(g, failed)
         values, flagged = pair_function(sys, design).batch(points)
@@ -319,14 +383,11 @@ class MatchRows:
             self.potential = potential_defect(
                 frame.annihilator, pair, tables.dv[..., None], tables.dvhat[..., None]
             )[..., 0]
-            # in C order, as MatchPoint.t keeps it: einsum sums in layout order
-            t = np.ascontiguousarray(t_entries(pair, tables.dm))
-        failed |= ~finite_rows(t)  # MatchPoint.t raises
         # spd_defect's test on a bitwise symmetric Mhat; the rows ``failed``
         # leaves are finite
         self.pd = lowest_eigenvalue(identity_where(pair.mhat, failed)) > 0.0
         with np.errstate(all="ignore"):
-            gmap, y = _derive(sys, frame, t)
+            gmap, y = _derive(sys, frame, tables.t)
         self.kinetic = y[:, gmap.kinetic]
         self.c = y[:, gmap.c].reshape((-1,) + (sys.n,) * 3).copy()
         self.peaks = gmap.peaks(y, out=y)

@@ -21,12 +21,18 @@ from .expr import (
     Const,
     Expr,
     ExprError,
+    Tables,
     add,
     div,
+    inputs,
+    ldl,
+    ldl_solve,
     mul,
     neg,
     parse,
+    quadratic,
     sub,
+    total,
 )
 
 
@@ -179,6 +185,15 @@ def q_gradient(dv: np.ndarray, dm: np.ndarray, w: np.ndarray) -> np.ndarray:
     return dv - 0.5 * np.einsum("i,kij,j->k", w, dm, w)
 
 
+def q_gradient_trees(dv, dm, w: list[Expr]) -> list[Expr]:
+    """q_gradient as trees of the tables dV and dM and of w."""
+    return [sub(dv[k], mul(Const(0.5), quadratic(dm[k], w))) for k in range(len(w))]
+
+
+# what the open-loop field raises where a table, M's test or G's frame fails
+_FIELD_ERRORS = (SystemError, ExprError, ArithmeticError, np.linalg.LinAlgError)
+
+
 def rk4_step(f, x: np.ndarray, dt: float, k1: np.ndarray | None = None) -> np.ndarray:
     """One classical fourth-order Runge-Kutta step of x' = f(x) from x; k1 is
     f(x) where the caller has it."""
@@ -202,6 +217,7 @@ class MechSystem:
     ([k, i, j]) are V, dV/dq^k and dM/dq^k, compiled.  A G without
     variables (``g_constant``) that has full rank is evaluated, checked,
     factored and split once, at its first query (frame or frames).
+    ``open_loop`` is open_loop_trees compiled, at its first read.
     """
 
     def __init__(
@@ -238,18 +254,13 @@ class MechSystem:
         # a constant G's frame, read-only, from its first query that passes
         # the rank check, so a rank-deficient G always raises
         self.kept_frame = None
-        # GyroMap.fold of the kept frame, from the first derivation (matching._derive)
+        # GyroMap.fold of the kept frame and its compiled product, from the
+        # first derivation (matching.kept_fold)
         self.kept_fold = None
+        self._open_loop = None
 
     def mass_matrix(self, q: Sequence[float]) -> np.ndarray:
-        m = self.M(q)
-        low = lowest_eigenvalue(m)
-        if not low > 0.0:
-            raise SystemError(
-                f"mass matrix not positive definite at q={q_text(q)} "
-                f"(eigenvalue {low:.6e})"
-            )
-        return m
+        return _positive_definite_mass(self.M(q), q)
 
     def mass_derivatives(self, q: Sequence[float]) -> np.ndarray:
         """Stack dM/dq^k, shape (n, n, n) indexed [k, i, j]."""
@@ -304,15 +315,63 @@ class MechSystem:
         so that its largest-magnitude entry is positive (reproducible)."""
         return self.frame(q).annihilator
 
+    def open_loop_trees(self) -> Tables:
+        """(qdot, pdot, M) of the open loop as trees of x = (q, p, u), then G
+        where it varies: qdot = M^-1 p by M's L D L' and pdot = G u - dH/dq,
+        with dH/dq = q_gradient_trees at qdot."""
+        n, m = self.n, self.m
+        g = self.G.tree if self.g_constant else np.reshape(
+            np.array(inputs(2 * n + m, n * m), dtype=object), (n, m)).tolist()
+        u = inputs(2 * n, m)
+        qdot = ldl_solve(*ldl(self.M.tree), inputs(n, n))
+        grad = q_gradient_trees(self.dV.tree, self.dM.tree, qdot)
+        pdot = [sub(total([mul(g[k][a], u[a]) for a in range(m)]), grad[k]) for k in range(n)]
+        return Tables((qdot, pdot, self.M.tree))
+
+    @property
+    def open_loop(self) -> Compiled:
+        if self._open_loop is None:
+            self._open_loop = Compiled(self.open_loop_trees())
+        return self._open_loop
+
     def open_loop_field(
         self, q: Sequence[float], p: Sequence[float], u: Sequence[float]
     ) -> tuple[np.ndarray, np.ndarray]:
-        q = np.asarray(q, dtype=float)
-        p = np.asarray(p, dtype=float)
-        u = np.asarray(u, dtype=float)
+        """(qdot, pdot) = (dH/dp, -dH/dq + G u) from one call of open_loop,
+        after G's frame and before M's positive definite test (mass_matrix's).
+        Where it takes no value, or the shapes are not (n,), (n,) and (m,),
+        the numpy chain runs: M's test, LAPACK's LU solve, dV, dM, then G's
+        frame, each raising what fails; where all of it passes after
+        open_loop raised (a zero pivot of the L D L'), LinAlgError "Singular
+        matrix", as the LU solve raises."""
+        q, p, u = (np.asarray(v, dtype=float) for v in (q, p, u))
+        cause = None
+        if q.shape == p.shape == (self.n,) and u.shape == (self.m,):
+            try:
+                x = q.tolist() + p.tolist() + u.tolist()
+                g = self.frame(q).g
+                qdot, pdot, m = self.open_loop(x if self.g_constant else x + g.ravel().tolist())
+            except _FIELD_ERRORS as exc:
+                cause = exc
+            else:
+                _positive_definite_mass(m, q)
+                return qdot, pdot
         qdot = linalg.solve(self.mass_matrix(q), p)
         dqh = q_gradient(self.potential_gradient(q), self.mass_derivatives(q), qdot)
-        return qdot, -dqh + self.input_matrix(q) @ u
+        pdot = -dqh + self.input_matrix(q) @ u
+        if cause is not None:
+            raise np.linalg.LinAlgError("Singular matrix") from cause
+        return qdot, pdot
+
+
+def _positive_definite_mass(m: np.ndarray, q: Sequence[float]) -> np.ndarray:
+    """m, the mass matrix at q; raises where it is not positive definite."""
+    low = lowest_eigenvalue(m)
+    if not low > 0.0:
+        raise SystemError(
+            f"mass matrix not positive definite at q={q_text(q)} (eigenvalue {low:.6e})"
+        )
+    return m
 
 
 class ShapedDesign:

@@ -13,7 +13,8 @@ trees compare with one ``diff -r``.  The runs
 cover pendulum_cart's ``verify``, ``synthesize`` and ``simulate`` with
 and without the closed-form C table, and ``selftest``.  ``simulate-bundle``
 simulates the controller bundle that ``synthesize-bundle`` writes, 3000 RK4
-steps of dt 1e-3 on its C table.  The ``repro-*`` runs take a design whose
+steps of dt 1e-3 on its C table.  ``simulate-open-loop`` integrates the
+plant with u = 0 (``--open-loop``) from x0 = (0.2, -0.1, 0, 0).  The ``repro-*`` runs take a design whose
 kinetic residual is 5.5e-11 (verify, synthesize, simulate), a step count no
 array can hold (``repro-steps-*``) and an initial state beyond the
 divergence guard (``repro-x0-*``).  The ``*-c-pow-pow`` and
@@ -95,6 +96,7 @@ RUNS = {
     "simulate-noc": ["simulate", "noc", *SIM],
     "simulate-noc-0.3-0.9": ["simulate", "noc-0.3-0.9", *SIM],
     "simulate-noc-1ms": ["simulate", "noc", "--t-end", "1", "--dt", "1e-3"],
+    "simulate-open-loop": ["simulate", "c", "--x0=0.2,-0.1,0,0", "--open-loop", *SIM],
     "synthesize-bundle": ["synthesize", "c", "--grid", "q1=-1:1:5,q2=-1:1:5"],
     "simulate-bundle": ["simulate", BUNDLE, "--x0=0.2,-0.1,0,0", "--t-end", "3", "--dt", "1e-3"],
     "selftest": ["selftest", "--seed", "3", "--dims-max", "4"],

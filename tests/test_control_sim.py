@@ -16,23 +16,33 @@ from idapbc.control_sim import (
     simulate,
     write_trajectory_csv,
 )
-from idapbc.expr import Compiled, parse
+from idapbc.expr import Compiled, ExprError, parse
 from idapbc import matching
-from idapbc.matching import GyroField, MatchingError, evaluate_residuals, pair_function
+from idapbc.matching import (
+    GyroField,
+    MatchingError,
+    evaluate_residuals,
+    kept_fold,
+    pair_function,
+)
 from idapbc.system import (
     ExprMatrix,
     MechSystem,
     ShapedDesign,
     SystemError,
     builtin,
+    input_frame,
     load_system,
+    q_gradient,
     system_to_dict,
 )
 from idapbc.tensor import (
     GyroTensor,
+    Tensor3,
     TensorError,
     b_from_gyro,
     b_to_j,
+    extend_to_gyro,
     force_from_j,
     gyro_force,
     random_gyro,
@@ -216,6 +226,26 @@ class TestController:
 
 
 class TestFeedback:
+    @pytest.mark.filterwarnings("ignore:matching residual")
+    def test_n3_tick_equals_the_reference_chain(self):
+        # n = 3, d = 1, a constant G and no C table: the law is a Tick; its
+        # potential matching residual reaches 0.2, so feedback warns
+        vars3 = ("q1", "q2", "q3")
+        m = ExprMatrix.from_strings([["2", "3*sin(q2)/10", "0"],
+                                     ["3*sin(q2)/10", "3", "cos(q3)/5"],
+                                     ["0", "cos(q3)/5", "2"]], vars3)
+        g = ExprMatrix.from_strings([["0", "0"], ["1", "0"], ["0", "1"]], vars3)
+        sys = MechSystem(vars3, m, parse("q1^2 + q2^2 + q3^2", vars3), g)
+        mhat = ExprMatrix.from_strings([["2", "1/2", "0"], ["1/2", "2", "3/10"],
+                                        ["0", "3/10", "2"]], vars3)
+        design = ShapedDesign(vars3, mhat, parse("q1^2 + q2^2 + q3^2", vars3),
+                              [[1.0, 0.2], [0.2, 0.5]])
+        ctrl = Controller(sys, design)
+        for x in np.random.default_rng(9).uniform(-0.5, 0.5, (100, 6)):
+            want = reference_feedback(ctrl, x[:3], x[3:])
+            got = feedback(ctrl, x[:3], x[3:])
+            assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+
     def test_zero_at_equilibrium(self):
         _, _, ctrl = pendulum_controller()
         u = feedback(ctrl, [0.0, 0.0], [0.0, 0.0])
@@ -332,6 +362,29 @@ def count_pair_calls(sys, design):
     return calls
 
 
+def reference_feedback(ctrl, q, p):
+    """feedback at (q, p) by a numpy chain: T by einsum from M^-1, C by
+    extend_to_gyro in the adapted basis, the law by LU solves, and the u
+    with G'G u = G'(dH/dq + pdot)."""
+    sys, design = ctrl.sys, ctrl.design
+    m, mhat, dmhat, dm = sys.M(q), design.Mhat(q), design.dMhat(q), sys.dM(q)
+    g, minv = sys.G(q), np.linalg.inv(m)
+    dminv = -np.einsum("ij,kjl,lm->kim", minv, dm, minv)
+    t = (-0.5 * np.einsum("kl,lt,tij->ijk", mhat, minv, dmhat)
+         - 0.5 * np.einsum("krs,ri,sj->ijk", dminv, mhat, mhat))
+    frame = input_frame(g, q)
+    basis = np.concatenate([frame.annihilator, frame.range_basis.T])
+    tp = np.einsum("ijk,ai,bj,ck->abc", t, basis, basis, basis)
+    cp = extend_to_gyro(Tensor3(tp), len(frame.annihilator)).entries
+    c = np.einsum("rst,ri,sj,tk->ijk", cp, basis, basis, basis)
+    uhat = np.linalg.solve(mhat, p)
+    grad_hd = q_gradient(design.dVhat(q), dmhat, uhat)
+    pdot = (np.einsum("ijk,i,j->k", c, uhat, uhat) - mhat @ np.linalg.solve(m, grad_hd)
+            - g @ ctrl.Kv @ g.T @ uhat)
+    rhs = q_gradient(sys.dV(q), dm, np.linalg.solve(m, p)) + pdot
+    return np.linalg.solve(g.T @ g, g.T @ rhs)
+
+
 def count_law_calls(ctrl):
     """Wrap the controller's shaped law; return its call counter."""
     law, calls = ctrl.law, [0]
@@ -349,12 +402,15 @@ def gyro_at(ctrl, q, p):
 
 
 class TestOneEvaluationPerCall:
-    # M, Mhat, dMhat, dVhat, dM and dV come from one call of the pair
+    # M, Mhat, dMhat, dVhat, dM, dV and T come from one call of the pair
     # function, a stored C from its own table, and a constant G from the kept
     # frame.  With a stored C the law evaluates M, Mhat, dMhat, dVhat and C
     # itself, so feedback, whose residual reads the matching data, calls
-    # both, and gyro_at neither.  Without one the law takes the tables that
-    # C's derivation read from the pair function: both are called, and each
+    # both, and gyro_at neither.  Without one and with a constant G the law
+    # is a Tick, which evaluates the tables, T, C and the residual itself:
+    # feedback and closed_loop_field call it alone, gyro_at the pair
+    # function alone.  With a varying G the law takes the tables that C's
+    # derivation read from the pair function: both are called, and each
     # table is still evaluated once per call.
     @pytest.mark.parametrize("with_table", [False, True])
     def test_each_matrix_once(self, with_table):
@@ -364,9 +420,9 @@ class TestOneEvaluationPerCall:
         ctrl = Controller(sys, design)
         q, p = [0.3, -0.2], [0.4, 0.1]
         sys.frame(q)  # a constant G is evaluated once, at its first query
-        field_calls = [0, 1] if with_table else [1, 1]
+        feedback_calls = [1, 1] if with_table else [0, 1]
         gyro_calls = [0, 0] if with_table else [1, 0]
-        for call, want in ((feedback, [1, 1]), (closed_loop_field, field_calls),
+        for call, want in ((feedback, feedback_calls), (closed_loop_field, [0, 1]),
                            (gyro_at, gyro_calls)):
             counts = count_evaluations(sys.M, sys.G, design.Mhat)
             pair_calls, law_calls = count_pair_calls(sys, design), count_law_calls(ctrl)
@@ -399,8 +455,9 @@ class TestOneEvaluationPerCall:
             assert counts == [0, 0, 0] and pair_calls == [1], call.__name__
 
     def test_each_matrix_once_per_sweep_point(self, monkeypatch):
-        # one batch call of G and one of the pair function, each over all 9
-        # points, and no other evaluation of M or Mhat
+        # one batch call of G, one of the pair function and one of the kept
+        # fold's product with T, each over all 9 points, and no other
+        # evaluation of M or Mhat
         sys, design = builtin("pendulum_cart", eps=0.55, K=0.25)
         batches, batch = [], Compiled.batch
         monkeypatch.setattr(Compiled, "batch", lambda table, points: (
@@ -409,21 +466,38 @@ class TestOneEvaluationPerCall:
         pair_calls = count_pair_calls(sys, design)
         axes = [(name, np.linspace(-0.5, 0.5, 3)) for name in sys.vars]
         evaluate_residuals(sys, design, axes)
-        assert batches == [(sys.G, 9), (pair_function(sys, design), 9)]
+        assert batches == [(sys.G, 9), (pair_function(sys, design), 9), (kept_fold(sys)[1], 9)]
         assert counts == [0, 0] and pair_calls == [0]
 
     def test_stored_tensor_builds_no_t(self, monkeypatch):
         def no_t(*args):
             raise AssertionError("T built on a stored-tensor path")
 
-        # dM^-1, which only T (and A) are built from
-        monkeypatch.setattr(matching, "_inverse_derivatives", no_t)
+        # T's trees, which the pair function and a Tick hold
+        monkeypatch.setattr(matching, "t_trees", no_t)
         sys, design = builtin("pendulum_cart", eps=0.55, K=0.25)
         q, p = [0.3, -0.2], [0.4, 0.1]
         closed_loop_field(Controller(sys, design), q, p)
         counts = count_evaluations(sys.M, sys.G, design.Mhat)
         Controller(sys, design).gyro_at(q)
-        assert counts == [0, 0, 0]
+        assert counts == [0, 0, 0] and design.kept_pair is None
+
+    @pytest.mark.parametrize("g", ["1", "2 + cos(q1)"])
+    def test_failing_point_calls_the_pair_function_once(self, g):
+        # Mhat divides by q1 - 0.5: the law, a Tick for the constant G, takes
+        # no value, and the replay's reads keep the pair function's exception
+        sys, design = builtin("pendulum_cart", eps=0.55, K=0.25)
+        sys = MechSystem(sys.vars, sys.M, sys.V, ExprMatrix.from_strings([["0"], [g]], sys.vars))
+        rows = design.Mhat.to_strings()
+        rows[0][0] += " + (q1 - 0.5)/(q1 - 0.5) - 1"
+        broken = ShapedDesign(
+            sys.vars, ExprMatrix.from_strings(rows, sys.vars), design.Vhat, design.Kv
+        )
+        ctrl = Controller(sys, broken)
+        calls = count_pair_calls(sys, broken)
+        with pytest.raises(ExprError, match=r"^division by zero in \(q1 - 0.5\)/\(q1 - 0.5\)$"):
+            closed_loop_field(ctrl, [0.5, 0.1], [0.4, 0.1])
+        assert calls == [1]
 
     def test_non_finite_t_stays_a_tensor_error(self):
         # T is quadratic in Mhat and overflows; that is not a missing extension
@@ -442,7 +516,8 @@ class TestClosedLoopField:
     @pytest.mark.parametrize("with_table", [False, True])
     def test_reads_dm_only_for_feedback(self, with_table):
         # the shaped law needs no dM/dq; the feedback's dH/dq does (and T).
-        # dM comes from the pair function, which a C-table law does not call
+        # dM comes from the pair function, which a C-table law does not
+        # call, or, with a constant G and no C table, from the Tick
         sys, design = builtin("pendulum_cart", eps=0.55, K=0.25)
         if not with_table:
             design = ShapedDesign(sys.vars, design.Mhat, design.Vhat, design.Kv)
@@ -452,10 +527,9 @@ class TestClosedLoopField:
         calls = count_pair_calls(sys, design)
         q, p = [0.3, -0.2], [0.4, 0.1]
         closed_loop_field(ctrl, q, p)
-        assert calls == [0 if with_table else 1]
-        calls[0] = 0
+        assert calls == [0]
         feedback(ctrl, q, p)
-        assert calls == [1] and alone == []
+        assert calls == [1 if with_table else 0] and alone == []
 
     def test_equilibrium_is_fixed_point(self):
         _, _, ctrl = pendulum_controller()

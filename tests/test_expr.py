@@ -1,5 +1,6 @@
 import ast
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -329,6 +330,29 @@ class TestProperties:
 
 
 class TestBatch:
+    def test_temporaries_deleted_after_last_use(self):
+        # a chain of 80 temporaries (q1 + k, then times q1), each read once by
+        # the next: a call holds a few row arrays at a time, not 80, and the
+        # values are the scalar variant's
+        x = parse("q1", ["q1"])
+        chain = [x]
+        for k in range(40):
+            chain.append(expr.mul(expr.add(chain[-1], Const(k + 1.0)), x))
+        tree = Tables((chain[-1], [chain[20], chain[40]]))
+        fn = compile_expr(tree, batch=True)
+        points = np.linspace(-1.0, 1.0, 20000)[:, None]
+        tracemalloc.start()
+        (last, pair), flagged = fn(points)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        row_bytes = 8 * len(points)
+        assert peak < 12 * row_bytes and not flagged.any()
+        scalar = compile_expr(tree)
+        for q, a, b in zip(points[::997], last[::997], pair[::997]):
+            want = scalar(q)
+            assert a.tobytes() == np.float64(want[0]).tobytes()
+            assert b.tobytes() == want[1].tobytes()
+
     def test_batch_equals_scalar(self):
         pend, shaped = builtin("pendulum_cart", eps=0.55, K=0.25)
         three, _ = builtin("three_dof")
@@ -416,10 +440,10 @@ class TestBatch:
         assert True not in compiled
         axes = [(name, np.linspace(-0.5, 0.5, 3)) for name in sys.vars]
         evaluate_residuals(sys, design, axes)
-        # G and the pair function, once each
-        assert compiled.count(True) == 2
+        # G, the pair function and the kept fold's product with T, once each
+        assert compiled.count(True) == 3
         evaluate_residuals(sys, design, axes)
-        assert compiled.count(True) == 2
+        assert compiled.count(True) == 3
 
 
 def compile_references(path: Path) -> list[str]:

@@ -11,7 +11,7 @@ import pytest
 
 from idapbc import linalg, matching
 from idapbc.control_sim import Controller, closed_loop_field, feedback
-from idapbc.expr import ExprError, add, parse
+from idapbc.expr import Const, ExprError, add, parse
 from idapbc.matching import (
     CharacteristicsSolution,
     GyroField,
@@ -188,6 +188,44 @@ class TestTTensor:
             "kl,lt,tij->ijk", mhat, minv, dmhat
         ) - 0.5 * np.einsum("krs,ri,sj->ijk", dminv, mhat, mhat)
         assert np.allclose(MatchPoint(sys, design, q).t, expect, atol=1e-5)
+
+
+    @pytest.mark.parametrize("case", ["pendulum-noc", "three-dof-constant-shaped",
+                                      "rotated", "mixed-n4-noc"])
+    def test_equal_to_plain_loops(self, case):
+        # the pair function's T against t_formulas on floats of the same
+        # tables; in batch too (MatchRows reads it)
+        sys, design = PAIR_DESIGNS[case]()
+        points = np.random.default_rng(7).uniform(-0.8, 0.8, (30, sys.n))
+        batch = pair_function(sys, design).batch(points)[0][-1]
+        for q, row in zip(points, batch):
+            tables = (sys.M(q), design.Mhat(q), design.dMhat(q), sys.dM(q))
+            want = np.array(t_formulas(*(a.tolist() for a in tables))) + 0.0
+            got = MatchPoint(sys, design, q).t + 0.0
+            assert got.tobytes() == want.tobytes() == (row + 0.0).tobytes(), q_text(q)
+
+    @pytest.mark.parametrize("case", ["pendulum-noc", "three-dof-constant-shaped",
+                                      "rotated", "mixed-n4-noc"])
+    def test_within_1e_13_of_exact_arithmetic(self, case):
+        sys, design = PAIR_DESIGNS[case]()
+        for q in np.random.default_rng(8).uniform(-0.5, 0.5, (30, sys.n)):
+            tables = (sys.M(q), design.Mhat(q), design.dMhat(q), sys.dM(q))
+            exact = np.array(t_formulas(*map(exactly, tables)), dtype=float)
+            got = MatchPoint(sys, design, q).t
+            scale = max(1.0, float(np.abs(exact).max()))
+            assert np.abs(got - exact).max() <= 1e-13 * scale, q_text(q)
+
+    def test_zero_pivot_of_m_raises_m_test(self):
+        # M = [[q1, 1], [1, 2]] has the L D L' pivot q1, which T divides by:
+        # at q1 = 0 the pair function raises in T, and M's test comes first
+        sys = make_system([["q1", "1"], ["1", "2"]], "q1^2 + q2^2", [["0"], ["1"]])
+        _, design = constant_pair()
+        point = MatchPoint(sys, design, [0.0, 0.2])
+        with pytest.raises(ExprError):
+            pair_function(sys, design)([0.0, 0.2])
+        for read in (point.potential, point.kinetic, lambda: point.t):
+            with pytest.raises(SystemError, match="^mass matrix not positive definite"):
+                read()
 
 
 class TestPotentialResidual:
@@ -846,10 +884,10 @@ def reference_gyro(point):
 
 
 def crafted(entries):
-    """t_entries replaced by one returning ``entries`` at every point."""
-    def t_entries(pair, dm):
-        return np.broadcast_to(entries, pair.minv.shape[:-2] + entries.shape).copy()
-    return t_entries
+    """t_trees replaced by one whose T is ``entries`` at every point."""
+    def t_trees(m, mhat, dmhat, dm):
+        return [[[Const(float(v)) for v in row] for row in plane] for plane in entries]
+    return t_trees
 
 
 def failing_t(case):
@@ -896,15 +934,18 @@ class TestDerivationMap:
             np.testing.assert_allclose(point.kinetic(), kin, rtol=0, atol=1e-14)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:matching residual")
     @pytest.mark.parametrize("case", ["asymmetric", "cyclic", "non-finite", "cp-overflow"])
     def test_failing_checks_raise_as_the_chain(self, monkeypatch, case):
         sys, design = builtin("pendulum_cart", eps=0.55, K=0.25)
-        monkeypatch.setattr(matching, "t_entries", crafted(failing_t(case)))
-        q = np.array([0.3, -0.2])
+        monkeypatch.setattr(matching, "t_trees", crafted(failing_t(case)))
+        ctrl = Controller(sys, ShapedDesign(sys.vars, design.Mhat, design.Vhat, design.Kv))
+        q, p = np.array([0.3, -0.2]), [0.4, 0.1]
         with pytest.raises((MatchingError, TensorError)) as want:
             reference_gyro(MatchPoint(sys, design, q))
         for call in (lambda: MatchPoint(sys, design, q).gyro(),
-                     lambda: MatchRows(sys, design, np.array([q, [0.1, 0.1]])).gyro()):
+                     lambda: MatchRows(sys, design, np.array([q, [0.1, 0.1]])).gyro(),
+                     lambda: feedback(ctrl, q, p), lambda: closed_loop_field(ctrl, q, p)):
             with pytest.raises((MatchingError, TensorError)) as got:
                 call()
             assert type(got.value) is type(want.value)
@@ -1024,9 +1065,12 @@ class PerTable:
     def frame(self):
         return self.read("frame", lambda: input_frame(self.sys.G(self.q), self.q))
 
+    def m(self):
+        return self.read("m", lambda: self.sys.mass_matrix(self.q))
+
     def pair(self):
         def build():
-            inv = np.linalg.inv(self.sys.mass_matrix(self.q))
+            inv = np.linalg.inv(self.m())
             return matching.MetricPair(
                 (inv + inv.T) / 2.0,
                 self.design.shaped_mass(self.q),
@@ -1043,12 +1087,27 @@ class PerTable:
     def dvhat(self):
         return self.read("dvhat", lambda: self.design.shaped_potential_gradient(self.q))
 
-    def derivation(self):
+    def t(self):
         def build():
-            t = np.ascontiguousarray(matching.t_entries(self.pair(), self.dm()))
+            _, mhat, dmhat = self.pair()
+            try:
+                t = np.array(t_formulas(*(a.tolist() for a in (self.m(), mhat, dmhat, self.dm()))))
+            except ZeroDivisionError:  # a pivot of M's L D L'
+                raise np.linalg.LinAlgError("Singular matrix") from None
             if not finite_rows(t):
                 raise TensorError(NOT_FINITE)
-            return matching._derive(self.sys, self.frame(), t)
+            return t
+        return self.read("t", build)
+
+    def derivation(self):
+        """GyroMap.apply's blocks of T; for a constant G, fold_formulas of
+        the kept fold."""
+        def build():
+            t, sys, frame = self.t(), self.sys, self.frame()
+            gmap = matching.adapted_map(sys.n, sys.n - sys.m)
+            if sys.kept_frame is None:
+                return gmap, gmap.apply(t, np.concatenate([frame.annihilator, frame.range_basis.T]))
+            return gmap, np.array(fold_formulas(matching.kept_fold(sys)[0], t.ravel().tolist()))
         return self.read("derivation", build)
 
     def residual(self):
@@ -1091,6 +1150,39 @@ def total(terms):
     return reduce(operator.add, terms)
 
 
+def t_formulas(m, mhat, dmhat, dm):
+    """T from nested lists of M, Mhat, dMhat and dM with the generated T's
+    arithmetic (matching.t_trees): X = M^-1 Mhat by ldl_solve, a column at a
+    time, and T_ijk = ((X' dM_k X)_ij - X_tk dMhat_tij) / 2 for i <= j,
+    mirrored; on floats its values up to the sign of a zero, on Fractions
+    the exact values."""
+    n = len(m)
+    r = range(n)
+    cols = [ldl_solve(m, [mhat[i][j] for i in r]) for j in r]
+    x = [[cols[j][i] for j in r] for i in r]
+    t = [[[None] * n for _ in r] for _ in r]
+    for k in r:
+        dm_x = [[total([dm[k][a][s] * x[s][j] for s in r]) for j in r] for a in r]
+        for i in r:
+            for j in range(i, n):
+                t[i][j][k] = t[j][i][k] = (total([x[a][i] * dm_x[a][j] for a in r])
+                                           - total([x[s][k] * dmhat[s][i][j] for s in r])) / 2
+    return t
+
+
+def fold_formulas(fold, t):
+    """vec(T) @ fold with the generated fold product's arithmetic
+    (expr.constant_product of fold'): each column's nonzero entries times
+    T's, added in row order."""
+    return [total([f * t[k] for k, f in enumerate(col) if f] or [0.0])
+            for col in fold.T.tolist()]
+
+
+def constant_product(a, v):
+    """a v for a constant matrix a, with control_sim's arithmetic."""
+    return [total([x * v[k] for k, x in enumerate(row) if x] or [0.0]) for row in a.tolist()]
+
+
 def quadratic(a, u):
     return total([a[i][j] * u[i] * u[j] for i in range(len(u)) for j in range(len(u))])
 
@@ -1124,11 +1216,56 @@ def law_tables(ctrl, point, q, p):
     return ctrl.sys.M(q), mhat, dmhat, dvhat, c, point.frame().g, ctrl.Kv, p
 
 
+def warn_residual(res, q):
+    if res > RESIDUAL_TOL:
+        warnings.warn(f"matching residual {res:.3e} exceeds {RESIDUAL_TOL:.1e} at q={q_text(q)}")
+
+
+def ticks(ctrl):
+    """Whether ctrl's law is a Tick: no C table and a constant G."""
+    return ctrl.design.C is None and ctrl.sys.g_constant
+
+
+def per_table_law(ctrl, point, q, p):
+    """(qdot, pdot) of the shaped law from a PerTable's reads, with the law's
+    arithmetic (law_formulas on floats), as lists."""
+    _, mhat, _ = point.pair()
+    if defect := spd_defect(mhat):
+        raise SystemError(f"shaped mass {defect} at q={q_text(q)}")
+    np.linalg.solve(mhat, p)  # raises on an Mhat that LAPACK's LU finds singular
+    tables = law_tables(ctrl, point, q, p)
+    try:
+        return law_formulas(*(a.tolist() for a in tables))
+    except ZeroDivisionError:  # a pivot of L D L' rounded to zero
+        raise np.linalg.LinAlgError("Singular matrix") from None
+
+
+def tick_residual(point):
+    """A Tick's residual from a PerTable's reads, with tick_trees' arithmetic:
+    W (dV - Mhat z), z = M^-1 dVhat by ldl_solve, and the kinetic defects."""
+    r = range(len(point.q))
+    mhat, dv = point.pair().mhat.tolist(), point.dv().tolist()
+    z = ldl_solve(point.m().tolist(), point.dvhat().tolist())
+    defect = [dv[k] - total([mhat[k][j] * z[j] for j in r]) for k in r]
+    gmap, y = point.derivation()
+    potential = constant_product(point.frame().annihilator, defect)
+    return float(np.max(np.abs(np.concatenate([potential, y[gmap.kinetic]])), initial=0.0))
+
+
+def tick_feedback(point, p, qdot, pdot):
+    """A Tick's u from a PerTable's reads and the law's (qdot, pdot), with
+    tick_trees' arithmetic: (G'G)^-1 G' as a constant times dH/dq + pdot,
+    dH/dq read at qdot = M^-1 p."""
+    g, dv, dm = point.frame().g, point.dv().tolist(), point.dm().tolist()
+    rhs = [dv[k] - quadratic(dm[k], qdot) / 2 + pdot[k] for k in range(len(p))]
+    return np.array(constant_product(np.linalg.solve(g.T @ g, g.T), rhs))
+
+
 def per_table_call(ctrl, name, q, p):
     """closed_loop_field ("field"), feedback, GyroField.at ("derive"),
     Controller.gyro_at or Controller.matching_residual ("residual") at (q, p)
     from PerTable, with the shaped law's arithmetic (law_formulas on floats)
-    and the feedback's formulas."""
+    and the feedback's formulas, a Tick's where ctrl's law is one."""
     sys, design = ctrl.sys, ctrl.design
     q, p = np.asarray(q, dtype=float), np.asarray(p, dtype=float)
     point = PerTable(sys, design, q)
@@ -1138,19 +1275,20 @@ def per_table_call(ctrl, name, q, p):
         return point.residual()
     if name == "gyro_at":
         return point.gyro() if design.C is None else design.c_table_at(q)
-    if name == "feedback" and (res := point.residual()) > RESIDUAL_TOL:
-        warnings.warn(f"matching residual {res:.3e} exceeds {RESIDUAL_TOL:.1e} at q={q_text(q)}")
-    g, (minv, mhat, _) = point.frame().g, point.pair()
-    if defect := spd_defect(mhat):
-        raise SystemError(f"shaped mass {defect} at q={q_text(q)}")
-    np.linalg.solve(mhat, p)  # raises on an Mhat that LAPACK's LU finds singular
-    tables = law_tables(ctrl, point, q, p)
-    try:
-        qdot, pdot = map(np.array, law_formulas(*(a.tolist() for a in tables)))
-    except ZeroDivisionError:  # a pivot of L D L' rounded to zero
-        raise np.linalg.LinAlgError("Singular matrix") from None
+    if name == "feedback" and ticks(ctrl):
+        try:
+            qdot, pdot = per_table_law(ctrl, point, q, p)
+        except POINT_ERRORS:
+            warn_residual(point.residual(), q)  # MatchPoint's reads raise first
+            raise
+        warn_residual(tick_residual(point), q)
+        return tick_feedback(point, p, qdot, pdot)
+    if name == "feedback":
+        warn_residual(point.residual(), q)
+    qdot, pdot = map(np.array, per_table_law(ctrl, point, q, p))
     if name == "field":
         return qdot, pdot
+    g, minv = point.frame().g, point.pair().minv
     rhs = q_gradient(point.dv(), point.dm(), minv @ p) + pdot
     return np.linalg.solve(g.T @ g, g.T @ rhs)
 
@@ -1166,7 +1304,9 @@ PAIR_CALLS = {
 
 def outcome(call):
     """What call() gives: its arrays' shapes and bytes, or its exception's type
-    and message; with the first clause of each warning it raises."""
+    and message; with the first clause of each warning it raises.  A zero
+    counts as +0: generated code leaves out the terms of constant zero
+    entries, which the plain-loop references add, and so a zero's sign."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
@@ -1177,7 +1317,7 @@ def outcome(call):
     if isinstance(result, Exception):
         return type(result).__name__, str(result), texts
     arrays = result if isinstance(result, tuple) else (result,)
-    return [(np.shape(a), np.asarray(a, dtype=float).tobytes()) for a in arrays], texts
+    return [(np.shape(a), (np.asarray(a, dtype=float) + 0.0).tobytes()) for a in arrays], texts
 
 
 def assert_pair_parity(ctrl, q, p):

@@ -30,6 +30,7 @@ from idapbc.system import (
     builtin,
     input_frame,
     load_system,
+    q_gradient,
     save_system,
     spd_defect,
     system_to_dict,
@@ -136,6 +137,44 @@ class TestMechSystem:
         for q in ([0.5, 0.0], [0.5, -0.3]):
             with pytest.raises(SystemError, match="input matrix rank-deficient at q="):
                 sys.open_loop_field(q, [0.1, 0.2], [1.0])
+
+    def test_open_loop_is_the_numpy_chain(self):
+        # one generated function (L D L' solve, dH/dq, G u) against the chain
+        # it replaced: LU solve, q_gradient and G @ u; a constant and a
+        # varying G
+        for g in ([["0"], ["1"]], [["0.6"], ["2 + cos(q1)"]]):
+            sys, _ = builtin("pendulum_cart")
+            sys = MechSystem(sys.vars, sys.M, sys.V, ExprMatrix.from_strings(g, sys.vars))
+            for x in np.random.default_rng(5).uniform(-1.0, 1.0, (50, 5)):
+                q, p, u = x[:2], x[2:4], x[4:]
+                qdot = np.linalg.solve(sys.mass_matrix(q), p)
+                pdot = -q_gradient(sys.dV(q), sys.dM(q), qdot) + sys.G(q) @ u
+                for got, want in zip(sys.open_loop_field(q, p, u), (qdot, pdot)):
+                    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * max(
+                        1.0, np.abs(want).max()))
+
+    def test_open_loop_raises_for_a_mass_that_is_not_positive_definite(self):
+        sys = make_system([["1", "2"], ["2", "1"]], "q1^2", [["0"], ["1"]])
+        with pytest.raises(SystemError) as got:
+            sys.open_loop_field([0.3, 0.0], [0.1, 0.2], [1.0])
+        assert str(got.value) == (
+            "mass matrix not positive definite at q=[0.3, 0.0] (eigenvalue -1.000000e+00)"
+        )
+
+    def test_open_loop_zero_pivot_is_singular(self):
+        # eigvalsh finds 1.1e-16 > 0; the L D L' pivot 9 - 3*3 is zero
+        sys = make_system([["1", "3"], ["3", "9"]], "q1^2", [["0"], ["1"]])
+        sys.mass_matrix([0.3, 0.0])
+        with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+            sys.open_loop_field([0.3, 0.0], [0.1, 0.2], [1.0])
+
+    def test_open_loop_built_at_first_call(self):
+        sys, _ = builtin("pendulum_cart")
+        assert sys._open_loop is None
+        sys.open_loop_field([0.1, 0.0], [0.1, 0.2], [1.0])
+        kept = sys._open_loop
+        sys.open_loop_field([0.2, 0.0], [0.1, 0.2], [1.0])
+        assert kept is not None and sys._open_loop is kept
 
     def test_stacked_hamiltonian_raises_at_first_bad_row(self):
         # V cannot be evaluated at q1 = 0.2, and M is not PD where |q1| >= 1
