@@ -6,14 +6,17 @@ system with damping injected through Kv and a momentum-quadratic gyroscopic
 force that does no work on the shaped energy.  A fixed-step integrator and
 energy-decay diagnostics close the loop numerically.
 
-The shaped dynamics have one implementation, the shaped law: expression
-trees (law_trees) that factor M and Mhat as L D L' and contract dMhat, C
-and the damping, compiled per controller by expr.Compiled (shaped_law).
-Where it gives no value (a table that fails to evaluate, an M or Mhat that
-is not finite and positive definite), MatchPoint's reads raise what fails.
+The shaped dynamics, the feedback and its residual check have one recipe,
+tick_trees: expression trees that factor M and Mhat as L D L' and contract
+dMhat, C and the damping, compiled per controller by expr.Compiled into one
+function for closed_loop_field and one for feedback (Controller.law), whose
+values are a Tick.  Where it gives no value (a table that fails to
+evaluate, an M or Mhat that is not finite and positive definite, a derived
+C that does not exist), MatchPoint's reads raise what fails.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -26,18 +29,14 @@ from . import linalg
 from .expr import (
     Compiled,
     Const,
-    Expr,
     Tables,
     Var,
     add,
-    constant_product,
-    inputs,
     ldl,
     ldl_solve,
-    mul,
+    matvec,
     quadratic,
     sub,
-    total,
 )
 from .matching import (
     POINT_ERRORS,
@@ -54,7 +53,6 @@ from .system import (
     StateTrajectory,
     SystemError,
     check_kv,
-    q_gradient,
     q_gradient_trees,
     q_text,
     rk4_step,
@@ -82,8 +80,9 @@ class Controller:
     kv defaults to the design's damping matrix; a positive scalar is
     promoted to that multiple of the identity.  The gyroscopic tensor is the
     design's stored closed-form table when present, otherwise the tensor
-    derived pointwise from the matching data.  ``law`` is the shaped law's
-    Compiled function (shaped_law), built at its first read and kept.
+    derived pointwise from the matching data.  ``law(feedback)`` is the
+    compiled Tick (tick_trees) for closed_loop_field, or with ``feedback``
+    for feedback, each built at its first read and kept.
     """
 
     def __init__(
@@ -100,13 +99,13 @@ class Controller:
         if np.ndim(kv) == 0:
             kv = np.diag([kv] * sys.m)
         self.Kv = check_kv(kv, sys.m)
-        self._law = None
+        self._laws = [None, None]
 
-    @property
-    def law(self) -> Compiled:
-        if self._law is None:
-            self._law = shaped_law(self.sys, self.design, self.Kv)
-        return self._law
+    def law(self, feedback: bool) -> Compiled:
+        if self._laws[feedback] is None:
+            tick = tick_trees(self.sys, self.design, self.Kv, feedback)
+            self._laws[feedback] = Compiled(Tables(t for t in tick if t is not None))
+        return self._laws[feedback]
 
     def gyro_at(self, q: Sequence[float]) -> np.ndarray:
         """Tensor values at q; raises MatchingError where no extension exists."""
@@ -120,131 +119,131 @@ class Controller:
         return MatchPoint(self.sys, self.design, q).residual()
 
 
-def law_trees(mats, dmhat, dvhat, c, g, kv: np.ndarray, p: list[Expr]) -> tuple[list, list]:
-    """(qdot, pdot) of the shaped law as trees of the entries of the tables
-    (M and Mhat, dMhat, dVhat, C), of G, Kv and p: M and Mhat factored as
-    L D L', solved for uhat = Mhat^-1 p, M^-1 dHd/dq and M^-1 p; dMhat and C
-    contracted with uhat, and G Kv G' with it."""
-    m, mhat = mats
-    r, ra = range(len(p)), range(len(kv))
-    m_factors, mhat_factors = ldl(m), ldl(mhat)
-    uhat = ldl_solve(*mhat_factors, p)
-    minv_grad = ldl_solve(*m_factors, q_gradient_trees(dvhat, dmhat, uhat))  # of Hd
-    gu = [total([mul(g[i][a], uhat[i]) for i in r]) for a in ra]
-    kgu = [total([mul(Const(float(kv[a][b])), gu[b]) for b in ra]) for a in ra]
-    pdot = [
-        sub(sub(quadratic([[c[i][j][k] for j in r] for i in r], uhat),
-                total([mul(mhat[k][j], minv_grad[j]) for j in r])),
-            total([mul(g[k][a], kgu[a]) for a in ra]))
-        for k in r
-    ]
-    return ldl_solve(*m_factors, p), pdot
-
-
-def _fed(tables: list, start: int) -> list:
-    """The nested tables with each entry that is not a constant (None too)
-    replaced by the variable x[k], k counting from start in flat order."""
-    out = []
-    for table in tables:
-        a = np.array(table, dtype=object)
-        flat = [e if isinstance(e, Const) else Var(f"x{k}", k) for k, e in enumerate(a.flat, start)]
-        out.append(np.array(flat, dtype=object).reshape(a.shape).tolist())
-        start += a.size
-    return out
-
-
 class Tick(NamedTuple):
-    """The values of tick_trees: the shaped law, the (2, n, n) stack of M and
-    Mhat, the derivation's blocks (GyroMap.apply's output), the potential
-    defect and the feedback u."""
+    """The values of tick_trees: the shaped law (qdot, pdot), the (2, n, n)
+    stack of M and Mhat, the derivation's blocks (GyroMap.apply's output),
+    the potential defect and the feedback u; None where not computed."""
 
-    qdot: np.ndarray
-    pdot: np.ndarray
-    mats: np.ndarray
-    y: np.ndarray
-    potential: np.ndarray
-    u: np.ndarray
-
-
-def tick_trees(sys: MechSystem, design: ShapedDesign, kv: np.ndarray) -> Tick:
-    """Tick's trees for a design without a C table and a constant G, of
-    x = (q, p): the pair function's trees, C as the kept fold times T
-    (kept_fold), the law (law_trees), W (dV - Mhat M^-1 dVhat)
-    with W the kept annihilator, and u = (G'G)^-1 G' (dH/dq + pdot) with
-    (G'G)^-1 G' a constant and dH/dq read at M^-1 p (q_gradient_trees)."""
-    n, r = sys.n, range(sys.n)
-    frame = sys.frame(np.zeros(n))  # a constant G's, kept
-    tables = pair_trees(sys, design)
-    (m, mhat), gmap = tables.mats, adapted_map(n, n - sys.m)
-    y = constant_product(kept_fold(sys)[0].T, np.ravel(np.array(tables.t, dtype=object)))
-    c = np.array(y[gmap.c], dtype=object).reshape((n,) * 3).tolist()
-    qdot, pdot = law_trees(tables.mats, tables.dmhat, tables.dvhat, c, sys.G.tree, kv,
-                           inputs(n, n))
-    minv_dvhat = ldl_solve(*ldl(m), tables.dvhat)
-    defect = [sub(tables.dv[k], total([mul(mhat[k][j], minv_dvhat[j]) for j in r])) for k in r]
-    rhs = [add(dh, dp) for dh, dp in zip(q_gradient_trees(tables.dv, tables.dm, qdot), pdot)]
-    g = frame.g
-    return Tick(qdot, pdot, tables.mats, y, constant_product(frame.annihilator, defect),
-                constant_product(linalg.solve(g.T @ g, g.T), rhs))
+    qdot: object
+    pdot: object
+    mats: object = None
+    y: object = None
+    potential: object = None
+    u: object = None
 
 
-def shaped_law(sys: MechSystem, design: ShapedDesign, kv: np.ndarray) -> Compiled:
-    """The shaped law (law_trees) compiled as one function of x: q, p, then
-    without a C table M and Mhat, dMhat, dVhat (the pair function's first
-    three tables) and C, and last G where it varies.  With a C table the law
-    evaluates those trees, bitwise as the pair function, and C itself, and
-    also returns the (2, n, n) stack of M and Mhat for the PD test.  Without
-    one and with a constant G, it is tick_trees, of q and p.  Constant
-    entries stay constants, so folding drops the terms they zero.  A pivot
-    that is zero raises ExprError."""
-    n = sys.n
-    if design.C is not None:
-        trees = (sys.M.tree, design.Mhat.tree), design.dMhat.tree, design.dVhat.tree
-        p, g = _fed([[None] * n, sys.G.tree], n)
-        return Compiled(Tables(law_trees(*trees, design.C.tree, g, kv, p) + (trees[0],)))
+def _feeder(start: int) -> Callable:
+    """A function of a nested table that replaces each entry that is not a
+    constant (None too) by the next input x[k], k counting from ``start``
+    in flat order across its calls."""
+    count = itertools.count(start)
+
+    def feed(table) -> list:
+        a = np.array(table, dtype=object)
+        flat = [e if isinstance(e, Const) else Var(f"x{k}", k) for e, k in zip(a.flat, count)]
+        return np.array(flat, dtype=object).reshape(a.shape).tolist()
+
+    return feed
+
+
+def tick_trees(sys: MechSystem, design: ShapedDesign, kv: np.ndarray, feedback: bool) -> Tick:
+    """The Tick's trees for closed_loop_field (qdot, pdot, the M and Mhat
+    stack, and y where it is derived in-tree) or, with ``feedback``, for
+    feedback (also the potential defect W (dV - Mhat M^-1 dVhat) and
+    u = (G'G)^-1 G' (dH/dq + pdot), dH/dq read at qdot = M^-1 p).
+
+    The law: M and Mhat factored as L D L', solved for uhat = Mhat^-1 p,
+    M^-1 dHd/dq and M^-1 p; dMhat and C contracted with uhat, and G Kv G'
+    with it.  Its input x is q, p, then, where G varies and T is read (a
+    derived C, or feedback's residual), MatchPoint's M and Mhat, dMhat,
+    dVhat and derived C (the PD verdict and y are then MatchPoint's, and
+    the trees hold no stack or y); last, where G varies, the point's G, then
+    for feedback dM, dV, W and (G'G)^-1 G'.  Otherwise the tables are the
+    pair function's trees, and where T is read y is the kept fold times T
+    (kept_fold) and a derived C its C block; a constant G's W and
+    (G'G)^-1 G' are constants.  Constant entries stay constants, so folding
+    drops the terms they zero.  A pivot that is zero raises ExprError."""
+    n, derived = sys.n, design.C is None
+    fed = (derived or feedback) and not sys.g_constant
+    mats, dmhat, dvhat, dm, dv = ((sys.M.tree, design.Mhat.tree), design.dMhat.tree,
+                                  design.dVhat.tree, sys.dM.tree, sys.dV.tree)
+    c, y, feed = None if derived else design.C.tree, None, _feeder(n)
+    p = feed([None] * n)
+    if fed:
+        mats, dmhat, dvhat = feed(mats), feed(dmhat), feed(dvhat)
+        if derived:
+            c = feed(np.empty((n,) * 3, dtype=object))
+    elif derived or feedback:
+        y = matvec(kept_fold(sys)[0].T, np.array(pair_trees(sys, design).t, dtype=object).ravel())
+        if derived:
+            c = np.array(y[adapted_map(n, n - sys.m).c], dtype=object).reshape((n,) * 3).tolist()
     if sys.g_constant:
-        return Compiled(Tables(tick_trees(sys, design, kv)))
-    p, *fed, g = _fed([[None] * n, *pair_trees(sys, design)[:3],
-                       np.empty((n,) * 3, dtype=object), sys.G.tree], n)
-    return Compiled(Tables(law_trees(*fed, g, kv, p)))
+        frame = sys.frame(np.zeros(n))  # a constant G's, kept
+        g, w, pinv = sys.G.tree, frame.annihilator, linalg.solve(frame.g.T @ frame.g, frame.g.T)
+    else:
+        g = feed(sys.G.tree)
+        if fed:
+            dm, dv = feed(dm), feed(dv)
+        w, pinv = (feed(np.empty(shape, dtype=object)) for shape in ((n - sys.m, n), (sys.m, n)))
+    (m, mhat), r = mats, range(n)
+    m_factors = ldl(m)
+    uhat = ldl_solve(*ldl(mhat), p)
+    minv_grad = ldl_solve(*m_factors, q_gradient_trees(dvhat, dmhat, uhat))  # of Hd
+    kgu = matvec(kv, matvec([[g[i][a] for i in r] for a in range(sys.m)], uhat))
+    pdot = [sub(sub(quadratic([[c[i][j][k] for j in r] for i in r], uhat), a), b)
+            for k, a, b in zip(r, matvec(mhat, minv_grad), matvec(g, kgu))]
+    qdot = ldl_solve(*m_factors, p)
+    tick = Tick(qdot, pdot, None if fed else mats, y)
+    if not feedback:
+        return tick
+    defect = list(map(sub, dv, matvec(mhat, ldl_solve(*m_factors, dvhat))))
+    rhs = list(map(add, q_gradient_trees(dv, dm, qdot), pdot))
+    return tick._replace(potential=matvec(w, defect), u=matvec(pinv, rhs))
 
 
-def _law_value(ctrl: Controller, point: MatchPoint, p: np.ndarray):
-    """ctrl.law's value at (point.q, p): (qdot, pdot), or a Tick; None where
-    M or Mhat is not finite and PD, or where a Tick's derivation_defect is
-    not None."""
-    sys = ctrl.sys
+def _evaluate(ctrl: Controller, point: MatchPoint, p: np.ndarray, feedback: bool):
+    """ctrl.law(feedback)'s value at (point.q, p), its inputs read as
+    tick_trees lays them out: for feedback a Tick, for closed_loop_field
+    the law's tuple of the Tick's fields (qdot and pdot first, without a
+    Tick per call).  None where M or Mhat is not finite and PD, or where a
+    derived C's derivation_defect is not None; a stored C is judged only on
+    T's finiteness (MatchPoint.t), where feedback's y is not finite.  The
+    exception where a read or the law raises; the frame is read first (a
+    kept one has passed), so a rank-deficient G raises ahead of the rest."""
+    sys, derived = ctrl.sys, ctrl.design.C is None
+    if sys.kept_frame is None:
+        point.frame
     x = point.q.tolist() + p.tolist()  # floats: the law reads each entry once
-    if ctrl.design.C is None and sys.g_constant:
-        tick = Tick(*ctrl.law(x))
-        lows = stack_lows(tick.mats)
-        if not (lows[0] > 0.0 and lows[1] > 0.0):
-            return None
-        peaks = adapted_map(sys.n, sys.n - sys.m).peaks(tick.y).tolist()
-        return None if derivation_defect(peaks) else tick
-    if derived := ctrl.design.C is None:
-        tables, lows = point.tables, point.lows
-        if not (lows[0] > 0.0 and lows[1] > 0.0):
-            return None
-        for table in (tables.mats, tables.dmhat, tables.dvhat, point.gyro()):
-            x += table.ravel().tolist()
-    if not sys.g_constant:
-        x += point.frame.g.ravel().tolist()
-    if derived:
-        return ctrl.law(x)
-    qdot, pdot, mats = ctrl.law(x)
-    lows = stack_lows(mats)
-    return (qdot, pdot) if lows[0] > 0.0 and lows[1] > 0.0 else None
-
-
-def _evaluate(ctrl: Controller, point: MatchPoint, p: np.ndarray):
-    """_law_value, or the exception it raised; the frame is read first, so a
-    rank-deficient G raises ahead of the rest."""
-    point.frame
     try:
-        return _law_value(ctrl, point, p)
+        if fed := (derived or feedback) and not sys.g_constant:
+            tables, lows = point.tables, point.lows
+            if not (lows[0] > 0.0 and lows[1] > 0.0):
+                return None
+            for table in tables[:3]:
+                x += table.ravel().tolist()
+            if derived:
+                x += point.gyro().ravel().tolist()
+        if not sys.g_constant:
+            g = point.frame.g
+            x += g.ravel().tolist()
+            if feedback:
+                pinv = linalg.solve(g.T @ g, g.T)
+                for part in (tables.dm, tables.dv, point.frame.annihilator, pinv):
+                    x += part.ravel().tolist()
+        values = ctrl.law(feedback)(x)
+        if fed:
+            return Tick(*values[:2], None, point.derivation[1], *values[2:]) if feedback else values
+        lows = stack_lows(values[2])  # the Tick's mats, then its y
+        if not (lows[0] > 0.0 and lows[1] > 0.0):
+            return None
+        if derived and derivation_defect(
+                adapted_map(sys.n, sys.n - sys.m).peaks(values[3]).tolist()):
+            return None
+        if feedback and not derived and not np.isfinite(values[3]).all():
+            point.t  # raises TensorError where T is not finite
     except POINT_ERRORS as exc:
         return exc
+    return Tick(*values) if feedback else values
 
 
 def _replay(ctrl: Controller, point: MatchPoint, p: np.ndarray, cause) -> None:
@@ -261,13 +260,6 @@ def _replay(ctrl: Controller, point: MatchPoint, p: np.ndarray, cause) -> None:
     raise np.linalg.LinAlgError("Singular matrix") from cause
 
 
-def _tick_residual(sys: MechSystem, tick: Tick) -> float:
-    """MatchPoint.residual from a Tick's potential defect and derivation."""
-    gmap = adapted_map(sys.n, sys.n - sys.m)
-    defects = np.concatenate([tick.potential, tick.y[gmap.kinetic]])
-    return float(np.max(np.abs(defects), initial=0.0))
-
-
 def feedback(ctrl: Controller, q: Sequence[float], p: Sequence[float]) -> np.ndarray:
     """Stabilizing input at (q, p): the u with G'G u = G'(dH/dq + pdot), for
     which the open loop equals the shaped dynamics (qdot, pdot).
@@ -275,29 +267,26 @@ def feedback(ctrl: Controller, q: Sequence[float], p: Sequence[float]) -> np.nda
     Raises where Mhat is not positive definite, like closed_loop_field.
     Where the design's matching residual exceeds the verification tolerance
     a warning carrying the local residual is attached, since the law
-    realizes the shaped dynamics only up to that residual.  Without a C
-    table and with a constant G, the law's Tick gives u and the residual
-    in the same call.
+    realizes the shaped dynamics only up to that residual.  The law's Tick
+    gives u and the residual in the same call.
     """
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
     point = MatchPoint(ctrl.sys, ctrl.design, q)
-    field = _evaluate(ctrl, point, p)
-    tick = type(field) is Tick
-    # MatchPoint's reads raise here, ahead of the law's replay
-    res = _tick_residual(ctrl.sys, field) if tick else point.residual()
+    tick = _evaluate(ctrl, point, p, True)
+    if valued := type(tick) is Tick:
+        kinetic = tick.y[adapted_map(ctrl.sys.n, ctrl.sys.n - ctrl.sys.m).kinetic]
+        res = float(np.max(np.abs(np.concatenate([tick.potential, kinetic])), initial=0.0))
+    else:
+        res = point.residual()  # MatchPoint's reads raise here, ahead of the replay
     if res > RESIDUAL_TOL:
         warnings.warn(
             f"matching residual {res:.3e} exceeds {RESIDUAL_TOL:.1e} at "
             f"q={q_text(q)}; the feedback does not realize the shaped dynamics here"
         )
-    if tick:
-        return field.u
-    if type(field) is not tuple:
-        _replay(ctrl, point, p, field)
-    g, minv = point.frame.g, point.pair.minv
-    rhs = q_gradient(point.tables.dv, point.tables.dm, minv @ p) + field[1]
-    return linalg.solve(g.T @ g, g.T @ rhs)
+    if valued:
+        return tick.u
+    _replay(ctrl, point, p, tick)
 
 
 def closed_loop_field(
@@ -306,12 +295,10 @@ def closed_loop_field(
     """Shaped dynamics at (q, p); raises where Mhat is not positive definite."""
     point = MatchPoint(ctrl.sys, ctrl.design, np.asarray(q, dtype=float))
     p = np.asarray(p, dtype=float)
-    field = _evaluate(ctrl, point, p)
-    if type(field) is tuple:
-        return field
-    if type(field) is Tick:
-        return field.qdot, field.pdot
-    _replay(ctrl, point, p, field)
+    values = _evaluate(ctrl, point, p, False)
+    if type(values) is tuple:
+        return values[:2]
+    _replay(ctrl, point, p, values)
 
 
 def closed_loop_linearization(ctrl: Controller) -> np.ndarray:

@@ -358,11 +358,13 @@ def ldl_solve(l: list[list[Expr]], d: list[Expr], b: Sequence[Expr]) -> list[Exp
     return x
 
 
-def constant_product(a, v: Sequence[Expr]) -> list[Expr]:
-    """a v for a constant matrix a (an array or nested lists), as trees: each
-    row's terms in column order, those of zero entries folded away."""
-    return [total([mul(Const(float(x)), v[k]) for k, x in enumerate(row)])
-            for row in np.asarray(a).tolist()]
+def matvec(a, v: Sequence[Expr]) -> list[Expr]:
+    """a v as trees, for a matrix a (an array or nested lists) of numbers or
+    trees: each row's terms in column order, those of constant zero entries
+    folded away."""
+    return [total([mul(x if isinstance(x, Expr) else Const(float(x)), v[k])
+                   for k, x in enumerate(row)])
+            for row in np.asarray(a, dtype=object).tolist()]
 
 
 def inputs(start: int, count: int) -> list[Var]:
@@ -744,14 +746,17 @@ def compile_expr(tree, batch: bool = False) -> Callable:
     With ``batch`` the same generated statements run on numpy arrays: the
     function maps an (N, n) stack of points to ``(values, flagged)``, values
     of shape (N, *shape) (for :class:`Tables`, a tuple with each tree's) and
-    one boolean row mask.  A row is flagged where a temporary is not finite,
-    which includes every zero denominator (its quotient is infinite) and
-    every power the scalar variant overflows on; those are the rows where
-    the scalar function raises or carries inf or NaN.  A non-finite value
-    reaches an output unless it is a denominator or the base of a
-    non-positive power, so only those and the outputs are checked: for
-    Tables, the union of what each tree alone checks, so the mask is the OR
-    of their masks.  Values in flagged rows are placeholders.  Each output
+    one boolean row mask.  A row is flagged where any temporary is not
+    finite.  A non-finite value reaches an output unless it is a denominator
+    or the base of a non-positive power, so only those and the outputs are
+    checked: for Tables, the union of what each tree alone checks, so the
+    mask is the OR of their masks.  The flagged rows are a superset of those
+    where the scalar function raises or returns inf or NaN: a zero
+    denominator makes an infinite quotient, and a power the scalar variant
+    overflows on is NaN, but a Python float ``*`` or ``+`` overflows to inf
+    without raising, and a quotient by that inf is finite, so
+    ``3.25/(q1*(1e200*(1e200 - q1)))`` is flagged at q1 = 0.459, where the
+    scalar function returns 0.0.  Values in flagged rows are placeholders.  Each output
     is written as soon as it is computed, and each temporary deleted after
     its last use, so a call holds only the live temporaries' arrays.
     """

@@ -25,10 +25,10 @@ from .expr import (
     Expr,
     ExprError,
     Tables,
-    constant_product,
     inputs,
     ldl,
     ldl_solve,
+    matvec,
     mul,
     parse,
     sub,
@@ -144,13 +144,13 @@ def adapted_map(n: int, d: int) -> GyroMap:
 def kept_fold(sys: MechSystem) -> tuple[np.ndarray, Compiled]:
     """GyroMap.fold of a constant G's kept frame (the system must keep one),
     and vec(T) @ fold compiled as a function of vec(T), unrolled over the
-    fold's nonzero entries (constant_product).  Built at the first
-    derivation and kept on the system."""
+    fold's nonzero entries (matvec).  Built at the first derivation and kept
+    on the system."""
     if sys.kept_fold is None:
         frame, n = sys.kept_frame, sys.n
         fold = adapted_map(n, n - sys.m).fold(
             _adapted_basis(frame.annihilator, frame.range_basis))
-        sys.kept_fold = fold, Compiled(constant_product(fold.T, inputs(0, n ** 3)))
+        sys.kept_fold = fold, Compiled(matvec(fold.T, inputs(0, n ** 3)))
     return sys.kept_fold
 
 

@@ -34,8 +34,9 @@ one side only, a changed string, boolean or null, a changed CSV header or
 row count, a NaN or infinity that moved, or a changed text file.  Numbers
 are compared by group, a CSV column or a JSON field (array indices folded
 into ``[]``): the report prints, for each group that differs, the largest
-absolute difference and that difference relative to the largest magnitude
-of the group in OLD.  The exit code is 1 if anything mismatched, else 0.
+absolute difference and that difference relative to max(1, the largest
+magnitude of the group in OLD), so a group whose exact values are 0 reads
+its rounding drift as is.  The exit code is 1 if anything mismatched, else 0.
 """
 from __future__ import annotations
 
@@ -192,11 +193,11 @@ def _is_number(v) -> bool:
 
 
 def _compare_group(old: list, new: list) -> tuple[float, float] | None:
-    """(largest absolute difference, it relative to the largest |old|) of two
-    lists of numbers, or None where they differ other than in finite values."""
+    """(largest absolute difference, it relative to max(1, largest |old|)) of
+    two lists of numbers, or None where they differ other than in finite values."""
     if len(old) != len(new):
         return None
-    diff = scale = 0.0
+    diff, scale = 0.0, 1.0
     for a, b in zip(old, new):
         if not (_is_number(a) and _is_number(b)):
             if a != b:
@@ -207,7 +208,7 @@ def _compare_group(old: list, new: list) -> tuple[float, float] | None:
                 return None
             continue
         diff, scale = max(diff, abs(a - b)), max(scale, abs(a))
-    return diff, (diff / scale if scale else 0.0 if diff == 0.0 else math.inf)
+    return diff, diff / scale
 
 
 def compare(old: Path, new: Path) -> int:

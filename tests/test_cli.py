@@ -918,13 +918,17 @@ class TestSnapshotCompare:
         return proc.returncode, proc.stdout
 
     def test_numeric_differences_are_reported(self, tmp_path):
-        old = self.snapshot(tmp_path / "old")
-        new = self.snapshot(tmp_path / "new", energy="1.5000000000000004")
+        # a difference is relative to max(1, largest |old|): a group whose
+        # old values are all 0 reads its drift as is
+        old = self.snapshot(tmp_path / "old", extra={"max_energy_increase": 0.0})
+        new = self.snapshot(tmp_path / "new", energy="1.5000000000000004",
+                            extra={"max_energy_increase": 2.5e-15})
         code, out = self.compare(old, new)
         assert code == 0
         assert "simulate-c/files/trajectory.csv: energy max abs 4.44e-16 rel 2.22e-16" in out
-        assert out.splitlines()[-1] == "4 files, 1 numeric groups differ (largest relative " \
-            "2.22e-16, simulate-c/files/trajectory.csv: energy), 0 mismatches"
+        assert "simulate-c/stdout.txt: max_energy_increase max abs 2.5e-15 rel 2.5e-15" in out
+        assert out.splitlines()[-1] == "4 files, 2 numeric groups differ (largest relative " \
+            "2.5e-15, simulate-c/stdout.txt: max_energy_increase), 0 mismatches"
 
     @pytest.mark.parametrize("change", ["stderr", "field", "string", "null"])
     def test_non_numeric_differences_mismatch(self, tmp_path, change):

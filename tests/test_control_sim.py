@@ -386,14 +386,17 @@ def reference_feedback(ctrl, q, p):
 
 
 def count_law_calls(ctrl):
-    """Wrap the controller's shaped law; return its call counter."""
-    law, calls = ctrl.law, [0]
+    """Wrap the controller's two compiled laws, closed_loop_field's and
+    feedback's; return their joint call counter."""
+    calls = [0]
+    for selection in (False, True):
+        law = ctrl.law(selection)
 
-    def counted(*args):
-        calls[0] += 1
-        return law(*args)
+        def counted(x, law=law):
+            calls[0] += 1
+            return law(x)
 
-    ctrl._law = counted
+        ctrl._laws[selection] = counted
     return calls
 
 
@@ -404,14 +407,13 @@ def gyro_at(ctrl, q, p):
 class TestOneEvaluationPerCall:
     # M, Mhat, dMhat, dVhat, dM, dV and T come from one call of the pair
     # function, a stored C from its own table, and a constant G from the kept
-    # frame.  With a stored C the law evaluates M, Mhat, dMhat, dVhat and C
-    # itself, so feedback, whose residual reads the matching data, calls
-    # both, and gyro_at neither.  Without one and with a constant G the law
-    # is a Tick, which evaluates the tables, T, C and the residual itself:
-    # feedback and closed_loop_field call it alone, gyro_at the pair
-    # function alone.  With a varying G the law takes the tables that C's
-    # derivation read from the pair function: both are called, and each
-    # table is still evaluated once per call.
+    # frame.  With a constant G the law, a Tick, evaluates the tables, T, C
+    # (derived or stored) and the residual itself: feedback and
+    # closed_loop_field call it alone, gyro_at the pair function alone
+    # without a stored C and neither with one.  With a varying G the law
+    # takes the tables that C's derivation or feedback's residual read from
+    # the pair function: both are called, and each table is still evaluated
+    # once per call; closed_loop_field with a stored C calls the law alone.
     @pytest.mark.parametrize("with_table", [False, True])
     def test_each_matrix_once(self, with_table):
         sys, design = builtin("pendulum_cart", eps=0.55, K=0.25)
@@ -420,9 +422,8 @@ class TestOneEvaluationPerCall:
         ctrl = Controller(sys, design)
         q, p = [0.3, -0.2], [0.4, 0.1]
         sys.frame(q)  # a constant G is evaluated once, at its first query
-        feedback_calls = [1, 1] if with_table else [0, 1]
         gyro_calls = [0, 0] if with_table else [1, 0]
-        for call, want in ((feedback, feedback_calls), (closed_loop_field, [0, 1]),
+        for call, want in ((feedback, [0, 1]), (closed_loop_field, [0, 1]),
                            (gyro_at, gyro_calls)):
             counts = count_evaluations(sys.M, sys.G, design.Mhat)
             pair_calls, law_calls = count_pair_calls(sys, design), count_law_calls(ctrl)
@@ -430,17 +431,19 @@ class TestOneEvaluationPerCall:
             assert counts == [0, 0, 0] and pair_calls + law_calls == want, call
 
     def test_varying_input_matrix_once(self):
-        sys, design = builtin("pendulum_cart", eps=0.55, K=0.25)
+        sys, stored = builtin("pendulum_cart", eps=0.55, K=0.25)
         g = ExprMatrix.from_strings([["0"], ["2 + cos(q1)"]], sys.vars)
         sys = MechSystem(sys.vars, sys.M, sys.V, g)
-        design = ShapedDesign(sys.vars, design.Mhat, design.Vhat, design.Kv)
-        ctrl = Controller(sys, design)
+        derived = ShapedDesign(sys.vars, stored.Mhat, stored.Vhat, stored.Kv)
         q, p = [0.3, -0.2], [0.4, 0.1]
-        for call, want in ((feedback, [1, 1]), (closed_loop_field, [1, 1]), (gyro_at, [1, 0])):
-            counts = count_evaluations(sys.M, sys.G, design.Mhat)
-            pair_calls, law_calls = count_pair_calls(sys, design), count_law_calls(ctrl)
-            call(ctrl, q, p)
-            assert counts == [0, 1, 0] and pair_calls + law_calls == want, call
+        for design, field_calls, g_reads in ((derived, [1, 1], 1), (stored, [0, 1], 0)):
+            ctrl = Controller(sys, design)
+            for call, want, reads in ((feedback, [1, 1], 1), (closed_loop_field, field_calls, 1),
+                                      (gyro_at, [g_reads, 0], g_reads)):
+                counts = count_evaluations(sys.M, sys.G, design.Mhat)
+                pair_calls, law_calls = count_pair_calls(sys, design), count_law_calls(ctrl)
+                call(ctrl, q, p)
+                assert counts == [0, reads, 0] and pair_calls + law_calls == want, call
 
     def test_each_matrix_once_per_query(self):
         sys, design = builtin("pendulum_cart", eps=0.55, K=0.25)
@@ -473,14 +476,17 @@ class TestOneEvaluationPerCall:
         def no_t(*args):
             raise AssertionError("T built on a stored-tensor path")
 
-        # T's trees, which the pair function and a Tick hold
+        # T's trees, which the pair function and feedback's Tick hold
         monkeypatch.setattr(matching, "t_trees", no_t)
-        sys, design = builtin("pendulum_cart", eps=0.55, K=0.25)
         q, p = [0.3, -0.2], [0.4, 0.1]
-        closed_loop_field(Controller(sys, design), q, p)
-        counts = count_evaluations(sys.M, sys.G, design.Mhat)
-        Controller(sys, design).gyro_at(q)
-        assert counts == [0, 0, 0] and design.kept_pair is None
+        for g in ("1", "2 + cos(q1)"):
+            sys, design = builtin("pendulum_cart", eps=0.55, K=0.25)
+            g = ExprMatrix.from_strings([["0"], [g]], sys.vars)
+            sys = MechSystem(sys.vars, sys.M, sys.V, g)
+            closed_loop_field(Controller(sys, design), q, p)
+            counts = count_evaluations(sys.M, sys.G, design.Mhat)
+            Controller(sys, design).gyro_at(q)
+            assert counts == [0, 0, 0] and design.kept_pair is None
 
     @pytest.mark.parametrize("g", ["1", "2 + cos(q1)"])
     def test_failing_point_calls_the_pair_function_once(self, g):
@@ -506,18 +512,23 @@ class TestOneEvaluationPerCall:
         mhat = ExprMatrix.from_strings(rows, sys.vars)
         big = Controller(sys, ShapedDesign(sys.vars, mhat, design.Vhat, design.Kv))
         q, p = [0.5, 0.0], [0.4, 0.1]
+        # with a stored C the field reads no T, and feedback judges T only on
+        # its finiteness
+        stored = Controller(sys, ShapedDesign(sys.vars, mhat, design.Vhat, design.Kv,
+                                              C=design.C.tree))
         for call in (lambda: GyroField(sys, big.design).at(q), lambda: big.gyro_at(q),
-                     lambda: closed_loop_field(big, q, p)):
+                     lambda: closed_loop_field(big, q, p), lambda: feedback(stored, q, p)):
             with pytest.raises(TensorError, match="finite"):
                 call()
+        closed_loop_field(stored, q, p)
 
 
 class TestClosedLoopField:
     @pytest.mark.parametrize("with_table", [False, True])
     def test_reads_dm_only_for_feedback(self, with_table):
         # the shaped law needs no dM/dq; the feedback's dH/dq does (and T).
-        # dM comes from the pair function, which a C-table law does not
-        # call, or, with a constant G and no C table, from the Tick
+        # With a constant G, dM comes from the Tick, which calls no pair
+        # function
         sys, design = builtin("pendulum_cart", eps=0.55, K=0.25)
         if not with_table:
             design = ShapedDesign(sys.vars, design.Mhat, design.Vhat, design.Kv)
@@ -529,7 +540,7 @@ class TestClosedLoopField:
         closed_loop_field(ctrl, q, p)
         assert calls == [0]
         feedback(ctrl, q, p)
-        assert calls == [1 if with_table else 0] and alone == []
+        assert calls == [0] and alone == []
 
     def test_equilibrium_is_fixed_point(self):
         _, _, ctrl = pendulum_controller()

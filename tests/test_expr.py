@@ -402,6 +402,16 @@ class TestBatch:
         assert any(raises) and not all(raises)
         assert flagged.tolist() == raises
 
+    def test_flags_an_overflow_the_scalar_absorbs(self):
+        # the flagged rows are a superset of those where the scalar raises or
+        # returns a non-finite value: the denominator's float * overflows to
+        # inf without raising, and 3.25/inf is 0.0 in every evaluator
+        e = parse("3.25/(q1*(1e200*(1e200 - q1)))", VARS2)
+        q = [0.459, 0.3]
+        values, flagged = compile_expr(e, batch=True)(np.array([q]))
+        assert compile_expr(e)(q) == e.eval(q) == 0.0
+        assert flagged.tolist() == [True]
+
     def test_division_by_a_constant_zero_flags_every_row(self):
         values, flagged = compile_expr(parse("q1 + 1/0", VARS2), batch=True)(np.ones((3, 2)))
         assert values.shape == (3,) and flagged.all()

@@ -40,7 +40,6 @@ from idapbc.system import (
     builtin,
     input_frame,
     load_system,
-    q_gradient,
     q_text,
     spd_defect,
     system_to_dict,
@@ -1172,14 +1171,17 @@ def t_formulas(m, mhat, dmhat, dm):
 
 def fold_formulas(fold, t):
     """vec(T) @ fold with the generated fold product's arithmetic
-    (expr.constant_product of fold'): each column's nonzero entries times
+    (expr.matvec of fold'): each column's nonzero entries times
     T's, added in row order."""
     return [total([f * t[k] for k, f in enumerate(col) if f] or [0.0])
             for col in fold.T.tolist()]
 
 
-def constant_product(a, v):
-    """a v for a constant matrix a, with control_sim's arithmetic."""
+def matvec(a, v):
+    """a v for a matrix a of numbers, with expr.matvec's arithmetic on
+    constants: the terms of zero entries are left out.  Where a varying G
+    makes a's entries inputs those terms add zeros, the same values up to
+    the sign of a zero."""
     return [total([x * v[k] for k, x in enumerate(row) if x] or [0.0]) for row in a.tolist()]
 
 
@@ -1221,11 +1223,6 @@ def warn_residual(res, q):
         warnings.warn(f"matching residual {res:.3e} exceeds {RESIDUAL_TOL:.1e} at q={q_text(q)}")
 
 
-def ticks(ctrl):
-    """Whether ctrl's law is a Tick: no C table and a constant G."""
-    return ctrl.design.C is None and ctrl.sys.g_constant
-
-
 def per_table_law(ctrl, point, q, p):
     """(qdot, pdot) of the shaped law from a PerTable's reads, with the law's
     arithmetic (law_formulas on floats), as lists."""
@@ -1248,24 +1245,24 @@ def tick_residual(point):
     z = ldl_solve(point.m().tolist(), point.dvhat().tolist())
     defect = [dv[k] - total([mhat[k][j] * z[j] for j in r]) for k in r]
     gmap, y = point.derivation()
-    potential = constant_product(point.frame().annihilator, defect)
+    potential = matvec(point.frame().annihilator, defect)
     return float(np.max(np.abs(np.concatenate([potential, y[gmap.kinetic]])), initial=0.0))
 
 
 def tick_feedback(point, p, qdot, pdot):
     """A Tick's u from a PerTable's reads and the law's (qdot, pdot), with
-    tick_trees' arithmetic: (G'G)^-1 G' as a constant times dH/dq + pdot,
+    tick_trees' arithmetic: the frame's (G'G)^-1 G' times dH/dq + pdot,
     dH/dq read at qdot = M^-1 p."""
     g, dv, dm = point.frame().g, point.dv().tolist(), point.dm().tolist()
     rhs = [dv[k] - quadratic(dm[k], qdot) / 2 + pdot[k] for k in range(len(p))]
-    return np.array(constant_product(np.linalg.solve(g.T @ g, g.T), rhs))
+    return np.array(matvec(np.linalg.solve(g.T @ g, g.T), rhs))
 
 
 def per_table_call(ctrl, name, q, p):
     """closed_loop_field ("field"), feedback, GyroField.at ("derive"),
     Controller.gyro_at or Controller.matching_residual ("residual") at (q, p)
     from PerTable, with the shaped law's arithmetic (law_formulas on floats)
-    and the feedback's formulas, a Tick's where ctrl's law is one."""
+    and the Tick's feedback formulas."""
     sys, design = ctrl.sys, ctrl.design
     q, p = np.asarray(q, dtype=float), np.asarray(p, dtype=float)
     point = PerTable(sys, design, q)
@@ -1275,22 +1272,15 @@ def per_table_call(ctrl, name, q, p):
         return point.residual()
     if name == "gyro_at":
         return point.gyro() if design.C is None else design.c_table_at(q)
-    if name == "feedback" and ticks(ctrl):
-        try:
-            qdot, pdot = per_table_law(ctrl, point, q, p)
-        except POINT_ERRORS:
-            warn_residual(point.residual(), q)  # MatchPoint's reads raise first
-            raise
-        warn_residual(tick_residual(point), q)
-        return tick_feedback(point, p, qdot, pdot)
-    if name == "feedback":
-        warn_residual(point.residual(), q)
-    qdot, pdot = map(np.array, per_table_law(ctrl, point, q, p))
     if name == "field":
-        return qdot, pdot
-    g, minv = point.frame().g, point.pair().minv
-    rhs = q_gradient(point.dv(), point.dm(), minv @ p) + pdot
-    return np.linalg.solve(g.T @ g, g.T @ rhs)
+        return tuple(map(np.array, per_table_law(ctrl, point, q, p)))
+    try:
+        qdot, pdot = per_table_law(ctrl, point, q, p)
+    except POINT_ERRORS:
+        warn_residual(point.residual(), q)  # MatchPoint's reads raise first
+        raise
+    warn_residual(tick_residual(point), q)
+    return tick_feedback(point, p, qdot, pdot)
 
 
 PAIR_CALLS = {
