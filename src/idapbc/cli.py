@@ -34,7 +34,6 @@ from .control_sim import (
 from .matching import (
     POINT_ERRORS,
     RESIDUAL_TOL,
-    MatchingError,
     MatchPoint,
     evaluate_residuals,
 )
@@ -178,7 +177,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
                     f"kinetic residual {kin_pd:.3e} exceeds the tolerance "
                     "although a pointwise extension exists"
                 )
-            except MatchingError as exc:
+            except POINT_ERRORS as exc:
                 diagnostic = str(exc)
         payload = {
             "refused": True,

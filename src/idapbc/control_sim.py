@@ -16,7 +16,6 @@ C that does not exist), MatchPoint's reads raise what fails.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -28,22 +27,22 @@ import numpy as np
 from . import linalg
 from .expr import (
     Compiled,
-    Const,
     Tables,
-    Var,
     add,
+    inputs,
     ldl,
     ldl_solve,
     matvec,
+    mul,
     quadratic,
     sub,
+    total,
 )
 from .matching import (
     POINT_ERRORS,
     RESIDUAL_TOL,
     MatchPoint,
-    adapted_map,
-    kept_fold,
+    adapted_basis,
     pair_trees,
     stack_lows,
 )
@@ -57,7 +56,7 @@ from .system import (
     q_text,
     rk4_step,
 )
-from .tensor import derivation_defect
+from .tensor import adapted_map, derivation_defect
 from .writer import write_table
 
 DIVERGENCE_NORM = 1e6
@@ -126,113 +125,72 @@ class Tick(NamedTuple):
 
     qdot: object
     pdot: object
-    mats: object = None
+    mats: object
     y: object = None
     potential: object = None
     u: object = None
 
 
-def _feeder(start: int) -> Callable:
-    """A function of a nested table that replaces each entry that is not a
-    constant (None too) by the next input x[k], k counting from ``start``
-    in flat order across its calls."""
-    count = itertools.count(start)
-
-    def feed(table) -> list:
-        a = np.array(table, dtype=object)
-        flat = [e if isinstance(e, Const) else Var(f"x{k}", k) for e, k in zip(a.flat, count)]
-        return np.array(flat, dtype=object).reshape(a.shape).tolist()
-
-    return feed
-
-
 def tick_trees(sys: MechSystem, design: ShapedDesign, kv: np.ndarray, feedback: bool) -> Tick:
     """The Tick's trees for closed_loop_field (qdot, pdot, the M and Mhat
-    stack, and y where it is derived in-tree) or, with ``feedback``, for
-    feedback (also the potential defect W (dV - Mhat M^-1 dVhat) and
-    u = (G'G)^-1 G' (dH/dq + pdot), dH/dq read at qdot = M^-1 p).
+    stack, and y where C is derived) or, with ``feedback``, for feedback
+    (also y, the potential defect and u = (G'G)^-1 G' (dH/dq + pdot), dH/dq
+    read at qdot = M^-1 p, G'G factored as L D L').
 
     The law: M and Mhat factored as L D L', solved for uhat = Mhat^-1 p,
     M^-1 dHd/dq and M^-1 p; dMhat and C contracted with uhat, and G Kv G'
-    with it.  Its input x is q, p, then, where G varies and T is read (a
-    derived C, or feedback's residual), MatchPoint's M and Mhat, dMhat,
-    dVhat and derived C (the PD verdict and y are then MatchPoint's, and
-    the trees hold no stack or y); last, where G varies, the point's G, then
-    for feedback dM, dV, W and (G'G)^-1 G'.  Otherwise the tables are the
-    pair function's trees, and where T is read y is the kept fold times T
-    (kept_fold) and a derived C its C block; a constant G's W and
-    (G'G)^-1 G' are constants.  Constant entries stay constants, so folding
-    drops the terms they zero.  A pivot that is zero raises ExprError."""
-    n, derived = sys.n, design.C is None
-    fed = (derived or feedback) and not sys.g_constant
+    with it.  y and the potential defect are pair_trees', and a derived C
+    is y's C block.  Its input x is q, p, then, where G varies, G and the
+    adapted basis [W; U'] of its frame (read where T is: a derived C, or
+    feedback's residual); a constant G and its basis are constants of the
+    kept frame.  Constant entries stay constants, so folding drops
+    the terms they zero.  A pivot that is zero raises ExprError."""
+    n, m, derived = sys.n, sys.m, design.C is None
     mats, dmhat, dvhat, dm, dv = ((sys.M.tree, design.Mhat.tree), design.dMhat.tree,
                                   design.dVhat.tree, sys.dM.tree, sys.dV.tree)
-    c, y, feed = None if derived else design.C.tree, None, _feeder(n)
-    p = feed([None] * n)
-    if fed:
-        mats, dmhat, dvhat = feed(mats), feed(dmhat), feed(dvhat)
-        if derived:
-            c = feed(np.empty((n,) * 3, dtype=object))
-    elif derived or feedback:
-        y = matvec(kept_fold(sys)[0].T, np.array(pair_trees(sys, design).t, dtype=object).ravel())
-        if derived:
-            c = np.array(y[adapted_map(n, n - sys.m).c], dtype=object).reshape((n,) * 3).tolist()
+    p, r = inputs(n, n), range(n)
     if sys.g_constant:
-        frame = sys.frame(np.zeros(n))  # a constant G's, kept
-        g, w, pinv = sys.G.tree, frame.annihilator, linalg.solve(frame.g.T @ frame.g, frame.g.T)
+        g, basis = sys.G.tree, adapted_basis(sys.frame(np.zeros(n)))  # a constant G's, kept
     else:
-        g = feed(sys.G.tree)
-        if fed:
-            dm, dv = feed(dm), feed(dv)
-        w, pinv = (feed(np.empty(shape, dtype=object)) for shape in ((n - sys.m, n), (sys.m, n)))
-    (m, mhat), r = mats, range(n)
-    m_factors = ldl(m)
+        g, basis = inputs(2 * n, n, m), inputs(2 * n + n * m, n, n)
+    y = potential = None
+    if derived or feedback:
+        y, potential = pair_trees(sys, design, basis)[-2:]
+    c = (np.array(y[adapted_map(n, n - m).c], dtype=object).reshape((n,) * 3).tolist()
+         if derived else design.C.tree)
+    (m_mat, mhat), gt = mats, [[g[i][a] for i in r] for a in range(m)]
+    m_factors = ldl(m_mat)
     uhat = ldl_solve(*ldl(mhat), p)
     minv_grad = ldl_solve(*m_factors, q_gradient_trees(dvhat, dmhat, uhat))  # of Hd
-    kgu = matvec(kv, matvec([[g[i][a] for i in r] for a in range(sys.m)], uhat))
+    kgu = matvec(kv, matvec(gt, uhat))
     pdot = [sub(sub(quadratic([[c[i][j][k] for j in r] for i in r], uhat), a), b)
             for k, a, b in zip(r, matvec(mhat, minv_grad), matvec(g, kgu))]
     qdot = ldl_solve(*m_factors, p)
-    tick = Tick(qdot, pdot, None if fed else mats, y)
+    tick = Tick(qdot, pdot, mats, y)
     if not feedback:
         return tick
-    defect = list(map(sub, dv, matvec(mhat, ldl_solve(*m_factors, dvhat))))
     rhs = list(map(add, q_gradient_trees(dv, dm, qdot), pdot))
-    return tick._replace(potential=matvec(w, defect), u=matvec(pinv, rhs))
+    gtg = [[total(list(map(mul, a, b))) for b in gt] for a in gt]
+    return tick._replace(potential=potential, u=ldl_solve(*ldl(gtg), matvec(gt, rhs)))
 
 
 def _evaluate(ctrl: Controller, point: MatchPoint, p: np.ndarray, feedback: bool):
-    """ctrl.law(feedback)'s value at (point.q, p), its inputs read as
-    tick_trees lays them out: for feedback a Tick, for closed_loop_field
-    the law's tuple of the Tick's fields (qdot and pdot first, without a
-    Tick per call).  None where M or Mhat is not finite and PD, or where a
+    """ctrl.law(feedback)'s value at (point.q, p), its input laid out as
+    tick_trees lays it out: for feedback a Tick, for closed_loop_field the
+    law's tuple of the Tick's fields (qdot and pdot first, without a Tick
+    per call).  None where M or Mhat is not finite and PD, or where a
     derived C's derivation_defect is not None; a stored C is judged only on
     T's finiteness (MatchPoint.t), where feedback's y is not finite.  The
     exception where a read or the law raises; the frame is read first (a
     kept one has passed), so a rank-deficient G raises ahead of the rest."""
     sys, derived = ctrl.sys, ctrl.design.C is None
-    if sys.kept_frame is None:
-        point.frame
     x = point.q.tolist() + p.tolist()  # floats: the law reads each entry once
-    try:
-        if fed := (derived or feedback) and not sys.g_constant:
-            tables, lows = point.tables, point.lows
-            if not (lows[0] > 0.0 and lows[1] > 0.0):
-                return None
-            for table in tables[:3]:
-                x += table.ravel().tolist()
-            if derived:
-                x += point.gyro().ravel().tolist()
+    if sys.kept_frame is None:
+        frame = point.frame
         if not sys.g_constant:
-            g = point.frame.g
-            x += g.ravel().tolist()
-            if feedback:
-                pinv = linalg.solve(g.T @ g, g.T)
-                for part in (tables.dm, tables.dv, point.frame.annihilator, pinv):
-                    x += part.ravel().tolist()
+            x += frame.g.ravel().tolist() + adapted_basis(frame).ravel().tolist()
+    try:
         values = ctrl.law(feedback)(x)
-        if fed:
-            return Tick(*values[:2], None, point.derivation[1], *values[2:]) if feedback else values
         lows = stack_lows(values[2])  # the Tick's mats, then its y
         if not (lows[0] > 0.0 and lows[1] > 0.0):
             return None

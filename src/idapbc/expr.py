@@ -367,10 +367,12 @@ def matvec(a, v: Sequence[Expr]) -> list[Expr]:
             for row in np.asarray(a, dtype=object).tolist()]
 
 
-def inputs(start: int, count: int) -> list[Var]:
-    """The entries x[start], ..., x[start + count - 1] of a compiled
-    function's input x, as variables."""
-    return [Var(f"x{k}", k) for k in range(start, start + count)]
+def inputs(start: int, *shape: int) -> list:
+    """The entries x[start], x[start + 1], ... of a compiled function's
+    input x, as variables in nested lists of the given shape, row by row."""
+    count = math.prod(shape)
+    return np.reshape(np.array([Var(f"x{k}", k) for k in range(start, start + count)],
+                               dtype=object), shape).tolist()
 
 
 # Tokenizer and recursive-descent parser.

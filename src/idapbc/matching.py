@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -51,7 +51,9 @@ from .tensor import (
     NOT_FINITE,
     GyroMap,
     TensorError,
+    adapted_map,
     derivation_defect,
+    derivation_trees,
     finite_rows,
     random_spd,
 )
@@ -122,49 +124,10 @@ def t_trees(m, mhat, dmhat, dm) -> list:
     return t
 
 
-def potential_defect(
-    w: np.ndarray, pair: MetricPair, dv: np.ndarray, dvhat: np.ndarray
-) -> np.ndarray:
-    """W (dV - Mhat M^-1 dVhat); on a stack, dV and dVhat are columns (..., n, 1)."""
-    minv, mhat, _ = pair
-    return w @ (dv - mhat @ minv @ dvhat)
-
-
-def _adapted_basis(w: np.ndarray, range_basis: np.ndarray) -> np.ndarray:
-    """The rows [W; U'], an orthonormal basis adapted to the split by G."""
-    return np.concatenate([w, range_basis.swapaxes(-1, -2)], axis=-2)
-
-
-@cache
-def adapted_map(n: int, d: int) -> GyroMap:
-    """The GyroMap for n coordinates, d of them unactuated."""
-    return GyroMap(n, d)
-
-
-def kept_fold(sys: MechSystem) -> tuple[np.ndarray, Compiled]:
-    """GyroMap.fold of a constant G's kept frame (the system must keep one),
-    and vec(T) @ fold compiled as a function of vec(T), unrolled over the
-    fold's nonzero entries (matvec).  Built at the first derivation and kept
-    on the system."""
-    if sys.kept_fold is None:
-        frame, n = sys.kept_frame, sys.n
-        fold = adapted_map(n, n - sys.m).fold(
-            _adapted_basis(frame.annihilator, frame.range_basis))
-        sys.kept_fold = fold, Compiled(matvec(fold.T, inputs(0, n ** 3)))
-    return sys.kept_fold
-
-
-def _derive(
-    sys: MechSystem, frame: InputFrame, t: np.ndarray
-) -> tuple[GyroMap, np.ndarray]:
-    """The GyroMap, and its output for each T of a (..., n, n, n) stack with
-    this input frame.  Where the system keeps a constant G's split, that is
-    the compiled product with the map's fold of it (kept_fold)."""
-    gmap = adapted_map(sys.n, sys.n - sys.m)
-    if sys.kept_frame is None:
-        return gmap, gmap.apply(t, _adapted_basis(frame.annihilator, frame.range_basis))
-    flat, fold = t.reshape(t.shape[:-3] + (-1,)), kept_fold(sys)[1]
-    return gmap, fold(flat.tolist()) if flat.ndim == 1 else fold.batch(flat)[0]
+def adapted_basis(frame: InputFrame) -> np.ndarray:
+    """The rows [W; U'], an orthonormal basis adapted to the split by G; for
+    a stack of frames, a stack."""
+    return np.concatenate([frame.annihilator, frame.range_basis.swapaxes(-1, -2)], axis=-2)
 
 
 def a_tensor(sys: MechSystem, design: ShapedDesign, q: Sequence[float]) -> np.ndarray:
@@ -198,17 +161,24 @@ class _Kept(cached_property):
         return value
 
 
-def pair_trees(sys: MechSystem, design: ShapedDesign) -> PairValues:
-    """The trees of the pair function."""
+def pair_trees(sys: MechSystem, design: ShapedDesign, basis) -> PairValues:
+    """The trees of the pair function, with ``basis`` the adapted basis
+    [W; U'] as an (n, n) table of trees or numbers: T's derivation y
+    (derivation_trees) and the potential defect W (dV - Mhat M^-1 dVhat),
+    M^-1 dVhat by T's L D L' of M."""
     mats, dmhat, dm = (sys.M.tree, design.Mhat.tree), design.dMhat.tree, sys.dM.tree
-    return PairValues(mats, dmhat, design.dVhat.tree, dm, sys.dV.tree,
-                      t_trees(*mats, dmhat, dm))
+    dvhat, dv, d = design.dVhat.tree, sys.dV.tree, sys.n - sys.m
+    t = t_trees(*mats, dmhat, dm)
+    defect = list(map(sub, dv, matvec(mats[1], ldl_solve(*ldl(mats[0]), dvhat))))
+    return PairValues(mats, dmhat, dvhat, dm, dv, t, derivation_trees(t, basis, d),
+                      matvec(basis[:d], defect))
 
 
 class PairValues(NamedTuple):
     """The values of pair_trees, as arrays from the pair function (with a
     leading axis of rows from its batch variant) or as nested tables of
-    trees: M and Mhat as one (2, n, n) table, dMhat, dVhat, dM, dV and T."""
+    trees: M and Mhat as one (2, n, n) table, dMhat, dVhat, dM, dV, T, T's
+    derivation (GyroMap.apply's blocks) and the potential defect."""
 
     mats: object
     dmhat: object
@@ -216,6 +186,8 @@ class PairValues(NamedTuple):
     dm: object
     dv: object
     t: object
+    y: object
+    potential: object
 
 
 # the index of T among the pair function's trees
@@ -223,12 +195,16 @@ T_TREE = PairValues._fields.index("t")
 
 
 def pair_function(sys: MechSystem, design: ShapedDesign) -> Compiled:
-    """One compiled function of q for a system and a design, with the values
-    of pair_trees.  Built at its first use and kept on the design (for the
-    system it was last built for)."""
+    """One compiled function for a system and a design, with the values of
+    pair_trees: of q, and where G varies of q then the adapted basis (its
+    inputs); a constant G's is constants of the kept frame.  Built at its
+    first use and kept on the design (for the system it was last built
+    for)."""
     kept = design.kept_pair
     if kept is None or kept[0] is not sys:
-        kept = design.kept_pair = (sys, Compiled(Tables(pair_trees(sys, design))))
+        n = sys.n  # a varying G's basis is the inputs after q
+        basis = adapted_basis(sys.frame(np.zeros(n))) if sys.g_constant else inputs(n, n, n)
+        kept = design.kept_pair = (sys, Compiled(Tables(pair_trees(sys, design, basis))))
     return kept[1]
 
 
@@ -246,8 +222,9 @@ class MatchPoint:
     """The input frame, the pair function's tables, the metric pair, T and
     T's derivation at one q, each evaluated on first read and kept.
 
-    M, Mhat, dMhat, dVhat, dM, dV and T come from one call of the pair
-    function (``tables``, which keeps its values or its exception), and M's
+    M, Mhat, dMhat, dVhat, dM, dV, T, T's derivation and the potential
+    defect come from one call of the pair function (``tables``, which keeps
+    its values or its exception; it reads the frame first), and M's
     and Mhat's positive definite tests from one eigvalsh of its stack
     (``lows``); where a fast test fails, mass_matrix and spd_defect decide
     and write the message.  A read raises the first failure in this order:
@@ -267,9 +244,13 @@ class MatchPoint:
 
     @_Kept
     def evaluation(self) -> tuple[PairValues | None, Exception | None]:
-        """The pair function's values at q, or the exception it raised."""
+        """The pair function's values at q (and the frame's adapted basis,
+        where G varies), or the exception it raised."""
+        frame, x = self.frame, self.q
+        if not self.sys.g_constant:
+            x = [*x, *adapted_basis(frame).ravel().tolist()]
         try:
-            return PairValues(*pair_function(self.sys, self.design)(self.q)), None
+            return PairValues(*pair_function(self.sys, self.design)(x)), None
         except POINT_ERRORS as exc:
             return None, exc
 
@@ -314,16 +295,17 @@ class MatchPoint:
         t.setflags(write=False)
         return t
 
-    @_Kept
+    @property
     def derivation(self) -> tuple[GyroMap, np.ndarray]:
-        """The GyroMap at the point and its output for T: one compiled product
-        for a constant G."""
-        return _derive(self.sys, self.frame, self.t)
+        """The GyroMap at the point and the pair function's y, its output
+        for T, after T's test."""
+        self.t
+        return adapted_map(self.sys.n, self.sys.n - self.sys.m), self.tables.y
 
     def potential(self) -> np.ndarray:
-        """W (dV - Mhat M^-1 dVhat)."""
-        frame, pair = self.frame, self.pair  # in read order
-        return potential_defect(frame.annihilator, pair, self.tables.dv, self.tables.dvhat)
+        """W (dV - Mhat M^-1 dVhat), after M's test."""
+        self.pair
+        return self.tables.potential
 
     def kinetic(self) -> np.ndarray:
         """Cyclic sums of T(w_a, w_b, w_c) over the rows a <= b <= c of W."""
@@ -353,8 +335,9 @@ class MatchPoint:
 class MatchRows:
     """MatchPoint's potential and kinetic defects, Mhat PD test and gyroscopic
     tensor at each row of an (N, n) stack of points, each evaluated once for
-    the whole stack by MatchPoint's formulas, from one batch call of G and
-    one of the pair function.
+    the whole stack, from one batch call of G and one of the pair function
+    (where G varies, on the points with each one's adapted basis as extra
+    columns; none where every row has failed).
 
     ``failed`` flags each row where MatchPoint would raise, or where the
     evaluator flags a value (see Compiled.batch); such rows hold placeholders
@@ -368,28 +351,28 @@ class MatchRows:
         self.points = points = np.asarray(points, dtype=float)
         # the order of MatchPoint's reads: frame, the pair function (which
         # flags a T that is not finite), M's test
+        n, size = sys.n, len(points)
         g, failed = sys.G.batch(points)
         frame = sys.frames(g, failed)
-        values, flagged = pair_function(sys, design).batch(points)
-        tables = PairValues(*values)
-        self.failed = failed = failed | flagged
-        # each (N, n, n) and C-contiguous, as einsum's sums keep layout order
-        m, mhat = tables.mats.swapaxes(0, 1).copy()
-        m = identity_where(m, failed)
-        failed |= ~(lowest_eigenvalue(m) > 0.0)  # mass_matrix raises
-        minv = _symmetrized_inverse(identity_where(m, failed))
-        pair = MetricPair(minv, mhat, tables.dmhat)
-        with np.errstate(all="ignore"):
-            self.potential = potential_defect(
-                frame.annihilator, pair, tables.dv[..., None], tables.dvhat[..., None]
-            )[..., 0]
+        gmap = adapted_map(n, n - sys.m)
+        if failed.all():  # placeholders; a constant G that fails keeps no frame
+            mats, y, self.potential = (np.full((size, *shape), np.nan) for shape in (
+                (2, n, n), gmap.head.shape[1:], (n - sys.m,)))
+        else:
+            if not sys.g_constant:
+                points = np.hstack([points, adapted_basis(frame).reshape(size, -1)])
+            values, flagged = pair_function(sys, design).batch(points)
+            tables = PairValues(*values)
+            mats, y, self.potential = tables.mats, tables.y, tables.potential
+            failed |= flagged
+        self.failed = failed
+        m, mhat = mats.swapaxes(0, 1)
+        failed |= ~(lowest_eigenvalue(identity_where(m, failed)) > 0.0)  # mass_matrix raises
         # spd_defect's test on a bitwise symmetric Mhat; the rows ``failed``
         # leaves are finite
-        self.pd = lowest_eigenvalue(identity_where(pair.mhat, failed)) > 0.0
-        with np.errstate(all="ignore"):
-            gmap, y = _derive(sys, frame, tables.t)
+        self.pd = lowest_eigenvalue(identity_where(mhat, failed)) > 0.0
         self.kinetic = y[:, gmap.kinetic]
-        self.c = y[:, gmap.c].reshape((-1,) + (sys.n,) * 3).copy()
+        self.c = y[:, gmap.c].reshape((-1,) + (n,) * 3).copy()
         self.peaks = gmap.peaks(y, out=y)
 
     def gyro(self, select=slice(None)) -> np.ndarray:

@@ -254,9 +254,6 @@ class MechSystem:
         # a constant G's frame, read-only, from its first query that passes
         # the rank check, so a rank-deficient G always raises
         self.kept_frame = None
-        # GyroMap.fold of the kept frame and its compiled product, from the
-        # first derivation (matching.kept_fold)
-        self.kept_fold = None
         self._open_loop = None
 
     def mass_matrix(self, q: Sequence[float]) -> np.ndarray:
@@ -320,8 +317,7 @@ class MechSystem:
         where it varies: qdot = M^-1 p by M's L D L' and pdot = G u - dH/dq,
         with dH/dq = q_gradient_trees at qdot."""
         n, m = self.n, self.m
-        g = self.G.tree if self.g_constant else np.reshape(
-            np.array(inputs(2 * n + m, n * m), dtype=object), (n, m)).tolist()
+        g = self.G.tree if self.g_constant else inputs(2 * n + m, n, m)
         u = inputs(2 * n, m)
         qdot = ldl_solve(*ldl(self.M.tree), inputs(n, n))
         grad = q_gradient_trees(self.dV.tree, self.dM.tree, qdot)

@@ -18,6 +18,7 @@ from itertools import combinations_with_replacement, permutations
 import numpy as np
 
 from . import linalg
+from .expr import Compiled, inputs, matvec
 from .system import INVARIANT_TOL, scale_of, spd_defect
 
 # relative to the tensor's scale_of, like INVARIANT_TOL
@@ -338,11 +339,12 @@ class GyroMap:
 
     The outputs are four blocks: tp (T in the basis), its first-pair
     asymmetry, its cyclic sums on the unactuated block (the kinetic defects),
-    and C.  ``apply`` rotates T by the basis it is given, one matrix takes
-    vec(tp) to the first three blocks and to the extension cp, and C comes
-    from cp by rotate_back.  The matrix is the first-pair swap, cyclic_sum
-    and gyro_extension applied to the n^3 unit tensors, so each formula stays
-    written once.  derivation_defect judges the result.
+    and C.  ``head`` is one matrix that takes vec(tp) to the first three
+    blocks and to the extension cp, from which C is rotated back: the
+    first-pair swap, cyclic_sum and gyro_extension applied to the n^3 unit
+    tensors, so each formula stays written once.  derivation_trees writes
+    the derivation as expression trees; ``apply`` is its numpy reference.
+    derivation_defect judges the result.
     """
 
     def __init__(self, n: int, u: int):
@@ -366,16 +368,48 @@ class GyroMap:
         y[..., self.c] = c.reshape(lead + (-1,))
         return y
 
-    def fold(self, basis: np.ndarray) -> np.ndarray:
-        """apply's map for one fixed (n, n) basis as one matrix: apply is
-        linear in T, so vec(T) @ fold(basis) is apply(T, basis)."""
-        n = len(basis)
-        return self.apply(np.eye(n ** 3).reshape(-1, n, n, n), basis)
-
     def peaks(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The largest |entry| of each block of apply's output; ``out``
         (y itself, say) takes the |entries|."""
         return np.maximum.reduceat(np.abs(y, out=out), self.starts, axis=-1)
+
+
+@cache
+def adapted_map(n: int, d: int) -> GyroMap:
+    """The GyroMap for n coordinates, d of them unactuated, built once."""
+    return GyroMap(n, d)
+
+
+def _staged(t, rows) -> np.ndarray:
+    """T(rows[a], rows[b], rows[c]) as trees, for T an (n, n, n) table and
+    rows an (n, n) one, of trees or numbers: one index at a time, the last
+    first, each stage expr.matvec of ``rows`` along that index."""
+    a = np.array(t, dtype=object)
+    for axis in (2, 1, 0):
+        moved = np.moveaxis(a, axis, -1)
+        stage = [matvec(rows, v) for v in moved.reshape(-1, len(rows)).tolist()]
+        a = np.moveaxis(np.array(stage, dtype=object).reshape(moved.shape), -1, axis)
+    return a
+
+
+def derivation_trees(t, basis, u: int) -> list:
+    """GyroMap(n, u).apply's output for T, as trees of an (n, n, n) table T
+    and an (n, n) adapted basis, each of trees or numbers: T rotated into
+    the basis in three one-index stages, the map's head as one constant
+    matvec, and the C block rotated back by the same stages.  Constant
+    entries stay constants, so folding drops the terms of a constant
+    basis's zeros."""
+    n, gmap = len(basis), adapted_map(len(basis), u)
+    y = matvec(gmap.head.T, _staged(t, basis).ravel().tolist())
+    cp = np.array(y[gmap.c], dtype=object).reshape((n,) * 3)
+    y[gmap.c] = _staged(cp, np.asarray(basis, dtype=object).T).ravel().tolist()
+    return y
+
+
+@cache
+def derivation_function(n: int, u: int) -> Compiled:
+    """derivation_trees compiled as a function of vec(T) then vec(basis)."""
+    return Compiled(derivation_trees(inputs(0, n, n, n), inputs(n ** 3, n, n), u))
 
 
 def derivation_defect(peaks) -> str | None:
@@ -505,8 +539,8 @@ def selfcheck(seed: int = 0, dims_max: int = 5, draws: int = 50) -> list[SelfChe
         basis = np.linalg.qr(rng.standard_normal((n, n)))[0]
         t = rotate_back(random_admissible_t(n, u, rng).entries, basis)
         expect = rotate_back(extend_to_gyro(Tensor3(rotate(t, basis)), u).entries, basis)
-        gmap = GyroMap(n, u)
-        for y in (gmap.apply(t, basis), t.reshape(-1) @ gmap.fold(basis)):
+        gmap, derive = adapted_map(n, u), derivation_function(n, u)
+        for y in (gmap.apply(t, basis), derive(np.append(t, basis).tolist())):
             if derivation_defect(gmap.peaks(y).tolist()):
                 worst = np.inf
             c = y[gmap.c].reshape(n, n, n)

@@ -25,6 +25,11 @@ The ``*-mhat-0-over-0`` runs take a design whose Mhat[0][0] holds q1/q1,
 which divides by zero along q1 = 0: ``verify`` counts those grid points in
 ``failed_points``, and ``simulate`` from q1 = 0, with and without the C
 table, exits 1 with one ``error:`` line.
+The ``*-varying-g-*`` runs verify, synthesize and simulate pendulum_cart
+(eps 0.55, K 0.25) with and without the C table, its G replaced by the
+varying [0, 2 + cos(q1)]': the annihilator does not change, so the design
+still matches, and the sweep, the derivation of C and the law read the
+frame's adapted basis at every point.
 A run whose system is not one of the inputs or a builtin names a file an
 earlier run wrote.
 
@@ -57,10 +62,13 @@ from idapbc.system import builtin, system_to_dict  # noqa: E402
 
 
 def design(
-    eps: float, K: float, c_table: bool = True, mhat00: str = "", c000: str = ""
+    eps: float, K: float, c_table: bool = True, mhat00: str = "", c000: str = "",
+    g: list | None = None,
 ) -> dict:
     sys_, shaped = builtin("pendulum_cart", eps=eps, K=K)
     data = system_to_dict(sys_, shaped)
+    if g is not None:
+        data["G"] = g
     if not c_table:
         del data["shaped"]["C"]
     elif c000:
@@ -79,6 +87,8 @@ INPUTS = {
     "c-neg-exp": design(0.55, 0.25, c000="cos(q1)^-1 - cos(q1)^-1"),
     "mhat-0-over-0": design(0.55, 0.25, c_table=False, mhat00=" + q1/q1 - 1"),
     "c-mhat-0-over-0": design(0.55, 0.25, mhat00=" + q1/q1 - 1"),
+    "varying-g-c": design(0.55, 0.25, g=[["0"], ["2 + cos(q1)"]]),
+    "varying-g-noc": design(0.55, 0.25, c_table=False, g=[["0"], ["2 + cos(q1)"]]),
 }
 
 GRID_41 = "q1=-1:1:41,q2=-1:1:11"
@@ -120,6 +130,12 @@ RUNS = {
     "verify-mhat-0-over-0": ["verify", "mhat-0-over-0", "--grid", GRID_41],
     "simulate-mhat-0-over-0": ["simulate", "mhat-0-over-0", "--x0=0,0.1,0,0", *SIM],
     "simulate-c-mhat-0-over-0": ["simulate", "c-mhat-0-over-0", "--x0=0,0.1,0,0", *SIM],
+    "verify-varying-g-c": ["verify", "varying-g-c", "--grid", GRID_41],
+    "verify-varying-g-noc": ["verify", "varying-g-noc", "--grid", GRID_41],
+    "synthesize-varying-g-c": ["synthesize", "varying-g-c", "--grid", GRID_21],
+    "synthesize-varying-g-noc": ["synthesize", "varying-g-noc", "--grid", GRID_41],
+    "simulate-varying-g-c": ["simulate", "varying-g-c", *SIM],
+    "simulate-varying-g-noc": ["simulate", "varying-g-noc", *SIM],
 }
 
 

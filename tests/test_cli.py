@@ -499,6 +499,26 @@ class TestSynthesize:
         assert not (tmp_path / "controller.json").exists()
         assert (tmp_path / "synthesize.json").exists()
 
+    def test_overflowing_t_at_the_worst_point_refused(self, capsys, tmp_path):
+        # Mhat peaks at 1e155 along q1 = 0.5, where T overflows; the worst
+        # row there has a finite potential residual and a NaN kinetic one, so
+        # the diagnostic's own derivation raises TensorError
+        data = kinetic_defect_design("1e-8")
+        bump = "(1 + 1e155/(1 + 1e140*(q1 - 0.5)^2))"
+        data["shaped"]["Mhat"] = [[f"({e})*{bump}" for e in row] for row in data["shaped"]["Mhat"]]
+        path = write_json(tmp_path / "overflow.json", data)
+        code, payload, err = run_json(
+            capsys, "synthesize", "--system", path,
+            "--grid", "q1=-0.5:0.5:11,q2=-1:1:5", "--out", str(tmp_path),
+        )
+        assert code == 2 and err == "" and payload["refused"] is True
+        residuals = payload["verify"]["residuals"]
+        assert residuals["failed_points"] == {"TensorError": 5}
+        assert residuals["worst"]["point"] == [0.5, -1.0]
+        assert payload["diagnostic"] == "entries must be finite"
+        assert (tmp_path / "synthesize.json").exists()
+        assert not (tmp_path / "controller.json").exists()
+
     def test_fully_actuated_needs_no_force(self, capsys, tmp_path):
         path = write_json(tmp_path / "planar.json", FULLY_ACTUATED)
         code, payload, _ = run_json(

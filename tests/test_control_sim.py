@@ -22,7 +22,6 @@ from idapbc.matching import (
     GyroField,
     MatchingError,
     evaluate_residuals,
-    kept_fold,
     pair_function,
 )
 from idapbc.system import (
@@ -405,15 +404,14 @@ def gyro_at(ctrl, q, p):
 
 
 class TestOneEvaluationPerCall:
-    # M, Mhat, dMhat, dVhat, dM, dV and T come from one call of the pair
-    # function, a stored C from its own table, and a constant G from the kept
-    # frame.  With a constant G the law, a Tick, evaluates the tables, T, C
-    # (derived or stored) and the residual itself: feedback and
-    # closed_loop_field call it alone, gyro_at the pair function alone
-    # without a stored C and neither with one.  With a varying G the law
-    # takes the tables that C's derivation or feedback's residual read from
-    # the pair function: both are called, and each table is still evaluated
-    # once per call; closed_loop_field with a stored C calls the law alone.
+    # M, Mhat, dMhat, dVhat, dM, dV, T, its derivation and the potential
+    # defect come from one call of the pair function, a stored C from its own
+    # table, and a constant G from the kept frame.  The law, a Tick,
+    # evaluates the tables, T, C (derived or stored) and the residual
+    # itself: feedback and closed_loop_field call it alone, gyro_at the pair
+    # function alone without a stored C and neither with one.  A varying G
+    # is evaluated once per call, and its frame's adapted basis is an input
+    # of the law and of the pair function.
     @pytest.mark.parametrize("with_table", [False, True])
     def test_each_matrix_once(self, with_table):
         sys, design = builtin("pendulum_cart", eps=0.55, K=0.25)
@@ -436,9 +434,9 @@ class TestOneEvaluationPerCall:
         sys = MechSystem(sys.vars, sys.M, sys.V, g)
         derived = ShapedDesign(sys.vars, stored.Mhat, stored.Vhat, stored.Kv)
         q, p = [0.3, -0.2], [0.4, 0.1]
-        for design, field_calls, g_reads in ((derived, [1, 1], 1), (stored, [0, 1], 0)):
+        for design, g_reads in ((derived, 1), (stored, 0)):
             ctrl = Controller(sys, design)
-            for call, want, reads in ((feedback, [1, 1], 1), (closed_loop_field, field_calls, 1),
+            for call, want, reads in ((feedback, [0, 1], 1), (closed_loop_field, [0, 1], 1),
                                       (gyro_at, [g_reads, 0], g_reads)):
                 counts = count_evaluations(sys.M, sys.G, design.Mhat)
                 pair_calls, law_calls = count_pair_calls(sys, design), count_law_calls(ctrl)
@@ -458,19 +456,36 @@ class TestOneEvaluationPerCall:
             assert counts == [0, 0, 0] and pair_calls == [1], call.__name__
 
     def test_each_matrix_once_per_sweep_point(self, monkeypatch):
-        # one batch call of G, one of the pair function and one of the kept
-        # fold's product with T, each over all 9 points, and no other
-        # evaluation of M or Mhat
-        sys, design = builtin("pendulum_cart", eps=0.55, K=0.25)
+        # one batch call of G and one of the pair function, which also
+        # derives C and the potential defect, each over all 9 points, and no
+        # other evaluation of M or Mhat; a varying G's points carry their
+        # adapted bases
         batches, batch = [], Compiled.batch
         monkeypatch.setattr(Compiled, "batch", lambda table, points: (
-            batches.append((table, len(points))) or batch(table, points)))
-        counts = count_evaluations(sys.M, design.Mhat)
-        pair_calls = count_pair_calls(sys, design)
+            batches.append((table, np.shape(points))) or batch(table, points)))
+        axes = [(name, np.linspace(-0.5, 0.5, 3)) for name in ("q1", "q2")]
+        for g, columns in (("1", 2), ("2 + cos(q1)", 6)):
+            sys, design = builtin("pendulum_cart", eps=0.55, K=0.25)
+            sys = MechSystem(sys.vars, sys.M, sys.V, ExprMatrix.from_strings([["0"], [g]], sys.vars))
+            counts = count_evaluations(sys.M, design.Mhat)
+            pair_calls = count_pair_calls(sys, design)
+            batches.clear()
+            evaluate_residuals(sys, design, axes)
+            assert batches == [(sys.G, (9, 2)), (pair_function(sys, design), (9, columns))]
+            assert counts == [0, 0] and pair_calls == [0]
+
+    @pytest.mark.parametrize("g", ["0", "1/0"])
+    def test_constant_g_failing_everywhere_makes_no_pair_call(self, monkeypatch, g):
+        # G's rank check (or its evaluation) has failed every row before the
+        # pair function would run
+        batches, batch = [], Compiled.batch
+        monkeypatch.setattr(Compiled, "batch", lambda table, points: (
+            batches.append(table) or batch(table, points)))
+        sys, design = builtin("pendulum_cart", eps=0.55, K=0.25)
+        sys = MechSystem(sys.vars, sys.M, sys.V, ExprMatrix.from_strings([["0"], [g]], sys.vars))
         axes = [(name, np.linspace(-0.5, 0.5, 3)) for name in sys.vars]
-        evaluate_residuals(sys, design, axes)
-        assert batches == [(sys.G, 9), (pair_function(sys, design), 9), (kept_fold(sys)[1], 9)]
-        assert counts == [0, 0] and pair_calls == [0]
+        assert len(evaluate_residuals(sys, design, axes).failed_points) == 1
+        assert batches == [sys.G] and design.kept_pair is None
 
     def test_stored_tensor_builds_no_t(self, monkeypatch):
         def no_t(*args):

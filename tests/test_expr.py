@@ -450,10 +450,10 @@ class TestBatch:
         assert True not in compiled
         axes = [(name, np.linspace(-0.5, 0.5, 3)) for name in sys.vars]
         evaluate_residuals(sys, design, axes)
-        # G, the pair function and the kept fold's product with T, once each
-        assert compiled.count(True) == 3
+        # G and the pair function, once each
+        assert compiled.count(True) == 2
         evaluate_residuals(sys, design, axes)
-        assert compiled.count(True) == 3
+        assert compiled.count(True) == 2
 
 
 def compile_references(path: Path) -> list[str]:

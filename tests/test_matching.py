@@ -21,7 +21,9 @@ from idapbc.matching import (
     MatchRows,
     POINT_ERRORS,
     RESIDUAL_TOL,
+    T_TREE,
     a_tensor,
+    adapted_basis,
     evaluate_residuals,
     kinetic_residual,
     linear_match_residual,
@@ -196,7 +198,7 @@ class TestTTensor:
         # tables; in batch too (MatchRows reads it)
         sys, design = PAIR_DESIGNS[case]()
         points = np.random.default_rng(7).uniform(-0.8, 0.8, (30, sys.n))
-        batch = pair_function(sys, design).batch(points)[0][-1]
+        batch = pair_rows(sys, design, points)[T_TREE]
         for q, row in zip(points, batch):
             tables = (sys.M(q), design.Mhat(q), design.dMhat(q), sys.dM(q))
             want = np.array(t_formulas(*(a.tolist() for a in tables))) + 0.0
@@ -973,11 +975,12 @@ class TestDerivationMap:
         point = MatchPoint(sys, design, q)
         point.residual()
         point.gyro()
-        assert calls == {"apply": 1, "peaks": 1, "checked": 0, "built": 0}
+        # the derivation is the pair function's; apply is its numpy reference
+        assert calls == {"apply": 0, "peaks": 1, "checked": 0, "built": 0}
         assert not point.t.flags.writeable
-        # the C-less feedback derives C from the kept fold, through no Tensor3
+        # the C-less feedback derives C in its own law, through no Tensor3
         feedback(Controller(sys, design), q, [0.4, 0.1])
-        assert calls == {"apply": 1, "peaks": 2, "checked": 0, "built": 0}
+        assert calls == {"apply": 0, "peaks": 2, "checked": 0, "built": 0}
 
     @pytest.mark.parametrize("g", [[["0"], ["1"]], [["0"], ["q1 - 0.5"]]])
     def test_gyro_is_a_read_only_array(self, g):
@@ -996,34 +999,6 @@ class TestDerivationMap:
             with pytest.raises(ValueError, match="read-only"):
                 c[0, 0, 1] = 1.0
         assert point.gyro().tobytes() == expect.tobytes()
-
-    def test_folded_map_built_once_per_constant_g_system(self, monkeypatch, tmp_path):
-        folds = []
-
-        def counted(gmap, basis):
-            folds.append(basis)
-            return fold(gmap, basis)
-
-        fold = GyroMap.fold
-        monkeypatch.setattr(GyroMap, "fold", counted)
-        sys, design = builtin("pendulum_cart", eps=0.55, K=0.25)
-        path = tmp_path / "system.json"
-        path.write_text(json.dumps(system_to_dict(sys, design)))
-        loaded, _ = load_system(str(path))
-        assert folds == []
-        assert sys.kept_fold is None and loaded.kept_fold is None
-        field = GyroField(sys, design)
-        field.at([0.3, -0.2])
-        kept = sys.kept_fold
-        for q in ([0.1, 0.2], [-0.4, 0.0]):
-            field.at(q)
-            kinetic_residual(sys, design, q)
-        assert len(folds) == 1 and sys.kept_fold is kept
-        # a varying G folds nothing
-        g = ExprMatrix.from_strings([["0"], ["q1 - 0.5"]], sys.vars)
-        varying = MechSystem(sys.vars, sys.M, sys.V, g)
-        GyroField(varying, design).at([0.3, -0.2])
-        assert len(folds) == 1 and varying.kept_fold is None
 
     def test_synthesize_samples_from_the_sweep(self, monkeypatch, tmp_path, capsys):
         from idapbc.cli import main
@@ -1099,20 +1074,24 @@ class PerTable:
         return self.read("t", build)
 
     def derivation(self):
-        """GyroMap.apply's blocks of T; for a constant G, fold_formulas of
-        the kept fold."""
+        """GyroMap's blocks of T by derivation_formulas."""
         def build():
-            t, sys, frame = self.t(), self.sys, self.frame()
+            t, sys = self.t(), self.sys
             gmap = matching.adapted_map(sys.n, sys.n - sys.m)
-            if sys.kept_frame is None:
-                return gmap, gmap.apply(t, np.concatenate([frame.annihilator, frame.range_basis.T]))
-            return gmap, np.array(fold_formulas(matching.kept_fold(sys)[0], t.ravel().tolist()))
+            return gmap, derivation_formulas(gmap, t.tolist(), adapted_basis(self.frame()))
         return self.read("derivation", build)
 
+    def potential(self):
+        """W (dV - Mhat z), z = M^-1 dVhat by ldl_solve, with pair_trees'
+        arithmetic."""
+        r = range(len(self.q))
+        mhat, dv = self.pair().mhat.tolist(), self.dv().tolist()
+        z = ldl_solve(self.m().tolist(), self.dvhat().tolist())
+        defect = [dv[k] - total([mhat[k][j] * z[j] for j in r]) for k in r]
+        return np.array(matvec(self.frame().annihilator, defect))
+
     def residual(self):
-        minv, mhat, _ = self.pair()
-        w = self.frame().annihilator
-        potential = w @ (self.dv() - mhat @ minv @ self.dvhat())
+        potential = self.potential()
         gmap, y = self.derivation()
         return float(np.max(np.abs(np.concatenate([potential, y[gmap.kinetic]])), initial=0.0))
 
@@ -1169,12 +1148,37 @@ def t_formulas(m, mhat, dmhat, dm):
     return t
 
 
-def fold_formulas(fold, t):
-    """vec(T) @ fold with the generated fold product's arithmetic
-    (expr.matvec of fold'): each column's nonzero entries times
-    T's, added in row order."""
-    return [total([f * t[k] for k, f in enumerate(col) if f] or [0.0])
-            for col in fold.T.tolist()]
+def rotated(t, b):
+    """T(b[a], b[b], b[c]) for nested lists T with tensor.derivation_trees'
+    arithmetic: T's last index contracted with b first, then its middle,
+    then its first, each a matvec of b."""
+    r = range(len(b))
+    s1 = [[matvec(b, t[i][j]) for j in r] for i in r]  # s1[i][j][c]
+    s2 = [[matvec(b, [s1[i][j][c] for j in r]) for c in r] for i in r]  # s2[i][c][b]
+    s3 = [[matvec(b, [s2[i][c][e] for i in r]) for c in r] for e in r]  # s3[b][c][a]
+    return [[[s3[e][c][a] for c in r] for e in r] for a in r]
+
+
+def derivation_formulas(gmap, t, basis):
+    """GyroMap.apply's blocks of T (nested lists) in the adapted basis, with
+    the generated derivation's arithmetic (tensor.derivation_trees): T
+    rotated into the basis, the head as one matvec, the C block rotated
+    back by basis'; the bitwise reference, as t_formulas is for T."""
+    n = len(basis)
+    y = matvec(gmap.head.T, np.ravel(rotated(t, basis)).tolist())
+    cp = np.reshape(y[gmap.c], (n, n, n)).tolist()
+    y[gmap.c] = np.ravel(rotated(cp, basis.T)).tolist()
+    return np.array(y)
+
+
+def pair_rows(sys, design, points):
+    """The pair function's batch values at an (N, n) stack of points, each
+    point followed by its adapted basis where G varies, as MatchRows calls
+    it."""
+    if not sys.g_constant:
+        bases = [adapted_basis(input_frame(sys.G(q), q)).ravel() for q in points]
+        points = np.hstack([points, bases])
+    return pair_function(sys, design).batch(points)[0]
 
 
 def matvec(a, v):
@@ -1237,25 +1241,14 @@ def per_table_law(ctrl, point, q, p):
         raise np.linalg.LinAlgError("Singular matrix") from None
 
 
-def tick_residual(point):
-    """A Tick's residual from a PerTable's reads, with tick_trees' arithmetic:
-    W (dV - Mhat z), z = M^-1 dVhat by ldl_solve, and the kinetic defects."""
-    r = range(len(point.q))
-    mhat, dv = point.pair().mhat.tolist(), point.dv().tolist()
-    z = ldl_solve(point.m().tolist(), point.dvhat().tolist())
-    defect = [dv[k] - total([mhat[k][j] * z[j] for j in r]) for k in r]
-    gmap, y = point.derivation()
-    potential = matvec(point.frame().annihilator, defect)
-    return float(np.max(np.abs(np.concatenate([potential, y[gmap.kinetic]])), initial=0.0))
-
-
 def tick_feedback(point, p, qdot, pdot):
     """A Tick's u from a PerTable's reads and the law's (qdot, pdot), with
-    tick_trees' arithmetic: the frame's (G'G)^-1 G' times dH/dq + pdot,
-    dH/dq read at qdot = M^-1 p."""
-    g, dv, dm = point.frame().g, point.dv().tolist(), point.dm().tolist()
+    tick_trees' arithmetic: (G'G)^-1 G' (dH/dq + pdot), dH/dq read at
+    qdot = M^-1 p, G'G solved by ldl_solve."""
+    gt, dv, dm = point.frame().g.T, point.dv().tolist(), point.dm().tolist()
     rhs = [dv[k] - quadratic(dm[k], qdot) / 2 + pdot[k] for k in range(len(p))]
-    return np.array(matvec(np.linalg.solve(g.T @ g, g.T), rhs))
+    gtg = [[total([x * y for x, y in zip(a, b)]) for b in gt.tolist()] for a in gt.tolist()]
+    return np.array(ldl_solve(gtg, matvec(gt, rhs)))
 
 
 def per_table_call(ctrl, name, q, p):
@@ -1279,7 +1272,7 @@ def per_table_call(ctrl, name, q, p):
     except POINT_ERRORS:
         warn_residual(point.residual(), q)  # MatchPoint's reads raise first
         raise
-    warn_residual(tick_residual(point), q)
+    warn_residual(point.residual(), q)
     return tick_feedback(point, p, qdot, pdot)
 
 
@@ -1312,8 +1305,7 @@ def outcome(call):
 
 def assert_pair_parity(ctrl, q, p):
     for name, call in PAIR_CALLS.items():
-        # the call first: a constant G's first query keeps the frame, after
-        # which _derive takes the kept fold
+        # the call first: a constant G's first query keeps the frame
         got = outcome(lambda: call(ctrl, q, p))
         assert got == outcome(lambda: per_table_call(ctrl, name, q, p)), (name, q_text(q))
 
@@ -1515,6 +1507,21 @@ class TestPairFunction:
             assert_pair_parity(ctrl, x[:sys.n], x[sys.n:])
 
     @pytest.mark.parametrize("case", list(PAIR_DESIGNS))
+    def test_rows_bitwise_equal_to_points(self, case):
+        # MatchRows runs the batch variant of the function MatchPoint calls,
+        # a varying G's bases coming from its stacked frames
+        sys, design = PAIR_DESIGNS[case]()
+        points = np.random.default_rng(12).uniform(-1.3, 1.3, (40, sys.n))
+        rows = MatchRows(sys, design, points)
+        for i, q in enumerate(points):
+            point = MatchPoint(sys, design, q)
+            assert outcome(lambda: rows.gyro(slice(i, i + 1))[0]) == outcome(point.gyro)
+            if not rows.failed[i]:
+                assert rows.potential[i].tobytes() == point.potential().tobytes()
+                assert rows.kinetic[i].tobytes() == point.kinetic().tobytes()
+                assert rows.pd[i] == (point.shaped_mass_defect() is None)
+
+    @pytest.mark.parametrize("case", list(PAIR_DESIGNS))
     def test_law_within_1e_13_of_exact_arithmetic(self, case):
         # the law's rounding against law_formulas on Fractions of the same
         # table values; where M or Mhat is ill-conditioned, as at |q1| near
@@ -1610,7 +1617,7 @@ class TestPairFunction:
         points = np.random.default_rng(2).uniform(-1.0, 1.0, (20, sys.n))
         stacks = [sys.M.batch(points)[0], design.Mhat.batch(points)[0]]
         for q in points:
-            stacks.append(pair_function(sys, design)(q)[0])
+            stacks.append(MatchPoint(sys, design, q).tables.mats)
             stacks += [sys.M(q)[None], design.Mhat(q)[None]]
         for stack in stacks:
             assert stack.tobytes() == stack.swapaxes(-1, -2).copy().tobytes()

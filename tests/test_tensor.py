@@ -16,6 +16,7 @@ from idapbc.tensor import (
     cyclic_residual,
     cyclic_sum,
     derivation_defect,
+    derivation_function,
     extend_to_gyro,
     force_from_j,
     gyro_extension,
@@ -364,13 +365,29 @@ def first_pair_symmetric(n, rng):
 
 
 def both_maps(n, u, basis, t):
-    """The map and its outputs for T: one product with its fold of the basis,
-    and its apply."""
+    """The map and its outputs for T: the compiled derivation_trees with T
+    and the basis as inputs, and its numpy reference apply."""
     gmap = GyroMap(n, u)
-    return [(gmap, t.reshape(-1) @ gmap.fold(basis)), (gmap, gmap.apply(t, basis))]
+    derived = derivation_function(n, u)(np.append(t, basis).tolist())
+    return [(gmap, derived), (gmap, gmap.apply(t, basis))]
 
 
 class TestGyroMap:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_compiled_trees_within_1e_13_of_apply(self, n):
+        # every split d of n, on random T (no symmetry assumed: the map is
+        # linear) and random orthonormal bases
+        rng = np.random.default_rng(60 + n)
+        for d in range(n + 1):
+            derive, gmap = derivation_function(n, d), GyroMap(n, d)
+            for _ in range(10):
+                t = rng.standard_normal((n, n, n))
+                basis = np.linalg.qr(rng.standard_normal((n, n)))[0]
+                want = gmap.apply(t, basis)
+                got = derive(np.append(t, basis).tolist())
+                assert got.shape == want.shape == (gmap.head.shape[1],)
+                assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_matches_einsum_chain_on_random_frames(self, n):
         rng = np.random.default_rng(20 + n)
@@ -423,7 +440,8 @@ class TestGyroMap:
     def test_bitwise_on_signed_permutation_frames(self, n):
         # every entry of C is one entry of cp, itself at most two terms of tp
         # with coefficients +-1 or -1/2, so no sum rounds; tp's cyclic sums
-        # add three terms for u >= 2, and do round in another order
+        # add three terms for u >= 2, and do round in another order.  A zero
+        # counts as +0: the chain and the trees add different zero products
         rng = np.random.default_rng(30 + n)
         for u in range(n + 1):
             for _ in range(5):
@@ -432,31 +450,34 @@ class TestGyroMap:
                 t = first_pair_symmetric(n, rng)
                 _, c, cyc = chain_reference(t, basis, u)
                 for gmap, y in both_maps(n, u, basis, t):
-                    assert y[gmap.c].reshape(n, n, n).tobytes() == c.tobytes()
+                    y = y + 0.0
+                    assert y[gmap.c].reshape(n, n, n).tobytes() == (c + 0.0).tobytes()
                     if u <= 1:
-                        assert y[gmap.cyclic][: cyc.size].tobytes() == cyc.tobytes()
+                        assert y[gmap.cyclic][: cyc.size].tobytes() == (cyc + 0.0).tobytes()
 
     def test_stacks_and_single_tensors_agree(self):
         rng = np.random.default_rng(40)
         n, u = 3, 1
         basis = np.linalg.qr(rng.standard_normal((n, n)))[0]
         ts = np.stack([first_pair_symmetric(n, rng) for _ in range(4)])
-        gmap = GyroMap(n, u)
-        fold, bases = gmap.fold(basis), np.broadcast_to(basis, (4, n, n))
+        gmap, derive = GyroMap(n, u), derivation_function(n, u)
+        bases = np.broadcast_to(basis, (4, n, n))
         # tp, its first-pair asymmetry, its one unactuated cyclic sum, and C
-        assert fold.shape == (27, 82)
-        for stacked, single in (
-            (ts.reshape(4, -1) @ fold, [t.reshape(-1) @ fold for t in ts]),
-            (gmap.apply(ts, bases), [gmap.apply(t, basis) for t in ts]),
-        ):
-            np.testing.assert_allclose(stacked, single, rtol=1e-14, atol=1e-14)
+        assert gmap.head.shape == (27, 82)
+        rows = np.hstack([ts.reshape(4, -1), bases.reshape(4, -1)])
+        stacked, flagged = derive.batch(rows)
+        assert not flagged.any()
+        assert stacked.tobytes() == np.array([derive(x) for x in rows.tolist()]).tobytes()
+        np.testing.assert_allclose(
+            gmap.apply(ts, bases), [gmap.apply(t, basis) for t in ts], rtol=1e-14, atol=1e-14
+        )
 
     def test_failure_flags_follow_the_checks(self):
         # one row per defect: none, asymmetric T, cyclic precondition,
         # non-finite tp, cp overflowing
         n, u = 2, 1
         gmap = GyroMap(n, u)
-        assert gmap.fold(np.eye(n)).shape == (8, 25)
+        assert gmap.head.shape == (8, 25)
         ts = np.zeros((5, n, n, n))
         ts[:, 1, 1, 0] = 0.3
         ts[1, 0, 1, 1] = 1.0
