@@ -1000,6 +1000,41 @@ class TestDerivationMap:
                 c[0, 0, 1] = 1.0
         assert point.gyro().tobytes() == expect.tobytes()
 
+    def test_folded_map_built_once_per_constant_g_system(self, monkeypatch, tmp_path):
+        # a constant G's adapted basis is folded into the pair function's
+        # derivation as constants, once per system; a varying G's is inputs
+        bases = []
+
+        def counted(sys, design, basis):
+            bases.append(basis)
+            return trees(sys, design, basis)
+
+        trees = matching.pair_trees
+        monkeypatch.setattr(matching, "pair_trees", counted)
+        sys, design = builtin("pendulum_cart", eps=0.55, K=0.25)
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(system_to_dict(sys, design)))
+        loaded, loaded_design = load_system(str(path))
+        assert bases == []
+        assert design.kept_pair is None and loaded_design.kept_pair is None
+        field = GyroField(sys, design)
+        field.at([0.3, -0.2])
+        kept = design.kept_pair
+        for q in ([0.1, 0.2], [-0.4, 0.0]):
+            field.at(q)
+            kinetic_residual(sys, design, q)
+        assert len(bases) == 1 and design.kept_pair is kept
+        folded = bases[0]
+        assert isinstance(folded, np.ndarray) and folded.dtype == float
+        assert folded.tobytes() == adapted_basis(sys.frame(np.zeros(sys.n))).tobytes()
+        # a varying G folds nothing: its basis is the inputs after q
+        g = ExprMatrix.from_strings([["0"], ["q1 - 0.5"]], sys.vars)
+        varying = MechSystem(sys.vars, sys.M, sys.V, g)
+        GyroField(varying, design).at([0.3, -0.2])
+        assert len(bases) == 2 and design.kept_pair[0] is varying
+        assert [[str(b) for b in row] for row in bases[1]] == [
+            [f"x{sys.n + sys.n * i + j}" for j in range(sys.n)] for i in range(sys.n)]
+
     def test_synthesize_samples_from_the_sweep(self, monkeypatch, tmp_path, capsys):
         from idapbc.cli import main
 
